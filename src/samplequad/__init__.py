@@ -21,10 +21,8 @@ from .bench import (
 from .linalg import (
     ExtensionFactorization,
     build_vandermonde,
-    extend_solve,
     null_space,
     null_vector,
-    refactor_for_extension,
 )
 from .nested import (
     ExtensionRequest,

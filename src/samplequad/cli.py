@@ -128,12 +128,8 @@ def cmd_bench_genz(args) -> int:
         config.seed = args.seed
     report = run_convergence(config)
     for family in config.active_families():
-        done = report.completed_repetitions.get(family, 0)
-        if done == 0 and any(m != "monte_carlo" for (_, _, m) in report.errors):
+        if report.completed_repetitions.get(family, 0) == 0:
             log.error("family %s failed in every repetition", family)
-            return EXIT_BENCH
-        if done == 0:
-            log.error("no rule results at all for family %s", family)
             return EXIT_BENCH
     if config.distribution.kind == "rosenbrock" and "corner_peak" in config.families:
         log.warning("corner peak excluded: its integral diverges for this density")

@@ -7,6 +7,11 @@ square base, refreshed periodically and updated by rank-one exchanges,
 so each null vector costs O(n^2) instead of a fresh O(n^3)
 factorization.  Every fast-path result is residual-checked and falls
 back to an SVD of the explicitly extended matrix on failure.
+
+`ExtensionFactorization.solve_block` solves the base against a whole
+block of extension columns with one matrix product, applying the same
+residual acceptance to each column; the block-speculative fixed-rule
+stream uses it to price a run of samples at once.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ TOL_NULL = 1e-10
 # accumulated update drift never approaches TOL_NULL
 _TOL_FAST = 1e-12
 _REFRESH_EVERY = 128
+# entries of a null vector at or below this fraction of its largest entry
+# are noise for the sign convention
+_LEAD_REL = 1e-12
 
 
 def build_vandermonde(spec: BasisSpec, nodes) -> np.ndarray:
@@ -39,9 +47,28 @@ def _fix_sign(c: np.ndarray) -> np.ndarray:
     scale = np.abs(c).max()
     if scale == 0.0:
         return c
-    nz = np.nonzero(np.abs(c) > 1e-12 * scale)[0]
+    nz = np.nonzero(np.abs(c) > _LEAD_REL * scale)[0]
     lead = nz[0] if nz.size else int(np.argmax(np.abs(c)))
     return -c if c[lead] < 0 else c
+
+
+def lead_negative(Z: np.ndarray) -> np.ndarray:
+    """Per column z of Z: whether `_fix_sign` flips the direction (z, -1).
+
+    The lead entry is the first one above the noise level of the whole
+    vector, the trailing -1 included; the flip happens when it is
+    negative, which puts the trailing entry on the positive side.
+    """
+    A = np.abs(Z)
+    above = A > _LEAD_REL * np.maximum(A.max(axis=0), 1.0)
+    lead = np.argmax(above, axis=0)
+    lead_val = Z[lead, np.arange(Z.shape[1])]
+    return ~above.any(axis=0) | (lead_val < 0.0)
+
+
+def _fast_accepts(resid, norm, fnorm):
+    """Fast-path residual acceptance of a null vector (z, -1)/norm."""
+    return resid / norm <= _TOL_FAST * np.maximum(fnorm, 1.0)
 
 
 def null_vector(V: np.ndarray, tol_null: float = TOL_NULL) -> np.ndarray:
@@ -114,12 +141,16 @@ class ExtensionFactorization:
         z = self._inv @ col
         resid = np.linalg.norm(self.V @ z - col)
         norm = np.sqrt(np.dot(z, z) + 1.0)
-        if resid / norm > _TOL_FAST * max(fnorm, 1.0):
+        if not _fast_accepts(resid, norm, fnorm):
             return None
         c = np.empty(z.shape[0] + 1)
         c[:-1] = z
         c[-1] = -1.0
         return _fix_sign(c / norm)
+
+    def _refresh_if_due(self):
+        if self._inv is not None and self._updates_since_refresh >= _REFRESH_EVERY:
+            self._refresh()
 
     def null_vector_extended(self, col: np.ndarray) -> np.ndarray:
         """Unit null vector of [V_base, col], new column last.
@@ -132,8 +163,7 @@ class ExtensionFactorization:
         if col.shape[0] != self.V.shape[0]:
             raise DimensionMismatch("extension column has wrong length")
         fnorm = self._extended_fnorm(col)
-        if self._inv is not None and self._updates_since_refresh >= _REFRESH_EVERY:
-            self._refresh()
+        self._refresh_if_due()
         c = self._try_fast(col, fnorm)
         if c is None and self._updates_since_refresh > 0:
             # drifted update chain: one fresh factorization retry
@@ -144,16 +174,28 @@ class ExtensionFactorization:
         extended = np.column_stack([self.V, col])
         return null_vector(extended, self.tol_null)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve V x = rhs; least-squares fallback off the fast path."""
-        rhs = np.asarray(rhs, dtype=float)
-        if self._inv is not None:
-            x = self._inv @ rhs
-            resid = np.linalg.norm(self.V @ x - rhs)
-            if resid <= 1e-10 * max(1.0, np.linalg.norm(rhs)):
-                return x
-        x, *_ = np.linalg.lstsq(self.V, rhs, rcond=None)
-        return x
+    def solve_block(self, cols: np.ndarray):
+        """Fast-path solves of V z = col for every column of `cols` at once.
+
+        Returns (Z, accepted): Z holds the solutions column by column,
+        and `accepted` marks the columns whose null vector (z, -1) passes
+        the residual acceptance of `null_vector_extended`'s fast path.
+        Returns None when there is no cached inverse (the base is not
+        square or is singular); nothing falls back to an SVD here.
+        """
+        cols = np.asarray(cols, dtype=float)
+        if cols.ndim != 2 or cols.shape[0] != self.V.shape[0]:
+            raise DimensionMismatch("extension columns have wrong length")
+        self._refresh_if_due()
+        if self._inv is None:
+            return None
+        Z = self._inv @ cols
+        R = self.V @ Z
+        R -= cols
+        resid = np.sqrt(np.einsum("ij,ij->j", R, R))
+        norm = np.sqrt(np.einsum("ij,ij->j", Z, Z) + 1.0)
+        fnorm = np.sqrt(self._fnorm2 + np.einsum("ij,ij->j", cols, cols))
+        return Z, _fast_accepts(resid, norm, fnorm)
 
     def replace_column(self, k: int, col: np.ndarray) -> None:
         """Exchange column k for `col`, updating the cached inverse.
@@ -166,6 +208,9 @@ class ExtensionFactorization:
         self.V[:, k] = col
         self._fnorm2 += float(np.dot(col, col) - np.dot(old, old))
         if self._inv is None:
+            # a singular square base can become regular by the exchange
+            if self.V.shape[0] == self.V.shape[1]:
+                self._refresh()
             return
         z = self._inv @ col
         pivot = z[k]
@@ -185,13 +230,3 @@ class ExtensionFactorization:
     def append_column(self, col: np.ndarray) -> None:
         self.V = np.column_stack([self.V, np.asarray(col, dtype=float)])
         self._refresh()
-
-
-def refactor_for_extension(V_base: np.ndarray) -> ExtensionFactorization:
-    """Build a reusable factorization handle for `extend_solve`."""
-    return ExtensionFactorization(V_base)
-
-
-def extend_solve(handle: ExtensionFactorization, new_column: np.ndarray) -> np.ndarray:
-    """Null vector of the handle's base matrix extended by one column."""
-    return handle.null_vector_extended(new_column)

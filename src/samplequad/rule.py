@@ -6,6 +6,18 @@ a single pass: each incoming sample is appended with the weight update
 that keeps moments exact, then a node is deleted along a null direction
 of the extended Vandermonde matrix so the node count never exceeds the
 basis size and all weights stay non-negative.
+
+Most steps delete the incoming sample itself, which only reweights the
+current support S.  The pass therefore runs block-speculatively: while
+S is fixed, k such steps leave the weights at
+(c0 w0 + z_1 + ... + z_k) / (c0 + k) with z_j = V_S^-1 phi(y_j), so a
+chunk of samples is solved with one matrix product, its weight
+trajectory is a prefix sum, and the ratio test runs vectorized over the
+chunk.  At the first sample the scalar step might resolve otherwise
+(rejected residual, near tie, swap, multi-delete) the prefix is
+committed and that sample takes the scalar step.  Chunk lengths follow
+the observed run lengths, and speculation backs off on streams where
+runs keep failing at once.
 """
 
 from __future__ import annotations
@@ -23,15 +35,19 @@ from .errors import (
     InsufficientSamples,
     NullSpaceFailure,
 )
-from .linalg import ExtensionFactorization, null_vector
+from .linalg import ExtensionFactorization, lead_negative
 
-TOL_W = 1e-12
 TOL_MOM = 1e-8
 TOL_ZERO_FACTOR = 1e-13
 
 ALPHA_POLICIES = ("alpha1", "alpha2", "smallest_abs")
 
 _BLOCK = 4096
+# a speculated step must win its ratio test, and keep its weights above the
+# drop threshold, by this relative margin; closer calls take the scalar step
+_NEAR_TIE = 1e-9
+_MIN_CHUNK = 16
+_MAX_CHUNK = 256
 
 
 @dataclass
@@ -343,6 +359,8 @@ class _FixedRuleEngine:
     """Single pass of the fixed-rule iteration over a sample stream."""
 
     def __init__(self, spec: BasisSpec, init_nodes, init_src, alpha_policy: str):
+        if alpha_policy not in ALPHA_POLICIES:
+            raise ValueError(f"unknown alpha policy {alpha_policy!r}")
         self.spec = spec
         self.X = np.array(init_nodes, dtype=float)
         n = self.X.shape[0]
@@ -397,6 +415,75 @@ class _FixedRuleEngine:
                 self.fact.append_column(col)
         self.w /= self.w.sum()
 
+    def drop_run(self, cols: np.ndarray) -> int:
+        """Take the leading drop-incoming steps of a chunk of columns.
+
+        Returns how many leading columns were consumed, each as `feed`
+        would have (up to rounding in the weights): the fast-path solve
+        is accepted, the incoming sample wins the ratio test strictly
+        under the alpha policy, and every old weight stays above the
+        drop threshold.  Returns 0 when the support is not a full square
+        base with a cached inverse.
+        """
+        if self.X.shape[0] != self.spec.size:
+            return 0
+        solved = self.fact.solve_block(cols)
+        if solved is None:
+            return 0
+        Z, ok = solved
+        start = self.consumed * self.w
+        # column j holds (c0 + j + 1) times the weights after step j
+        S = np.cumsum(Z, axis=1)
+        S += start[:, None]
+        prev = np.hstack([start[:, None], S[:, :-1]])
+        prev *= 1.0 - _NEAR_TIE
+        if self.policy == "smallest_abs":
+            # the incoming ratio must beat every old node on both sides
+            reach = np.abs(Z)
+        else:
+            # alpha1/alpha2 consult only the side holding the incoming entry
+            reach = np.maximum(-Z, 0.0)
+            ok &= lead_negative(Z) == (self.policy == "alpha1")
+        ok &= (reach < prev).all(axis=0)
+        tol_zero = TOL_ZERO_FACTOR / (1.0 - _NEAR_TIE) * S.max(axis=0)
+        ok &= (S > tol_zero).all(axis=0)
+        # `feed` raises when one side of the null direction is empty
+        ok &= (Z > 0.0).any(axis=0)
+        run = ok.shape[0] if ok.all() else int(np.argmin(ok))
+        if run:
+            w = S[:, run - 1]
+            self.w = w / w.sum()
+            self.consumed += run
+        return run
+
+
+class _Speculation:
+    """Chunk length and back-off of the block-speculative pass.
+
+    Chunks stay within _MIN_CHUNK.._MAX_CHUNK columns.  A chunk consumed
+    whole doubles the next one; a run that ends inside a chunk sets the
+    next to twice its length.  A run that fails on its first column
+    makes the pass feed the next samples one at a time, for a count
+    that doubles with each consecutive such failure.
+    """
+
+    def __init__(self):
+        self.chunk = _MIN_CHUNK
+        self.backoff = 1
+        self.wait = 0
+
+    def observe(self, run: int, span: int) -> None:
+        if run == span:
+            self.chunk = min(2 * self.chunk, _MAX_CHUNK)
+            self.backoff = 1
+        elif run == 0:
+            self.chunk = _MIN_CHUNK
+            self.wait = self.backoff
+            self.backoff = min(2 * self.backoff, _BLOCK)
+        else:
+            self.chunk = min(max(2 * run, _MIN_CHUNK), _MAX_CHUNK)
+            self.backoff = 1
+
 
 def _column_blocks(spec: BasisSpec, pts: np.ndarray, start: int):
     for lo in range(start, pts.shape[0], _BLOCK):
@@ -424,8 +511,19 @@ def construct_fixed_rule(
             f"{pts.shape[0]} samples cannot support a basis of size {m}"
         )
     engine = _FixedRuleEngine(spec, pts[:m], np.arange(m), alpha_policy)
+    pace = _Speculation()
     for lo, block in _column_blocks(spec, pts, m):
-        for j in range(block.shape[1]):
+        j = 0
+        while j < block.shape[1]:
+            if pace.wait:
+                pace.wait -= 1
+            else:
+                span = min(pace.chunk, block.shape[1] - j)
+                run = engine.drop_run(block[:, j : j + span])
+                pace.observe(run, span)
+                j += run
+                if run == span:
+                    continue
             k = lo + j
             try:
                 engine.feed(pts[k], block[:, j], k)
@@ -433,6 +531,7 @@ def construct_fixed_rule(
                 raise NullSpaceFailure(
                     f"construction failed at sample {k}: {exc}", sample_index=k
                 ) from exc
+            j += 1
     rule = QuadratureRule(
         nodes=engine.X,
         weights=engine.w,

@@ -8,10 +8,8 @@ from samplequad.errors import DimensionMismatch, NullSpaceFailure
 from samplequad.linalg import (
     ExtensionFactorization,
     build_vandermonde,
-    extend_solve,
     null_space,
     null_vector,
-    refactor_for_extension,
 )
 
 
@@ -126,11 +124,11 @@ class TestExtensionFactorization:
         nodes = np.sort(rng.uniform(-1, 1, 6)).reshape(-1, 1)
         spec = spec_1d(6, "product_legendre")
         V = build_vandermonde(spec, nodes)
-        handle = refactor_for_extension(V)
+        handle = ExtensionFactorization(V)
         for _ in range(10):
             x = rng.uniform(-1, 1)
             col = build_vandermonde(spec, [[x]])[:, 0]
-            fast = extend_solve(handle, col)
+            fast = handle.null_vector_extended(col)
             slow = null_vector(np.column_stack([V, col]))
             cosine = abs(np.dot(fast, slow)) / (np.linalg.norm(fast) * np.linalg.norm(slow))
             assert cosine >= 1 - 1e-9
@@ -144,14 +142,14 @@ class TestExtensionFactorization:
         handle = ExtensionFactorization(V)
         for _ in range(100):
             col = build_vandermonde(spec, rng.random((1, 2)))[:, 0]
-            c = extend_solve(handle, col)
+            c = handle.null_vector_extended(col)
             ext = np.column_stack([V, col])
             assert np.linalg.norm(ext @ c) <= 1e-9 * np.linalg.norm(ext)
 
     def test_duplicate_column_support(self):
         V = np.eye(4)
         handle = ExtensionFactorization(V)
-        c = extend_solve(handle, np.array([1.0, 0.0, 0.0, 0.0]))
+        c = handle.null_vector_extended(np.array([1.0, 0.0, 0.0, 0.0]))
         # null vector must live on the duplicated pair
         np.testing.assert_allclose(np.abs(c), [np.sqrt(0.5), 0, 0, 0, np.sqrt(0.5)], atol=1e-12)
 
@@ -180,5 +178,54 @@ class TestExtensionFactorization:
         rng = np.random.default_rng(10)
         V = rng.standard_normal((5, 5)) + 4 * np.eye(5)
         handle = ExtensionFactorization(V)
-        rhs = rng.standard_normal(5)
-        np.testing.assert_allclose(V @ handle.solve(rhs), rhs, atol=1e-10)
+        rhs = rng.standard_normal((5, 3))
+        Z, accepted = handle.solve_block(rhs)
+        assert accepted.all()
+        np.testing.assert_allclose(V @ Z, rhs, atol=1e-10)
+
+    def test_solve_block_matches_null_vector_extended(self):
+        rng = np.random.default_rng(11)
+        spec = BasisSpec(d=2, size=10, domain=((0.0, 1.0),) * 2)
+        handle = ExtensionFactorization(build_vandermonde(spec, rng.random((10, 2))))
+        cols = build_vandermonde(spec, rng.random((7, 2)))
+        Z, accepted = handle.solve_block(cols)
+        assert accepted.all()
+        for j in range(cols.shape[1]):
+            u = np.append(Z[:, j], -1.0)
+            c = handle.null_vector_extended(cols[:, j])
+            np.testing.assert_allclose(np.abs(c), np.abs(u) / np.linalg.norm(u), atol=1e-12)
+
+    def test_solve_block_rejects_inaccurate_columns(self):
+        # degree-29 Legendre on normal samples: the inverse exists, but its
+        # solves miss the fast-path acceptance that null_vector_extended
+        # then escapes through the SVD
+        from samplequad.basis import domain_from_samples
+
+        rng = np.random.default_rng(0)
+        pts = rng.standard_normal((36, 1))
+        spec = BasisSpec(d=1, size=30, domain=domain_from_samples(pts))
+        V = build_vandermonde(spec, pts[:30])
+        handle = ExtensionFactorization(V)
+        cols = build_vandermonde(spec, pts[30:])
+        _, accepted = handle.solve_block(cols)
+        assert not accepted.any()
+        for col in cols.T:
+            c = handle.null_vector_extended(col)
+            ext = np.column_stack([V, col])
+            assert np.linalg.norm(ext @ c) <= 1e-10 * np.linalg.norm(ext)
+
+    def test_solve_block_needs_square_inverse(self):
+        assert ExtensionFactorization(np.ones((3, 3))).solve_block(np.eye(3)) is None
+        assert ExtensionFactorization(np.ones((2, 3))).solve_block(np.eye(2)) is None
+        with pytest.raises(DimensionMismatch):
+            ExtensionFactorization(np.eye(3)).solve_block(np.ones((2, 2)))
+
+    def test_exchange_revives_singular_square_base(self):
+        V = np.eye(4)
+        V[:, 3] = V[:, 2]  # duplicated column: no inverse
+        handle = ExtensionFactorization(V)
+        assert handle.solve_block(np.eye(4)) is None
+        handle.replace_column(3, np.array([0.0, 0.0, 0.0, 1.0]))
+        Z, accepted = handle.solve_block(np.eye(4))
+        assert accepted.all()
+        np.testing.assert_allclose(Z, np.eye(4), atol=1e-15)

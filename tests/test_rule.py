@@ -16,6 +16,7 @@ from samplequad.rule import (
     MomentVector,
     QuadratureRule,
     SampleSet,
+    _FixedRuleEngine,
     add_sample,
     construct_fixed_rule,
     remove_one,
@@ -358,6 +359,74 @@ class TestConstructFixedRule:
             rule = construct_fixed_rule(ss, spec, alpha_policy=policy)
             assert rule.weights.min() >= -1e-12
             assert rule.moment_residual(mu) <= 1e-8
+
+    def test_unknown_alpha_policy_rejected(self):
+        # the one step of this stream drops the incoming sample, so only an
+        # up-front check can reject the policy
+        ss = SampleSet(np.array([[0.0], [1.0], [0.5]]))
+        with pytest.raises(ValueError):
+            construct_fixed_rule(ss, monomial_spec(2, 0.0, 1.0), alpha_policy="nope")
+
+
+def _per_sample_rule(pts, spec, policy):
+    """Reference: the scalar step of the engine, one sample at a time."""
+    m = spec.size
+    engine = _FixedRuleEngine(spec, pts[:m], np.arange(m), policy)
+    cols = basis_matrix(spec, pts)
+    for k in range(m, pts.shape[0]):
+        engine.feed(pts[k], cols[:, k], k)
+    return engine
+
+
+# (d, basis size, distribution, samples, alpha policy, duplicated start).
+# The 4300-sample streams cross the 4096-column basis block; every stream
+# makes more than 128 exchanges, so the inverse is refreshed on schedule.
+BLOCK_PASS_CORPUS = [
+    (1, 8, "uniform", 4300, "smallest_abs", False),
+    (2, 21, "uniform", 4300, "smallest_abs", False),
+    (3, 20, "normal", 1500, "smallest_abs", False),
+    (2, 10, "normal", 1500, "alpha1", False),
+    (1, 6, "normal", 1500, "alpha2", False),
+    (2, 21, "uniform", 1500, "smallest_abs", True),
+    (3, 10, "uniform", 1500, "alpha2", True),
+    (1, 12, "normal", 1500, "alpha1", False),
+]
+
+
+class TestBlockPass:
+    @pytest.mark.parametrize("d,size,dist,n,policy,dup", BLOCK_PASS_CORPUS)
+    def test_matches_per_sample_reference(self, d, size, dist, n, policy, dup):
+        rng = np.random.default_rng(0)
+        pts = rng.random((n, d)) if dist == "uniform" else rng.standard_normal((n, d))
+        if dup:
+            pts[size // 2] = pts[0]
+        spec = legendre_spec(d, size, domain_from_samples(pts))
+        ref = _per_sample_rule(pts, spec, policy)
+        rule = construct_fixed_rule(SampleSet(pts), spec, alpha_policy=policy)
+        a = np.argsort(ref.src)
+        b = np.argsort(rule.source_indices)
+        np.testing.assert_array_equal(rule.source_indices[b], ref.src[a])
+        np.testing.assert_allclose(rule.weights[b], ref.w[a], rtol=0.0, atol=1e-12)
+
+    def test_duplicated_start_returns_to_fast_path(self, monkeypatch):
+        # a duplicated sample among the first basis-size rows makes the
+        # starting base singular; the first exchange must restore the
+        # inverse instead of leaving every later step on the SVD
+        import samplequad.linalg as linalg
+
+        calls = []
+        svd = linalg.null_vector
+        monkeypatch.setattr(
+            linalg, "null_vector", lambda *a, **k: calls.append(1) or svd(*a, **k)
+        )
+        rng = np.random.default_rng(17)
+        pts = rng.random((2000, 2))
+        pts[10] = pts[0]
+        ss = SampleSet(pts)
+        spec = legendre_spec(2, 21, domain_from_samples(pts))
+        rule = construct_fixed_rule(ss, spec)
+        assert len(calls) <= 5
+        assert rule.moment_residual(sample_moments(ss, spec)) <= 1e-8
 
 
 class TestRuleSerialization:
