@@ -1,9 +1,11 @@
 """Command-line driver: generate samples, build, extend, benchmark.
 
 Exit codes: 0 success, 2 bad specification or usage, 3 I/O failure,
-4 insufficient samples, 5 null-space failure, 6 enumeration cap
-exceeded, 7 benchmark family failed completely.  Data goes to stdout,
-diagnostics to stderr.
+4 insufficient samples, 5 null-space failure, 7 benchmark family failed
+completely.  Data goes to stdout, diagnostics to stderr.
+
+`extend --removal-cap` limits how many removals one step's enumeration
+visits; the step then chooses among the removals it found.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 from .basis import BasisSpec, domain_from_samples
 from .bench import ExperimentConfig, run_convergence
 from .errors import (
-    CapExceeded,
     InsufficientSamples,
     InvalidSpec,
     NullSpaceFailure,
@@ -41,7 +42,6 @@ EXIT_SPEC = 2
 EXIT_IO = 3
 EXIT_INSUFFICIENT = 4
 EXIT_NULLSPACE = 5
-EXIT_CAP = 6
 EXIT_BENCH = 7
 
 MODE_ALIASES = {
@@ -199,9 +199,6 @@ def main(argv=None) -> int:
     except NullSpaceFailure as exc:
         log.error("%s", exc)
         return EXIT_NULLSPACE
-    except CapExceeded as exc:
-        log.error("%s", exc)
-        return EXIT_CAP
     except OSError as exc:
         log.error("%s", exc)
         return EXIT_IO

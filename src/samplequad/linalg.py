@@ -10,8 +10,8 @@ back to an SVD of the explicitly extended matrix on failure.
 
 `ExtensionFactorization.solve_block` solves the base against a whole
 block of extension columns with one matrix product, applying the same
-residual acceptance to each column; the block-speculative fixed-rule
-stream uses it to price a run of samples at once.
+residual acceptance to each column; the block-speculative stream uses
+it to price a run of samples at once.
 """
 
 from __future__ import annotations
@@ -20,16 +20,9 @@ import numpy as np
 
 from .basis import BasisSpec, basis_matrix
 from .errors import DimensionMismatch, NullSpaceFailure
+from .tolerances import TOL_FAST, TOL_LEAD, TOL_NULL, TOL_PIVOT
 
-TOL_NULL = 1e-10
-
-# fast-path residual acceptance, tighter than the public contract so that
-# accumulated update drift never approaches TOL_NULL
-_TOL_FAST = 1e-12
 _REFRESH_EVERY = 128
-# entries of a null vector at or below this fraction of its largest entry
-# are noise for the sign convention
-_LEAD_REL = 1e-12
 
 
 def build_vandermonde(spec: BasisSpec, nodes) -> np.ndarray:
@@ -47,28 +40,14 @@ def _fix_sign(c: np.ndarray) -> np.ndarray:
     scale = np.abs(c).max()
     if scale == 0.0:
         return c
-    nz = np.nonzero(np.abs(c) > _LEAD_REL * scale)[0]
+    nz = np.nonzero(np.abs(c) > TOL_LEAD * scale)[0]
     lead = nz[0] if nz.size else int(np.argmax(np.abs(c)))
     return -c if c[lead] < 0 else c
 
 
-def lead_negative(Z: np.ndarray) -> np.ndarray:
-    """Per column z of Z: whether `_fix_sign` flips the direction (z, -1).
-
-    The lead entry is the first one above the noise level of the whole
-    vector, the trailing -1 included; the flip happens when it is
-    negative, which puts the trailing entry on the positive side.
-    """
-    A = np.abs(Z)
-    above = A > _LEAD_REL * np.maximum(A.max(axis=0), 1.0)
-    lead = np.argmax(above, axis=0)
-    lead_val = Z[lead, np.arange(Z.shape[1])]
-    return ~above.any(axis=0) | (lead_val < 0.0)
-
-
 def _fast_accepts(resid, norm, fnorm):
     """Fast-path residual acceptance of a null vector (z, -1)/norm."""
-    return resid / norm <= _TOL_FAST * np.maximum(fnorm, 1.0)
+    return resid / norm <= TOL_FAST * np.maximum(fnorm, 1.0)
 
 
 def null_vector(V: np.ndarray, tol_null: float = TOL_NULL) -> np.ndarray:
@@ -214,7 +193,7 @@ class ExtensionFactorization:
             return
         z = self._inv @ col
         pivot = z[k]
-        if abs(pivot) < 1e-8 * max(np.abs(z).max(), 1.0):
+        if abs(pivot) < TOL_PIVOT * max(np.abs(z).max(), 1.0):
             self._refresh()
             return
         # inv(V + (col - V e_k) e_k^T) via Sherman-Morrison

@@ -1,18 +1,26 @@
-"""Nested rule extension: larger basis and/or more samples, same nodes.
+"""The streaming engine, and nested rule extension on top of it.
 
-An existing rule's nodes are carried into the extended rule as fixed
-nodes.  The per-sample iteration then runs as usual except that fixed
-nodes are never physically deleted: when a removal selects one, its
-weight is set to zero and it stays, available to regain weight later.
-While zero-weight fixed nodes are present, the extended Vandermonde has
-a null space of dimension above one, and the iteration enumerates all
-multi-node removals of that size, choosing one that deletes as many
-non-fixed nodes as possible (ties broken by a seeded draw).
+One engine builds every rule.  Each sample of the stream is appended
+with the weight update that keeps the moments exact, then a removal
+along a null direction of the extended Vandermonde restores the node
+count with non-negative weights.  Fixed nodes (the nodes of the rule
+being extended) are never deleted: a removal that zeroes one leaves it
+in place with weight zero.  A fixed rule is a stream without them.
 
-The null space needed each iteration is assembled from solves against
-the square Vandermonde of the positively weighted nodes, one per
-zero-weight node plus one for the incoming sample, so the common case
-costs a few back-substitutions rather than a fresh decomposition.
+With a one-dimensional null space the step takes the smallest-|alpha|
+removal (ties to the positive side).  Only if that zeroes a fixed node
+are both removals priced: the one deleting more non-fixed nodes wins,
+and a seeded draw breaks ties.  With zero-weight fixed nodes the null
+space is larger, and the step enumerates all removals of that size,
+choosing one that deletes the most non-fixed nodes (same tie break).
+
+Most steps delete the incoming sample, which only reweights the
+support S, so the stream runs block-speculatively: k such steps leave
+the weights at (c0 w0 + z_1 + ... + z_k) / (c0 + k) with
+z_j = V_S^-1 phi(y_j), so a chunk of samples costs one matrix product,
+a prefix sum and a vectorized ratio test.  The first sample that might
+resolve otherwise takes the scalar step; chunk lengths follow the
+observed run lengths, backing off where runs keep failing at once.
 """
 
 from __future__ import annotations
@@ -24,26 +32,25 @@ import numpy as np
 
 from .basis import BasisSpec, basis_matrix, domain_from_samples
 from .errors import (
-    CapExceeded,
     DegenerateNullVector,
     DimensionMismatch,
+    ExactnessViolation,
     InsufficientSamples,
     MissingEvaluation,
     ModeMismatch,
     NullSpaceFailure,
 )
 from .linalg import ExtensionFactorization, null_space, null_vector
-from .removal import RemovalProblem
-from .rule import (
-    QuadratureRule,
-    SampleSet,
-    TOL_ZERO_FACTOR,
-    apply_removal,
-    removal_interval,
-    sample_moments,
-)
+from .removal import RemovalProblem, attained_indices
+from .rule import _BLOCK, BlockMoments, QuadratureRule, SampleSet
+from .rule import apply_removal, choose_alpha, dropped_mask, removal_interval
+from .rule import sample_moments  # noqa: F401  (perfbench's timing shims wrap it here)
+from .tolerances import TOL_MOM, TOL_NEAR_TIE, TOL_ZERO_FACTOR
 
 log = logging.getLogger(__name__)
+
+_MIN_CHUNK = 16
+_MAX_CHUNK = 256
 
 CONTINUE_SAMPLES = "continue_samples"
 INCREASE_DEGREE = "increase_degree"
@@ -60,7 +67,6 @@ class ExtensionRequest:
     sample_source: SampleSet
     mode: str
     removal_cap: int = 10**6
-    fallback_on_cap: bool = True
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -167,8 +173,8 @@ def initialize_extension(req: ExtensionRequest):
     return work, source.points[1:], np.arange(1, source.count)
 
 
-class _NestedEngine:
-    """Per-sample iteration with fixed-node bookkeeping.
+class _StreamEngine:
+    """The per-sample iteration, with fixed-node bookkeeping.
 
     A factorization of the square Vandermonde over the positively
     weighted (support) nodes is kept across iterations; `fact_cols`
@@ -177,7 +183,7 @@ class _NestedEngine:
     is handled by rank-one column exchanges instead of refactorizing.
     """
 
-    def __init__(self, work: QuadratureRule, rng, removal_cap, fallback_on_cap):
+    def __init__(self, work: QuadratureRule, rng, removal_cap):
         self.spec = work.spec
         self.X = work.nodes.copy()
         self.w = work.weights.copy()
@@ -186,11 +192,20 @@ class _NestedEngine:
         self.consumed = work.K + 1
         self.rng = rng
         self.removal_cap = removal_cap
-        self.fallback_on_cap = fallback_on_cap
         self.Vall = basis_matrix(self.spec, self.X)
         self.fact = None
         self.fact_cols = None
         self._rebuild_fact()
+
+    def rule(self) -> QuadratureRule:
+        return QuadratureRule(
+            nodes=self.X,
+            weights=self.w,
+            spec=self.spec,
+            K=self.consumed - 1,
+            source_indices=self.src,
+            fixed_mask=self.fixed,
+        )
 
     def _rebuild_fact(self):
         b = self.spec.size
@@ -199,7 +214,7 @@ class _NestedEngine:
             self.fact = None
             self.fact_cols = None
         else:
-            self.fact = ExtensionFactorization(self.Vall[:, support])
+            self.fact = ExtensionFactorization(np.take(self.Vall, support, axis=1))
             self.fact_cols = support.copy()
 
     def _sync_fact(self, remap):
@@ -233,6 +248,7 @@ class _NestedEngine:
         self.fact_cols = cols
 
     def feed(self, y, col, src_idx):
+        """The scalar step: consume one sample."""
         b = self.spec.size
         n = self.X.shape[0]
         count = self.consumed
@@ -249,10 +265,46 @@ class _NestedEngine:
         v = np.concatenate([self.w * scale, [tail]])
         excess = n + 1 - b
         if excess == 1 and self.fact is not None:
-            u, zero = self._single_direction(v, col)
+            u, zeroed = self._single_direction(v, col)
         else:
-            u, zero = self._multi_direction(v, y, col)
-        self._apply(u, zero, y, col, src_idx)
+            u, zeroed = self._multi_direction(v, col)
+        self._apply(u, zeroed, y, col, src_idx)
+
+    def drop_run(self, cols: np.ndarray) -> int:
+        """Take the leading drop-incoming steps of a chunk of columns.
+
+        Returns how many leading columns were consumed, each as `feed`
+        would have (up to rounding in the weights): the fast-path solve
+        is accepted, the incoming sample wins the ratio test strictly and
+        no old weight nears the drop threshold, so nothing is zeroed and
+        the draw is not consulted.  Returns 0 unless the support is a
+        full square base with a cached inverse.
+        """
+        if self.fact is None or self.X.shape[0] != self.spec.size:
+            return 0
+        solved = self.fact.solve_block(cols)
+        if solved is None:
+            return 0
+        Z, ok = solved
+        # factorization order: row i of Z belongs to node fact_cols[i]
+        start = self.consumed * self.w[self.fact_cols]
+        # column j holds (c0 + j + 1) times the weights after step j
+        S = np.cumsum(Z, axis=1)
+        S += start[:, None]
+        prev = np.hstack([start[:, None], S[:, :-1]])
+        prev *= 1.0 - TOL_NEAR_TIE
+        # the incoming ratio must beat every old node on both sides
+        ok &= (np.abs(Z) < prev).all(axis=0)
+        tol_zero = TOL_ZERO_FACTOR / (1.0 - TOL_NEAR_TIE) * S.max(axis=0)
+        ok &= (S > tol_zero).all(axis=0)
+        # `feed` raises when one side of the null direction is empty
+        ok &= (Z > 0.0).any(axis=0)
+        run = ok.shape[0] if ok.all() else int(np.argmin(ok))
+        if run:
+            self.w[self.fact_cols] = S[:, run - 1]
+            self.w /= self.w.sum()
+            self.consumed += run
+        return run
 
     def _append(self, y, col, src_idx, weight):
         self.X = np.vstack([self.X, y])
@@ -262,13 +314,16 @@ class _NestedEngine:
         self.Vall = np.column_stack([self.Vall, col])
 
     def _candidate(self, v, c, alpha, attained):
+        """New weights of one removal, and the positions it zeroed."""
         u = apply_removal(v, c, alpha, attained)
-        tol = TOL_ZERO_FACTOR * max(float(u.max()), 0.0)
-        if float(u.min()) < -tol:
-            raise NullSpaceFailure(f"removal moved a weight to {u.min():.3e}")
-        zero = u <= tol
+        zero = dropped_mask(u)
         u[zero] = 0.0
-        return u, zero
+        return u, zero.nonzero()[0].tolist()
+
+    def _deletable(self, zeroed):
+        """The zeroed positions that are not fixed nodes."""
+        n = self.X.shape[0]
+        return [k for k in zeroed if k == n or not self.fixed[k]]
 
     def _embed_at(self, c_loc, pos):
         """Scatter a support-ordered null vector into node order.
@@ -281,18 +336,20 @@ class _NestedEngine:
         return c
 
     def _single_direction(self, v, col):
-        c = self._embed_at(self.fact.null_vector_extended(col), self.X.shape[0])
-        a_min, k_min, a_max, k_max, feasible = removal_interval(v, c)
+        n = self.X.shape[0]
+        c = self._embed_at(self.fact.null_vector_extended(col), n)
+        u, zeroed = self._candidate(v, c, *choose_alpha(v, c))
+        if len(self._deletable(zeroed)) == len(zeroed):
+            return u, zeroed
+        # a fixed node was zeroed: price both removals, prefer the one
+        # deleting more non-fixed nodes
+        a_min, _, a_max, _, feasible = removal_interval(v, c)
         if not feasible:
             raise NullSpaceFailure("empty removal interval on non-negative weights")
-        fixed_ext = np.concatenate([self.fixed, [False]])
         cands = []
         for alpha, side in ((a_max, +1), (a_min, -1)):
-            mask = c > 0.0 if side > 0 else c < 0.0
-            idx = np.nonzero(mask)[0]
-            attained = idx[v[idx] / c[idx] == alpha]
-            u, zero = self._candidate(v, c, alpha, attained)
-            cands.append((int(np.count_nonzero(zero & ~fixed_ext)), u, zero))
+            u, zeroed = self._candidate(v, c, alpha, attained_indices(v, c, alpha, side))
+            cands.append((len(self._deletable(zeroed)), u, zeroed))
         best = max(cand[0] for cand in cands)
         pool = [cand for cand in cands if cand[0] == best]
         pick = pool[0] if len(pool) == 1 else pool[int(self.rng.integers(len(pool)))]
@@ -310,34 +367,20 @@ class _NestedEngine:
         C[:, -1] = self._embed_at(self.fact.null_vector_extended(col), n)
         return C
 
-    def _multi_direction(self, v, y, col):
+    def _multi_direction(self, v, col):
         excess = self.X.shape[0] + 1 - self.spec.size
-        fixed_ext = np.concatenate([self.fixed, [False]])
         problem = RemovalProblem.from_parts(
             np.column_stack([self.Vall, col]), v, self._null_basis(col, excess)
         )
         stats = {}
-        try:
-            removals = problem.enumerate(
-                cap=self.removal_cap,
-                stats=stats,
-                partial_on_cap=self.fallback_on_cap,
-            )
-        except CapExceeded as exc:
-            raise CapExceeded(
-                f"{exc} at sample count {self.consumed}",
-                count=exc.count,
-                context=exc.context,
-            ) from exc
-        if stats.get("capped"):
+        removals = problem.enumerate(cap=self.removal_cap, stats=stats, partial_on_cap=True)
+        if stats["capped"]:
             log.debug(
                 "removal enumeration capped at sample %d; choosing among %d vertices",
                 self.consumed - 1,
                 len(removals),
             )
-        new_counts = [
-            sum(1 for k in r.zero_indices if not fixed_ext[k]) for r in removals
-        ]
+        new_counts = [len(self._deletable(r.zero_indices)) for r in removals]
         best = max(new_counts)
         pool = [r for r, cnt in zip(removals, new_counts) if cnt == best]
         pick = pool[0] if len(pool) == 1 else pool[int(self.rng.integers(len(pool)))]
@@ -345,33 +388,28 @@ class _NestedEngine:
         tol = TOL_ZERO_FACTOR * max(float(w_q.max()), 0.0)
         zero = w_q <= tol
         w_q[zero] = 0.0
-        return w_q, zero
+        return w_q, zero.nonzero()[0].tolist()
 
-    def _apply(self, u, zero, y, col, src_idx):
+    def _apply(self, u, zeroed, y, col, src_idx):
         n = self.X.shape[0]
-        fixed_ext = np.concatenate([self.fixed, [False]])
-        delete = zero & ~fixed_ext
-        identity = np.arange(n, dtype=np.intp)
-        if not delete.any():
+        deleted = self._deletable(zeroed)
+        if not deleted:
             # only fixed nodes were zeroed: the rule physically grows
             self.w = u[:n]
             self._append(y, col, src_idx, u[n])
             self._renorm()
-            self._sync_fact(identity)
-        elif delete[n] and np.count_nonzero(delete) == 1:
-            # the incoming sample itself was removed
-            changed = bool(np.any((self.w > 0.0) != (u[:n] > 0.0)))
+            self._sync_fact(np.arange(n, dtype=np.intp))
+        elif deleted == [n]:
+            # the incoming sample itself was removed; unless a fixed node
+            # was zeroed, a full support of positive weights is unchanged
+            changed = len(zeroed) > 1 or self.fact is None or n != self.spec.size
             self.w = u[:n]
             self._renorm()
             if changed:
-                self._sync_fact(identity)
-        elif (
-            np.count_nonzero(zero) == 1
-            and not zero[n]
-            and self.fact is not None
-        ):
+                self._sync_fact(np.arange(n, dtype=np.intp))
+        elif len(zeroed) == 1 and self.fact is not None:
             # clean swap: the new node takes the vacated slot in place
-            j = int(np.nonzero(delete)[0][0])
+            j = deleted[0]
             w = u[:n].copy()
             w[j] = u[n]
             self.w = w
@@ -385,7 +423,8 @@ class _NestedEngine:
                 self._rebuild_fact()
             self._renorm()
         else:
-            keep_old = ~delete[:n]
+            keep_old = np.ones(n, dtype=bool)
+            keep_old[[k for k in deleted if k < n]] = False
             remap = np.full(n, -1, dtype=np.intp)
             remap[keep_old] = np.arange(int(keep_old.sum()), dtype=np.intp)
             self.X = self.X[keep_old]
@@ -393,7 +432,7 @@ class _NestedEngine:
             self.src = self.src[keep_old]
             self.fixed = self.fixed[keep_old]
             self.Vall = np.ascontiguousarray(self.Vall[:, keep_old])
-            if not delete[n]:
+            if deleted[-1] != n:
                 self._append(y, col, src_idx, u[n])
             self._renorm()
             self._sync_fact(remap)
@@ -402,6 +441,77 @@ class _NestedEngine:
         total = self.w.sum()
         if total > 0.0:
             self.w /= total
+
+
+class _Speculation:
+    """Chunk length and back-off of the block-speculative pass.
+
+    Chunks stay within _MIN_CHUNK.._MAX_CHUNK columns.  A chunk consumed
+    whole doubles the next one; a run that ends inside a chunk sets the
+    next to twice its length.  A run that fails on its first column
+    makes the pass feed the next samples one at a time, for a count
+    that doubles with each consecutive such failure.
+    """
+
+    def __init__(self):
+        self.chunk = _MIN_CHUNK
+        self.backoff = 1
+        self.wait = 0
+
+    def observe(self, run: int, span: int) -> None:
+        if run == span:
+            self.chunk = min(2 * self.chunk, _MAX_CHUNK)
+            self.backoff = 1
+        elif run == 0:
+            self.chunk = _MIN_CHUNK
+            self.wait = self.backoff
+            self.backoff = min(2 * self.backoff, _BLOCK)
+        else:
+            self.chunk = min(max(2 * run, _MIN_CHUNK), _MAX_CHUNK)
+            self.backoff = 1
+
+
+def run_stream(work, points, stream_idx, rng, removal_cap, validate) -> QuadratureRule:
+    """Stream the rows `stream_idx` (ascending) of `points` past `work`.
+
+    `work` is the starting rule, exact for the rows it has consumed.  The
+    basis is evaluated once per row of `points`, for the stream and for
+    the moments of all rows, which the result is validated against.
+    """
+    engine = _StreamEngine(work, rng, removal_cap)
+    blocks = BlockMoments(work.spec, points)
+    pace = _Speculation()
+    for lo, block in blocks:
+        first, last = np.searchsorted(stream_idx, (lo, lo + block.shape[1]))
+        rows = stream_idx[first:last]
+        cols = np.take(block, rows - lo, axis=1)
+        j = 0
+        while j < rows.shape[0]:
+            if pace.wait:
+                pace.wait -= 1
+            else:
+                span = min(pace.chunk, rows.shape[0] - j)
+                run = engine.drop_run(cols[:, j : j + span])
+                pace.observe(run, span)
+                j += run
+                if run == span:
+                    continue
+            k = int(rows[j])
+            try:
+                engine.feed(points[k], cols[:, j], k)
+            except (NullSpaceFailure, DegenerateNullVector) as exc:
+                raise NullSpaceFailure(
+                    f"stream failed at sample {k}: {exc}", sample_index=k
+                ) from exc
+            j += 1
+    rule = engine.rule()
+    if validate:
+        resid = rule.moment_residual(blocks.moments())
+        if resid > TOL_MOM:
+            raise ExactnessViolation(
+                f"moment residual {resid:.3e} exceeds {TOL_MOM:.1e}"
+            )
+    return rule
 
 
 def extend_rule(
@@ -413,56 +523,23 @@ def extend_rule(
     D+1 and base node count N+1.  Fixed nodes selected by a removal stay
     with weight zero.  Deterministic for a fixed selection seed.
     """
-    work, stream, stream_idx = initialize_extension(req)
-    total = work.K + 1 + stream.shape[0]
+    work, _, stream_idx = initialize_extension(req)
+    total = work.K + 1 + stream_idx.shape[0]
     if total < req.target_basis_size:
         raise InsufficientSamples(
             f"{total} samples cannot support a basis of size {req.target_basis_size}"
         )
+    # in every mode the fully consumed stream is, as a multiset, the whole
+    # sample source (increase_degree re-adds the base nodes it skipped)
     rng = np.random.default_rng(selection_seed)
-    engine = _NestedEngine(work, rng, req.removal_cap, req.fallback_on_cap)
-    spec = work.spec
-    block = 4096
-    for lo in range(0, stream.shape[0], block):
-        cols = basis_matrix(spec, stream[lo : lo + block])
-        for j in range(cols.shape[1]):
-            k = lo + j
-            try:
-                engine.feed(stream[k], cols[:, j], int(stream_idx[k]))
-            except CapExceeded:
-                raise
-            except (NullSpaceFailure, DegenerateNullVector) as exc:
-                raise NullSpaceFailure(
-                    f"extension failed at stream position {k}: {exc}",
-                    sample_index=int(stream_idx[k]),
-                ) from exc
-    out = QuadratureRule(
-        nodes=engine.X,
-        weights=engine.w,
-        spec=spec,
-        K=engine.consumed - 1,
-        source_indices=engine.src,
-        fixed_mask=engine.fixed,
-    )
-    if validate:
-        _validate_extension(req, out)
-    return out
-
-
-def _validate_extension(req: ExtensionRequest, out: QuadratureRule):
-    from .errors import ExactnessViolation
-
+    out = run_stream(work, req.sample_source.points, stream_idx, rng, req.removal_cap, validate)
     base = req.base
-    if base is not None and base.n_nodes > 0:
+    if validate and base is not None and base.n_nodes > 0:
         base_keys = {row.tobytes() for row in base.nodes}
         out_keys = {row.tobytes() for row in out.nodes}
         if not base_keys <= out_keys:
             raise ExactnessViolation("base nodes are not a subset of the extension")
-    # in every mode the fully consumed stream is, as a multiset, the whole
-    # sample source (increase_degree re-adds the base nodes it skipped)
-    resid = out.moment_residual(sample_moments(req.sample_source, out.spec))
-    if resid > 1e-8:
-        raise ExactnessViolation(f"extension residual {resid:.3e} exceeds 1e-8")
+    return out
 
 
 def nested_error_estimate(

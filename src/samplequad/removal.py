@@ -16,10 +16,10 @@ decomposition up front plus near-linear work per visited vertex.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-
-from dataclasses import dataclass
 
 from .basis import BasisSpec, basis_matrix
 from .errors import (
@@ -31,9 +31,40 @@ from .errors import (
     NumericalTie,
 )
 from .linalg import null_space
-from .rule import QuadratureRule, TOL_ZERO_FACTOR
+from .tolerances import TOL_VERTEX_NEG, TOL_VERTEX_RESID, TOL_VERTEX_ZERO, TOL_ZERO_FACTOR
 
-_ZERO_REL = 1e-12
+if TYPE_CHECKING:
+    from .rule import QuadratureRule
+
+
+def ratio_extrema(weights: np.ndarray, c: np.ndarray, exclude: np.ndarray | None = None):
+    """(alpha_min, k_min, alpha_max, k_max) of the feasibility interval.
+
+    Positions marked in `exclude` take no part.
+    """
+    pos = c > 0.0
+    neg = c < 0.0
+    if exclude is not None:
+        pos &= ~exclude
+        neg &= ~exclude
+    if not pos.any() or not neg.any():
+        raise DegenerateNullVector(
+            "null vector lacks entries of both signs (zero-sum structure broken)"
+        )
+    ratios = np.divide(weights, c, out=np.full(c.shape[0], np.inf), where=pos)
+    k_max = int(ratios.argmin())
+    alpha_max = float(ratios[k_max])
+    ratios = np.divide(weights, c, out=np.full(c.shape[0], -np.inf), where=neg)
+    k_min = int(ratios.argmax())
+    alpha_min = float(ratios[k_min])
+    return alpha_min, k_min, alpha_max, k_max
+
+
+def attained_indices(weights: np.ndarray, c: np.ndarray, alpha: float, side: int):
+    """All indices on the chosen sign side whose ratio equals alpha exactly."""
+    mask = c > 0.0 if side > 0 else c < 0.0
+    idx = mask.nonzero()[0]
+    return idx[weights[idx] / c[idx] == alpha]
 
 
 @dataclass(frozen=True)
@@ -95,7 +126,7 @@ class RemovalProblem:
         if self.C.shape[0] != self.n or self.V.shape[1] != self.n:
             raise DimensionMismatch("inconsistent removal problem shapes")
         self.wmax = max(float(np.abs(self.w).max()), 1e-300)
-        self._ztol = _ZERO_REL * self.wmax
+        self._ztol = TOL_VERTEX_ZERO * self.wmax
 
     # -- vertex algebra -------------------------------------------------
 
@@ -117,11 +148,11 @@ class RemovalProblem:
             alphas = B @ self.w[q]
         else:
             alphas, *_ = np.linalg.lstsq(A, self.w[q], rcond=None)
-        if np.abs(A @ alphas - self.w[q]).max() > 1e-10 * max(1.0, self.wmax):
+        if np.abs(A @ alphas - self.w[q]).max() > TOL_VERTEX_RESID * max(1.0, self.wmax):
             raise NullSpaceFailure(f"removal {tuple(indices)} is not a simplex vertex")
         w_q = self.w - self.C @ alphas
         w_q[q] = 0.0
-        if float(w_q.min()) < -1e-11 * max(1.0, self.wmax):
+        if float(w_q.min()) < -TOL_VERTEX_NEG * max(1.0, self.wmax):
             raise NullSpaceFailure(
                 f"vertex {tuple(indices)} has negative weight {w_q.min():.3e}"
             )
@@ -157,25 +188,6 @@ class RemovalProblem:
             c = self.C @ vt[-1]
         return c
 
-    def _masked_interval(self, w_q, c, exclude):
-        """Removal interval over positions not excluded; global indices."""
-        pos = c > 0.0
-        neg = c < 0.0
-        if exclude is not None:
-            pos &= ~exclude
-            neg &= ~exclude
-        if not pos.any() or not neg.any():
-            raise DegenerateNullVector("direction is one-signed on the active set")
-        ratios = np.full(self.n, np.inf)
-        ratios[pos] = w_q[pos] / c[pos]
-        k_max = int(np.argmin(ratios))
-        a_max = float(ratios[k_max])
-        ratios = np.full(self.n, -np.inf)
-        ratios[neg] = w_q[neg] / c[neg]
-        k_min = int(np.argmax(ratios))
-        a_min = float(ratios[k_min])
-        return a_min, k_min, a_max, k_max
-
     # -- operations -----------------------------------------------------
 
     def _exchange(self, q, i, w_q, c):
@@ -184,7 +196,7 @@ class RemovalProblem:
         others = [x for x in q if x != qi]
         exclude = np.zeros(self.n, dtype=bool)
         exclude[others] = True
-        a_min, k_min, a_max, k_max = self._masked_interval(w_q, c, exclude)
+        a_min, k_min, a_max, k_max = ratio_extrema(w_q, c, exclude)
         if a_min > a_max:
             raise NoRemovalExists(f"no exchange for node {qi} of removal {q}")
         cand = k_min if k_max == qi else k_max
@@ -192,41 +204,46 @@ class RemovalProblem:
             raise NumericalTie(f"both interval endpoints coincide with node {qi}")
         return tuple(sorted(others + [int(cand)]))
 
-    def _exchange_all(self, q, w_q, dirs):
-        """All M exchange partners of a vertex in one vectorized sweep.
+    def _neighbors(self, q_mat, W, dirs):
+        """Exchange partners of a wave of vertices in one vectorized sweep.
 
-        Returns a list of M neighbor index tuples (None where the
-        exchange is degenerate).  Direction j of `dirs` vanishes at
-        every removed node except q[j], so only that node's constraint
-        row is kept active per column.
+        Vertex i removes the nodes q_mat[i] (k x M), has weights W[i]
+        (k x n) and exchange directions dirs[i] (k x n x M).  Direction j
+        vanishes at every removed node except q_mat[i, j], so only that
+        node's constraint row is kept active in its column.  Returns per
+        vertex a list of M neighbor index tuples (None where the exchange
+        is degenerate).
         """
-        m = len(q)
-        q_arr = np.asarray(q, dtype=np.intp)
-        excl = np.zeros((self.n, m), dtype=bool)
-        excl[q_arr, :] = True
-        excl[q_arr, np.arange(m)] = False
+        k, m = q_mat.shape
+        rows = np.arange(k)[:, None]
+        excl = np.zeros(dirs.shape, dtype=bool)
+        excl[rows, q_mat, :] = True
+        excl[rows, q_mat, np.arange(m)[None, :]] = False
         pos = (dirs > 0.0) & ~excl
         neg = (dirs < 0.0) & ~excl
-        wq2 = np.broadcast_to(w_q[:, None], dirs.shape)
+        w3 = np.broadcast_to(W[:, :, None], dirs.shape)
         ratios = np.full(dirs.shape, np.inf)
-        np.divide(wq2, dirs, out=ratios, where=pos)
-        k_max = np.argmin(ratios, axis=0)
+        np.divide(w3, dirs, out=ratios, where=pos)
+        k_max = np.argmin(ratios, axis=1)
         ratios = np.full(dirs.shape, -np.inf)
-        np.divide(wq2, dirs, out=ratios, where=neg)
-        k_min = np.argmax(ratios, axis=0)
-        ok = pos.any(axis=0) & neg.any(axis=0)
+        np.divide(w3, dirs, out=ratios, where=neg)
+        k_min = np.argmax(ratios, axis=1)
+        feasible = pos.any(axis=1) & neg.any(axis=1)
         out = []
-        for j in range(m):
-            if not ok[j]:
-                out.append(None)
-                continue
-            qi = int(q_arr[j])
-            cand = int(k_min[j]) if int(k_max[j]) == qi else int(k_max[j])
-            if cand == qi:
-                out.append(None)
-                continue
-            others = [int(x) for t, x in enumerate(q_arr) if t != j]
-            out.append(tuple(sorted(others + [cand])))
+        for i in range(k):
+            neighbors = []
+            for j in range(m):
+                if not feasible[i, j]:
+                    neighbors.append(None)
+                    continue
+                qi = int(q_mat[i, j])
+                cand = int(k_min[i, j]) if int(k_max[i, j]) == qi else int(k_max[i, j])
+                if cand == qi:
+                    neighbors.append(None)
+                    continue
+                others = [int(x) for t, x in enumerate(q_mat[i]) if t != j]
+                neighbors.append(tuple(sorted(others + [cand])))
+            out.append(neighbors)
         return out
 
     def neighbor_indices(self, q: tuple[int, ...], i: int, w_q: np.ndarray):
@@ -248,13 +265,12 @@ class RemovalProblem:
         exclude = np.zeros(self.n, dtype=bool)
         while len(removed) < self.m:
             c = self._direction_vanishing_at(removed)
-            a_min, k_min, a_max, k_max = self._masked_interval(w_work, c, exclude)
+            a_min, k_min, a_max, k_max = ratio_extrema(w_work, c, exclude)
             if a_min > a_max:
                 raise NoRemovalExists("empty removal interval from a positive rule")
             alpha, side = (a_max, +1) if abs(a_max) <= abs(a_min) else (a_min, -1)
-            mask = (c > 0.0 if side > 0 else c < 0.0) & ~exclude
-            idx = np.nonzero(mask)[0]
-            attained = idx[w_work[idx] / c[idx] == alpha]
+            # excluded positions are zeroed anyway, attained or not
+            attained = attained_indices(w_work, c, alpha, side)
             w_work = w_work - alpha * c
             w_work[attained] = 0.0
             w_work[exclude] = 0.0
@@ -276,7 +292,7 @@ class RemovalProblem:
         except NullSpaceFailure:
             return None
         if dirs is not None:
-            neighbors = self._exchange_all(q, w_q, dirs)
+            neighbors = self._neighbors(np.asarray([q]), w_q[None, :], dirs[None])[0]
         else:
             neighbors = []
             for i in range(1, self.m + 1):
@@ -296,8 +312,6 @@ class RemovalProblem:
         checks are redone individually.
         """
         k = len(wave)
-        m = self.m
-        n = self.n
         q_mat = np.asarray(wave, dtype=np.intp)
         A = self.C[q_mat]
         try:
@@ -310,42 +324,15 @@ class RemovalProblem:
         Wq = self.w[:, None] - self.C @ alphas.T
         rows = np.arange(k)[:, None]
         Wq[q_mat, rows] = 0.0
-        tol_res = 1e-10 * max(1.0, self.wmax)
-        tol_neg = -1e-11 * max(1.0, self.wmax)
+        tol_res = TOL_VERTEX_RESID * max(1.0, self.wmax)
+        tol_neg = -TOL_VERTEX_NEG * max(1.0, self.wmax)
         bad = (resid > tol_res) | (Wq.min(axis=0) < tol_neg)
         dirs = np.einsum("nm,kmi->kni", self.C, B)
-        excl = np.zeros((k, n, m), dtype=bool)
-        excl[rows, q_mat, :] = True
-        excl[rows, q_mat, np.arange(m)[None, :]] = False
-        pos = (dirs > 0.0) & ~excl
-        neg = (dirs < 0.0) & ~excl
-        wq3 = np.swapaxes(Wq, 0, 1)[:, :, None]
-        ratios = np.full(dirs.shape, np.inf)
-        np.divide(np.broadcast_to(wq3, dirs.shape), dirs, out=ratios, where=pos)
-        k_max = np.argmin(ratios, axis=1)
-        ratios = np.full(dirs.shape, -np.inf)
-        np.divide(np.broadcast_to(wq3, dirs.shape), dirs, out=ratios, where=neg)
-        k_min = np.argmax(ratios, axis=1)
-        feasible = pos.any(axis=1) & neg.any(axis=1)
-        out = []
-        for i, q in enumerate(wave):
-            if bad[i]:
-                out.append(self._pop_single(q))
-                continue
-            neighbors = []
-            for j in range(m):
-                if not feasible[i, j]:
-                    neighbors.append(None)
-                    continue
-                qi = int(q_mat[i, j])
-                cand = int(k_min[i, j]) if int(k_max[i, j]) == qi else int(k_max[i, j])
-                if cand == qi:
-                    neighbors.append(None)
-                    continue
-                others = [int(x) for t, x in enumerate(q_mat[i]) if t != j]
-                neighbors.append(tuple(sorted(others + [cand])))
-            out.append((alphas[i], Wq[:, i], neighbors))
-        return out
+        neighbors = self._neighbors(q_mat, Wq.T, dirs)
+        return [
+            self._pop_single(q) if bad[i] else (alphas[i], Wq[:, i], neighbors[i])
+            for i, q in enumerate(wave)
+        ]
 
     def enumerate(self, cap: int = 10**6, initial: Removal | None = None,
                   stats: dict | None = None, partial_on_cap: bool = False) -> list[Removal]:

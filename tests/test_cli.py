@@ -99,6 +99,15 @@ class TestExtend:
         keys = {row.tobytes() for row in a.nodes}
         assert keys <= {row.tobytes() for row in b.nodes}
 
+    def test_removal_cap_chooses_among_found_removals(self, sample_file, tmp_path, capsys):
+        r1 = tmp_path / "r1.json"
+        assert run("build", "--samples", sample_file, "--degree-size", 5,
+                   "--out", r1) == 0
+        assert run("extend", "--rule", r1, "--samples", sample_file,
+                   "--degree-size", 11, "--mode", "degree", "--removal-cap", 1,
+                   "--out", tmp_path / "r2.json") == 0
+        assert "node_count_bound ok" in capsys.readouterr().out
+
     def test_resampled_mode_with_fresh_file(self, sample_file, tmp_path):
         r1 = tmp_path / "r1.json"
         assert run("build", "--samples", sample_file, "--degree-size", 5,

@@ -131,6 +131,10 @@ class TestExtendRule:
         assert rule.weights.min() >= -1e-12
         mu = sample_moments(uniform_samples, rule.spec)
         assert rule.moment_residual(mu) <= 1e-8
+        fixed = construct_fixed_rule(uniform_samples, rule.spec)
+        np.testing.assert_array_equal(
+            np.sort(rule.source_indices), np.sort(fixed.source_indices)
+        )
 
     def test_increase_degree_chain_is_nested(self, uniform_samples, base_rule):
         chain = [base_rule]

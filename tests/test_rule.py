@@ -12,11 +12,16 @@ from samplequad.errors import (
     InsufficientSamples,
     SingularSystem,
 )
+from samplequad.nested import (
+    ExtensionRequest,
+    _StreamEngine,
+    extend_rule,
+    initialize_extension,
+)
 from samplequad.rule import (
     MomentVector,
     QuadratureRule,
     SampleSet,
-    _FixedRuleEngine,
     add_sample,
     construct_fixed_rule,
     remove_one,
@@ -206,7 +211,7 @@ class TestRemoveOne:
             K=2,
         )
         c = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
-        out = remove_one(rule, c, "alpha1")
+        out = remove_one(rule, c)
         assert out.n_nodes == 2
         np.testing.assert_allclose(sorted(out.weights), [0.4, 0.6], atol=1e-15)
 
@@ -219,7 +224,7 @@ class TestRemoveOne:
         V = basis_matrix(spec, ext.nodes)
         from samplequad.linalg import null_vector
 
-        out = remove_one(ext, null_vector(V), "smallest_abs")
+        out = remove_one(ext, null_vector(V))
         assert out.n_nodes == ext.n_nodes - 1
 
     def test_symmetric_simultaneous_zeros(self):
@@ -235,7 +240,7 @@ class TestRemoveOne:
         mu = V @ rule.weights
         c = np.array([0.5, -1.0, 0.5]) / np.sqrt(1.5)
         assert np.abs(V @ c).max() <= 1e-15
-        out = remove_one(rule, c, "alpha1")
+        out = remove_one(rule, c)
         assert out.n_nodes == 1
         np.testing.assert_allclose(out.weights, [1.0])
         assert out.moment_residual(mu) <= 1e-14
@@ -349,64 +354,99 @@ class TestConstructFixedRule:
         np.testing.assert_array_equal(r1.nodes, r2.nodes)
         np.testing.assert_array_equal(r1.weights, r2.weights)
 
-    def test_alpha_policies_all_give_valid_rules(self):
-        rng = np.random.default_rng(14)
-        pts = rng.random((300, 1))
-        ss = SampleSet(pts)
-        spec = legendre_spec(1, 6, domain_from_samples(pts))
-        mu = sample_moments(ss, spec)
-        for policy in ("alpha1", "alpha2", "smallest_abs"):
-            rule = construct_fixed_rule(ss, spec, alpha_policy=policy)
-            assert rule.weights.min() >= -1e-12
-            assert rule.moment_residual(mu) <= 1e-8
 
-    def test_unknown_alpha_policy_rejected(self):
-        # the one step of this stream drops the incoming sample, so only an
-        # up-front check can reject the policy
-        ss = SampleSet(np.array([[0.0], [1.0], [0.5]]))
-        with pytest.raises(ValueError):
-            construct_fixed_rule(ss, monomial_spec(2, 0.0, 1.0), alpha_policy="nope")
+def _per_sample_rule(work, pts, stream_idx, seed=0):
+    """Reference: the engine's scalar step, one sample at a time."""
+    engine = _StreamEngine(work, np.random.default_rng(seed), 10**6)
+    cols = basis_matrix(work.spec, pts)
+    for k in stream_idx:
+        engine.feed(pts[k], cols[:, k], int(k))
+    return engine.rule()
 
 
-def _per_sample_rule(pts, spec, policy):
-    """Reference: the scalar step of the engine, one sample at a time."""
-    m = spec.size
-    engine = _FixedRuleEngine(spec, pts[:m], np.arange(m), policy)
-    cols = basis_matrix(spec, pts)
-    for k in range(m, pts.shape[0]):
-        engine.feed(pts[k], cols[:, k], k)
-    return engine
+def _assert_same_rule(rule, ref):
+    # base nodes of a resampled extension all have source index -1
+    a = np.lexsort(np.vstack([ref.nodes.T, ref.source_indices]))
+    b = np.lexsort(np.vstack([rule.nodes.T, rule.source_indices]))
+    np.testing.assert_array_equal(rule.source_indices[b], ref.source_indices[a])
+    np.testing.assert_array_equal(rule.nodes[b], ref.nodes[a])
+    np.testing.assert_array_equal(rule.fixed_mask[b], ref.fixed_mask[a])
+    np.testing.assert_array_equal(rule.weights[b] == 0.0, ref.weights[a] == 0.0)
+    np.testing.assert_allclose(rule.weights[b], ref.weights[a], rtol=0.0, atol=1e-12)
 
 
-# (d, basis size, distribution, samples, alpha policy, duplicated start).
+def _stream_points(d, dist, n):
+    rng = np.random.default_rng(0)
+    return rng.random((n, d)) if dist == "uniform" else rng.standard_normal((n, d))
+
+
+# (d, basis size, distribution, samples, duplicated start).
 # The 4300-sample streams cross the 4096-column basis block; every stream
 # makes more than 128 exchanges, so the inverse is refreshed on schedule.
 BLOCK_PASS_CORPUS = [
-    (1, 8, "uniform", 4300, "smallest_abs", False),
-    (2, 21, "uniform", 4300, "smallest_abs", False),
-    (3, 20, "normal", 1500, "smallest_abs", False),
-    (2, 10, "normal", 1500, "alpha1", False),
-    (1, 6, "normal", 1500, "alpha2", False),
-    (2, 21, "uniform", 1500, "smallest_abs", True),
-    (3, 10, "uniform", 1500, "alpha2", True),
-    (1, 12, "normal", 1500, "alpha1", False),
+    (1, 8, "uniform", 4300, False),
+    (2, 21, "uniform", 4300, False),
+    (3, 20, "normal", 1500, False),
+    (2, 10, "normal", 1500, False),
+    (1, 6, "normal", 1500, False),
+    (2, 21, "uniform", 1500, True),
+    (3, 10, "uniform", 1500, True),
+    (1, 12, "normal", 1500, False),
+]
+
+# (mode, d, base size, target size, distribution, samples, selection seed);
+# the base is built on the first 1000 samples
+EXTENSION_CORPUS = [
+    ("increase_degree", 2, 6, 15, "uniform", 1500, 3),
+    ("increase_degree", 1, 4, 9, "normal", 4300, 5),
+    ("continue_samples", 1, 4, 9, "normal", 4300, 1),
+    ("resampled", 2, 6, 10, "normal", 1500, 2),
 ]
 
 
 class TestBlockPass:
-    @pytest.mark.parametrize("d,size,dist,n,policy,dup", BLOCK_PASS_CORPUS)
-    def test_matches_per_sample_reference(self, d, size, dist, n, policy, dup):
-        rng = np.random.default_rng(0)
-        pts = rng.random((n, d)) if dist == "uniform" else rng.standard_normal((n, d))
+    @pytest.mark.parametrize("d,size,dist,n,dup", BLOCK_PASS_CORPUS)
+    def test_matches_per_sample_reference(self, d, size, dist, n, dup):
+        pts = _stream_points(d, dist, n)
         if dup:
             pts[size // 2] = pts[0]
         spec = legendre_spec(d, size, domain_from_samples(pts))
-        ref = _per_sample_rule(pts, spec, policy)
-        rule = construct_fixed_rule(SampleSet(pts), spec, alpha_policy=policy)
-        a = np.argsort(ref.src)
-        b = np.argsort(rule.source_indices)
-        np.testing.assert_array_equal(rule.source_indices[b], ref.src[a])
-        np.testing.assert_allclose(rule.weights[b], ref.w[a], rtol=0.0, atol=1e-12)
+        start = QuadratureRule(
+            nodes=pts[:size],
+            weights=np.full(size, 1.0 / size),
+            spec=spec,
+            K=size - 1,
+            source_indices=np.arange(size),
+        )
+        ref = _per_sample_rule(start, pts, np.arange(size, n))
+        _assert_same_rule(construct_fixed_rule(SampleSet(pts), spec), ref)
+
+    @pytest.mark.parametrize("mode,d,size,target,dist,n,seed", EXTENSION_CORPUS)
+    def test_extension_matches_per_sample_reference(
+        self, mode, d, size, target, dist, n, seed
+    ):
+        pts = _stream_points(d, dist, n)
+        first = SampleSet(pts[:1000])
+        base = construct_fixed_rule(
+            first, legendre_spec(d, size, domain_from_samples(first.points))
+        )
+        if mode == "continue_samples":
+            # continue a nested rule, which carries fixed nodes
+            base = extend_rule(
+                ExtensionRequest(base, target, first, "increase_degree"), seed
+            )
+        # a resampled extension streams fresh samples past the base nodes
+        source = SampleSet(pts[1000:] if mode == "resampled" else pts)
+        req = ExtensionRequest(
+            base=base, target_basis_size=target, sample_source=source, mode=mode
+        )
+        work, _, stream_idx = initialize_extension(req)
+        ref = _per_sample_rule(work, source.points, stream_idx, seed)
+        # continue_samples may drop non-fixed base nodes, which the subset
+        # validation rejects; this test compares the two paths only
+        rule = extend_rule(req, selection_seed=seed, validate=False)
+        assert rule.fixed_mask.any()
+        _assert_same_rule(rule, ref)
 
     def test_duplicated_start_returns_to_fast_path(self, monkeypatch):
         # a duplicated sample among the first basis-size rows makes the
