@@ -3,15 +3,18 @@
 The per-sample iteration repeatedly needs one null vector of a matrix
 that is the current (square) Vandermonde extended by a single new
 column.  `ExtensionFactorization` keeps an explicit inverse of the
-square base, refreshed periodically and updated by rank-one exchanges,
-so each null vector costs O(n^2) instead of a fresh O(n^3)
-factorization.  Every fast-path result is residual-checked and falls
-back to an SVD of the explicitly extended matrix on failure.
+square base, updated by rank-one exchanges, so each null vector costs
+O(n^2) instead of a fresh O(n^3) factorization.  Its upkeep follows the
+residuals, not a schedule: every fast-path solve is residual-checked; a
+rejected solve gets one step of iterative refinement from the residual
+already computed (Skeel 1980); only then is an inverse that exchanges
+have updated recomputed, and an SVD of the explicitly extended matrix
+is the last resort.
 
 `ExtensionFactorization.solve_block` solves the base against a whole
-block of extension columns with one matrix product, applying the same
-residual acceptance to each column; the block-speculative stream uses
-it to price a run of samples at once.
+block of extension columns with one matrix product and the same
+acceptance per column; the block-speculative stream uses it to price a
+run of samples at once.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ import numpy as np
 from .basis import BasisSpec, basis_matrix
 from .errors import DimensionMismatch, NullSpaceFailure
 from .tolerances import TOL_FAST, TOL_LEAD, TOL_NULL, TOL_PIVOT
-
-_REFRESH_EVERY = 128
 
 
 def build_vandermonde(spec: BasisSpec, nodes) -> np.ndarray:
@@ -45,30 +46,39 @@ def _fix_sign(c: np.ndarray) -> np.ndarray:
     return -c if c[lead] < 0 else c
 
 
-def _fast_accepts(resid, norm, fnorm):
-    """Fast-path residual acceptance of a null vector (z, -1)/norm."""
-    return resid / norm <= TOL_FAST * np.maximum(fnorm, 1.0)
+def _sq(x: np.ndarray):
+    """Squared Euclidean norm of a vector, or of each column of a matrix."""
+    return np.dot(x, x) if x.ndim == 1 else np.einsum("ij,ij->j", x, x)
 
 
-def null_vector(V: np.ndarray, tol_null: float = TOL_NULL) -> np.ndarray:
+def _fast_accepts(Z, R, fnorm):
+    """Fast-path acceptance of the null vectors (z, -1)/norm, per column.
+
+    R = V Z - cols holds the residuals of the solutions Z; `fnorm` is
+    the Frobenius norm of each extended matrix [V, col].
+    """
+    return np.sqrt(_sq(R)) / np.sqrt(_sq(Z) + 1.0) <= TOL_FAST * np.maximum(fnorm, 1.0)
+
+
+def null_vector(V: np.ndarray) -> np.ndarray:
     """One unit-norm null vector of a wide matrix.
 
-    Requires cols > rows.  The result satisfies ||V c||_2 <= tol_null *
+    Requires cols > rows.  The result satisfies ||V c||_2 <= TOL_NULL *
     ||V||_F; otherwise NullSpaceFailure is raised.  Deterministic: SVD
     direction of the smallest singular value, sign-fixed so the first
     non-negligible entry is positive.
     """
-    return null_space(V, 1, tol_null)[:, 0]
+    return null_space(V, 1)[:, 0]
 
 
-def null_space(V: np.ndarray, m: int, tol_null: float = TOL_NULL) -> np.ndarray:
+def null_space(V: np.ndarray, m: int) -> np.ndarray:
     """m orthonormal null vectors of V as columns of an (n, m) array."""
     V = np.asarray(V, dtype=float)
     rows, cols = V.shape
     if cols < rows + m:
         raise DimensionMismatch(f"need cols >= rows + {m} for {m} null vectors")
     _, _, vt = np.linalg.svd(V, full_matrices=True)
-    bound = tol_null * np.linalg.norm(V)
+    bound = TOL_NULL * np.linalg.norm(V)
     out = np.empty((cols, m))
     for j in range(m):
         out[:, j] = _fix_sign(vt[cols - 1 - j])
@@ -79,20 +89,17 @@ def null_space(V: np.ndarray, m: int, tol_null: float = TOL_NULL) -> np.ndarray:
 
 
 class ExtensionFactorization:
-    """Reusable factorization of a square base matrix.
+    """Explicit inverse of a square base matrix, kept usable by residuals.
 
-    Supports solving for null vectors of the base extended by one
-    column, plus in-place column exchange so the factorization follows
-    the per-sample iteration.  A base that is not square (or is
-    numerically singular) transparently degrades to the SVD path.
+    Solves for null vectors of the base extended by one column, and
+    follows the per-sample iteration by in-place column exchanges.  An
+    exchange marks the inverse stale; a stale inverse is recomputed only
+    when a solve through it fails even after refinement.  A base that is
+    not square (or is singular) has no inverse and takes the SVD path.
     """
 
-    def __init__(self, V_base: np.ndarray, tol_null: float = TOL_NULL):
+    def __init__(self, V_base: np.ndarray):
         self.V = np.array(V_base, dtype=float)
-        self.tol_null = tol_null
-        self._inv = None
-        self._updates_since_refresh = 0
-        self._fnorm2 = float(np.sum(self.V * self.V))
         self._refresh()
 
     @property
@@ -101,57 +108,60 @@ class ExtensionFactorization:
 
     def _refresh(self):
         self._fnorm2 = float(np.sum(self.V * self.V))
+        self._inv = None
+        self._stale = False
         rows, cols = self.V.shape
-        if rows != cols:
-            self._inv = None
-            return
-        try:
-            self._inv = np.linalg.inv(self.V)
-        except np.linalg.LinAlgError:
-            self._inv = None
-        self._updates_since_refresh = 0
+        if rows == cols:
+            try:
+                self._inv = np.linalg.inv(self.V)
+            except np.linalg.LinAlgError:
+                pass
 
-    def _extended_fnorm(self, col: np.ndarray) -> float:
-        return float(np.sqrt(self._fnorm2 + np.dot(col, col)))
+    def _solve(self, cols: np.ndarray):
+        """(Z, accepted) for V z = col, one column or a matrix of them.
 
-    def _try_fast(self, col: np.ndarray, fnorm: float):
-        if self._inv is None:
+        Solves through the cached inverse and checks every column with
+        `_fast_accepts`; a rejected column gets one refinement step
+        z -= inv (V z - col) and is checked again.  None without an
+        inverse.
+        """
+        inv = self._inv
+        if inv is None:
             return None
-        z = self._inv @ col
-        resid = np.linalg.norm(self.V @ z - col)
-        norm = np.sqrt(np.dot(z, z) + 1.0)
-        if not _fast_accepts(resid, norm, fnorm):
-            return None
-        c = np.empty(z.shape[0] + 1)
-        c[:-1] = z
-        c[-1] = -1.0
-        return _fix_sign(c / norm)
-
-    def _refresh_if_due(self):
-        if self._inv is not None and self._updates_since_refresh >= _REFRESH_EVERY:
-            self._refresh()
+        Z = inv @ cols
+        R = self.V @ Z
+        R -= cols
+        fnorm = np.sqrt(self._fnorm2 + _sq(cols))
+        ok = _fast_accepts(Z, R, fnorm)
+        if not (ok.all() if Z.ndim == 2 else ok):
+            refined = Z - inv @ R
+            redo = _fast_accepts(refined, self.V @ refined - cols, fnorm)
+            Z = np.where(ok, Z, refined)
+            ok = ok | redo
+        return Z, ok
 
     def null_vector_extended(self, col: np.ndarray) -> np.ndarray:
         """Unit null vector of [V_base, col], new column last.
 
         Fast path solves V z = col through the cached inverse and forms
-        (z, -1); the residual is verified against the extended matrix
-        and an SVD fallback guarantees the public contract either way.
+        (z, -1); a solve that fails its residual check after refinement
+        is retried once on a recomputed inverse if exchanges have updated
+        it, and an SVD fallback guarantees the public contract either way.
         """
         col = np.asarray(col, dtype=float)
         if col.shape[0] != self.V.shape[0]:
             raise DimensionMismatch("extension column has wrong length")
-        fnorm = self._extended_fnorm(col)
-        self._refresh_if_due()
-        c = self._try_fast(col, fnorm)
-        if c is None and self._updates_since_refresh > 0:
-            # drifted update chain: one fresh factorization retry
+        solved = self._solve(col)
+        if self._stale and not solved[1]:
             self._refresh()
-            c = self._try_fast(col, fnorm)
-        if c is not None:
-            return c
-        extended = np.column_stack([self.V, col])
-        return null_vector(extended, self.tol_null)
+            solved = self._solve(col)
+        if solved is None or not solved[1]:
+            return null_vector(np.column_stack([self.V, col]))
+        z = solved[0]
+        c = np.empty(z.shape[0] + 1)
+        c[:-1] = z
+        c[-1] = -1.0
+        return _fix_sign(c / np.sqrt(np.dot(z, z) + 1.0))
 
     def solve_block(self, cols: np.ndarray):
         """Fast-path solves of V z = col for every column of `cols` at once.
@@ -160,27 +170,19 @@ class ExtensionFactorization:
         and `accepted` marks the columns whose null vector (z, -1) passes
         the residual acceptance of `null_vector_extended`'s fast path.
         Returns None when there is no cached inverse (the base is not
-        square or is singular); nothing falls back to an SVD here.
+        square or is singular); nothing is recomputed or falls back to
+        an SVD here.
         """
         cols = np.asarray(cols, dtype=float)
         if cols.ndim != 2 or cols.shape[0] != self.V.shape[0]:
             raise DimensionMismatch("extension columns have wrong length")
-        self._refresh_if_due()
-        if self._inv is None:
-            return None
-        Z = self._inv @ cols
-        R = self.V @ Z
-        R -= cols
-        resid = np.sqrt(np.einsum("ij,ij->j", R, R))
-        norm = np.sqrt(np.einsum("ij,ij->j", Z, Z) + 1.0)
-        fnorm = np.sqrt(self._fnorm2 + np.einsum("ij,ij->j", cols, cols))
-        return Z, _fast_accepts(resid, norm, fnorm)
+        return self._solve(cols)
 
     def replace_column(self, k: int, col: np.ndarray) -> None:
         """Exchange column k for `col`, updating the cached inverse.
 
-        Rank-one (Sherman-Morrison) update; refreshed from scratch when
-        the pivot is too small to trust.
+        Rank-one (Sherman-Morrison) update, which leaves the inverse
+        stale; recomputed at once when the pivot is too small to trust.
         """
         col = np.asarray(col, dtype=float)
         old = self.V[:, k].copy()
@@ -199,7 +201,7 @@ class ExtensionFactorization:
         # inv(V + (col - V e_k) e_k^T) via Sherman-Morrison
         adjust = (z - np.eye(1, z.shape[0], k)[0]) / pivot
         self._inv -= np.outer(adjust, self._inv[k, :])
-        self._updates_since_refresh += 1
+        self._stale = True
 
     def remove_columns(self, keep: np.ndarray) -> None:
         """Shrink the base to the kept columns; factorization is rebuilt."""

@@ -136,7 +136,7 @@ def initialize_extension(req: ExtensionRequest):
             spec=spec,
             K=base.K,
             source_indices=base.source_indices.copy(),
-            fixed_mask=base.fixed_mask.copy(),
+            fixed_mask=np.ones(base.n_nodes, dtype=bool),
         )
         return work, source.points[base.K + 1 :], np.arange(base.K + 1, source.count)
 
@@ -471,7 +471,7 @@ class _Speculation:
             self.backoff = 1
 
 
-def run_stream(work, points, stream_idx, rng, removal_cap, validate) -> QuadratureRule:
+def run_stream(work, points, stream_idx, rng, removal_cap) -> QuadratureRule:
     """Stream the rows `stream_idx` (ascending) of `points` past `work`.
 
     `work` is the starting rule, exact for the rows it has consumed.  The
@@ -505,18 +505,13 @@ def run_stream(work, points, stream_idx, rng, removal_cap, validate) -> Quadratu
                 ) from exc
             j += 1
     rule = engine.rule()
-    if validate:
-        resid = rule.moment_residual(blocks.moments())
-        if resid > TOL_MOM:
-            raise ExactnessViolation(
-                f"moment residual {resid:.3e} exceeds {TOL_MOM:.1e}"
-            )
+    resid = rule.moment_residual(blocks.moments())
+    if resid > TOL_MOM:
+        raise ExactnessViolation(f"moment residual {resid:.3e} exceeds {TOL_MOM:.1e}")
     return rule
 
 
-def extend_rule(
-    req: ExtensionRequest, selection_seed: int = 0, validate: bool = True
-) -> QuadratureRule:
+def extend_rule(req: ExtensionRequest, selection_seed: int = 0) -> QuadratureRule:
     """Extended rule containing the base nodes, exact on the larger basis.
 
     The node count N+M+1 obeys D <= N+M <= N+D+1 for target basis size
@@ -532,9 +527,9 @@ def extend_rule(
     # in every mode the fully consumed stream is, as a multiset, the whole
     # sample source (increase_degree re-adds the base nodes it skipped)
     rng = np.random.default_rng(selection_seed)
-    out = run_stream(work, req.sample_source.points, stream_idx, rng, req.removal_cap, validate)
+    out = run_stream(work, req.sample_source.points, stream_idx, rng, req.removal_cap)
     base = req.base
-    if validate and base is not None and base.n_nodes > 0:
+    if base is not None and base.n_nodes > 0:
         base_keys = {row.tobytes() for row in base.nodes}
         out_keys = {row.tobytes() for row in out.nodes}
         if not base_keys <= out_keys:

@@ -318,11 +318,7 @@ def remove_one(ext_rule: QuadratureRule, c) -> QuadratureRule:
     )
 
 
-def construct_fixed_rule(
-    samples: SampleSet,
-    spec: BasisSpec,
-    validate: bool = True,
-) -> QuadratureRule:
+def construct_fixed_rule(samples: SampleSet, spec: BasisSpec) -> QuadratureRule:
     """Positive rule on a subset of the samples, exact on the full basis.
 
     Consumes the stream in order; the result has at most `spec.size`
@@ -348,4 +344,4 @@ def construct_fixed_rule(
     )
     # without fixed nodes no step draws or enumerates removals
     rng = np.random.default_rng(0)
-    return run_stream(start, pts, np.arange(m, pts.shape[0]), rng, 10**6, validate)
+    return run_stream(start, pts, np.arange(m, pts.shape[0]), rng, 10**6)

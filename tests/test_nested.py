@@ -51,6 +51,7 @@ class TestInitializeExtension:
         np.testing.assert_array_equal(work.nodes, base_rule.nodes)
         np.testing.assert_array_equal(work.weights, base_rule.weights)
         assert work.K == base_rule.K
+        assert work.fixed_mask.all()
         assert stream.shape[0] == 0
 
     def test_continue_rejects_changed_basis(self, base_rule, uniform_samples):
@@ -151,6 +152,20 @@ class TestExtendRule:
             assert large.weights.min() >= -1e-12
             mu = sample_moments(uniform_samples, large.spec)
             assert large.moment_residual(mu) <= 1e-8
+
+    def test_continue_samples_keeps_the_nodes_of_a_fixed_rule(self):
+        # a fixed rule marks no node fixed; continuing it must still keep
+        # every base node, or the subset validation rejects the result
+        rng = np.random.default_rng(0)
+        pts = rng.random((4300, 2))
+        first = SampleSet(pts[:1000])
+        spec = BasisSpec(d=2, size=10, domain=domain_from_samples(first.points))
+        base = construct_fixed_rule(first, spec)
+        source = SampleSet(pts)
+        out = extend_rule(ExtensionRequest(base, 10, source, "continue_samples"))
+        assert node_keys(base) <= node_keys(out)
+        assert out.n_nodes == 11
+        assert out.moment_residual(sample_moments(source, spec)) <= 1e-8
 
     def test_node_count_bound(self, uniform_samples, base_rule):
         n_base = base_rule.n_nodes - 1

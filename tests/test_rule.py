@@ -219,7 +219,7 @@ class TestRemoveOne:
         rng = np.random.default_rng(6)
         pts = rng.random((7, 1))
         spec = legendre_spec(1, 5, domain_from_samples(pts))
-        rule = construct_fixed_rule(SampleSet(pts[:6]), spec, validate=False)
+        rule = construct_fixed_rule(SampleSet(pts[:6]), spec)
         ext = add_sample(rule, pts[6])
         V = basis_matrix(spec, ext.nodes)
         from samplequad.linalg import null_vector
@@ -382,7 +382,7 @@ def _stream_points(d, dist, n):
 
 # (d, basis size, distribution, samples, duplicated start).
 # The 4300-sample streams cross the 4096-column basis block; every stream
-# makes more than 128 exchanges, so the inverse is refreshed on schedule.
+# makes more than 128 exchanges, a long chain of rank-one inverse updates.
 BLOCK_PASS_CORPUS = [
     (1, 8, "uniform", 4300, False),
     (2, 21, "uniform", 4300, False),
@@ -442,9 +442,7 @@ class TestBlockPass:
         )
         work, _, stream_idx = initialize_extension(req)
         ref = _per_sample_rule(work, source.points, stream_idx, seed)
-        # continue_samples may drop non-fixed base nodes, which the subset
-        # validation rejects; this test compares the two paths only
-        rule = extend_rule(req, selection_seed=seed, validate=False)
+        rule = extend_rule(req, selection_seed=seed)
         assert rule.fixed_mask.any()
         _assert_same_rule(rule, ref)
 
@@ -464,6 +462,24 @@ class TestBlockPass:
         pts[10] = pts[0]
         ss = SampleSet(pts)
         spec = legendre_spec(2, 21, domain_from_samples(pts))
+        rule = construct_fixed_rule(ss, spec)
+        assert len(calls) <= 5
+        assert rule.moment_residual(sample_moments(ss, spec)) <= 1e-8
+
+    def test_ill_conditioned_base_stays_on_fast_path(self, monkeypatch):
+        # degree-10 Legendre on normal samples: solves through the updated
+        # inverse miss the fast-path acceptance unless refined, and without
+        # refinement most steps end in an SVD
+        import samplequad.linalg as linalg
+
+        calls = []
+        svd = linalg.null_vector
+        monkeypatch.setattr(
+            linalg, "null_vector", lambda *a, **k: calls.append(1) or svd(*a, **k)
+        )
+        rng = np.random.default_rng(0)
+        ss = SampleSet(rng.standard_normal((1000, 2)))
+        spec = legendre_spec(2, 66, domain_from_samples(ss.points))
         rule = construct_fixed_rule(ss, spec)
         assert len(calls) <= 5
         assert rule.moment_residual(sample_moments(ss, spec)) <= 1e-8
