@@ -30,24 +30,14 @@ from .nested import (
     initialize_extension,
     nested_error_estimate,
 )
-from .removal import (
-    Removal,
-    RemovalProblem,
-    enumerate_removals,
-    find_initial_removal,
-    neighbor,
-)
+from .removal import Removal, RemovalProblem
 from .rule import (
     MomentVector,
     QuadratureRule,
     SampleSet,
-    add_sample,
     construct_fixed_rule,
-    remove_one,
     removal_interval,
     sample_moments,
-    select_alpha,
-    solve_interpolatory_weights,
 )
 from .sampling import DistributionSpec, generate, read_samples, write_samples
 

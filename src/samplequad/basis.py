@@ -156,6 +156,8 @@ def domain_from_samples(points: np.ndarray) -> tuple[tuple[float, float], ...]:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise DimensionMismatch("expected a non-empty (n, d) sample array")
+    if not np.isfinite(pts).all():
+        raise InvalidDomain("samples must be finite (found NaN or inf)")
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     if np.any(lo >= hi):

@@ -28,10 +28,6 @@ class NullSpaceFailure(SampleQuadError):
         self.sample_index = sample_index
 
 
-class SingularSystem(SampleQuadError):
-    """Interpolatory weight solve on nodes that are not unisolvent."""
-
-
 class DegenerateNullVector(SampleQuadError):
     """Null vector lacks a positive or a negative entry.
 
@@ -50,19 +46,6 @@ class ExactnessViolation(SampleQuadError):
 
 class NoRemovalExists(SampleQuadError):
     """No single node can be deleted while keeping weights non-negative."""
-
-
-class NumericalTie(SampleQuadError):
-    """Both endpoints of a removal interval coincide (degenerate vertex)."""
-
-
-class CapExceeded(SampleQuadError):
-    """Removal enumeration grew beyond the caller-supplied cap."""
-
-    def __init__(self, msg, count=None, context=None):
-        super().__init__(msg)
-        self.count = count
-        self.context = context
 
 
 class ModeMismatch(SampleQuadError):

@@ -104,11 +104,11 @@ def _check_nodes_in_stream(base: QuadratureRule, source: SampleSet, what: str):
 
 
 def initialize_extension(req: ExtensionRequest):
-    """Working rule plus the remaining sample stream for the request.
+    """Working rule plus the rows of the sample source still to stream.
 
-    Returns (rule, stream, stream_indices): `stream_indices[i]` is the
-    position of stream point i inside the request's sample source, used
-    to tag node provenance.
+    Returns (rule, stream_indices): the ascending positions, inside the
+    request's sample source, of the samples the extension streams past
+    the working rule; they also tag node provenance.
     """
     source = req.sample_source
     spec = _extended_spec(req)
@@ -122,7 +122,7 @@ def initialize_extension(req: ExtensionRequest):
             source_indices=np.array([0], dtype=np.intp),
             fixed_mask=np.array([False]),
         )
-        return work, source.points[1:], np.arange(1, source.count)
+        return work, np.arange(1, source.count)
 
     if req.mode == CONTINUE_SAMPLES:
         if req.target_basis_size != base.spec.size:
@@ -138,15 +138,13 @@ def initialize_extension(req: ExtensionRequest):
             source_indices=base.source_indices.copy(),
             fixed_mask=np.ones(base.n_nodes, dtype=bool),
         )
-        return work, source.points[base.K + 1 :], np.arange(base.K + 1, source.count)
+        return work, np.arange(base.K + 1, source.count)
 
     if req.mode == INCREASE_DEGREE:
         _check_nodes_in_stream(base, source, INCREASE_DEGREE)
         n = base.n_nodes
-        used = set(int(i) for i in base.source_indices)
-        remaining = np.array(
-            [i for i in range(source.count) if i not in used], dtype=np.intp
-        )
+        remaining = np.ones(source.count, dtype=bool)
+        remaining[base.source_indices] = False
         work = QuadratureRule(
             nodes=base.nodes.copy(),
             weights=np.full(n, 1.0 / n),
@@ -155,7 +153,7 @@ def initialize_extension(req: ExtensionRequest):
             source_indices=base.source_indices.copy(),
             fixed_mask=np.ones(n, dtype=bool),
         )
-        return work, source.points[remaining], remaining
+        return work, np.nonzero(remaining)[0]
 
     # resampled: the stream is fresh, base nodes are generally not in it
     if source.count < 1:
@@ -170,7 +168,7 @@ def initialize_extension(req: ExtensionRequest):
         source_indices=np.concatenate([np.full(n, -1, dtype=np.intp), [0]]),
         fixed_mask=np.concatenate([np.ones(n, dtype=bool), [False]]),
     )
-    return work, source.points[1:], np.arange(1, source.count)
+    return work, np.arange(1, source.count)
 
 
 class _StreamEngine:
@@ -373,7 +371,7 @@ class _StreamEngine:
             np.column_stack([self.Vall, col]), v, self._null_basis(col, excess)
         )
         stats = {}
-        removals = problem.enumerate(cap=self.removal_cap, stats=stats, partial_on_cap=True)
+        removals = problem.enumerate(cap=self.removal_cap, stats=stats)
         if stats["capped"]:
             log.debug(
                 "removal enumeration capped at sample %d; choosing among %d vertices",
@@ -518,7 +516,7 @@ def extend_rule(req: ExtensionRequest, selection_seed: int = 0) -> QuadratureRul
     D+1 and base node count N+1.  Fixed nodes selected by a removal stay
     with weight zero.  Deterministic for a fixed selection seed.
     """
-    work, _, stream_idx = initialize_extension(req)
+    work, stream_idx = initialize_extension(req)
     total = work.K + 1 + stream_idx.shape[0]
     if total < req.target_basis_size:
         raise InsufficientSamples(

@@ -1,4 +1,9 @@
-"""Enumeration of all M-node removals of a positive rule.
+"""The ratio scan of one removal, and the walk over all M-node removals.
+
+`ratio_extrema` is the one single-direction ratio scan: along a null
+direction c, the scalings of w - alpha c that first zero a node on
+either side.  The streaming engine's single removal and the walk below
+both use it.
 
 Removing M nodes while staying exact on a basis shrunk by M functions
 and keeping weights non-negative corresponds to a vertex of the simplex
@@ -6,11 +11,12 @@ of feasible null-space coefficients.  Each vertex has, per removed
 node, exactly one adjacent vertex reachable by exchanging that node, so
 a breadth-first walk over these exchanges visits every vertex.
 
-All reduced systems appearing in the walk live inside one null space:
-the Vandermonde of the full rule is decomposed once, and every vertex
-solve or exchange direction is an M x M (or smaller) problem in the
-null-basis coordinates.  The walk therefore costs one dense
-decomposition up front plus near-linear work per visited vertex.
+The walk takes the vertices a wave at a time.  Everything lives inside
+one null basis C: a vertex solve is an M x M inverse of rows of C, and
+the inverse's columns, mapped through C, are the exchange directions.
+The inverses, vertex weights and exchange ratio scans of a whole wave
+run as stacked array operations; a vertex that fails the batch checks
+is redone on its own through the same exchange scan.
 """
 
 from __future__ import annotations
@@ -22,14 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .basis import BasisSpec, basis_matrix
-from .errors import (
-    CapExceeded,
-    DegenerateNullVector,
-    DimensionMismatch,
-    NoRemovalExists,
-    NullSpaceFailure,
-    NumericalTie,
-)
+from .errors import DegenerateNullVector, DimensionMismatch, NoRemovalExists, NullSpaceFailure
 from .linalg import null_space
 from .tolerances import TOL_VERTEX_NEG, TOL_VERTEX_RESID, TOL_VERTEX_ZERO, TOL_ZERO_FACTOR
 
@@ -71,17 +70,13 @@ def attained_indices(weights: np.ndarray, c: np.ndarray, alpha: float, side: int
 class Removal:
     """A set of node positions whose joint deletion keeps weights >= 0.
 
-    `indices` is the canonical sorted M-tuple; `alphas` are the
-    null-basis coefficients locating the corresponding simplex vertex.
-    When more weights vanish at the vertex than the nominal M (a
-    degenerate vertex), the full zero set is recorded and the removal
-    is flagged as merged.
+    `indices` is the canonical sorted M-tuple.  `zero_indices` is every
+    position whose weight vanishes at the vertex, more than M at a
+    degenerate vertex.
     """
 
     indices: tuple[int, ...]
-    alphas: tuple[float, ...] = ()
     zero_indices: tuple[int, ...] = ()
-    merged: bool = False
 
     def __post_init__(self):
         if not self.zero_indices:
@@ -139,15 +134,11 @@ class RemovalProblem:
         """
         q = np.asarray(indices, dtype=np.intp)
         A = self.C[q, :]
-        B = None
         try:
             B = np.linalg.inv(A)
-        except np.linalg.LinAlgError:
-            pass
-        if B is not None:
-            alphas = B @ self.w[q]
-        else:
-            alphas, *_ = np.linalg.lstsq(A, self.w[q], rcond=None)
+        except np.linalg.LinAlgError as exc:
+            raise NullSpaceFailure(f"removal {tuple(indices)} has a singular block") from exc
+        alphas = B @ self.w[q]
         if np.abs(A @ alphas - self.w[q]).max() > TOL_VERTEX_RESID * max(1.0, self.wmax):
             raise NullSpaceFailure(f"removal {tuple(indices)} is not a simplex vertex")
         w_q = self.w - self.C @ alphas
@@ -156,27 +147,17 @@ class RemovalProblem:
             raise NullSpaceFailure(
                 f"vertex {tuple(indices)} has negative weight {w_q.min():.3e}"
             )
-        dirs = self.C @ B if B is not None else None
-        return alphas, w_q, dirs
+        return alphas, w_q, self.C @ B
 
     def vertex_weights(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """(alphas, full weight vector) of the vertex zeroing `indices`."""
         alphas, w_q, _ = self._pop_data(indices)
         return alphas, w_q
 
-    def vertex(self, indices) -> Removal:
-        alphas, w_q = self.vertex_weights(indices)
-        return self._build(tuple(indices), alphas, w_q)
-
-    def _build(self, indices, alphas, w_q) -> Removal:
+    def _build(self, indices, w_q) -> Removal:
         zero = np.nonzero(np.abs(w_q) <= self._ztol)[0]
         zero_set = tuple(sorted(set(indices) | {int(z) for z in zero}))
-        return Removal(
-            indices=tuple(int(i) for i in indices),
-            alphas=tuple(float(a) for a in alphas),
-            zero_indices=zero_set,
-            merged=len(zero_set) > len(indices),
-        )
+        return Removal(indices=tuple(int(i) for i in indices), zero_indices=zero_set)
 
     def _direction_vanishing_at(self, rows) -> np.ndarray:
         """A null-space direction whose weight-change vanishes at `rows`."""
@@ -189,20 +170,6 @@ class RemovalProblem:
         return c
 
     # -- operations -----------------------------------------------------
-
-    def _exchange(self, q, i, w_q, c):
-        """Swap q_i out along direction c; global index of the partner."""
-        qi = q[i - 1]
-        others = [x for x in q if x != qi]
-        exclude = np.zeros(self.n, dtype=bool)
-        exclude[others] = True
-        a_min, k_min, a_max, k_max = ratio_extrema(w_q, c, exclude)
-        if a_min > a_max:
-            raise NoRemovalExists(f"no exchange for node {qi} of removal {q}")
-        cand = k_min if k_max == qi else k_max
-        if cand == qi:
-            raise NumericalTie(f"both interval endpoints coincide with node {qi}")
-        return tuple(sorted(others + [int(cand)]))
 
     def _neighbors(self, q_mat, W, dirs):
         """Exchange partners of a wave of vertices in one vectorized sweep.
@@ -246,18 +213,6 @@ class RemovalProblem:
             out.append(neighbors)
         return out
 
-    def neighbor_indices(self, q: tuple[int, ...], i: int, w_q: np.ndarray):
-        """Exchange the i-th (1-based) removed node for its alternative.
-
-        The rule reduced by the other M-1 removed nodes has a
-        one-dimensional feasible interval whose two endpoints are q_i
-        itself and the exchange partner.
-        """
-        qi = q[i - 1]
-        others = [x for x in q if x != qi]
-        c = self._direction_vanishing_at(others)
-        return self._exchange(q, i, w_q, c)
-
     def initial(self) -> Removal:
         """A first valid removal via M successive single removals."""
         removed: list[int] = []
@@ -283,24 +238,21 @@ class RemovalProblem:
                 removed.append(int(j))
                 exclude[j] = True
                 w_work[j] = 0.0
-        return self.vertex(tuple(sorted(removed[: self.m])))
+        q = tuple(sorted(removed[: self.m]))
+        _, w_q = self.vertex_weights(q)
+        return self._build(q, w_q)
 
     def _pop_single(self, q):
-        """Per-vertex fallback: robust but slower than the batched path."""
+        """(vertex weights, exchange partners) of one vertex, None if it fails.
+
+        The per-vertex redo of `_process_wave`, through the same exchange
+        scan.
+        """
         try:
-            alphas, w_q, dirs = self._pop_data(q)
+            _, w_q, dirs = self._pop_data(q)
         except NullSpaceFailure:
             return None
-        if dirs is not None:
-            neighbors = self._neighbors(np.asarray([q]), w_q[None, :], dirs[None])[0]
-        else:
-            neighbors = []
-            for i in range(1, self.m + 1):
-                try:
-                    neighbors.append(self.neighbor_indices(q, i, w_q))
-                except (NumericalTie, NoRemovalExists, DegenerateNullVector):
-                    neighbors.append(None)
-        return alphas, w_q, neighbors
+        return w_q, self._neighbors(np.asarray([q]), w_q[None, :], dirs[None])[0]
 
     _WAVE = 64
 
@@ -330,12 +282,19 @@ class RemovalProblem:
         dirs = np.einsum("nm,kmi->kni", self.C, B)
         neighbors = self._neighbors(q_mat, Wq.T, dirs)
         return [
-            self._pop_single(q) if bad[i] else (alphas[i], Wq[:, i], neighbors[i])
+            self._pop_single(q) if bad[i] else (Wq[:, i], neighbors[i])
             for i, q in enumerate(wave)
         ]
 
     def enumerate(self, cap: int = 10**6, initial: Removal | None = None,
-                  stats: dict | None = None, partial_on_cap: bool = False) -> list[Removal]:
+                  stats: dict | None = None) -> list[Removal]:
+        """The removals reachable from `initial` (default: `initial()`), sorted.
+
+        Breadth-first over exchanges, a wave of up to _WAVE vertices at a
+        time.  Once `cap` distinct removals have been seen the walk queues
+        no more and returns the removals it found.  `stats`, if given,
+        receives the pops, the solves and whether the cap was hit.
+        """
         start = initial if initial is not None else self.initial()
         queue = deque([tuple(start.indices)])
         seen = {tuple(start.indices)}
@@ -350,20 +309,14 @@ class RemovalProblem:
             for q, data in zip(wave, self._process_wave(wave)):
                 if data is None:
                     continue
-                alphas, w_q, neighbors = data
-                results[q] = self._build(q, alphas, w_q)
+                w_q, neighbors = data
+                results[q] = self._build(q, w_q)
                 if capped:
                     continue
                 for q_hat in neighbors:
                     if q_hat is None or q_hat in seen:
                         continue
                     if len(seen) >= cap:
-                        if not partial_on_cap:
-                            raise CapExceeded(
-                                f"more than {cap} removals",
-                                count=len(seen),
-                                context=q_hat,
-                            )
                         capped = True
                         break
                     seen.add(q_hat)
@@ -374,39 +327,3 @@ class RemovalProblem:
             stats["capped"] = capped
         return [results[k] for k in sorted(results)]
 
-
-def find_initial_removal(rule: QuadratureRule, m: int) -> Removal:
-    """One valid M-removal, built by M successive single removals.
-
-    Each stage deletes at least one node of the current shrunken rule
-    along a null direction while keeping the remaining weights
-    non-negative, which is always feasible starting from a positive
-    rule.
-    """
-    return RemovalProblem(rule, m).initial()
-
-
-def neighbor(rule: QuadratureRule, removal: Removal, i: int) -> Removal:
-    """The unique other M-removal sharing all entries except the i-th."""
-    problem = RemovalProblem(rule, len(removal.indices))
-    if not 1 <= i <= problem.m:
-        raise IndexError(f"i must be in 1..{problem.m}")
-    _, w_q = problem.vertex_weights(removal.indices)
-    q_hat = problem.neighbor_indices(tuple(removal.indices), i, w_q)
-    return problem.vertex(q_hat)
-
-
-def enumerate_removals(
-    rule: QuadratureRule,
-    m: int,
-    cap: int = 10**6,
-    initial: Removal | None = None,
-    stats: dict | None = None,
-) -> list[Removal]:
-    """All M-removals of a positive rule, canonically sorted.
-
-    Breadth-first traversal of the simplex vertices from one initial
-    removal; the visited set guarantees termination.  Raises
-    CapExceeded once more than `cap` distinct removals are seen.
-    """
-    return RemovalProblem(rule, m).enumerate(cap=cap, initial=initial, stats=stats)

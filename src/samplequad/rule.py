@@ -1,11 +1,17 @@
-"""Quadrature-rule data model, sample moments, and the removal step.
+"""Quadrature-rule data model, sample moments, and the single removal.
 
 A rule is a weighted subset of a sample stream that reproduces the raw
-moments of every basis function over the full stream.  One removal
-scales a null direction by the smallest-|alpha| that zeroes a node
-(ties to the positive side) and drops every weight that reaches zero.
-`construct_fixed_rule` runs the streaming engine of `samplequad.nested`
-without fixed nodes: a fixed rule is an extension with no base.
+moments of every basis function over the full stream.
+
+The streaming engine of `samplequad.nested` makes every single removal
+from three steps here: `choose_alpha` scales the null direction c by the
+smallest-|alpha| that zeroes a node (ties to the positive side),
+`apply_removal` forms w - alpha c with the attaining entries exactly
+zero, and `dropped_mask` marks every weight that reached zero.  Where
+that zeroes a fixed node the engine prices both ends of
+`removal_interval` instead.  All of them read the one ratio scan,
+`removal.ratio_extrema`.  `construct_fixed_rule` runs the engine without
+fixed nodes: a fixed rule is an extension with no base.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSpec, basis_matrix
-from .errors import DimensionMismatch, InsufficientSamples, NullSpaceFailure, SingularSystem
+from .errors import DimensionMismatch, InsufficientSamples, InvalidSpec, NullSpaceFailure
 from .removal import attained_indices, ratio_extrema
-from .tolerances import TOL_SOLVE, TOL_ZERO_FACTOR
+from .tolerances import TOL_ZERO_FACTOR
 
 # rows of basis evaluation per block; moments are summed block by block
 _BLOCK = 4096
@@ -42,6 +48,8 @@ class SampleSet:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise DimensionMismatch("samples must form a non-empty (n, d) array")
+        if not np.isfinite(pts).all():
+            raise InvalidSpec("samples must be finite (found NaN or inf)")
         self.points = pts
 
     @property
@@ -195,64 +203,6 @@ class QuadratureRule:
             return cls.from_json_dict(json.load(fh))
 
 
-def solve_interpolatory_weights(nodes, moments, spec: BasisSpec) -> np.ndarray:
-    """Weights of the square interpolatory system V w = mu.
-
-    The weights may be negative; positivity is not this operation's
-    concern.  Raises SingularSystem when the nodes are not unisolvent
-    for the basis.
-    """
-    mu = moments.values if isinstance(moments, MomentVector) else np.asarray(moments, float)
-    V = basis_matrix(spec, np.asarray(nodes, dtype=float))
-    if V.shape[0] != V.shape[1]:
-        raise DimensionMismatch(
-            f"square system required: {V.shape[0]} basis functions, {V.shape[1]} nodes"
-        )
-    try:
-        w = np.linalg.solve(V, mu)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    resid = np.abs(V @ w - mu).max()
-    if resid > TOL_SOLVE * max(1.0, np.abs(mu).max()):
-        raise SingularSystem(f"solve residual {resid:.3e} too large")
-    return w
-
-
-def add_sample(rule: QuadratureRule, y) -> QuadratureRule:
-    """Append one sample as a node, rescaling weights to keep moments exact.
-
-    Old weights shrink by (K+1)/(K+2) and the new node receives
-    1/(K+2), which reproduces the moment update of the enlarged stream.
-    """
-    y = np.asarray(y, dtype=float).reshape(1, -1)
-    if y.shape[1] != rule.spec.d:
-        raise DimensionMismatch("sample dimension does not match rule")
-    count = rule.K + 1
-    scale = count / (count + 1.0)
-    weights = np.concatenate([rule.weights * scale, [1.0 / (count + 1.0)]])
-    return QuadratureRule(
-        nodes=np.vstack([rule.nodes, y]),
-        weights=weights,
-        spec=rule.spec,
-        K=rule.K + 1,
-        source_indices=np.concatenate([rule.source_indices, [rule.K + 1]]),
-        fixed_mask=np.concatenate([rule.fixed_mask, [False]]),
-    )
-
-
-def select_alpha(weights: np.ndarray, c: np.ndarray):
-    """Both node-removal scalings for a rule with non-negative weights.
-
-    alpha_1 zeroes the minimizing positive-direction node, alpha_2 the
-    maximizing negative-direction node; either keeps all other weights
-    non-negative.
-    """
-    weights = np.asarray(weights, dtype=float)
-    c = np.asarray(c, dtype=float)
-    alpha_min, k_min, alpha_max, k_max = ratio_extrema(weights, c)
-    return alpha_max, k_max, alpha_min, k_min
-
-
 def removal_interval(weights: np.ndarray, c: np.ndarray):
     """Feasible scaling interval for one removal, weights of any sign.
 
@@ -260,7 +210,7 @@ def removal_interval(weights: np.ndarray, c: np.ndarray):
     keeping all weights non-negative exists iff alpha_min <= alpha_max;
     for non-negative weights the interval always brackets zero.
     """
-    alpha_max, k_max, alpha_min, k_min = select_alpha(weights, c)
+    alpha_min, k_min, alpha_max, k_max = ratio_extrema(weights, c)
     return alpha_min, k_min, alpha_max, k_max, alpha_min <= alpha_max
 
 
@@ -274,13 +224,13 @@ def apply_removal(weights: np.ndarray, c: np.ndarray, alpha: float, attained) ->
 def choose_alpha(v: np.ndarray, c: np.ndarray):
     """(alpha, attained indices) of the smallest-magnitude removal.
 
-    Ties in magnitude go to the positive side (alpha_1).
+    Ties in magnitude go to the positive side (alpha_max).
     """
-    alpha1, _, alpha2, _ = select_alpha(v, c)
-    if abs(alpha1) <= abs(alpha2):
-        alpha, side = alpha1, +1
+    alpha_min, _, alpha_max, _ = ratio_extrema(v, c)
+    if abs(alpha_max) <= abs(alpha_min):
+        alpha, side = alpha_max, +1
     else:
-        alpha, side = alpha2, -1
+        alpha, side = alpha_min, -1
     return alpha, attained_indices(v, c, alpha, side)
 
 
@@ -292,30 +242,6 @@ def dropped_mask(w_new: np.ndarray) -> np.ndarray:
             f"removal produced weight {w_new.min():.3e} below -{tol_zero:.3e}"
         )
     return w_new <= tol_zero
-
-
-def remove_one(ext_rule: QuadratureRule, c) -> QuadratureRule:
-    """Delete the nodes zeroed by the smallest removal along `c`.
-
-    Every node whose new weight falls below the drop threshold is
-    removed, which covers simultaneous zeros; the survivors are
-    renormalized to unit weight sum.
-    """
-    c = np.asarray(c, dtype=float)
-    v = ext_rule.weights
-    alpha, attained = choose_alpha(v, c)
-    w_new = apply_removal(v, c, alpha, attained)
-    keep = ~dropped_mask(w_new)
-    weights = w_new[keep]
-    weights /= weights.sum()
-    return QuadratureRule(
-        nodes=ext_rule.nodes[keep],
-        weights=weights,
-        spec=ext_rule.spec,
-        K=ext_rule.K,
-        source_indices=ext_rule.source_indices[keep],
-        fixed_mask=ext_rule.fixed_mask[keep],
-    )
 
 
 def construct_fixed_rule(samples: SampleSet, spec: BasisSpec) -> QuadratureRule:

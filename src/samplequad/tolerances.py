@@ -26,5 +26,3 @@ TOL_VERTEX_ZERO = 1e-12
 # max(1, max |w|)
 TOL_VERTEX_RESID = 1e-10
 TOL_VERTEX_NEG = 1e-11
-# interpolatory solve residual, relative to max(1, max |mu|)
-TOL_SOLVE = 1e-9

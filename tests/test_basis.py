@@ -183,6 +183,12 @@ class TestBasisSpec:
         with pytest.raises(InvalidDomain):
             domain_from_samples(pts)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_domain_from_non_finite_samples(self, bad):
+        pts = np.array([[0.0, 1.0], [1.0, 2.0], [0.5, bad]])
+        with pytest.raises(InvalidDomain, match="finite"):
+            domain_from_samples(pts)
+
     def test_multi_index_invariants(self):
         m = MultiIndex((2, 0, 1))
         assert m.total_degree == 3

@@ -79,6 +79,12 @@ class TestBuild:
         assert run("build", "--samples", samples, "--degree-size", 6,
                    "--out", tmp_path / "r.json") == 4
 
+    def test_non_finite_sample_exits_2(self, tmp_path):
+        samples = tmp_path / "nan.csv"
+        samples.write_text("0.1,0.2\n0.3,nan\n0.5,0.6\n0.7,0.8\n")
+        assert run("build", "--samples", samples, "--degree-size", 3,
+                   "--out", tmp_path / "r.json") == 2
+
     def test_missing_file_exit_3(self, tmp_path):
         assert run("build", "--samples", tmp_path / "absent.csv",
                    "--degree-size", 4, "--out", tmp_path / "r.json") == 3

@@ -47,12 +47,12 @@ class TestInitializeExtension:
             sample_source=uniform_samples,
             mode="continue_samples",
         )
-        work, stream, idx = initialize_extension(req)
+        work, idx = initialize_extension(req)
         np.testing.assert_array_equal(work.nodes, base_rule.nodes)
         np.testing.assert_array_equal(work.weights, base_rule.weights)
         assert work.K == base_rule.K
         assert work.fixed_mask.all()
-        assert stream.shape[0] == 0
+        assert idx.shape[0] == 0
 
     def test_continue_rejects_changed_basis(self, base_rule, uniform_samples):
         req = ExtensionRequest(
@@ -83,12 +83,12 @@ class TestInitializeExtension:
             sample_source=uniform_samples,
             mode="increase_degree",
         )
-        work, stream, idx = initialize_extension(req)
+        work, idx = initialize_extension(req)
         n = base_rule.n_nodes
         np.testing.assert_allclose(work.weights, np.full(n, 1.0 / n))
         assert work.fixed_mask.all()
         # stream excludes the nodes already used
-        assert stream.shape[0] == uniform_samples.count - n
+        assert idx.shape[0] == uniform_samples.count - n
         used = set(int(i) for i in base_rule.source_indices)
         assert used.isdisjoint(set(int(i) for i in idx))
 
@@ -101,13 +101,13 @@ class TestInitializeExtension:
             sample_source=fresh,
             mode="resampled",
         )
-        work, stream, idx = initialize_extension(req)
+        work, idx = initialize_extension(req)
         assert work.n_nodes == base_rule.n_nodes + 1
         np.testing.assert_array_equal(
             work.weights, np.concatenate([np.zeros(base_rule.n_nodes), [1.0]])
         )
         assert work.K == 0
-        assert stream.shape[0] == 499
+        assert idx.shape[0] == 499
 
     def test_smaller_target_rejected(self, base_rule, uniform_samples):
         with pytest.raises(ModeMismatch):

@@ -6,14 +6,8 @@ import numpy as np
 import pytest
 
 from samplequad.basis import BasisSpec, basis_matrix, domain_from_samples
-from samplequad.errors import CapExceeded, DimensionMismatch
-from samplequad.removal import (
-    Removal,
-    RemovalProblem,
-    enumerate_removals,
-    find_initial_removal,
-    neighbor,
-)
+from samplequad.errors import DimensionMismatch, NullSpaceFailure
+from samplequad.removal import Removal, RemovalProblem
 from samplequad.rule import QuadratureRule, SampleSet, construct_fixed_rule
 
 
@@ -43,11 +37,17 @@ def random_rule(rng, n_samples, size):
     return construct_fixed_rule(ss, spec)
 
 
+def neighbors(problem, indices):
+    """The exchange partners of one vertex, as the walk computes them."""
+    _, partners = problem._pop_single(tuple(indices))
+    return partners
+
+
 class TestFindInitialRemoval:
     def test_one_removal_is_one_of_the_two(self):
         rng = np.random.default_rng(0)
         rule = random_rule(rng, 9, 4)
-        rem = find_initial_removal(rule, 1)
+        rem = RemovalProblem(rule, 1).initial()
         assert rem.indices in brute_force_removals(rule, 1)
 
     def test_remove_all_but_one(self):
@@ -55,7 +55,7 @@ class TestFindInitialRemoval:
         rng = np.random.default_rng(1)
         rule = random_rule(rng, 7, 4)
         n = rule.n_nodes
-        rem = find_initial_removal(rule, n - 1)
+        rem = RemovalProblem(rule, n - 1).initial()
         assert len(rem.indices) == n - 1
         keep = [i for i in range(n) if i not in rem.indices]
         assert len(keep) == 1
@@ -64,7 +64,7 @@ class TestFindInitialRemoval:
         rng = np.random.default_rng(2)
         for _ in range(5):
             rule = random_rule(rng, int(rng.integers(7, 10)), 5)
-            rem = find_initial_removal(rule, 2)
+            rem = RemovalProblem(rule, 2).initial()
             assert rem.indices in brute_force_removals(rule, 2)
 
 
@@ -72,29 +72,41 @@ class TestNeighbor:
     def test_involution(self):
         rng = np.random.default_rng(3)
         rule = random_rule(rng, 9, 5)
-        rem = find_initial_removal(rule, 2)
-        for i in (1, 2):
-            flipped = neighbor(rule, rem, i)
-            changed = [t for t, v in enumerate(flipped.indices) if v not in rem.indices]
-            assert len(changed) == 1
-            back = neighbor(rule, flipped, changed[0] + 1)
-            assert back.indices == rem.indices
+        problem = RemovalProblem(rule, 2)
+        rem = problem.initial().indices
+        for j, flipped in enumerate(neighbors(problem, rem)):
+            # exchanging the j-th removed node keeps the other one
+            assert rem[1 - j] in flipped
+            # exchanging the new node back returns to the start
+            new = [t for t, v in enumerate(flipped) if v not in rem]
+            assert len(new) == 1
+            assert neighbors(problem, flipped)[new[0]] == rem
 
     def test_m_one_swaps_between_the_two(self):
         rng = np.random.default_rng(4)
         rule = random_rule(rng, 8, 4)
         both = brute_force_removals(rule, 1)
-        rem = find_initial_removal(rule, 1)
-        other = neighbor(rule, rem, 1)
-        assert {rem.indices, other.indices} == both
+        problem = RemovalProblem(rule, 1)
+        rem = problem.initial().indices
+        (other,) = neighbors(problem, rem)
+        assert {rem, other} == both
 
     def test_neighbor_is_valid_removal(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
             rule = random_rule(rng, 9, 5)
-            rem = find_initial_removal(rule, 2)
-            out = neighbor(rule, rem, 1)
-            assert out.indices in brute_force_removals(rule, 2)
+            problem = RemovalProblem(rule, 2)
+            out = neighbors(problem, problem.initial().indices)
+            assert out[0] in brute_force_removals(rule, 2)
+
+    def test_singular_block_is_not_a_vertex(self):
+        # removing the same node twice gives a singular block, which must
+        # fail the vertex solve rather than be solved in least squares
+        rng = np.random.default_rng(0)
+        problem = RemovalProblem(random_rule(rng, 9, 5), 2)
+        with pytest.raises(NullSpaceFailure):
+            problem._pop_data((0, 0))
+        assert problem._pop_single((0, 0)) is None
 
 
 class TestEnumerateRemovals:
@@ -102,7 +114,7 @@ class TestEnumerateRemovals:
         rng = np.random.default_rng(6)
         for _ in range(10):
             rule = random_rule(rng, int(rng.integers(6, 12)), int(rng.integers(3, 6)))
-            removals = enumerate_removals(rule, 1)
+            removals = RemovalProblem(rule, 1).enumerate()
             assert len(removals) == 2
 
     def test_equals_brute_force(self):
@@ -113,7 +125,7 @@ class TestEnumerateRemovals:
             for m in (1, 2, 3):
                 if m >= rule.n_nodes:
                     continue
-                got = {r.indices for r in enumerate_removals(rule, m)}
+                got = {r.indices for r in RemovalProblem(rule, m).enumerate()}
                 assert got == brute_force_removals(rule, m)
 
     def test_every_removal_validates_independently(self):
@@ -122,7 +134,7 @@ class TestEnumerateRemovals:
         sub = BasisSpec(d=1, size=rule.n_nodes - 2, domain=rule.spec.domain)
         V = basis_matrix(sub, rule.nodes)
         mu = V @ rule.weights
-        for rem in enumerate_removals(rule, 2):
+        for rem in RemovalProblem(rule, 2).enumerate():
             keep = [i for i in range(rule.n_nodes) if i not in rem.indices]
             w = np.linalg.solve(V[:, keep], mu)
             assert w.min() >= -1e-11
@@ -131,10 +143,10 @@ class TestEnumerateRemovals:
     def test_independent_of_initial_removal(self):
         rng = np.random.default_rng(9)
         rule = random_rule(rng, 9, 5)
-        removals = enumerate_removals(rule, 2)
+        removals = RemovalProblem(rule, 2).enumerate()
         assert len(removals) >= 2
         for start in removals[:3]:
-            again = enumerate_removals(rule, 2, initial=start)
+            again = RemovalProblem(rule, 2).enumerate(initial=start)
             assert [r.indices for r in again] == [r.indices for r in removals]
 
     def test_symmetric_rule_enumeration_closed_under_mirror(self):
@@ -147,7 +159,7 @@ class TestEnumerateRemovals:
         spec = BasisSpec(d=1, size=5, family="monomial", domain=((-1.0, 1.0),))
         rule = QuadratureRule(nodes=nodes, weights=weights, spec=spec, K=4)
         for m in (1, 2):
-            removals = enumerate_removals(rule, m)
+            removals = RemovalProblem(rule, m).enumerate()
             zero_sets = {r.zero_indices for r in removals}
             mirrored = {tuple(sorted(4 - i for i in q)) for q in zero_sets}
             assert zero_sets == mirrored
@@ -163,23 +175,19 @@ class TestEnumerateRemovals:
             rule = random_rule(rng, n_samples, size)
             m = 2
             stats = {}
-            removals = enumerate_removals(rule, m, stats=stats)
+            removals = RemovalProblem(rule, m).enumerate(stats=stats)
             z = len(removals)
             assert stats["pops"] <= z + m + 1
             assert stats["solves"] <= (m + 1) * (z + m + 1)
 
-    def test_cap_exceeded(self):
-        rng = np.random.default_rng(11)
-        rule = random_rule(rng, 10, 5)
-        with pytest.raises(CapExceeded):
-            enumerate_removals(rule, 3, cap=2)
-
     def test_cap_partial_returns_valid_subset(self):
         rng = np.random.default_rng(12)
         rule = random_rule(rng, 10, 5)
-        full = {r.indices for r in enumerate_removals(rule, 3)}
+        full = {r.indices for r in RemovalProblem(rule, 3).enumerate()}
         prob = RemovalProblem(rule, 3)
-        partial = prob.enumerate(cap=3, partial_on_cap=True)
+        stats = {}
+        partial = prob.enumerate(cap=3, stats=stats)
+        assert stats["capped"]
         assert 0 < len(partial) <= len(full)
         assert {r.indices for r in partial} <= full
 
@@ -187,9 +195,9 @@ class TestEnumerateRemovals:
         rng = np.random.default_rng(13)
         rule = random_rule(rng, 8, 4)
         with pytest.raises(DimensionMismatch):
-            enumerate_removals(rule, rule.n_nodes)
+            RemovalProblem(rule, rule.n_nodes)
 
     def test_removal_dataclass_defaults(self):
         r = Removal(indices=(1, 3))
         assert r.zero_indices == (1, 3)
-        assert not r.merged
+        assert Removal(indices=(1, 3), zero_indices=(1, 2, 3)).indices == (1, 3)

@@ -7,11 +7,8 @@ import numpy as np
 import pytest
 
 from samplequad.basis import BasisSpec, basis_matrix, domain_from_samples
-from samplequad.errors import (
-    DegenerateNullVector,
-    InsufficientSamples,
-    SingularSystem,
-)
+from samplequad.errors import DegenerateNullVector, InsufficientSamples, InvalidSpec
+from samplequad.linalg import null_vector
 from samplequad.nested import (
     ExtensionRequest,
     _StreamEngine,
@@ -22,13 +19,12 @@ from samplequad.rule import (
     MomentVector,
     QuadratureRule,
     SampleSet,
-    add_sample,
+    apply_removal,
+    choose_alpha,
     construct_fixed_rule,
-    remove_one,
+    dropped_mask,
     removal_interval,
     sample_moments,
-    select_alpha,
-    solve_interpolatory_weights,
 )
 
 
@@ -38,6 +34,34 @@ def monomial_spec(size, lo=-1.0, hi=1.0):
 
 def legendre_spec(d, size, dom):
     return BasisSpec(d=d, size=size, domain=dom)
+
+
+def _feed_one(rule, y):
+    """The rule after the engine's scalar step consumes `y` below capacity."""
+    engine = _StreamEngine(rule, np.random.default_rng(0), 10**6)
+    engine.feed(np.asarray(y, dtype=float), basis_matrix(rule.spec, [y])[:, 0], rule.K + 1)
+    return engine.rule()
+
+
+def _remove_one(rule, c):
+    """The engine's single removal along `c`, survivors renormalized."""
+    alpha, attained = choose_alpha(rule.weights, c)
+    w_new = apply_removal(rule.weights, c, alpha, attained)
+    keep = ~dropped_mask(w_new)
+    w = w_new[keep]
+    return QuadratureRule(
+        nodes=rule.nodes[keep], weights=w / w.sum(), spec=rule.spec, K=rule.K,
+        source_indices=rule.source_indices[keep], fixed_mask=rule.fixed_mask[keep],
+    )
+
+
+class TestSampleSet:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        pts = np.random.default_rng(0).random((500, 2))
+        pts[123, 1] = bad
+        with pytest.raises(InvalidSpec, match="finite"):
+            SampleSet(pts)
 
 
 class TestSampleMoments:
@@ -68,41 +92,13 @@ class TestSampleMoments:
         np.testing.assert_allclose(mu.values, direct, atol=1e-13)
 
 
-class TestSolveInterpolatoryWeights:
-    def test_gaussian_moment_weights(self):
-        # nodes 0, 1/2, 1 with moments (1, 0, 1) give weights (3, -4, 2)
-        w = solve_interpolatory_weights(
-            [[0.0], [0.5], [1.0]], np.array([1.0, 0.0, 1.0]), monomial_spec(3)
-        )
-        np.testing.assert_allclose(w, [3.0, -4.0, 2.0], atol=1e-12)
-
-    def test_single_node_normalization(self):
-        w = solve_interpolatory_weights([[0.7]], np.array([1.0]), monomial_spec(1))
-        np.testing.assert_allclose(w, [1.0])
-
-    def test_against_independent_solver(self):
-        ss = SampleSet(np.array([[0.0], [0.25], [0.5], [0.75], [1.0]]))
-        spec = monomial_spec(3)
-        mu = sample_moments(ss, spec)
-        nodes = [[0.0], [0.25], [0.5]]
-        w = solve_interpolatory_weights(nodes, mu, spec)
-        V = basis_matrix(spec, np.asarray(nodes))
-        oracle = np.linalg.lstsq(V, mu.values, rcond=None)[0]
-        np.testing.assert_allclose(w, oracle, atol=1e-12)
-
-    def test_duplicate_nodes_singular(self):
-        with pytest.raises(SingularSystem):
-            solve_interpolatory_weights(
-                [[0.5], [0.5], [1.0]], np.array([1.0, 0.0, 1.0]), monomial_spec(3)
-            )
-
-
 class TestAddSample:
+    # the basis is larger than the rule, so the step only appends
     def test_first_addition_halves(self):
         rule = QuadratureRule(
-            nodes=[[0.3]], weights=[1.0], spec=monomial_spec(1), K=0
+            nodes=[[0.3]], weights=[1.0], spec=monomial_spec(2), K=0
         )
-        bigger = add_sample(rule, [0.9])
+        bigger = _feed_one(rule, [0.9])
         np.testing.assert_allclose(bigger.weights, [0.5, 0.5])
         assert bigger.K == 1
 
@@ -111,31 +107,33 @@ class TestAddSample:
         w = rng.random(10)
         w /= w.sum()
         rule = QuadratureRule(
-            nodes=rng.random((10, 1)), weights=w, spec=monomial_spec(1), K=9
+            nodes=rng.random((10, 1)), weights=w, spec=monomial_spec(11), K=9
         )
-        assert add_sample(rule, [0.5]).weights.sum() == pytest.approx(1.0, abs=1e-15)
+        assert _feed_one(rule, [0.5]).weights.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_moment_update_matches_fresh_average(self):
         rng = np.random.default_rng(3)
         pts = rng.random((6, 1))
-        spec = monomial_spec(3, 0.0, 1.0)
+        spec = monomial_spec(6, 0.0, 1.0)
         ss5 = SampleSet(pts[:5])
         mu5 = sample_moments(ss5, spec)
         # a rule that reproduces mu5 exactly: the Monte Carlo rule itself
         rule = QuadratureRule(
             nodes=pts[:5], weights=np.full(5, 0.2), spec=spec, K=4
         )
-        extended = add_sample(rule, pts[5])
+        extended = _feed_one(rule, pts[5])
         mu6 = sample_moments(SampleSet(pts), spec)
         assert extended.moment_residual(mu6) <= 1e-14
         assert rule.moment_residual(mu5) <= 1e-14
 
 
 class TestSelectAlpha:
+    # the two removals at the ends of `removal_interval` for weights >= 0:
+    # alpha_max zeroes a node of the positive side, alpha_min of the negative
     def test_two_entry_ratios(self):
         v = np.full(3, 1.0 / 3.0)
         c = np.array([1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0), 0.0])
-        a1, k1, a2, k2 = select_alpha(v, c)
+        a2, k2, a1, k1, _ = removal_interval(v, c)
         assert a1 == pytest.approx(np.sqrt(2.0) / 3.0, abs=1e-15)
         assert (k1, k2) == (0, 1)
         assert a2 == pytest.approx(-np.sqrt(2.0) / 3.0, abs=1e-15)
@@ -143,7 +141,7 @@ class TestSelectAlpha:
     def test_zero_weight_gives_zero_alpha(self):
         v = np.array([0.0, 0.5, 0.5])
         c = np.array([0.5, 0.3, -0.8])
-        a1, k1, _, _ = select_alpha(v, c)
+        _, _, a1, k1, _ = removal_interval(v, c)
         assert a1 == 0.0 and k1 == 0
 
     def test_removal_keeps_weights_nonnegative(self):
@@ -152,7 +150,7 @@ class TestSelectAlpha:
             v = rng.random(8)
             c = rng.standard_normal(8)
             c -= c.mean()  # zero-sum, both signs present
-            a1, k1, a2, k2 = select_alpha(v, c)
+            a2, k2, a1, k1, _ = removal_interval(v, c)
             for alpha, k in ((a1, k1), (a2, k2)):
                 w = v - alpha * c
                 assert w.min() >= -1e-12 * max(1.0, np.abs(w).max())
@@ -160,7 +158,7 @@ class TestSelectAlpha:
 
     def test_degenerate_vector_rejected(self):
         with pytest.raises(DegenerateNullVector):
-            select_alpha(np.array([0.5, 0.5]), np.array([1.0, 2.0]))
+            removal_interval(np.array([0.5, 0.5]), np.array([1.0, 2.0]))
 
 
 class TestRemovalInterval:
@@ -195,9 +193,7 @@ class TestRemovalInterval:
         # oracle: deleting any single node leaves a negative weight
         for drop in range(3):
             keep = [i for i in range(3) if i != drop]
-            sub = solve_interpolatory_weights(
-                nodes[keep], mu[:2][: len(keep)], monomial_spec(2)
-            )
+            sub = np.linalg.solve(basis_matrix(spec, nodes[keep]), mu)
             assert sub.min() < 0
 
 
@@ -211,7 +207,7 @@ class TestRemoveOne:
             K=2,
         )
         c = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
-        out = remove_one(rule, c)
+        out = _remove_one(rule, c)
         assert out.n_nodes == 2
         np.testing.assert_allclose(sorted(out.weights), [0.4, 0.6], atol=1e-15)
 
@@ -220,11 +216,15 @@ class TestRemoveOne:
         pts = rng.random((7, 1))
         spec = legendre_spec(1, 5, domain_from_samples(pts))
         rule = construct_fixed_rule(SampleSet(pts[:6]), spec)
-        ext = add_sample(rule, pts[6])
+        # the rule plus one more sample at the weight the stream gives it
+        ext = QuadratureRule(
+            nodes=np.vstack([rule.nodes, pts[6]]),
+            weights=np.append(rule.weights * 6.0 / 7.0, 1.0 / 7.0),
+            spec=spec,
+            K=6,
+        )
         V = basis_matrix(spec, ext.nodes)
-        from samplequad.linalg import null_vector
-
-        out = remove_one(ext, null_vector(V))
+        out = _remove_one(ext, null_vector(V))
         assert out.n_nodes == ext.n_nodes - 1
 
     def test_symmetric_simultaneous_zeros(self):
@@ -240,7 +240,7 @@ class TestRemoveOne:
         mu = V @ rule.weights
         c = np.array([0.5, -1.0, 0.5]) / np.sqrt(1.5)
         assert np.abs(V @ c).max() <= 1e-15
-        out = remove_one(rule, c)
+        out = _remove_one(rule, c)
         assert out.n_nodes == 1
         np.testing.assert_allclose(out.weights, [1.0])
         assert out.moment_residual(mu) <= 1e-14
@@ -440,7 +440,7 @@ class TestBlockPass:
         req = ExtensionRequest(
             base=base, target_basis_size=target, sample_source=source, mode=mode
         )
-        work, _, stream_idx = initialize_extension(req)
+        work, stream_idx = initialize_extension(req)
         ref = _per_sample_rule(work, source.points, stream_idx, seed)
         rule = extend_rule(req, selection_seed=seed)
         assert rule.fixed_mask.any()
