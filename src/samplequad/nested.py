@@ -13,6 +13,8 @@ are both removals priced: the one deleting more non-fixed nodes wins,
 and a seeded draw breaks ties.  With zero-weight fixed nodes the null
 space is larger, and the step enumerates all removals of that size,
 choosing one that deletes the most non-fixed nodes (same tie break).
+The walk over them starts at the vertex the fast-path null vector's
+smallest-|alpha| removal reaches, saving the SVDs of a cold start.
 
 Most steps delete the incoming sample, which only reweights the
 support S, so the stream runs block-speculatively: k such steps leave
@@ -41,7 +43,7 @@ from .errors import (
     NullSpaceFailure,
 )
 from .linalg import ExtensionFactorization, null_space, null_vector
-from .removal import RemovalProblem, attained_indices
+from .removal import Removal, RemovalProblem, attained_indices
 from .rule import _BLOCK, BlockMoments, QuadratureRule, SampleSet
 from .rule import apply_removal, choose_alpha, dropped_mask, removal_interval
 from .rule import sample_moments  # noqa: F401  (perfbench's timing shims wrap it here)
@@ -353,31 +355,38 @@ class _StreamEngine:
         pick = pool[0] if len(pool) == 1 else pool[int(self.rng.integers(len(pool)))]
         return pick[1], pick[2]
 
-    def _null_basis(self, col, excess):
-        """Null basis of [V, col]: one direction per non-support column."""
+    def _null_basis(self, v, col, excess):
+        """Null basis of [V, col] and a vertex to seed the removal walk.
+
+        One direction per non-support column.  The last is the fast-path
+        null vector, zero at every zero-weight node, so its smallest-|alpha|
+        removal plus those nodes is a vertex.  No seed (None) after the SVD
+        branch or when the ratio test attains more than one node.
+        """
         nonsupport = np.nonzero(self.w == 0.0)[0]
         n = self.X.shape[0]
         if self.fact is None or nonsupport.shape[0] + 1 != excess:
-            return null_space(np.column_stack([self.Vall, col]), excess)
+            return null_space(np.column_stack([self.Vall, col]), excess), None
         C = np.empty((n + 1, excess))
         for t, j in enumerate(nonsupport):
             C[:, t] = self._embed_at(self.fact.null_vector_extended(self.Vall[:, j]), j)
         C[:, -1] = self._embed_at(self.fact.null_vector_extended(col), n)
-        return C
+        _, attained = choose_alpha(v, C[:, -1])
+        if attained.shape[0] != 1:
+            return C, None
+        return C, Removal(tuple(sorted(nonsupport.tolist() + attained.tolist())))
 
     def _multi_direction(self, v, col):
         excess = self.X.shape[0] + 1 - self.spec.size
-        problem = RemovalProblem.from_parts(
-            np.column_stack([self.Vall, col]), v, self._null_basis(col, excess)
-        )
+        C, seed = self._null_basis(v, col, excess)
+        problem = RemovalProblem.from_parts(np.column_stack([self.Vall, col]), v, C)
         stats = {}
-        removals = problem.enumerate(cap=self.removal_cap, stats=stats)
+        removals = problem.enumerate(cap=self.removal_cap, initial=seed, stats=stats)
+        if not removals:
+            raise NullSpaceFailure("the removal walk found no vertex")
         if stats["capped"]:
-            log.debug(
-                "removal enumeration capped at sample %d; choosing among %d vertices",
-                self.consumed - 1,
-                len(removals),
-            )
+            log.debug("removal walk capped at sample %d: %d vertices",
+                      self.consumed - 1, len(removals))
         new_counts = [len(self._deletable(r.zero_indices)) for r in removals]
         best = max(new_counts)
         pool = [r for r, cnt in zip(removals, new_counts) if cnt == best]

@@ -11,23 +11,26 @@ of feasible null-space coefficients.  Each vertex has, per removed
 node, exactly one adjacent vertex reachable by exchanging that node, so
 a breadth-first walk over these exchanges visits every vertex.
 
-The walk takes the vertices a wave at a time.  Everything lives inside
-one null basis C: a vertex solve is an M x M inverse of rows of C, and
-the inverse's columns, mapped through C, are the exchange directions.
-The inverses, vertex weights and exchange ratio scans of a whole wave
-run as stacked array operations; a vertex that fails the batch checks
-is redone on its own through the same exchange scan.
+The caller seeds the walk with a vertex it already knows; `initial()`,
+M successive single removals, is the fallback when there is no seed or
+the seed fails the vertex checks.  The walk takes the vertices a wave
+at a time.  Everything lives inside one null basis C: a vertex solve is
+an M x M inverse of rows of C, and the inverse's columns, mapped
+through C, are the exchange directions.  The inverses, vertex weights,
+exchange ratio scans and neighbour tuples of a whole wave are stacked
+array operations; a vertex that fails the batch checks is redone on
+its own through the same exchange scan.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .basis import BasisSpec, basis_matrix
+from .basis import basis_matrix
 from .errors import DegenerateNullVector, DimensionMismatch, NoRemovalExists, NullSpaceFailure
 from .linalg import null_space
 from .tolerances import TOL_VERTEX_NEG, TOL_VERTEX_RESID, TOL_VERTEX_ZERO, TOL_ZERO_FACTOR
@@ -90,15 +93,9 @@ class RemovalProblem:
         n = rule.n_nodes
         if not 1 <= m < n:
             raise DimensionMismatch(f"need 1 <= M < {n}, got {m}")
-        basis_count = n - m
-        if rule.spec.size < basis_count:
+        if rule.spec.size < n - m:
             raise DimensionMismatch("rule basis too small for this removal size")
-        sub = rule.spec
-        if sub.size != basis_count:
-            sub = BasisSpec(
-                d=sub.d, size=basis_count, family=sub.family, domain=sub.domain
-            )
-        V = basis_matrix(sub, rule.nodes)
+        V = basis_matrix(replace(rule.spec, size=n - m), rule.nodes)
         self._init_from_parts(V, rule.weights, null_space(V, m))
 
     @classmethod
@@ -122,6 +119,10 @@ class RemovalProblem:
             raise DimensionMismatch("inconsistent removal problem shapes")
         self.wmax = max(float(np.abs(self.w).max()), 1e-300)
         self._ztol = TOL_VERTEX_ZERO * self.wmax
+        # the largest solve residual and the most negative weight of a vertex
+        self._tol_res = TOL_VERTEX_RESID * max(1.0, self.wmax)
+        self._tol_neg = -TOL_VERTEX_NEG * max(1.0, self.wmax)
+        self._eye = np.eye(self.m, dtype=bool)
 
     # -- vertex algebra -------------------------------------------------
 
@@ -139,11 +140,11 @@ class RemovalProblem:
         except np.linalg.LinAlgError as exc:
             raise NullSpaceFailure(f"removal {tuple(indices)} has a singular block") from exc
         alphas = B @ self.w[q]
-        if np.abs(A @ alphas - self.w[q]).max() > TOL_VERTEX_RESID * max(1.0, self.wmax):
+        if np.abs(A @ alphas - self.w[q]).max() > self._tol_res:
             raise NullSpaceFailure(f"removal {tuple(indices)} is not a simplex vertex")
         w_q = self.w - self.C @ alphas
         w_q[q] = 0.0
-        if float(w_q.min()) < -TOL_VERTEX_NEG * max(1.0, self.wmax):
+        if float(w_q.min()) < self._tol_neg:
             raise NullSpaceFailure(
                 f"vertex {tuple(indices)} has negative weight {w_q.min():.3e}"
             )
@@ -155,19 +156,9 @@ class RemovalProblem:
         return alphas, w_q
 
     def _build(self, indices, w_q) -> Removal:
-        zero = np.nonzero(np.abs(w_q) <= self._ztol)[0]
-        zero_set = tuple(sorted(set(indices) | {int(z) for z in zero}))
-        return Removal(indices=tuple(int(i) for i in indices), zero_indices=zero_set)
-
-    def _direction_vanishing_at(self, rows) -> np.ndarray:
-        """A null-space direction whose weight-change vanishes at `rows`."""
-        if len(rows) == 0:
-            c = self.C[:, 0].copy()
-        else:
-            A = self.C[np.asarray(rows, dtype=np.intp), :]
-            _, _, vt = np.linalg.svd(A)
-            c = self.C @ vt[-1]
-        return c
+        # the removed positions are exactly zero in w_q
+        zero = (np.abs(w_q) <= self._ztol).nonzero()[0].tolist()
+        return Removal(indices=tuple(indices), zero_indices=tuple(zero))
 
     # -- operations -----------------------------------------------------
 
@@ -175,43 +166,27 @@ class RemovalProblem:
         """Exchange partners of a wave of vertices in one vectorized sweep.
 
         Vertex i removes the nodes q_mat[i] (k x M), has weights W[i]
-        (k x n) and exchange directions dirs[i] (k x n x M).  Direction j
-        vanishes at every removed node except q_mat[i, j], so only that
-        node's constraint row is kept active in its column.  Returns per
-        vertex a list of M neighbor index tuples (None where the exchange
-        is degenerate).
+        (k x n) and exchange directions dirs[i] (k x n x M), which this
+        overwrites: at the removed rows direction j is exactly one at
+        q_mat[i, j] and zero elsewhere.  Returns per vertex a list of M
+        neighbor index tuples (None where the exchange is degenerate).
         """
         k, m = q_mat.shape
-        rows = np.arange(k)[:, None]
-        excl = np.zeros(dirs.shape, dtype=bool)
-        excl[rows, q_mat, :] = True
-        excl[rows, q_mat, np.arange(m)[None, :]] = False
-        pos = (dirs > 0.0) & ~excl
-        neg = (dirs < 0.0) & ~excl
-        w3 = np.broadcast_to(W[:, :, None], dirs.shape)
-        ratios = np.full(dirs.shape, np.inf)
-        np.divide(w3, dirs, out=ratios, where=pos)
-        k_max = np.argmin(ratios, axis=1)
-        ratios = np.full(dirs.shape, -np.inf)
-        np.divide(w3, dirs, out=ratios, where=neg)
-        k_min = np.argmax(ratios, axis=1)
-        feasible = pos.any(axis=1) & neg.any(axis=1)
-        out = []
-        for i in range(k):
-            neighbors = []
-            for j in range(m):
-                if not feasible[i, j]:
-                    neighbors.append(None)
-                    continue
-                qi = int(q_mat[i, j])
-                cand = int(k_min[i, j]) if int(k_max[i, j]) == qi else int(k_max[i, j])
-                if cand == qi:
-                    neighbors.append(None)
-                    continue
-                others = [int(x) for t, x in enumerate(q_mat[i]) if t != j]
-                neighbors.append(tuple(sorted(others + [cand])))
-            out.append(neighbors)
-        return out
+        dirs[np.arange(k)[:, None], q_mat, :] = self._eye
+        pos = dirs > 0.0
+        neg = dirs < 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = W[:, :, None] / dirs
+        k_max = np.where(pos, ratios, np.inf).argmin(axis=1)
+        k_min = np.where(neg, ratios, -np.inf).argmax(axis=1)
+        # the own row is on the positive side at ratio zero, so the
+        # exchange is degenerate exactly when no entry is negative
+        cand = np.where(k_max == q_mat, k_min, k_max)
+        swapped = np.where(self._eye, cand[:, :, None], q_mat[:, None, :])
+        swapped.sort(axis=2)
+        ok = neg.any(axis=1).ravel().tolist()
+        flat = [tuple(t) if o else None for t, o in zip(swapped.reshape(k * m, m).tolist(), ok)]
+        return [flat[i * m:(i + 1) * m] for i in range(k)]
 
     def initial(self) -> Removal:
         """A first valid removal via M successive single removals."""
@@ -219,7 +194,8 @@ class RemovalProblem:
         w_work = self.w.copy()
         exclude = np.zeros(self.n, dtype=bool)
         while len(removed) < self.m:
-            c = self._direction_vanishing_at(removed)
+            # a null direction whose weight change vanishes at `removed`
+            c = self.C @ np.linalg.svd(self.C[removed, :])[2][-1] if removed else self.C[:, 0]
             a_min, k_min, a_max, k_max = ratio_extrema(w_work, c, exclude)
             if a_min > a_max:
                 raise NoRemovalExists("empty removal interval from a positive rule")
@@ -243,11 +219,7 @@ class RemovalProblem:
         return self._build(q, w_q)
 
     def _pop_single(self, q):
-        """(vertex weights, exchange partners) of one vertex, None if it fails.
-
-        The per-vertex redo of `_process_wave`, through the same exchange
-        scan.
-        """
+        """(vertex weights, exchange partners) of one vertex, None if it fails."""
         try:
             _, w_q, dirs = self._pop_data(q)
         except NullSpaceFailure:
@@ -270,42 +242,48 @@ class RemovalProblem:
             B = np.linalg.inv(A)
         except np.linalg.LinAlgError:
             return [self._pop_single(q) for q in wave]
-        wq_rm = self.w[q_mat]
-        alphas = np.einsum("kij,kj->ki", B, wq_rm)
-        resid = np.abs(np.einsum("kij,kj->ki", A, alphas) - wq_rm).max(axis=1)
-        Wq = self.w[:, None] - self.C @ alphas.T
-        rows = np.arange(k)[:, None]
-        Wq[q_mat, rows] = 0.0
-        tol_res = TOL_VERTEX_RESID * max(1.0, self.wmax)
-        tol_neg = -TOL_VERTEX_NEG * max(1.0, self.wmax)
-        bad = (resid > tol_res) | (Wq.min(axis=0) < tol_neg)
-        dirs = np.einsum("nm,kmi->kni", self.C, B)
-        neighbors = self._neighbors(q_mat, Wq.T, dirs)
+        wq_rm = self.w[q_mat][:, :, None]
+        alphas = B @ wq_rm
+        resid = np.abs(A @ alphas - wq_rm).max(axis=(1, 2))
+        Wq = self.w - (self.C @ alphas)[:, :, 0]
+        Wq[np.arange(k)[:, None], q_mat] = 0.0
+        bad = ((resid > self._tol_res) | (Wq.min(axis=1) < self._tol_neg)).tolist()
+        neighbors = self._neighbors(q_mat, Wq, self.C @ B)
         return [
-            self._pop_single(q) if bad[i] else (Wq[:, i], neighbors[i])
+            self._pop_single(q) if bad[i] else (Wq[i], neighbors[i])
             for i, q in enumerate(wave)
         ]
 
     def enumerate(self, cap: int = 10**6, initial: Removal | None = None,
                   stats: dict | None = None) -> list[Removal]:
-        """The removals reachable from `initial` (default: `initial()`), sorted.
+        """The removals reachable from a start vertex, sorted.
 
-        Breadth-first over exchanges, a wave of up to _WAVE vertices at a
-        time.  Once `cap` distinct removals have been seen the walk queues
-        no more and returns the removals it found.  `stats`, if given,
-        receives the pops, the solves and whether the cap was hit.
+        The caller seeds the walk with `initial`; `initial()` is the
+        fallback when there is no seed or the seed fails the vertex
+        checks.  Breadth-first over exchanges, a wave of up to _WAVE
+        vertices at a time.  Once `cap` distinct removals have been seen
+        the walk queues no more and returns the removals it found.
+        `stats`, if given, receives the pops, the solves and whether the
+        cap was hit.
         """
-        start = initial if initial is not None else self.initial()
+        results, pops, capped = self._walk(initial or self.initial(), cap)
+        if not results and initial is not None:
+            results, more, capped = self._walk(self.initial(), cap)
+            pops += more
+        if stats is not None:
+            stats.update(pops=pops, solves=pops * (self.m + 1), capped=capped)
+        return [results[k] for k in sorted(results)]
+
+    def _walk(self, start: Removal, cap: int):
+        """(removals by indices, pops, capped) of the walk from `start`."""
         queue = deque([tuple(start.indices)])
         seen = {tuple(start.indices)}
         results: dict[tuple[int, ...], Removal] = {}
-        pops = solves = 0
+        pops = 0
         capped = False
         while queue and not capped:
-            take = min(len(queue), self._WAVE)
-            wave = [queue.popleft() for _ in range(take)]
+            wave = [queue.popleft() for _ in range(min(len(queue), self._WAVE))]
             pops += len(wave)
-            solves += len(wave) * (self.m + 1)
             for q, data in zip(wave, self._process_wave(wave)):
                 if data is None:
                     continue
@@ -321,9 +299,4 @@ class RemovalProblem:
                         break
                     seen.add(q_hat)
                     queue.append(q_hat)
-        if stats is not None:
-            stats["pops"] = pops
-            stats["solves"] = solves
-            stats["capped"] = capped
-        return [results[k] for k in sorted(results)]
-
+        return results, pops, capped

@@ -11,9 +11,11 @@ function with a = 1, b = 10.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +76,8 @@ class DistributionSpec:
         if self.kind == INDICATOR:
             if "base" not in p or ("region" not in p and "predicate" not in p):
                 raise InvalidSpec("indicator needs a base spec and a region")
+            if not callable(p.get("predicate")) and "region" in p:
+                _parse_region(p["region"], self.d)
         if self.kind == FILE and "path" not in p:
             raise InvalidSpec("file kind needs a path")
 
@@ -171,20 +175,70 @@ def _mh_rosenbrock(spec: DistributionSpec, count: int, trace=None):
     return SampleSet(out[:filled], provenance=provenance)
 
 
+_REGION_FUNCS = {"abs": abs, "min": min, "max": max}
+_REGION_FUNCS.update({name: getattr(math, name) for name in ("sqrt", "sin", "cos", "exp")})
+# operators of a region: arithmetic, comparisons, and/or/not
+_REGION_OPS = (
+    ast.Expression, ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare,
+    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow, ast.USub, ast.UAdd,
+    ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq, ast.And, ast.Or, ast.Not,
+)
+
+
+def _parse_region(expr, d: int):
+    """The compiled region expression; InvalidSpec outside its grammar.
+
+    A region may use x[i] for a literal coordinate index i < d, numeric
+    constants, pi, arithmetic, comparisons, and/or/not, and calls to
+    abs, min, max, sqrt, sin, cos and exp.
+    """
+    if not isinstance(expr, str):
+        raise InvalidSpec("region must be a string")
+    try:
+        tree = ast.parse(expr, "<region>", mode="eval")
+    except (SyntaxError, ValueError) as exc:
+        raise InvalidSpec(f"region does not parse: {exc}") from exc
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        children = []
+        if isinstance(node, ast.Subscript):
+            idx = node.slice
+            ok = (isinstance(node.value, ast.Name) and node.value.id == "x"
+                  and isinstance(idx, ast.Constant) and type(idx.value) is int
+                  and 0 <= idx.value < d)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            ok = isinstance(func, ast.Name) and func.id in _REGION_FUNCS and not node.keywords
+            children = node.args
+        elif isinstance(node, ast.Name):
+            ok = node.id == "pi"
+        elif isinstance(node, ast.Constant):
+            # evaluated as floats, so that no integer power grows without bound
+            ok = type(node.value) in (int, float) and abs(node.value) <= sys.float_info.max
+            if ok:
+                node.value = float(node.value)
+        else:
+            ok = isinstance(node, _REGION_OPS)
+            children = list(ast.iter_child_nodes(node))
+        if not ok:
+            raise InvalidSpec(f"region may not contain {ast.unparse(node) or type(node).__name__}")
+        stack.extend(children)
+    return compile(tree, "<region>", "eval")
+
+
 def _indicator_predicate(spec: DistributionSpec):
     pred = spec.params.get("predicate")
     if callable(pred):
         return pred
-    expr = spec.params["region"]
-    code = compile(expr, "<region>", "eval")
-    safe = {"__builtins__": {}}
-    env = {"abs": abs, "min": min, "max": max, "np": np}
-    env.update({name: getattr(math, name) for name in ("sqrt", "sin", "cos", "exp", "pi")})
+    code = _parse_region(spec.params["region"], spec.d)
+    env = {"__builtins__": {}, "pi": math.pi, **_REGION_FUNCS}
 
     def predicate(x):
-        local = dict(env)
-        local["x"] = x
-        return bool(eval(code, safe, local))
+        try:
+            return bool(eval(code, env, {"x": x}))
+        except (ArithmeticError, ValueError) as exc:
+            raise InvalidSpec(f"region fails at {x.tolist()}: {exc}") from exc
 
     return predicate
 

@@ -3,24 +3,29 @@
 import numpy as np
 import pytest
 
+import samplequad.nested
 from samplequad.basis import BasisSpec, domain_from_samples
 from samplequad.errors import (
     InsufficientSamples,
     MissingEvaluation,
     ModeMismatch,
+    NullSpaceFailure,
 )
 from samplequad.nested import (
     ExtensionRequest,
+    _StreamEngine,
     extend_rule,
     initialize_extension,
     nested_error_estimate,
 )
+from samplequad.removal import Removal, RemovalProblem
 from samplequad.rule import (
     QuadratureRule,
     SampleSet,
     construct_fixed_rule,
     sample_moments,
 )
+from samplequad.sampling import DistributionSpec, generate
 
 
 def node_keys(rule):
@@ -316,3 +321,103 @@ class TestNestedErrorEstimate:
         ev = {tuple(row): 0.0 for row in base_rule.nodes[:-1]}
         with pytest.raises(MissingEvaluation):
             nested_error_estimate(base_rule, base_rule, ev)
+
+
+def _increase_degree_chain(kind, count, sizes, seed):
+    """A nested chain whose extension steps have 2 to 4 removal directions."""
+    samples = generate(DistributionSpec(kind, 2, seed=seed), count)
+    dom = domain_from_samples(samples.points)
+    chain = [construct_fixed_rule(samples, BasisSpec(d=2, size=sizes[0], domain=dom))]
+    for size in sizes[1:]:
+        req = ExtensionRequest(chain[-1], size, samples, "increase_degree")
+        chain.append(extend_rule(req, selection_seed=1))
+    return chain
+
+
+# (kind, samples, basis sizes, seed): 150 M = 2, 24 M = 3 and 3 M = 4
+# steps on uniform samples, 57 M = 2 and 25 M = 3 steps on rosenbrock
+SEED_CORPUS = (
+    ("uniform", 256, (6, 10, 15, 21), 2),
+    ("rosenbrock", 200, (4, 8, 16), 0),
+)
+
+
+class TestSeededRemovalWalk:
+    """The M-removal walk starts at the fast-path vertex."""
+
+    @pytest.mark.parametrize("case", SEED_CORPUS)
+    def test_fast_path_steps_never_start_cold(self, case, monkeypatch):
+        steps = []  # (M, seeded, null_space calls, initial() calls)
+        calls = {"null_space": 0, "initial": 0}
+        enumerate_, initial_, null_space_ = (
+            RemovalProblem.enumerate, RemovalProblem.initial, samplequad.nested.null_space
+        )
+
+        def counting_null_space(*args):
+            calls["null_space"] += 1
+            return null_space_(*args)
+
+        def counting_initial(self):
+            calls["initial"] += 1
+            return initial_(self)
+
+        def recording_enumerate(self, cap=10**6, initial=None, stats=None):
+            out = enumerate_(self, cap=cap, initial=initial, stats=stats)
+            steps.append((self.m, initial is not None, calls["null_space"], calls["initial"]))
+            calls.update(null_space=0, initial=0)
+            return out
+
+        monkeypatch.setattr(samplequad.nested, "null_space", counting_null_space)
+        monkeypatch.setattr(RemovalProblem, "initial", counting_initial)
+        monkeypatch.setattr(RemovalProblem, "enumerate", recording_enumerate)
+        _increase_degree_chain(*case)
+        fast = [s for s in steps if s[2] == 0]
+        assert {2, 3} <= {m for m, *_ in fast}
+        assert all(seeded and cold == 0 for _, seeded, _, cold in fast)
+
+    @pytest.mark.parametrize("case", SEED_CORPUS)
+    def test_seeded_walk_finds_what_a_cold_walk_finds(self, case, monkeypatch):
+        enumerate_ = RemovalProblem.enumerate
+        sizes = set()
+
+        def compared_enumerate(self, cap=10**6, initial=None, stats=None):
+            out = enumerate_(self, cap=cap, initial=initial, stats=stats)
+            cold = enumerate_(self, cap=cap)
+            # the same removals and zero sets, so the seeded draw picks the same
+            assert [(r.indices, r.zero_indices) for r in out] == [
+                (r.indices, r.zero_indices) for r in cold
+            ]
+            sizes.add(self.m)
+            return out
+
+        monkeypatch.setattr(RemovalProblem, "enumerate", compared_enumerate)
+        _increase_degree_chain(*case)
+        assert {2, 3} <= sizes
+
+    def test_seed_that_is_no_vertex_falls_back(self, monkeypatch):
+        case = SEED_CORPUS[1]
+        expect = _increase_degree_chain(*case)
+        null_basis = _StreamEngine._null_basis
+        bad_seeds = []
+
+        def bad_seed(self, v, col, excess):
+            C, seed = null_basis(self, v, col, excess)
+            if seed is not None:
+                # a removal listing one node twice has a singular block
+                seed = Removal(indices=(seed.indices[0],) * len(seed.indices))
+                bad_seeds.append(seed)
+            return C, seed
+
+        monkeypatch.setattr(_StreamEngine, "_null_basis", bad_seed)
+        got = _increase_degree_chain(*case)
+        assert bad_seeds
+        for want, rule in zip(expect, got):
+            np.testing.assert_array_equal(rule.nodes, want.nodes)
+            np.testing.assert_array_equal(rule.weights, want.weights)
+
+    def test_empty_walk_raises_a_typed_failure(self, monkeypatch, uniform_samples, base_rule):
+        monkeypatch.setattr(RemovalProblem, "enumerate", lambda self, **kwargs: [])
+        req = ExtensionRequest(base_rule, 11, uniform_samples, "increase_degree")
+        with pytest.raises(NullSpaceFailure) as info:
+            extend_rule(req, selection_seed=7)
+        assert info.value.sample_index is not None

@@ -201,3 +201,56 @@ class TestEnumerateRemovals:
         r = Removal(indices=(1, 3))
         assert r.zero_indices == (1, 3)
         assert Removal(indices=(1, 3), zero_indices=(1, 2, 3)).indices == (1, 3)
+
+
+def symmetric_rule():
+    """Nodes and weights symmetric about zero: degenerate vertices."""
+    nodes = np.array([[-1.0], [-0.5], [0.0], [0.5], [1.0]])
+    weights = np.array([0.15, 0.2, 0.3, 0.2, 0.15])
+    spec = BasisSpec(d=1, size=5, family="monomial", domain=((-1.0, 1.0),))
+    return QuadratureRule(nodes=nodes, weights=weights, spec=spec, K=4)
+
+
+def wave_cases():
+    rng = np.random.default_rng(14)
+    for m in (2, 3, 4):
+        for _ in range(3):
+            rule = random_rule(rng, 12, 8)
+            yield RemovalProblem(rule, m)
+    for m in (1, 2, 3):
+        yield RemovalProblem(symmetric_rule(), m)
+
+
+class TestProcessWave:
+    @pytest.mark.parametrize("problem", list(wave_cases()))
+    def test_batch_matches_one_vertex_at_a_time(self, problem):
+        # every vertex, plus index sets that are no vertex
+        wave = [r.indices for r in problem.enumerate()]
+        wave += [q for q in itertools.combinations(range(problem.n), problem.m)
+                 if q not in wave][:6]
+        for got, want in zip(problem._process_wave(wave), [problem._pop_single(q) for q in wave]):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got[1] == want[1]
+                np.testing.assert_allclose(got[0], want[0], rtol=0.0, atol=1e-12)
+
+
+class TestSeededEnumerate:
+    def test_seed_that_is_no_vertex_falls_back_to_initial(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        rule = random_rule(rng, 9, 5)
+        problem = RemovalProblem(rule, 2)
+        cold = problem.enumerate()
+        valid = brute_force_removals(rule, 2)
+        bad = next(q for q in itertools.combinations(range(rule.n_nodes), 2) if q not in valid)
+        calls = []
+        initial = RemovalProblem.initial
+        monkeypatch.setattr(RemovalProblem, "initial", lambda self: calls.append(1) or initial(self))
+        again = problem.enumerate(initial=Removal(indices=bad))
+        assert calls == [1]
+        assert [(r.indices, r.zero_indices) for r in again] == [
+            (r.indices, r.zero_indices) for r in cold
+        ]
+        # a seed that is a vertex needs no cold start
+        problem.enumerate(initial=cold[-1])
+        assert calls == [1]

@@ -143,6 +143,35 @@ class TestIndicatorRegion:
         with pytest.raises(AcceptanceTooLow):
             generate(spec, 10)
 
+    @pytest.mark.parametrize(
+        "region",
+        ["np.save('f', 1)", "x.__class__", "__import__('os')", "x[0] >", "x[2] > 0", "x[0] & 1",
+         "sqrt(x[0] - 2) > 0", "x[0] < 1e300 ** 2"],
+    )
+    def test_region_outside_the_grammar_is_rejected(self, region, tmp_path, monkeypatch):
+        # a region string is data: it must neither reach numpy nor the
+        # attributes of the sample row, nothing may be written, and a
+        # region that fails to evaluate is a bad spec
+        monkeypatch.chdir(tmp_path)
+        base = DistributionSpec(kind="uniform", d=2)
+        with pytest.raises(InvalidSpec):
+            spec = DistributionSpec(
+                kind="indicator", d=2, seed=8, params={"base": base, "region": region}
+            )
+            generate(spec, 10)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_region_grammar_evaluates_like_python(self):
+        region = "not (x[0] > 0.5 and x[1] < 0.25) or sqrt(abs(x[0] - x[1])) < pi / 8"
+        base = DistributionSpec(kind="uniform", d=2)
+        spec = DistributionSpec(
+            kind="indicator", d=2, seed=3, params={"base": base, "region": region}
+        )
+        pts = generate(spec, 300).points
+        expect = ~((pts[:, 0] > 0.5) & (pts[:, 1] < 0.25))
+        expect |= np.sqrt(np.abs(pts[:, 0] - pts[:, 1])) < math.pi / 8
+        assert expect.all()
+
 
 class TestSampleFiles:
     def test_binary_round_trip_bit_exact(self, tmp_path):
