@@ -231,15 +231,15 @@ class _StreamEngine:
         if int(support_mask.sum()) != b:
             self._rebuild_fact()
             return
-        cols = np.array(
-            [remap[c] if 0 <= c < remap.shape[0] else -1 for c in self.fact_cols],
-            dtype=np.intp,
-        )
+        cols = np.full(self.fact_cols.shape, -1, dtype=np.intp)
+        mapped = self.fact_cols < remap.shape[0]
+        cols[mapped] = remap[self.fact_cols[mapped]]
         alive = (cols >= 0) & support_mask[np.clip(cols, 0, None)]
-        stay = {int(c) for c in cols[alive]}
-        entrants = [p for p in np.nonzero(support_mask)[0] if int(p) not in stay]
+        taken = np.zeros_like(support_mask)
+        taken[cols[alive]] = True
+        entrants = np.nonzero(support_mask & ~taken)[0]
         leaver_slots = np.nonzero(~alive)[0]
-        if len(entrants) != leaver_slots.shape[0] or len(entrants) > 3:
+        if entrants.shape[0] != leaver_slots.shape[0] or entrants.shape[0] > 3:
             self._rebuild_fact()
             return
         for slot, p in zip(leaver_slots, entrants):

@@ -6,7 +6,13 @@ on every platform.  Besides the standard box distributions this module
 provides acceptance-rejection sampling on indicator regions and a
 Metropolis-Hastings chain for the strongly correlated banana-shaped
 density exp(-f(x)) * standard_normal_pdf(x), where f is the Rosenbrock
-function with a = 1, b = 10.
+function (by default a = 1, b = 10).
+
+The chain draws all its normal steps and uniforms up front, then runs
+on Python floats: each log density is a fixed sequence of IEEE
+operations, with the squared norm summed in coordinate order, so no
+BLAS kernel (whose dot product may or may not fuse a multiply-add)
+decides an acceptance.
 """
 
 from __future__ import annotations
@@ -14,9 +20,11 @@ from __future__ import annotations
 import ast
 import json
 import math
+import numbers
 import struct
 import sys
 from dataclasses import dataclass, field
+from operator import add
 
 import numpy as np
 
@@ -47,6 +55,24 @@ _ACCEPT_WINDOW = 1000
 MAGIC = b"IQSAMPLE"
 
 
+def _check_mh_params(p: dict) -> None:
+    """InvalidSpec naming the first Metropolis-Hastings parameter out of range."""
+    for name in ("a", "b", "step"):
+        v = p.get(name, 0.0)
+        try:
+            ok = isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+        except OverflowError:  # an int beyond the float range
+            ok = False
+        if not ok:
+            raise InvalidSpec(f"rosenbrock {name} must be a finite number, got {v!r}")
+    if p.get("step", MH_STEP) <= 0:
+        raise InvalidSpec(f"rosenbrock step must be > 0, got {p['step']!r}")
+    for name, low in (("burn_in", 0), ("thinning", 1)):
+        v = p.get(name, low)
+        if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < low:
+            raise InvalidSpec(f"rosenbrock {name} must be an integer >= {low}, got {v!r}")
+
+
 @dataclass
 class DistributionSpec:
     """Declarative description of a sample source."""
@@ -71,8 +97,10 @@ class DistributionSpec:
             np.broadcast_to(np.asarray(p.get("sd", 1.0), float), self.d) <= 0
         ):
             raise InvalidSpec("normal sd must be positive")
-        if self.kind == ROSENBROCK and self.d < 2:
-            raise InvalidSpec("the banana density needs d >= 2")
+        if self.kind == ROSENBROCK:
+            if self.d < 2:
+                raise InvalidSpec("the banana density needs d >= 2")
+            _check_mh_params(p)
         if self.kind == INDICATOR:
             if "base" not in p or ("region" not in p and "predicate" not in p):
                 raise InvalidSpec("indicator needs a base spec and a region")
@@ -110,58 +138,71 @@ class DistributionSpec:
         )
 
 
-def _rosenbrock_exponent(x: np.ndarray, a: float, b: float) -> float:
-    total = 0.0
-    for i in range(x.shape[0] - 1):
-        di = x[i + 1] - x[i] * x[i]
-        total += b * di * di + (a - x[i]) * (a - x[i])
-    return total
+def _log_density(x, a: float, b: float) -> float:
+    """Log of the unnormalized target exp(-f(x)) * N(0, I) density.
 
-
-def rosenbrock_log_density(x: np.ndarray, a: float = 1.0, b: float = 10.0) -> float:
-    """Log of the unnormalized target exp(-f(x)) * N(0, I) density."""
-    x = np.asarray(x, dtype=float)
-    return -_rosenbrock_exponent(x, a, b) - 0.5 * float(np.dot(x, x))
+    `x` is a list of Python floats; the Rosenbrock terms and the squared
+    norm x0^2 + x1^2 + ... are running sums in coordinate order.
+    """
+    f = 0.0
+    sq = 0.0
+    u = x[0]
+    for v in x[1:]:
+        uu = u * u
+        di = v - uu
+        ai = a - u
+        f += b * di * di + ai * ai
+        sq += uu
+        u = v
+    return -f - 0.5 * (sq + u * u)
 
 
 def _mh_rosenbrock(spec: DistributionSpec, count: int, trace=None):
-    a = float(spec.params.get("a", 1.0))
-    b = float(spec.params.get("b", 10.0))
-    step = float(spec.params.get("step", MH_STEP))
-    burn_in = int(spec.params.get("burn_in", MH_BURN_IN))
-    thin = int(spec.params.get("thinning", MH_THINNING))
+    p = spec.params
+    a = float(p.get("a", 1.0))
+    b = float(p.get("b", 10.0))
+    step = float(p.get("step", MH_STEP))
+    burn_in = int(p.get("burn_in", MH_BURN_IN))
+    thin = int(p.get("thinning", MH_THINNING))
     rng = np.random.default_rng(np.random.PCG64(spec.seed))
     total = burn_in + count * thin
     steps = rng.normal(0.0, step, size=(total, spec.d))
     log_u = np.log(rng.random(total))
-    x = np.zeros(spec.d)
-    log_p = rosenbrock_log_density(x, a, b)
+    x = [0.0] * spec.d
+    log_p = _log_density(x, a, b)
     out = np.empty((count, spec.d))
     filled = 0
-    accepted_window = 0
+    keep_at = burn_in + thin - 1
     accepted_total = 0
-    for t in range(total):
-        prop = x + steps[t]
-        log_q = rosenbrock_log_density(prop, a, b)
-        accept = log_u[t] < log_q - log_p
-        if trace is not None:
-            trace.append((x.copy(), prop.copy(), log_q - log_p, log_u[t], bool(accept)))
-        if accept:
-            x = prop
-            log_p = log_q
-            accepted_window += 1
-            accepted_total += 1
-        if (t + 1) % _ACCEPT_WINDOW == 0:
-            if accepted_window / _ACCEPT_WINDOW < _MIN_ACCEPT_RATE:
-                raise AcceptanceTooLow(
-                    f"MH acceptance below {_MIN_ACCEPT_RATE} in a window at step {t}"
-                )
-            accepted_window = 0
-        if t >= burn_in and (t - burn_in) % thin == thin - 1:
-            out[filled] = x
-            filled += 1
-            if filled == count:
-                break
+    for start in range(0, total, _ACCEPT_WINDOW):
+        # to Python floats one window at a time: lists of the whole array
+        # would raise the peak memory of a long chain
+        window = zip(
+            range(start, total),
+            steps[start:start + _ACCEPT_WINDOW].tolist(),
+            log_u[start:start + _ACCEPT_WINDOW].tolist(),
+        )
+        accepted = 0
+        for t, s, lu in window:
+            prop = list(map(add, x, s))
+            log_q = _log_density(prop, a, b)
+            accept = lu < log_q - log_p
+            if trace is not None:
+                trace.append((np.array(x), np.array(prop), log_q - log_p, lu, accept))
+            if accept:
+                x = prop
+                log_p = log_q
+                accepted += 1
+            if t == keep_at:
+                out[filled] = x
+                filled += 1
+                keep_at += thin
+        accepted_total += accepted
+        # only a full window is judged
+        if t - start + 1 == _ACCEPT_WINDOW and accepted / _ACCEPT_WINDOW < _MIN_ACCEPT_RATE:
+            raise AcceptanceTooLow(
+                f"MH acceptance below {_MIN_ACCEPT_RATE} in a window at step {t}"
+            )
     provenance = {
         "kind": ROSENBROCK,
         "seed": spec.seed,
@@ -170,9 +211,9 @@ def _mh_rosenbrock(spec: DistributionSpec, count: int, trace=None):
         "step": step,
         "burn_in": burn_in,
         "thinning": thin,
-        "acceptance_rate": accepted_total / max(t + 1, 1),
+        "acceptance_rate": accepted_total / total,
     }
-    return SampleSet(out[:filled], provenance=provenance)
+    return SampleSet(out, provenance=provenance)
 
 
 _REGION_FUNCS = {"abs": abs, "min": min, "max": max}

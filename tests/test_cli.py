@@ -32,6 +32,17 @@ class TestGenSamples:
                    "--count", 10, "--out", tmp_path / "x.csv")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "params", ['{"step": 0}', '{"burn_in": 2.5}', '{"burn_in": -5}', '{"thinning": 0}']
+    )
+    def test_bad_rosenbrock_parameter_exits_2(self, params, tmp_path, caplog):
+        name = params.split('"')[1]
+        dist = '{"kind":"rosenbrock","d":2,"params":%s}' % params
+        code = run("gen-samples", "--dist", dist, "--count", 5, "--out", tmp_path / "x.csv")
+        assert code == 2
+        assert f"rosenbrock {name} must be" in caplog.text
+        assert not (tmp_path / "x.csv").exists()
+
     def test_same_seed_identical_files(self, tmp_path):
         a = tmp_path / "a.bin"
         b = tmp_path / "b.bin"

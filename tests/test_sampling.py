@@ -1,9 +1,12 @@
 """Tests for sample generation and file I/O."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from samplequad.errors import (
     AcceptanceTooLow,
@@ -26,6 +29,55 @@ def banana_log_density_oracle(x):
         b * (x[i + 1] - x[i] ** 2) ** 2 + (a - x[i]) ** 2 for i in range(len(x) - 1)
     )
     return -f - 0.5 * float(np.dot(x, x))
+
+
+def frozen_mh_rosenbrock(spec, count):
+    """The numpy chain the Python-float sampler replaced, without its trace.
+
+    Returns (points, acceptance rate).  Its log density takes the squared
+    norm from `np.dot`; the accept decisions must agree anyway.
+    """
+
+    def log_density(x, a, b):
+        total = 0.0
+        for i in range(x.shape[0] - 1):
+            di = x[i + 1] - x[i] * x[i]
+            total += b * di * di + (a - x[i]) * (a - x[i])
+        return -total - 0.5 * float(np.dot(x, x))
+
+    a = float(spec.params.get("a", 1.0))
+    b = float(spec.params.get("b", 10.0))
+    step = float(spec.params.get("step", 0.25))
+    burn_in = int(spec.params.get("burn_in", 10_000))
+    thin = int(spec.params.get("thinning", 10))
+    rng = np.random.default_rng(np.random.PCG64(spec.seed))
+    total = burn_in + count * thin
+    steps = rng.normal(0.0, step, size=(total, spec.d))
+    log_u = np.log(rng.random(total))
+    x = np.zeros(spec.d)
+    log_p = log_density(x, a, b)
+    out = np.empty((count, spec.d))
+    filled = 0
+    accepted_window = 0
+    accepted_total = 0
+    for t in range(total):
+        prop = x + steps[t]
+        log_q = log_density(prop, a, b)
+        if log_u[t] < log_q - log_p:
+            x = prop
+            log_p = log_q
+            accepted_window += 1
+            accepted_total += 1
+        if (t + 1) % 1000 == 0:
+            if accepted_window / 1000 < 1e-4:
+                raise AcceptanceTooLow(f"MH acceptance below 0.0001 in a window at step {t}")
+            accepted_window = 0
+        if t >= burn_in and (t - burn_in) % thin == thin - 1:
+            out[filled] = x
+            filled += 1
+            if filled == count:
+                break
+    return out[:filled], accepted_total / max(t + 1, 1)
 
 
 class TestGenerate:
@@ -67,6 +119,22 @@ class TestGenerate:
             DistributionSpec(kind="normal", d=1, params={"sd": 0.0})
         with pytest.raises(InvalidSpec):
             DistributionSpec(kind="rosenbrock", d=1)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("step", 0), ("step", -0.5), ("step", math.inf), ("step", math.nan), ("step", "0.5"),
+         ("burn_in", 2.5), ("burn_in", -5), ("burn_in", True),
+         ("thinning", 0), ("thinning", 1.5), ("thinning", -1),
+         ("a", math.inf), ("a", None), ("b", math.nan), ("b", -math.inf)],
+    )
+    def test_bad_rosenbrock_parameter_is_named(self, name, value):
+        with pytest.raises(InvalidSpec, match=f"rosenbrock {name} must be"):
+            DistributionSpec(kind="rosenbrock", d=2, params={name: value})
+
+    def test_rosenbrock_parameter_bounds_are_inclusive(self):
+        params = {"step": 1e-3, "burn_in": np.int64(0), "thinning": 1, "a": -2, "b": 0.0}
+        ss = generate(DistributionSpec(kind="rosenbrock", d=2, params=params), 3)
+        assert ss.count == 3 and ss.provenance["burn_in"] == 0
 
 
 class TestRosenbrock:
@@ -113,6 +181,37 @@ class TestRosenbrock:
         ss = generate(spec, 500)
         rate = ss.provenance["acceptance_rate"]
         assert 0.05 <= rate <= 0.95
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        d=st.integers(2, 4),
+        step=st.floats(0.01, 2.0),
+        burn_in=st.integers(0, 1500),
+        thinning=st.integers(1, 5),
+        a=st.floats(-2.0, 2.0),
+        b=st.floats(0.0, 20.0),
+        count=st.integers(1, 40),
+    )
+    def test_same_chain_as_the_frozen_numpy_loop(
+        self, seed, d, step, burn_in, thinning, a, b, count
+    ):
+        params = {"step": step, "burn_in": burn_in, "thinning": thinning, "a": a, "b": b}
+        spec = DistributionSpec(kind="rosenbrock", d=d, seed=seed, params=params)
+        try:
+            want, rate = frozen_mh_rosenbrock(spec, count)
+        except AcceptanceTooLow as exc:
+            with pytest.raises(AcceptanceTooLow, match=re.escape(str(exc))):
+                generate(spec, count)
+            return
+        got = generate(spec, count)
+        assert got.points.tobytes() == want.tobytes()
+        assert got.provenance["acceptance_rate"] == rate
+
+    def test_huge_step_stalls_in_the_first_window(self):
+        spec = DistributionSpec(kind="rosenbrock", d=2, params={"step": 1e3})
+        with pytest.raises(AcceptanceTooLow, match="at step 999$"):
+            generate(spec, 5)
 
 
 class TestIndicatorRegion:
