@@ -11,7 +11,6 @@ with a per-coordinate affine map onto [-1, 1].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -22,28 +21,6 @@ from .errors import DimensionMismatch, InvalidDomain, InvalidSpec
 MONOMIAL = "monomial"
 PRODUCT_LEGENDRE = "product_legendre"
 FAMILIES = (MONOMIAL, PRODUCT_LEGENDRE)
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Exponent vector of one multivariate monomial."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.exponents) < 1:
-            raise InvalidSpec("multi-index needs at least one coordinate")
-        if any(e < 0 for e in self.exponents):
-            raise InvalidSpec("exponents must be non-negative")
-
-    @property
-    def total_degree(self) -> int:
-        return sum(self.exponents)
-
-    def sort_key(self):
-        # graded; within a degree compare from the last coordinate,
-        # larger last-differing exponent sorts later
-        return (self.total_degree, self.exponents[::-1])
 
 
 def _compositions(total: int, parts: int):
@@ -64,30 +41,6 @@ def _indices_cached(d: int, count: int) -> tuple[tuple[int, ...], ...]:
         out.extend(sorted(_compositions(degree, d), key=lambda e: e[::-1]))
         degree += 1
     return tuple(out[:count])
-
-
-def generate_indices(d: int, count: int) -> list[MultiIndex]:
-    """First `count` multi-indices in graded reverse-lexicographic order.
-
-    The primary key is ascending total degree; the first index is all
-    zeros, so the leading basis function is the constant.
-    """
-    if d < 1:
-        raise InvalidSpec("dimension must be >= 1")
-    if count < 1:
-        raise InvalidSpec("count must be >= 1")
-    return [MultiIndex(e) for e in _indices_cached(d, count)]
-
-
-def dimension_for_degree(d: int, q: int) -> int:
-    """Number of d-variate monomials of total degree <= q, i.e. C(q+d, d).
-
-    A basis of at least this size reproduces every polynomial of total
-    degree q.  Exact integer arithmetic; never wraps.
-    """
-    if d < 1 or q < 0:
-        raise InvalidSpec("need d >= 1 and q >= 0")
-    return math.comb(q + d, d)
 
 
 @dataclass(frozen=True)
@@ -214,12 +167,3 @@ def basis_matrix(spec: BasisSpec, points: np.ndarray) -> np.ndarray:
         out *= powers[expo[:, i], :]
     return out
 
-
-def evaluate_basis(spec: BasisSpec, point) -> np.ndarray:
-    """Evaluate all basis functions at a single d-vector."""
-    pt = np.asarray(point, dtype=float).reshape(-1)
-    if pt.shape[0] != spec.d:
-        raise DimensionMismatch(
-            f"point has dimension {pt.shape[0]}, basis expects {spec.d}"
-        )
-    return basis_matrix(spec, pt.reshape(1, -1))[:, 0]

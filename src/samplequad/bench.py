@@ -56,9 +56,6 @@ class GenzFunction:
         if self.a.shape != self.b.shape:
             raise ValueError("a and b must have equal length")
 
-    def __call__(self, x):
-        return genz_eval(self, x)
-
 
 def genz_eval_many(f: GenzFunction, pts: np.ndarray) -> np.ndarray:
     """Vectorized evaluation over an (n, d) point array."""
@@ -83,10 +80,6 @@ def genz_eval_many(f: GenzFunction, pts: np.ndarray) -> np.ndarray:
     vals = np.exp(pts @ a)
     vals[cut] = 0.0
     return vals
-
-
-def genz_eval(f: GenzFunction, x) -> float:
-    return float(genz_eval_many(f, np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 def draw_genz_params(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

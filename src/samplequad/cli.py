@@ -72,12 +72,8 @@ def cmd_gen_samples(args) -> int:
     return 0
 
 
-def _read_any_samples(path):
-    return read_samples(path, "csv" if str(path).endswith(".csv") else "binary_f64")
-
-
 def cmd_build(args) -> int:
-    samples = _read_any_samples(args.samples)
+    samples = read_samples(args.samples)
     family = "product_legendre" if args.basis == "legendre" else "monomial"
     spec = BasisSpec(
         d=samples.d,
@@ -97,7 +93,7 @@ def cmd_build(args) -> int:
 
 def cmd_extend(args) -> int:
     base = QuadratureRule.load(args.rule)
-    samples = _read_any_samples(args.samples)
+    samples = read_samples(args.samples)
     req = ExtensionRequest(
         base=base,
         target_basis_size=args.degree_size,

@@ -1,4 +1,4 @@
-"""Dense Vandermonde assembly and robust null-space extraction.
+"""Null vectors of the extended Vandermonde: a cached inverse, an SVD fallback.
 
 The per-sample iteration repeatedly needs one null vector of a matrix
 that is the current (square) Vandermonde extended by a single new
@@ -21,19 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import BasisSpec, basis_matrix
+from .basis import basis_matrix  # noqa: F401  (perfbench's timing shims wrap it here)
 from .errors import DimensionMismatch, NullSpaceFailure
 from .tolerances import TOL_FAST, TOL_LEAD, TOL_NULL, TOL_PIVOT
-
-
-def build_vandermonde(spec: BasisSpec, nodes) -> np.ndarray:
-    """V[j][k] = phi_j(nodes[k]); shape (size, n_nodes)."""
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim == 1:
-        nodes = nodes.reshape(-1, 1) if spec.d == 1 else nodes.reshape(1, -1)
-    if nodes.shape[0] < 1:
-        raise DimensionMismatch("need at least one node")
-    return basis_matrix(spec, nodes)
 
 
 def _fix_sign(c: np.ndarray) -> np.ndarray:
@@ -101,10 +91,6 @@ class ExtensionFactorization:
     def __init__(self, V_base: np.ndarray):
         self.V = np.array(V_base, dtype=float)
         self._refresh()
-
-    @property
-    def shape(self):
-        return self.V.shape
 
     def _refresh(self):
         self._fnorm2 = float(np.sum(self.V * self.V))

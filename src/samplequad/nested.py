@@ -28,11 +28,11 @@ observed run lengths, backing off where runs keep failing at once.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import BasisSpec, basis_matrix, domain_from_samples
+from .basis import basis_matrix
 from .errors import (
     DegenerateNullVector,
     DimensionMismatch,
@@ -42,7 +42,8 @@ from .errors import (
     ModeMismatch,
     NullSpaceFailure,
 )
-from .linalg import ExtensionFactorization, null_space, null_vector
+from .linalg import ExtensionFactorization, null_space
+from .linalg import null_vector  # noqa: F401  (perfbench's timing shims wrap it here)
 from .removal import Removal, RemovalProblem, attained_indices
 from .rule import _BLOCK, BlockMoments, QuadratureRule, SampleSet
 from .rule import apply_removal, choose_alpha, dropped_mask, removal_interval
@@ -62,9 +63,12 @@ MODES = (CONTINUE_SAMPLES, INCREASE_DEGREE, RESAMPLED)
 
 @dataclass
 class ExtensionRequest:
-    """What to extend, toward which basis size, and from which samples."""
+    """What to extend, toward which basis size, and from which samples.
 
-    base: QuadratureRule | None
+    The base must have nodes; `construct_fixed_rule` builds the first rule.
+    """
+
+    base: QuadratureRule
     target_basis_size: int
     sample_source: SampleSet
     mode: str
@@ -73,26 +77,15 @@ class ExtensionRequest:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ModeMismatch(f"unknown extension mode {self.mode!r}")
-        if self.base is not None and self.base.n_nodes > 0:
-            if self.target_basis_size < self.base.spec.size:
-                raise ModeMismatch("target basis must be at least as large as the base")
-            if self.sample_source.d != self.base.spec.d:
-                raise DimensionMismatch("sample dimension does not match base rule")
-
-
-def _extended_spec(req: ExtensionRequest) -> BasisSpec:
-    if req.base is not None and req.base.n_nodes > 0:
-        old = req.base.spec
-        if old.size == req.target_basis_size:
-            return old
-        return BasisSpec(
-            d=old.d, size=req.target_basis_size, family=old.family, domain=old.domain
-        )
-    return BasisSpec(
-        d=req.sample_source.d,
-        size=req.target_basis_size,
-        domain=domain_from_samples(req.sample_source.points),
-    )
+        if self.base is None or self.base.n_nodes == 0:
+            raise ModeMismatch(
+                "extension needs a base rule with nodes; "
+                "construct_fixed_rule builds the first rule"
+            )
+        if self.target_basis_size < self.base.spec.size:
+            raise ModeMismatch("target basis must be at least as large as the base")
+        if self.sample_source.d != self.base.spec.d:
+            raise DimensionMismatch("sample dimension does not match base rule")
 
 
 def _check_nodes_in_stream(base: QuadratureRule, source: SampleSet, what: str):
@@ -113,19 +106,8 @@ def initialize_extension(req: ExtensionRequest):
     the working rule; they also tag node provenance.
     """
     source = req.sample_source
-    spec = _extended_spec(req)
+    spec = replace(req.base.spec, size=req.target_basis_size)
     base = req.base
-    if base is None or base.n_nodes == 0:
-        work = QuadratureRule(
-            nodes=source.points[:1].copy(),
-            weights=np.array([1.0]),
-            spec=spec,
-            K=0,
-            source_indices=np.array([0], dtype=np.intp),
-            fixed_mask=np.array([False]),
-        )
-        return work, np.arange(1, source.count)
-
     if req.mode == CONTINUE_SAMPLES:
         if req.target_basis_size != base.spec.size:
             raise ModeMismatch("continue_samples cannot change the basis size")
@@ -335,6 +317,16 @@ class _StreamEngine:
         c[pos] = c_loc[-1]
         return c
 
+    def _pick(self, candidates, zeroed_sets):
+        """The candidate whose zeroed set deletes the most non-fixed nodes.
+
+        A seeded draw breaks ties; the generator is consulted only then.
+        """
+        counts = [len(self._deletable(zeroed)) for zeroed in zeroed_sets]
+        best = max(counts)
+        pool = [cand for cand, cnt in zip(candidates, counts) if cnt == best]
+        return pool[0] if len(pool) == 1 else pool[int(self.rng.integers(len(pool)))]
+
     def _single_direction(self, v, col):
         n = self.X.shape[0]
         c = self._embed_at(self.fact.null_vector_extended(col), n)
@@ -346,14 +338,11 @@ class _StreamEngine:
         a_min, _, a_max, _, feasible = removal_interval(v, c)
         if not feasible:
             raise NullSpaceFailure("empty removal interval on non-negative weights")
-        cands = []
-        for alpha, side in ((a_max, +1), (a_min, -1)):
-            u, zeroed = self._candidate(v, c, alpha, attained_indices(v, c, alpha, side))
-            cands.append((len(self._deletable(zeroed)), u, zeroed))
-        best = max(cand[0] for cand in cands)
-        pool = [cand for cand in cands if cand[0] == best]
-        pick = pool[0] if len(pool) == 1 else pool[int(self.rng.integers(len(pool)))]
-        return pick[1], pick[2]
+        cands = [
+            self._candidate(v, c, alpha, attained_indices(v, c, alpha, side))
+            for alpha, side in ((a_max, +1), (a_min, -1))
+        ]
+        return self._pick(cands, [zeroed for _, zeroed in cands])
 
     def _null_basis(self, v, col, excess):
         """Null basis of [V, col] and a vertex to seed the removal walk.
@@ -387,10 +376,7 @@ class _StreamEngine:
         if stats["capped"]:
             log.debug("removal walk capped at sample %d: %d vertices",
                       self.consumed - 1, len(removals))
-        new_counts = [len(self._deletable(r.zero_indices)) for r in removals]
-        best = max(new_counts)
-        pool = [r for r, cnt in zip(removals, new_counts) if cnt == best]
-        pick = pool[0] if len(pool) == 1 else pool[int(self.rng.integers(len(pool)))]
+        pick = self._pick(removals, [r.zero_indices for r in removals])
         _, w_q = problem.vertex_weights(pick.indices)
         tol = TOL_ZERO_FACTOR * max(float(w_q.max()), 0.0)
         zero = w_q <= tol
@@ -535,12 +521,10 @@ def extend_rule(req: ExtensionRequest, selection_seed: int = 0) -> QuadratureRul
     # sample source (increase_degree re-adds the base nodes it skipped)
     rng = np.random.default_rng(selection_seed)
     out = run_stream(work, req.sample_source.points, stream_idx, rng, req.removal_cap)
-    base = req.base
-    if base is not None and base.n_nodes > 0:
-        base_keys = {row.tobytes() for row in base.nodes}
-        out_keys = {row.tobytes() for row in out.nodes}
-        if not base_keys <= out_keys:
-            raise ExactnessViolation("base nodes are not a subset of the extension")
+    base_keys = {row.tobytes() for row in req.base.nodes}
+    out_keys = {row.tobytes() for row in out.nodes}
+    if not base_keys <= out_keys:
+        raise ExactnessViolation("base nodes are not a subset of the extension")
     return out
 
 

@@ -25,18 +25,14 @@ its own through the same exchange scan.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_matrix
+from .basis import basis_matrix  # noqa: F401  (perfbench's timing shims wrap it here)
 from .errors import DegenerateNullVector, DimensionMismatch, NoRemovalExists, NullSpaceFailure
-from .linalg import null_space
+from .linalg import null_space  # noqa: F401  (perfbench's timing shims wrap it here)
 from .tolerances import TOL_VERTEX_NEG, TOL_VERTEX_RESID, TOL_VERTEX_ZERO, TOL_ZERO_FACTOR
-
-if TYPE_CHECKING:
-    from .rule import QuadratureRule
 
 
 def ratio_extrema(weights: np.ndarray, c: np.ndarray, exclude: np.ndarray | None = None):
@@ -89,27 +85,14 @@ class Removal:
 class RemovalProblem:
     """Removal computations for one positive rule and removal size M."""
 
-    def __init__(self, rule: QuadratureRule, m: int):
-        n = rule.n_nodes
-        if not 1 <= m < n:
-            raise DimensionMismatch(f"need 1 <= M < {n}, got {m}")
-        if rule.spec.size < n - m:
-            raise DimensionMismatch("rule basis too small for this removal size")
-        V = basis_matrix(replace(rule.spec, size=n - m), rule.nodes)
-        self._init_from_parts(V, rule.weights, null_space(V, m))
-
     @classmethod
     def from_parts(cls, V: np.ndarray, weights: np.ndarray, null_basis: np.ndarray):
-        """Build from a precomputed Vandermonde and null basis.
+        """Build from a Vandermonde V, its weights and a null basis of V.
 
-        `null_basis` columns must span the null space of V; they need
-        not be orthonormal.
+        The M columns of `null_basis` must span the null space of V; they
+        need not be orthonormal.
         """
         self = cls.__new__(cls)
-        self._init_from_parts(V, weights, null_basis)
-        return self
-
-    def _init_from_parts(self, V, weights, null_basis):
         self.V = np.asarray(V, dtype=float)
         self.w = np.asarray(weights, dtype=float)
         self.C = np.asarray(null_basis, dtype=float)
@@ -123,6 +106,7 @@ class RemovalProblem:
         self._tol_res = TOL_VERTEX_RESID * max(1.0, self.wmax)
         self._tol_neg = -TOL_VERTEX_NEG * max(1.0, self.wmax)
         self._eye = np.eye(self.m, dtype=bool)
+        return self
 
     # -- vertex algebra -------------------------------------------------
 

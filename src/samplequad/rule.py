@@ -11,7 +11,7 @@ zero, and `dropped_mask` marks every weight that reached zero.  Where
 that zeroes a fixed node the engine prices both ends of
 `removal_interval` instead.  All of them read the one ratio scan,
 `removal.ratio_extrema`.  `construct_fixed_rule` runs the engine without
-fixed nodes: a fixed rule is an extension with no base.
+fixed nodes.
 """
 
 from __future__ import annotations
@@ -58,14 +58,6 @@ class SampleSet:
 
     @property
     def count(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def K(self) -> int:
-        """Index of the last sample (count - 1)."""
-        return self.points.shape[0] - 1
-
-    def __len__(self) -> int:
         return self.points.shape[0]
 
 
@@ -166,10 +158,6 @@ class QuadratureRule:
     def moment_residual(self, moments: MomentVector | np.ndarray) -> float:
         mu = moments.values if isinstance(moments, MomentVector) else np.asarray(moments)
         return float(np.abs(self.vandermonde() @ self.weights - mu).max())
-
-    def stability_gap(self) -> float:
-        """|sum|w| - 1|; zero for a normalized non-negative rule."""
-        return abs(float(np.abs(self.weights).sum()) - 1.0)
 
     def to_json_dict(self) -> dict:
         return {

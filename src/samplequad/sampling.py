@@ -31,6 +31,8 @@ import numpy as np
 from .errors import (
     AcceptanceTooLow,
     DimensionInconsistent,
+    DimensionMismatch,
+    InsufficientSamples,
     InvalidSpec,
     ParseError,
 )
@@ -102,10 +104,9 @@ class DistributionSpec:
                 raise InvalidSpec("the banana density needs d >= 2")
             _check_mh_params(p)
         if self.kind == INDICATOR:
-            if "base" not in p or ("region" not in p and "predicate" not in p):
+            if "base" not in p or "region" not in p:
                 raise InvalidSpec("indicator needs a base spec and a region")
-            if not callable(p.get("predicate")) and "region" in p:
-                _parse_region(p["region"], self.d)
+            _parse_region(p["region"], self.d)
         if self.kind == FILE and "path" not in p:
             raise InvalidSpec("file kind needs a path")
 
@@ -117,12 +118,9 @@ class DistributionSpec:
         return lo, hi
 
     def to_json_dict(self) -> dict:
-        params = {
-            k: v for k, v in self.params.items() if not callable(v)
-        }
-        if self.kind == INDICATOR and isinstance(self.params.get("base"), DistributionSpec):
-            params = dict(params)
-            params["base"] = self.params["base"].to_json_dict()
+        params = dict(self.params)
+        if self.kind == INDICATOR and isinstance(params.get("base"), DistributionSpec):
+            params["base"] = params["base"].to_json_dict()
         return {"kind": self.kind, "d": self.d, "seed": self.seed, "params": params}
 
     @classmethod
@@ -269,9 +267,6 @@ def _parse_region(expr, d: int):
 
 
 def _indicator_predicate(spec: DistributionSpec):
-    pred = spec.params.get("predicate")
-    if callable(pred):
-        return pred
     code = _parse_region(spec.params["region"], spec.d)
     env = {"__builtins__": {}, "pi": math.pi, **_REGION_FUNCS}
 
@@ -324,11 +319,23 @@ def _rejection_sample(spec: DistributionSpec, count: int):
 
 
 def generate(spec: DistributionSpec, count: int, trace=None) -> SampleSet:
-    """Draw `count` points; deterministic for a fixed spec and seed."""
+    """Draw `count` points; deterministic for a fixed spec and seed.
+
+    A `file` spec yields the first `count` rows of its file.
+    """
     if count < 1:
         raise InvalidSpec("count must be >= 1")
     if spec.kind == FILE:
-        return read_samples(spec.params["path"], spec.params.get("format"))
+        samples = read_samples(spec.params["path"], spec.params.get("format"))
+        if samples.d != spec.d:
+            raise DimensionMismatch(
+                f"sample file has dimension {samples.d}, the spec declares {spec.d}"
+            )
+        if samples.count < count:
+            raise InsufficientSamples(
+                f"sample file has {samples.count} samples, {count} requested"
+            )
+        return SampleSet(samples.points[:count], provenance=samples.provenance)
     if spec.kind == ROSENBROCK:
         return _mh_rosenbrock(spec, count, trace=trace)
     if spec.kind == INDICATOR:

@@ -7,15 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from samplequad.basis import (
-    BasisSpec,
-    MultiIndex,
-    basis_matrix,
-    dimension_for_degree,
-    domain_from_samples,
-    evaluate_basis,
-    generate_indices,
-)
+from samplequad.basis import BasisSpec, basis_matrix, domain_from_samples
 from samplequad.errors import DimensionMismatch, InvalidDomain, InvalidSpec
 
 
@@ -41,6 +33,16 @@ def oracle_indices(d, count):
     return out[:count]
 
 
+def indices(d, count):
+    """The first `count` exponent tuples of the basis order."""
+    return list(BasisSpec(d, count).indices)
+
+
+def evaluate_at(spec, x):
+    """Every basis function at the single point `x`."""
+    return basis_matrix(spec, np.reshape(x, (1, -1)))[:, 0]
+
+
 def legendre_oracle(n, x):
     """Three-term recurrence, written independently of the library."""
     values = [1.0, x]
@@ -50,65 +52,73 @@ def legendre_oracle(n, x):
 
 
 class TestGenerateIndices:
+    """The exponent tuples of `BasisSpec.indices`, in basis order."""
+
     def test_univariate_is_degree_order(self):
-        assert [m.exponents for m in generate_indices(1, 4)] == [(0,), (1,), (2,), (3,)]
+        assert indices(1, 4) == [(0,), (1,), (2,), (3,)]
 
     def test_first_index_is_constant(self):
         for d in (1, 2, 5):
-            assert generate_indices(d, 1)[0].exponents == (0,) * d
+            assert indices(d, 1)[0] == (0,) * d
 
     def test_bivariate_degree_two(self):
-        got = [m.exponents for m in generate_indices(2, 6)]
+        got = indices(2, 6)
         assert got == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
         assert got == oracle_indices(2, 6)
 
     def test_matches_oracle_comparator(self):
         for d, count in [(2, 25), (3, 40), (5, 60)]:
-            got = [m.exponents for m in generate_indices(d, count)]
-            assert got == oracle_indices(d, count)
+            assert indices(d, count) == oracle_indices(d, count)
 
     def test_prefix_property(self):
         for n1, n2 in [(3, 10), (7, 30)]:
-            small = generate_indices(3, n1)
-            large = generate_indices(3, n2)
-            assert large[:n1] == small
+            assert indices(3, n2)[:n1] == indices(3, n1)
 
     def test_degrees_non_decreasing(self):
-        degs = [m.total_degree for m in generate_indices(4, 80)]
+        degs = [sum(e) for e in indices(4, 80)]
         assert degs == sorted(degs)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(InvalidSpec):
-            generate_indices(0, 3)
+            BasisSpec(0, 3)
         with pytest.raises(InvalidSpec):
-            generate_indices(2, 0)
+            BasisSpec(2, 0)
+
+
+def degree_count(d, q):
+    """How many leading basis functions have total degree <= q."""
+    degs = [sum(e) for e in indices(d, math.comb(q + d, d) + 1)]
+    return degs.index(q + 1)
 
 
 class TestDimensionForDegree:
+    """A basis of C(q+d, d) functions holds exactly the degrees <= q."""
+
     def test_univariate(self):
-        assert dimension_for_degree(1, 5) == 6
+        assert degree_count(1, 5) == 6
 
     def test_five_dimensional(self):
-        assert dimension_for_degree(5, 2) == math.comb(7, 5) == 21
+        assert degree_count(5, 2) == math.comb(7, 5) == 21
 
     def test_matches_grevlex_block_length(self):
         # all indices of total degree <= 2 in d=2
-        assert dimension_for_degree(2, 2) == 6
-        idx = generate_indices(2, 6)
-        assert max(m.total_degree for m in idx) == 2
+        assert degree_count(2, 2) == 6
+        assert max(sum(e) for e in indices(2, 6)) == 2
 
     def test_exact_for_large_input(self):
-        assert dimension_for_degree(20, 30) == math.comb(50, 20)
+        assert degree_count(20, 2) == math.comb(22, 20) == 231
 
 
 class TestEvaluateBasis:
+    """`basis_matrix` at single points."""
+
     def test_legendre_degree_one(self):
         spec = BasisSpec(d=1, size=2, domain=((-1.0, 1.0),))
-        np.testing.assert_allclose(evaluate_basis(spec, [0.5]), [1.0, 0.5])
+        np.testing.assert_allclose(evaluate_at(spec, [0.5]), [1.0, 0.5])
 
     def test_legendre_degree_two_recurrence(self):
         spec = BasisSpec(d=1, size=3, domain=((-1.0, 1.0),))
-        got = evaluate_basis(spec, [0.5])
+        got = evaluate_at(spec, [0.5])
         assert got[2] == pytest.approx(-0.125, abs=1e-15)
         np.testing.assert_allclose(
             got, [legendre_oracle(n, 0.5) for n in range(3)], atol=1e-15
@@ -117,35 +127,35 @@ class TestEvaluateBasis:
     def test_monomial_products(self):
         spec = BasisSpec(d=2, size=6, family="monomial", domain=((0.0, 5.0),) * 2)
         np.testing.assert_allclose(
-            evaluate_basis(spec, [2.0, 3.0]), [1, 2, 3, 4, 6, 9]
+            evaluate_at(spec, [2.0, 3.0]), [1, 2, 3, 4, 6, 9]
         )
 
     def test_constant_entry_is_one(self):
         rng = np.random.default_rng(3)
         spec = BasisSpec(d=3, size=20, domain=((0.0, 1.0),) * 3)
         for _ in range(10):
-            vals = evaluate_basis(spec, rng.random(3))
+            vals = evaluate_at(spec, rng.random(3))
             assert vals[0] == 1.0
 
     def test_legendre_at_mapped_endpoint_is_one(self):
         spec = BasisSpec(d=1, size=12, domain=((2.0, 7.0),))
-        np.testing.assert_allclose(evaluate_basis(spec, [7.0]), np.ones(12), atol=1e-12)
+        np.testing.assert_allclose(evaluate_at(spec, [7.0]), np.ones(12), atol=1e-12)
 
     def test_domain_map_respected(self):
         spec = BasisSpec(d=1, size=3, domain=((0.0, 1.0),))
-        mid = evaluate_basis(spec, [0.5])
+        mid = evaluate_at(spec, [0.5])
         np.testing.assert_allclose(mid, [1.0, 0.0, -0.5], atol=1e-15)
 
     def test_oracle_on_random_points(self):
         rng = np.random.default_rng(11)
         spec = BasisSpec(d=2, size=15, domain=((-1.0, 1.0),) * 2)
-        expo = [m.exponents for m in generate_indices(2, 15)]
+        expo = indices(2, 15)
         for _ in range(5):
             x = rng.uniform(-1, 1, 2)
             want = [
                 legendre_oracle(e[0], x[0]) * legendre_oracle(e[1], x[1]) for e in expo
             ]
-            np.testing.assert_allclose(evaluate_basis(spec, x), want, atol=1e-13)
+            np.testing.assert_allclose(evaluate_at(spec, x), want, atol=1e-13)
 
     def test_matrix_matches_pointwise(self):
         rng = np.random.default_rng(4)
@@ -153,12 +163,12 @@ class TestEvaluateBasis:
         pts = rng.random((7, 2))
         mat = basis_matrix(spec, pts)
         for k in range(7):
-            np.testing.assert_array_equal(mat[:, k], evaluate_basis(spec, pts[k]))
+            np.testing.assert_array_equal(mat[:, k], evaluate_at(spec, pts[k]))
 
     def test_dimension_mismatch(self):
         spec = BasisSpec(d=2, size=3, domain=((0.0, 1.0),) * 2)
         with pytest.raises(DimensionMismatch):
-            evaluate_basis(spec, [0.5])
+            evaluate_at(spec, [0.5])
 
 
 class TestBasisSpec:
@@ -188,9 +198,3 @@ class TestBasisSpec:
         pts = np.array([[0.0, 1.0], [1.0, 2.0], [0.5, bad]])
         with pytest.raises(InvalidDomain, match="finite"):
             domain_from_samples(pts)
-
-    def test_multi_index_invariants(self):
-        m = MultiIndex((2, 0, 1))
-        assert m.total_degree == 3
-        with pytest.raises(InvalidSpec):
-            MultiIndex((-1, 0))

@@ -12,41 +12,46 @@ from samplequad.bench import (
     REGENERATED_RULE,
     draw_genz_params,
     fit_slope,
-    genz_eval,
     genz_eval_many,
     run_convergence,
 )
 from samplequad.sampling import DistributionSpec
 
 
+def genz_at(f, x):
+    """The integrand's value at the single point `x`."""
+    (value,) = genz_eval_many(f, x)
+    return float(value)
+
+
 class TestGenzEval:
     def test_oscillatory_collapse(self):
         f = GenzFunction("oscillatory", a=np.zeros(3), b=np.zeros(3))
         for x in (np.zeros(3), np.ones(3), np.array([0.3, 0.6, 0.9])):
-            assert genz_eval(f, x) == 1.0
+            assert genz_at(f, x) == 1.0
 
     def test_discontinuous_cutoff(self):
         f = GenzFunction("discontinuous", a=np.ones(2), b=np.array([0.5, 0.5]))
-        assert genz_eval(f, [0.6, 0.1]) == 0.0
-        assert genz_eval(f, [0.1, 0.6]) == 0.0
-        assert genz_eval(f, [0.1, 0.1]) == pytest.approx(np.exp(0.2))
+        assert genz_at(f, [0.6, 0.1]) == 0.0
+        assert genz_at(f, [0.1, 0.6]) == 0.0
+        assert genz_at(f, [0.1, 0.1]) == pytest.approx(np.exp(0.2))
 
     def test_corner_peak_hand_value(self):
         f = GenzFunction("corner_peak", a=np.ones(2), b=np.zeros(2))
-        assert genz_eval(f, [1.0, 1.0]) == pytest.approx(1.0 / 27.0, abs=1e-15)
+        assert genz_at(f, [1.0, 1.0]) == pytest.approx(1.0 / 27.0, abs=1e-15)
 
     def test_product_peak(self):
         f = GenzFunction("product_peak", a=np.array([2.0]), b=np.array([0.5]))
-        assert genz_eval(f, [0.5]) == pytest.approx(4.0)
+        assert genz_at(f, [0.5]) == pytest.approx(4.0)
 
     def test_c0_kink(self):
         f = GenzFunction("c0", a=np.array([3.0]), b=np.array([0.5]))
-        assert genz_eval(f, [0.5]) == 1.0
-        assert genz_eval(f, [0.0]) == pytest.approx(np.exp(-1.5))
+        assert genz_at(f, [0.5]) == 1.0
+        assert genz_at(f, [0.0]) == pytest.approx(np.exp(-1.5))
 
     def test_gaussian(self):
         f = GenzFunction("gaussian", a=np.array([2.0, 1.0]), b=np.array([0.0, 0.0]))
-        assert genz_eval(f, [0.5, 0.5]) == pytest.approx(np.exp(-(4 * 0.25 + 0.25)))
+        assert genz_at(f, [0.5, 0.5]) == pytest.approx(np.exp(-(4 * 0.25 + 0.25)))
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(0)
@@ -55,7 +60,7 @@ class TestGenzEval:
         for family in FAMILIES:
             f = GenzFunction(family, a, b)
             many = genz_eval_many(f, pts)
-            single = np.array([genz_eval(f, x) for x in pts])
+            single = np.array([genz_at(f, x) for x in pts])
             np.testing.assert_allclose(many, single, rtol=1e-14)
 
 

@@ -43,6 +43,17 @@ class TestGenSamples:
         assert f"rosenbrock {name} must be" in caplog.text
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("d, count, code", [(2, 5, 0), (3, 5, 2), (2, 60, 4)])
+    def test_file_source_checks_dimension_and_count(self, d, count, code, tmp_path):
+        source = tmp_path / "fifty.csv"
+        assert run("--seed", 3, "gen-samples", "--dist", UNIFORM_2D,
+                   "--count", 50, "--out", source) == 0
+        dist = json.dumps({"kind": "file", "d": d, "params": {"path": str(source)}})
+        out = tmp_path / "x.csv"
+        assert run("gen-samples", "--dist", dist, "--count", count, "--out", out) == code
+        if code == 0:
+            assert read_samples(out).count == count
+
     def test_same_seed_identical_files(self, tmp_path):
         a = tmp_path / "a.bin"
         b = tmp_path / "b.bin"
@@ -137,6 +148,18 @@ class TestExtend:
                    "--degree-size", 8, "--mode", "resampled", "--out", r2) == 0
         b = QuadratureRule.load(r2)
         assert b.weights.min() >= -1e-12
+
+    def test_zero_node_rule_exits_2(self, sample_file, tmp_path, caplog):
+        r1 = tmp_path / "r1.json"
+        assert run("build", "--samples", sample_file, "--degree-size", 5,
+                   "--out", r1) == 0
+        empty = json.loads(r1.read_text())
+        empty.update(nodes=[], weights=[], source_indices=[], fixed_mask=[])
+        r0 = tmp_path / "r0.json"
+        r0.write_text(json.dumps(empty))
+        assert run("extend", "--rule", r0, "--samples", sample_file,
+                   "--degree-size", 5, "--mode", "degree", "--out", tmp_path / "r.json") == 2
+        assert "construct_fixed_rule" in caplog.text
 
 
 class TestBenchGenz:

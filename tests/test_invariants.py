@@ -8,6 +8,8 @@ a target basis of D+1 functions, and be deterministic.  Degenerate
 inputs fail with typed errors.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -106,7 +108,7 @@ def test_a_constant_coordinate_is_an_invalid_domain(d, column, seed):
     points = generate(DistributionSpec("uniform", d, seed=seed), 100).points
     points[:, column % d] = 0.25
     with pytest.raises(InvalidDomain):
-        extend_rule(ExtensionRequest(None, 6, SampleSet(points), "increase_degree"))
+        domain_from_samples(points)
 
 
 @SETTINGS
@@ -121,8 +123,10 @@ def test_too_few_samples_are_insufficient(d, size_count, seed):
     spec = BasisSpec(d=d, size=size, domain=domain_from_samples(samples.points))
     with pytest.raises(InsufficientSamples):
         construct_fixed_rule(samples, spec)
+    # a rule on every sample cannot grow to a basis larger than the samples
+    base = construct_fixed_rule(samples, replace(spec, size=count))
     with pytest.raises(InsufficientSamples):
-        extend_rule(ExtensionRequest(None, size, samples, "increase_degree"))
+        extend_rule(ExtensionRequest(base, size, samples, "increase_degree"))
 
 
 @SETTINGS

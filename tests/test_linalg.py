@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from samplequad.basis import BasisSpec
+from samplequad.basis import BasisSpec, basis_matrix
 from samplequad.errors import DimensionMismatch, NullSpaceFailure
-from samplequad.linalg import (
-    ExtensionFactorization,
-    build_vandermonde,
-    null_space,
-    null_vector,
-)
+from samplequad.linalg import ExtensionFactorization, null_space, null_vector
 
 
 def spec_1d(size, family="monomial", lo=-1.0, hi=1.0):
@@ -18,19 +13,20 @@ def spec_1d(size, family="monomial", lo=-1.0, hi=1.0):
 
 
 class TestBuildVandermonde:
+    """V[j, k] = phi_j(nodes[k]) as `basis_matrix` builds it."""
+
     def test_monomial_two_nodes(self):
-        V = build_vandermonde(spec_1d(2), [[0.0], [1.0]])
+        V = basis_matrix(spec_1d(2), [[0.0], [1.0]])
         np.testing.assert_array_equal(V, [[1, 1], [0, 1]])
 
     def test_single_node_column(self):
-        from samplequad.basis import evaluate_basis
-
         spec = BasisSpec(d=2, size=6, domain=((0.0, 1.0),) * 2)
-        V = build_vandermonde(spec, [[0.3, 0.7]])
-        np.testing.assert_array_equal(V[:, 0], evaluate_basis(spec, [0.3, 0.7]))
+        V = basis_matrix(spec, [[0.3, 0.7]])
+        assert V.shape == (6, 1)
+        np.testing.assert_array_equal(V[:, 0], basis_matrix(spec, [0.3, 0.7])[:, 0])
 
     def test_legendre_three_nodes(self):
-        V = build_vandermonde(spec_1d(3, "product_legendre"), [[-1.0], [0.0], [1.0]])
+        V = basis_matrix(spec_1d(3, "product_legendre"), [[-1.0], [0.0], [1.0]])
         np.testing.assert_allclose(
             V, [[1, 1, 1], [-1, 0, 1], [1, -0.5, 1]], atol=1e-15
         )
@@ -38,7 +34,7 @@ class TestBuildVandermonde:
     def test_first_row_is_ones(self):
         rng = np.random.default_rng(0)
         spec = BasisSpec(d=3, size=12, domain=((0.0, 1.0),) * 3)
-        V = build_vandermonde(spec, rng.random((20, 3)))
+        V = basis_matrix(spec, rng.random((20, 3)))
         np.testing.assert_array_equal(V[0], np.ones(20))
 
 
@@ -49,7 +45,7 @@ class TestNullVector:
 
     def test_hand_solved_two_by_three(self):
         # monomial basis {1, x} at nodes {0, 1, 2}: c is proportional to (1, -2, 1)
-        V = build_vandermonde(spec_1d(2), [[0.0], [1.0], [2.0]])
+        V = basis_matrix(spec_1d(2), [[0.0], [1.0], [2.0]])
         c = null_vector(V)
         np.testing.assert_allclose(c, np.array([1.0, -2.0, 1.0]) / np.sqrt(6), atol=1e-14)
 
@@ -58,7 +54,7 @@ class TestNullVector:
         for trial in range(20):
             n = int(rng.integers(3, 12))
             nodes = np.sort(rng.uniform(-1, 1, n + 1)).reshape(-1, 1)
-            V = build_vandermonde(spec_1d(n, "product_legendre"), nodes)
+            V = basis_matrix(spec_1d(n, "product_legendre"), nodes)
             c = null_vector(V)
             assert np.linalg.norm(V @ c) <= 1e-10 * np.linalg.norm(V)
             assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-12)
@@ -67,7 +63,7 @@ class TestNullVector:
         rng = np.random.default_rng(2)
         for _ in range(20):
             nodes = rng.uniform(0, 1, (8, 1))
-            V = build_vandermonde(spec_1d(7, "product_legendre", 0.0, 1.0), nodes)
+            V = basis_matrix(spec_1d(7, "product_legendre", 0.0, 1.0), nodes)
             c = null_vector(V)
             assert abs(c.sum()) <= 1e-9
             assert (c > 0).any() and (c < 0).any()
@@ -111,7 +107,7 @@ class TestNullSpace:
     def test_random_wide_vandermonde(self):
         rng = np.random.default_rng(6)
         nodes = np.sort(rng.uniform(-1, 1, 7)).reshape(-1, 1)
-        V = build_vandermonde(spec_1d(4, "product_legendre"), nodes)
+        V = basis_matrix(spec_1d(4, "product_legendre"), nodes)
         C = null_space(V, 3)
         np.testing.assert_allclose(C.T @ C, np.eye(3), atol=1e-12)
         assert np.abs(V @ C).max() <= 1e-10 * np.linalg.norm(V)
@@ -126,11 +122,11 @@ class TestExtensionFactorization:
         rng = np.random.default_rng(7)
         nodes = np.sort(rng.uniform(-1, 1, 6)).reshape(-1, 1)
         spec = spec_1d(6, "product_legendre")
-        V = build_vandermonde(spec, nodes)
+        V = basis_matrix(spec, nodes)
         handle = ExtensionFactorization(V)
         for _ in range(10):
             x = rng.uniform(-1, 1)
-            col = build_vandermonde(spec, [[x]])[:, 0]
+            col = basis_matrix(spec, [[x]])[:, 0]
             fast = handle.null_vector_extended(col)
             slow = null_vector(np.column_stack([V, col]))
             cosine = abs(np.dot(fast, slow)) / (np.linalg.norm(fast) * np.linalg.norm(slow))
@@ -141,10 +137,10 @@ class TestExtensionFactorization:
         rng = np.random.default_rng(8)
         spec = BasisSpec(d=2, size=10, domain=((0.0, 1.0),) * 2)
         nodes = rng.random((10, 2))
-        V = build_vandermonde(spec, nodes)
+        V = basis_matrix(spec, nodes)
         handle = ExtensionFactorization(V)
         for _ in range(100):
-            col = build_vandermonde(spec, rng.random((1, 2)))[:, 0]
+            col = basis_matrix(spec, rng.random((1, 2)))[:, 0]
             c = handle.null_vector_extended(col)
             ext = np.column_stack([V, col])
             assert np.linalg.norm(ext @ c) <= 1e-9 * np.linalg.norm(ext)
@@ -224,8 +220,8 @@ class TestExtensionFactorization:
     def test_solve_block_matches_null_vector_extended(self):
         rng = np.random.default_rng(11)
         spec = BasisSpec(d=2, size=10, domain=((0.0, 1.0),) * 2)
-        handle = ExtensionFactorization(build_vandermonde(spec, rng.random((10, 2))))
-        cols = build_vandermonde(spec, rng.random((7, 2)))
+        handle = ExtensionFactorization(basis_matrix(spec, rng.random((10, 2))))
+        cols = basis_matrix(spec, rng.random((7, 2)))
         Z, accepted = handle.solve_block(cols)
         assert accepted.all()
         for j in range(cols.shape[1]):
@@ -242,9 +238,9 @@ class TestExtensionFactorization:
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((36, 1))
         spec = BasisSpec(d=1, size=30, domain=domain_from_samples(pts))
-        V = build_vandermonde(spec, pts[:30])
+        V = basis_matrix(spec, pts[:30])
         handle = ExtensionFactorization(V)
-        cols = build_vandermonde(spec, pts[30:])
+        cols = basis_matrix(spec, pts[30:])
         _, accepted = handle.solve_block(cols)
         assert not accepted.any()
         for col in cols.T:

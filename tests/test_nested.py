@@ -125,22 +125,17 @@ class TestInitializeExtension:
 
 
 class TestExtendRule:
-    def test_empty_base_behaves_like_fixed_construction(self, uniform_samples):
-        req = ExtensionRequest(
-            base=None,
-            target_basis_size=10,
-            sample_source=uniform_samples,
-            mode="resampled",
-        )
-        rule = extend_rule(req, selection_seed=1)
-        assert rule.n_nodes <= 10
-        assert rule.weights.min() >= -1e-12
-        mu = sample_moments(uniform_samples, rule.spec)
-        assert rule.moment_residual(mu) <= 1e-8
-        fixed = construct_fixed_rule(uniform_samples, rule.spec)
-        np.testing.assert_array_equal(
-            np.sort(rule.source_indices), np.sort(fixed.source_indices)
-        )
+    @pytest.mark.parametrize("base", ["none", "zero_nodes"])
+    def test_base_without_nodes_is_rejected(self, base, uniform_samples, base_rule):
+        if base == "none":
+            base = None
+        else:
+            base = QuadratureRule(
+                nodes=np.empty((0, 2)), weights=np.empty(0), spec=base_rule.spec, K=0
+            )
+        for mode in ("continue_samples", "increase_degree", "resampled"):
+            with pytest.raises(ModeMismatch, match="construct_fixed_rule"):
+                ExtensionRequest(base, 10, uniform_samples, mode)
 
     def test_increase_degree_chain_is_nested(self, uniform_samples, base_rule):
         chain = [base_rule]

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from samplequad.errors import (
     AcceptanceTooLow,
     DimensionInconsistent,
+    DimensionMismatch,
+    InsufficientSamples,
     InvalidSpec,
     ParseError,
 )
@@ -80,6 +82,13 @@ def frozen_mh_rosenbrock(spec, count):
     return out[:filled], accepted_total / max(t + 1, 1)
 
 
+@pytest.fixture()
+def fifty_rows_d2(tmp_path):
+    path = tmp_path / "fifty.csv"
+    write_samples(generate(DistributionSpec(kind="uniform", d=2, seed=5), 50), path)
+    return path
+
+
 class TestGenerate:
     def test_uniform_mean(self):
         spec = DistributionSpec(kind="uniform", d=1, seed=1, params={"lo": 0.0, "hi": 1.0})
@@ -135,6 +144,22 @@ class TestGenerate:
         params = {"step": 1e-3, "burn_in": np.int64(0), "thinning": 1, "a": -2, "b": 0.0}
         ss = generate(DistributionSpec(kind="rosenbrock", d=2, params=params), 3)
         assert ss.count == 3 and ss.provenance["burn_in"] == 0
+
+    def test_file_spec_yields_the_first_count_rows(self, fifty_rows_d2):
+        spec = DistributionSpec(kind="file", d=2, params={"path": str(fifty_rows_d2)})
+        rows = read_samples(fifty_rows_d2).points
+        np.testing.assert_array_equal(generate(spec, 5).points, rows[:5])
+        np.testing.assert_array_equal(generate(spec, 50).points, rows)
+
+    def test_file_of_another_dimension_is_a_mismatch(self, fifty_rows_d2):
+        spec = DistributionSpec(kind="file", d=3, params={"path": str(fifty_rows_d2)})
+        with pytest.raises(DimensionMismatch, match="dimension 2"):
+            generate(spec, 5)
+
+    def test_file_shorter_than_count_is_insufficient(self, fifty_rows_d2):
+        spec = DistributionSpec(kind="file", d=2, params={"path": str(fifty_rows_d2)})
+        with pytest.raises(InsufficientSamples, match="50 samples, 60 requested"):
+            generate(spec, 60)
 
 
 class TestRosenbrock:
@@ -224,14 +249,13 @@ class TestIndicatorRegion:
         pts = generate(spec, 2000).points
         assert (pts[:, 0] ** 2 + pts[:, 1] ** 2 <= 0.25).all()
 
-    def test_callable_predicate(self):
+    def test_region_is_required(self):
         base = DistributionSpec(kind="uniform", d=1, params={"lo": 0.0, "hi": 1.0})
-        spec = DistributionSpec(
-            kind="indicator", d=1, seed=9,
-            params={"base": base, "predicate": lambda x: x[0] > 0.75},
-        )
-        pts = generate(spec, 500).points
-        assert (pts > 0.75).all()
+        with pytest.raises(InvalidSpec, match="region"):
+            DistributionSpec(
+                kind="indicator", d=1, seed=9,
+                params={"base": base, "predicate": lambda x: x[0] > 0.75},
+            )
 
     def test_acceptance_too_low(self):
         base = DistributionSpec(kind="uniform", d=1, params={"lo": 0.0, "hi": 1.0})
