@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDomain, InvalidSpec
+from .errors import DimensionMismatch, InvalidDomain, InvalidSpec, require_keys
 
 MONOMIAL = "monomial"
 PRODUCT_LEGENDRE = "product_legendre"
@@ -96,6 +96,7 @@ class BasisSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BasisSpec":
+        require_keys(data, ("d", "size", "family", "domain"), "basis spec")
         return cls(
             d=int(data["d"]),
             size=int(data["size"]),

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSpec, domain_from_samples
-from .errors import SampleQuadError
+from .errors import SampleQuadError, require_keys
 from .nested import ExtensionRequest, extend_rule
 from .rule import SampleSet, construct_fixed_rule
 from .sampling import DistributionSpec, ROSENBROCK, generate
@@ -138,6 +138,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
+        require_keys(data, ("d", "k_max", "schedule", "distribution"), "experiment config")
         return cls(
             d=int(data["d"]),
             k_max=int(data["k_max"]),

@@ -9,6 +9,13 @@ class InvalidSpec(SampleQuadError):
     """A distribution or basis specification is malformed."""
 
 
+def require_keys(data: dict, keys, what: str) -> None:
+    """Raise InvalidSpec naming the keys of `keys` that `data` lacks."""
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise InvalidSpec(f"{what} JSON lacks {', '.join(map(repr, missing))}")
+
+
 class InvalidDomain(InvalidSpec):
     """A per-coordinate domain box has lo >= hi."""
 

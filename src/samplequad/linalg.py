@@ -14,7 +14,8 @@ is the last resort.
 `ExtensionFactorization.solve_block` solves the base against a whole
 block of extension columns with one matrix product and the same
 acceptance per column; the block-speculative stream uses it to price a
-run of samples at once.
+run of samples at once, and again through the exchanged inverse after
+each swap it takes inside the run.
 """
 
 from __future__ import annotations
@@ -185,7 +186,8 @@ class ExtensionFactorization:
             self._refresh()
             return
         # inv(V + (col - V e_k) e_k^T) via Sherman-Morrison
-        adjust = (z - np.eye(1, z.shape[0], k)[0]) / pivot
+        z[k] -= 1.0
+        adjust = z / pivot
         self._inv -= np.outer(adjust, self._inv[k, :])
         self._stale = True
 

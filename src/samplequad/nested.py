@@ -19,10 +19,17 @@ smallest-|alpha| removal reaches, saving the SVDs of a cold start.
 Most steps delete the incoming sample, which only reweights the
 support S, so the stream runs block-speculatively: k such steps leave
 the weights at (c0 w0 + z_1 + ... + z_k) / (c0 + k) with
-z_j = V_S^-1 phi(y_j), so a chunk of samples costs one matrix product,
-a prefix sum and a vectorized ratio test.  The first sample that might
-resolve otherwise takes the scalar step; chunk lengths follow the
-observed run lengths, backing off where runs keep failing at once.
+z_j = V_S^-1 phi(y_j), so a window of samples costs one matrix product,
+a prefix sum and a vectorized ratio test.  Most other steps are clean
+swaps: one old node is zeroed and the sample takes its place.  The
+block takes those too.  The inverse of V_S gets the exchange's
+rank-one (Sherman-Morrison) update, the product-form update of the
+revised simplex method; the rest of the window is solved again through
+it, and the prefix sum restarts from the swapped weights.  A sample
+that might resolve otherwise (a near tie, a fixed node zeroed, a
+multi-delete, a grow, a rejected solve) takes the scalar step.  Window
+lengths follow the run lengths, and the stream backs off where block
+passes keep failing at their first sample.
 """
 
 from __future__ import annotations
@@ -52,8 +59,8 @@ from .tolerances import TOL_MOM, TOL_NEAR_TIE, TOL_ZERO_FACTOR
 
 log = logging.getLogger(__name__)
 
-_MIN_CHUNK = 16
-_MAX_CHUNK = 256
+_MIN_WINDOW = 16
+_MAX_WINDOW = 256
 
 CONTINUE_SAMPLES = "continue_samples"
 INCREASE_DEGREE = "increase_degree"
@@ -252,41 +259,87 @@ class _StreamEngine:
             u, zeroed = self._multi_direction(v, col)
         self._apply(u, zeroed, y, col, src_idx)
 
-    def drop_run(self, cols: np.ndarray) -> int:
-        """Take the leading drop-incoming steps of a chunk of columns.
+    def drop_run(self, cols: np.ndarray, rows: np.ndarray, points: np.ndarray) -> int:
+        """Take the leading drop-incoming and clean-swap steps of a run.
 
-        Returns how many leading columns were consumed, each as `feed`
-        would have (up to rounding in the weights): the fast-path solve
-        is accepted, the incoming sample wins the ratio test strictly and
-        no old weight nears the drop threshold, so nothing is zeroed and
-        the draw is not consulted.  Returns 0 unless the support is a
-        full square base with a cached inverse.
+        `cols` holds the basis columns of the samples `points[rows]`.
+        Returns how many leading samples were consumed, each as `feed`
+        would have (up to rounding in the weights), in windows of
+        _MIN_WINDOW.._MAX_WINDOW columns solved at once.  Every taken
+        column passed the fast-path solve against the base it meets.  In
+        a drop-incoming step the incoming sample wins the ratio test by
+        the near-tie margin.  In a clean swap one old non-fixed node wins
+        it by the margin against every other node and the incoming
+        sample; the sample takes that node's place and factorization
+        column, and the rest of the window is solved again through the
+        exchanged inverse.  No weight after either step nears the drop
+        threshold, so nothing else is zeroed and the draw is never
+        consulted.  Returns 0 unless the support is a full square base
+        with a cached inverse.
         """
         if self.fact is None or self.X.shape[0] != self.spec.size:
             return 0
-        solved = self.fact.solve_block(cols)
-        if solved is None:
-            return 0
-        Z, ok = solved
-        # factorization order: row i of Z belongs to node fact_cols[i]
-        start = self.consumed * self.w[self.fact_cols]
-        # column j holds (c0 + j + 1) times the weights after step j
-        S = np.cumsum(Z, axis=1)
-        S += start[:, None]
-        prev = np.hstack([start[:, None], S[:, :-1]])
-        prev *= 1.0 - TOL_NEAR_TIE
-        # the incoming ratio must beat every old node on both sides
-        ok &= (np.abs(Z) < prev).all(axis=0)
-        tol_zero = TOL_ZERO_FACTOR / (1.0 - TOL_NEAR_TIE) * S.max(axis=0)
-        ok &= (S > tol_zero).all(axis=0)
-        # `feed` raises when one side of the null direction is empty
-        ok &= (Z > 0.0).any(axis=0)
-        run = ok.shape[0] if ok.all() else int(np.argmin(ok))
-        if run:
-            self.w[self.fact_cols] = S[:, run - 1]
+        # factorization order: row i of Z belongs to node fact_cols[i];
+        # W holds the weights times the number of samples consumed
+        W = self.consumed * self.w[self.fact_cols]
+        done = 0
+        # a window consumed whole doubles the next; a run that ends inside
+        # one sizes the next to twice its length
+        window = _MIN_WINDOW
+        while done < cols.shape[1]:
+            solved = self.fact.solve_block(cols[:, done : done + window])
+            if solved is None:
+                break
+            Z, ok = solved
+            run, W = _drop_prefix(W, Z, ok)
+            done += run
+            if run == Z.shape[1]:
+                window = min(2 * window, _MAX_WINDOW)
+                continue
+            window = min(max(2 * run, _MIN_WINDOW), _MAX_WINDOW)
+            swap = self._clean_swap(W, Z[:, run]) if ok[run] else None
+            if swap is None:
+                break
+            slot, W = swap
+            j = self.fact_cols[slot]
+            k = int(rows[done])
+            self.X[j] = points[k]
+            self.src[j] = k
+            self.Vall[:, j] = cols[:, done]
+            self.fact.replace_column(slot, cols[:, done])
+            done += 1
+        if done:
+            self.w[self.fact_cols] = W
             self.w /= self.w.sum()
-            self.consumed += run
-        return run
+            self.consumed += done
+        return done
+
+    def _clean_swap(self, W, z):
+        """(slot, weights) of a clean swap of the incoming sample, or None.
+
+        W are the weights before the step in factorization order, scaled
+        to sum to the samples consumed, and z solves V_S z = phi(y).
+        Along the null direction (z, -1) node i is zeroed at the scaling
+        W_i / |z_i| and the incoming sample at 1; the node that is zeroed
+        first must win by the near-tie margin.
+        """
+        # reciprocal scalings; the incoming sample's is 1
+        reach = np.abs(z) / W
+        slot = int(reach.argmax())
+        best = reach[slot]
+        reach[slot] = 1.0
+        if not reach.max() < (1.0 - TOL_NEAR_TIE) * best:
+            return None
+        # a fixed winner takes the scalar step, which prices both removals;
+        # `feed` raises when one side of the null direction is empty
+        if self.fixed[self.fact_cols[slot]] or not (z > 0.0).any():
+            return None
+        alpha = W[slot] / z[slot]
+        W = W - alpha * z
+        W[slot] = 1.0 + alpha
+        if not W.min() > TOL_ZERO_FACTOR / (1.0 - TOL_NEAR_TIE) * W.max():
+            return None
+        return slot, W
 
     def _append(self, y, col, src_idx, weight):
         self.X = np.vstack([self.X, y])
@@ -436,32 +489,27 @@ class _StreamEngine:
             self.w /= total
 
 
-class _Speculation:
-    """Chunk length and back-off of the block-speculative pass.
+def _drop_prefix(W, Z, ok):
+    """(run, weights) of the leading drop-incoming steps of a solved block.
 
-    Chunks stay within _MIN_CHUNK.._MAX_CHUNK columns.  A chunk consumed
-    whole doubles the next one; a run that ends inside a chunk sets the
-    next to twice its length.  A run that fails on its first column
-    makes the pass feed the next samples one at a time, for a count
-    that doubles with each consecutive such failure.
+    W are the weights before the block, scaled to sum to the samples
+    consumed, and Z the block's solutions in the same order; `ok` marks
+    the columns that passed the fast-path acceptance.
     """
-
-    def __init__(self):
-        self.chunk = _MIN_CHUNK
-        self.backoff = 1
-        self.wait = 0
-
-    def observe(self, run: int, span: int) -> None:
-        if run == span:
-            self.chunk = min(2 * self.chunk, _MAX_CHUNK)
-            self.backoff = 1
-        elif run == 0:
-            self.chunk = _MIN_CHUNK
-            self.wait = self.backoff
-            self.backoff = min(2 * self.backoff, _BLOCK)
-        else:
-            self.chunk = min(max(2 * run, _MIN_CHUNK), _MAX_CHUNK)
-            self.backoff = 1
+    # column j holds the weights after j steps, scaled to sum to c0 + j
+    S = np.empty((Z.shape[0], Z.shape[1] + 1))
+    S[:, 0] = W
+    S[:, 1:] = Z
+    S = np.add.accumulate(S, axis=1)
+    # the incoming sample must beat every old node on both sides
+    drop = ok & (np.abs(Z) < (1.0 - TOL_NEAR_TIE) * S[:, :-1]).all(axis=0)
+    S = S[:, 1:]
+    tol_zero = TOL_ZERO_FACTOR / (1.0 - TOL_NEAR_TIE) * S.max(axis=0)
+    drop &= (S > tol_zero).all(axis=0)
+    # `feed` raises when one side of the null direction is empty
+    drop &= (Z > 0.0).any(axis=0)
+    run = drop.shape[0] if drop.all() else int(drop.argmin())
+    return run, (S[:, run - 1] if run else W)
 
 
 def run_stream(work, points, stream_idx, rng, removal_cap) -> QuadratureRule:
@@ -473,22 +521,29 @@ def run_stream(work, points, stream_idx, rng, removal_cap) -> QuadratureRule:
     """
     engine = _StreamEngine(work, rng, removal_cap)
     blocks = BlockMoments(work.spec, points)
-    pace = _Speculation()
+    # a block pass that fails on its first sample makes the next `wait`
+    # samples take the scalar step, a count that doubles with each
+    # consecutive such failure.  On nested chains a fixed node that wins
+    # the ratio test tends to win again for the next samples, and the
+    # scalar steps this adds cost less than the window solves it saves.
+    wait, backoff = 0, 1
     for lo, block in blocks:
         first, last = np.searchsorted(stream_idx, (lo, lo + block.shape[1]))
         rows = stream_idx[first:last]
         cols = np.take(block, rows - lo, axis=1)
         j = 0
         while j < rows.shape[0]:
-            if pace.wait:
-                pace.wait -= 1
+            if wait:
+                wait -= 1
             else:
-                span = min(pace.chunk, rows.shape[0] - j)
-                run = engine.drop_run(cols[:, j : j + span])
-                pace.observe(run, span)
+                run = engine.drop_run(cols[:, j:], rows[j:], points)
+                if run:
+                    backoff = 1
+                else:
+                    wait, backoff = backoff, min(2 * backoff, _BLOCK)
                 j += run
-                if run == span:
-                    continue
+                if j == rows.shape[0]:
+                    break
             k = int(rows[j])
             try:
                 engine.feed(points[k], cols[:, j], k)

@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSpec, basis_matrix
-from .errors import DimensionMismatch, InsufficientSamples, InvalidSpec, NullSpaceFailure
+from .errors import (
+    DimensionMismatch,
+    InsufficientSamples,
+    InvalidSpec,
+    NullSpaceFailure,
+    require_keys,
+)
 from .removal import attained_indices, ratio_extrema
 from .tolerances import TOL_ZERO_FACTOR
 
@@ -137,6 +143,9 @@ class QuadratureRule:
             self.fixed_mask = np.zeros(n, dtype=bool)
         else:
             self.fixed_mask = np.asarray(self.fixed_mask, dtype=bool)
+        for name in ("source_indices", "fixed_mask"):
+            if getattr(self, name).shape != (n,):
+                raise DimensionMismatch(f"{name} needs one entry per node")
 
     @property
     def n_nodes(self) -> int:
@@ -171,6 +180,9 @@ class QuadratureRule:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QuadratureRule":
+        require_keys(
+            data, ("spec", "K", "nodes", "weights", "source_indices", "fixed_mask"), "rule"
+        )
         return cls(
             nodes=np.asarray(data["nodes"], dtype=float),
             weights=np.asarray(data["weights"], dtype=float),

@@ -35,6 +35,7 @@ from .errors import (
     InsufficientSamples,
     InvalidSpec,
     ParseError,
+    require_keys,
 )
 from .rule import SampleSet
 
@@ -125,6 +126,7 @@ class DistributionSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DistributionSpec":
+        require_keys(data, ("kind", "d"), "distribution spec")
         params = dict(data.get("params", {}))
         if data["kind"] == INDICATOR and isinstance(params.get("base"), dict):
             params["base"] = cls.from_json_dict(params["base"])

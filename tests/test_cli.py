@@ -54,6 +54,12 @@ class TestGenSamples:
         if code == 0:
             assert read_samples(out).count == count
 
+    def test_spec_without_kind_exits_2(self, tmp_path, caplog):
+        code = run("gen-samples", "--dist", '{"d": 2}', "--count", 5,
+                   "--out", tmp_path / "x.csv")
+        assert code == 2
+        assert "'kind'" in caplog.text
+
     def test_same_seed_identical_files(self, tmp_path):
         a = tmp_path / "a.bin"
         b = tmp_path / "b.bin"
@@ -161,8 +167,31 @@ class TestExtend:
                    "--degree-size", 5, "--mode", "degree", "--out", tmp_path / "r.json") == 2
         assert "construct_fixed_rule" in caplog.text
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda rule: rule.pop("fixed_mask"), "'fixed_mask'"),
+        (lambda rule: rule["spec"].pop("d"), "'d'"),
+        (lambda rule: rule.update(source_indices=rule["source_indices"][:3]), "source_indices"),
+        (lambda rule: rule.update(fixed_mask=rule["fixed_mask"][:3]), "fixed_mask"),
+    ], ids=["no-fixed-mask", "spec-without-d", "short-source-indices", "short-fixed-mask"])
+    def test_malformed_rule_file_exits_2(self, edit, named, sample_file, tmp_path, caplog):
+        r1 = tmp_path / "r1.json"
+        assert run("build", "--samples", sample_file, "--degree-size", 6,
+                   "--out", r1) == 0
+        rule = json.loads(r1.read_text())
+        edit(rule)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(rule))
+        assert run("extend", "--rule", bad, "--samples", sample_file,
+                   "--degree-size", 10, "--mode", "degree", "--out", tmp_path / "r.json") == 2
+        assert named in caplog.text
+
 
 class TestBenchGenz:
+    def test_config_without_required_keys_exits_2(self, tmp_path, caplog):
+        code = run("bench-genz", "--config", '{"k_max": 64}', "--out", tmp_path / "r.csv")
+        assert code == 2
+        assert "'schedule'" in caplog.text
+
     def test_tiny_benchmark(self, tmp_path, capsys):
         config = {
             "d": 2,

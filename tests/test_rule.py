@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from samplequad.basis import BasisSpec, basis_matrix, domain_from_samples
-from samplequad.errors import DegenerateNullVector, InsufficientSamples, InvalidSpec
+from samplequad.errors import (
+    DegenerateNullVector,
+    DimensionMismatch,
+    InsufficientSamples,
+    InvalidSpec,
+)
 from samplequad.linalg import null_vector
 from samplequad.nested import (
     ExtensionRequest,
@@ -384,6 +389,8 @@ def _stream_points(d, dist, n):
 # (d, basis size, distribution, samples, duplicated start).
 # The 4300-sample streams cross the 4096-column basis block; every stream
 # makes more than 128 exchanges, a long chain of rank-one inverse updates.
+# The last two are swap-heavy: about a quarter of their steps swap one old
+# node out for the sample.
 BLOCK_PASS_CORPUS = [
     (1, 8, "uniform", 4300, False),
     (2, 21, "uniform", 4300, False),
@@ -393,6 +400,8 @@ BLOCK_PASS_CORPUS = [
     (2, 21, "uniform", 1500, True),
     (3, 10, "uniform", 1500, True),
     (1, 12, "normal", 1500, False),
+    (5, 56, "uniform", 4300, False),
+    (3, 84, "normal", 4300, False),
 ]
 
 # (mode, d, base size, target size, distribution, samples, selection seed);
@@ -405,13 +414,17 @@ EXTENSION_CORPUS = [
 ]
 
 
+def _corpus_stream(d, size, dist, n, dup):
+    pts = _stream_points(d, dist, n)
+    if dup:
+        pts[size // 2] = pts[0]
+    return pts, legendre_spec(d, size, domain_from_samples(pts))
+
+
 class TestBlockPass:
     @pytest.mark.parametrize("d,size,dist,n,dup", BLOCK_PASS_CORPUS)
     def test_matches_per_sample_reference(self, d, size, dist, n, dup):
-        pts = _stream_points(d, dist, n)
-        if dup:
-            pts[size // 2] = pts[0]
-        spec = legendre_spec(d, size, domain_from_samples(pts))
+        pts, spec = _corpus_stream(d, size, dist, n, dup)
         start = QuadratureRule(
             nodes=pts[:size],
             weights=np.full(size, 1.0 / size),
@@ -421,6 +434,25 @@ class TestBlockPass:
         )
         ref = _per_sample_rule(start, pts, np.arange(size, n))
         _assert_same_rule(construct_fixed_rule(SampleSet(pts), spec), ref)
+
+    @pytest.mark.parametrize(
+        "d,size,dist,n,dup", [case for case in BLOCK_PASS_CORPUS if not case[-1]]
+    )
+    def test_clean_swaps_stay_in_the_block(self, d, size, dist, n, dup, monkeypatch):
+        # with a regular start no swap is a near tie here, so every step
+        # that swaps one old node out for the sample runs in the block
+        swaps = []
+        apply = _StreamEngine._apply
+
+        def counting_apply(self, u, zeroed, *args):
+            if len(zeroed) == 1 and zeroed[0] != self.X.shape[0]:
+                swaps.append(zeroed[0])
+            return apply(self, u, zeroed, *args)
+
+        monkeypatch.setattr(_StreamEngine, "_apply", counting_apply)
+        pts, spec = _corpus_stream(d, size, dist, n, dup)
+        construct_fixed_rule(SampleSet(pts), spec)
+        assert swaps == []
 
     @pytest.mark.parametrize("mode,d,size,target,dist,n,seed", EXTENSION_CORPUS)
     def test_extension_matches_per_sample_reference(
@@ -511,6 +543,24 @@ class TestRuleSerialization:
         again = QuadratureRule.load(path)
         np.testing.assert_array_equal(again.nodes, rule.nodes)
         np.testing.assert_array_equal(again.weights, rule.weights)
+
+    @pytest.mark.parametrize("name", ["source_indices", "fixed_mask"])
+    def test_provenance_needs_one_entry_per_node(self, name):
+        kwargs = {name: [0, 1]}
+        with pytest.raises(DimensionMismatch, match=name):
+            QuadratureRule(
+                nodes=np.zeros((3, 1)), weights=np.full(3, 1 / 3),
+                spec=monomial_spec(3), K=2, **kwargs,
+            )
+
+    @pytest.mark.parametrize("key", ["fixed_mask", "source_indices", "spec", "K"])
+    def test_missing_json_key_is_named(self, key):
+        data = construct_fixed_rule(
+            SampleSet(np.linspace(0.0, 1.0, 20)), monomial_spec(3, 0.0, 1.0)
+        ).to_json_dict()
+        del data[key]
+        with pytest.raises(InvalidSpec, match=repr(key)):
+            QuadratureRule.from_json_dict(data)
 
     def test_moment_vector_wrapper(self):
         mv = MomentVector(values=[1.0, 0.5], K=9)
