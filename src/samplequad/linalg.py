@@ -165,6 +165,27 @@ class ExtensionFactorization:
             raise DimensionMismatch("extension columns have wrong length")
         return self._solve(cols)
 
+    def null_vectors_extended(self, cols: np.ndarray) -> np.ndarray:
+        """Unit null vectors of [V_base, col] for every column of `cols`.
+
+        Column t of the result is, up to sign and rounding, what
+        `null_vector_extended(cols[:, t])` returns: one block solve serves
+        every column, and only a column it rejects (every column, without
+        an inverse) takes `null_vector_extended` with its recomputed
+        inverse and SVD.
+        """
+        solved = self.solve_block(cols)
+        if solved is None:
+            solved = np.zeros(cols.shape), np.zeros(cols.shape[1], dtype=bool)
+        Z, ok = solved
+        U = np.empty((Z.shape[0] + 1, Z.shape[1]))
+        U[:-1] = Z
+        U[-1] = -1.0
+        U /= np.sqrt(_sq(Z) + 1.0)
+        for t in np.flatnonzero(~ok):
+            U[:, t] = self.null_vector_extended(cols[:, t])
+        return U
+
     def replace_column(self, k: int, col: np.ndarray) -> None:
         """Exchange column k for `col`, updating the cached inverse.
 

@@ -11,10 +11,14 @@ With a one-dimensional null space the step takes the smallest-|alpha|
 removal (ties to the positive side).  Only if that zeroes a fixed node
 are both removals priced: the one deleting more non-fixed nodes wins,
 and a seeded draw breaks ties.  With zero-weight fixed nodes the null
-space is larger, and the step enumerates all removals of that size,
-choosing one that deletes the most non-fixed nodes (same tie break).
-The walk over them starts at the vertex the fast-path null vector's
-smallest-|alpha| removal reaches, saving the SVDs of a cold start.
+space is larger: one block solve gives a direction per zero-weight node
+and one for the sample.  The step enumerates all removals of that size
+and takes one that deletes the most non-fixed nodes (same tie break),
+with the weights its vertex solve left.  For two directions, the usual
+case, one facet scan of the removal polygon finds every vertex (see
+`samplequad.removal`).  For more, or where the scan cannot vouch for its
+result, a walk runs from the vertex the sample's smallest-|alpha|
+removal reaches, which saves the SVDs of a cold start.
 
 Most steps delete the incoming sample, which only reweights the
 support S, so the stream runs block-speculatively: k such steps leave
@@ -397,31 +401,45 @@ class _StreamEngine:
         ]
         return self._pick(cands, [zeroed for _, zeroed in cands])
 
-    def _null_basis(self, v, col, excess):
-        """Null basis of [V, col] and a vertex to seed the removal walk.
+    def _null_basis(self, col, excess):
+        """Null basis of [V, col], and the zero-weight nodes on the fast path.
 
-        One direction per non-support column.  The last is the fast-path
-        null vector, zero at every zero-weight node, so its smallest-|alpha|
-        removal plus those nodes is a vertex.  No seed (None) after the SVD
-        branch or when the ratio test attains more than one node.
+        On the fast path one block solve gives one direction per zero-weight
+        (non-support) node, and the last for the incoming sample; each is
+        zero at every other column outside the support.  After the SVD
+        branch the nodes are None.
         """
         nonsupport = np.nonzero(self.w == 0.0)[0]
         n = self.X.shape[0]
         if self.fact is None or nonsupport.shape[0] + 1 != excess:
             return null_space(np.column_stack([self.Vall, col]), excess), None
-        C = np.empty((n + 1, excess))
-        for t, j in enumerate(nonsupport):
-            C[:, t] = self._embed_at(self.fact.null_vector_extended(self.Vall[:, j]), j)
-        C[:, -1] = self._embed_at(self.fact.null_vector_extended(col), n)
+        cols = np.empty((col.shape[0], excess))
+        cols[:, :-1] = self.Vall[:, nonsupport]
+        cols[:, -1] = col
+        U = self.fact.null_vectors_extended(cols)
+        C = np.zeros((n + 1, excess))
+        C[self.fact_cols] = U[:-1]
+        C[np.append(nonsupport, n), np.arange(excess)] = U[-1]
+        return C, nonsupport
+
+    def _walk_seed(self, v, C, nonsupport):
+        """A vertex to start the removal walk from, or None.
+
+        The incoming sample's direction (the last column of the fast-path
+        null basis) is zero at every zero-weight node, so its
+        smallest-|alpha| removal plus those nodes is a vertex, unless the
+        ratio test attains more than one node.
+        """
         _, attained = choose_alpha(v, C[:, -1])
         if attained.shape[0] != 1:
-            return C, None
-        return C, Removal(tuple(sorted(nonsupport.tolist() + attained.tolist())))
+            return None
+        return Removal(tuple(sorted(nonsupport.tolist() + attained.tolist())))
 
     def _multi_direction(self, v, col):
         excess = self.X.shape[0] + 1 - self.spec.size
-        C, seed = self._null_basis(v, col, excess)
-        problem = RemovalProblem.from_parts(np.column_stack([self.Vall, col]), v, C)
+        C, nonsupport = self._null_basis(col, excess)
+        problem = RemovalProblem.from_parts(v, C)
+        seed = None if nonsupport is None else (lambda: self._walk_seed(v, C, nonsupport))
         stats = {}
         removals = problem.enumerate(cap=self.removal_cap, initial=seed, stats=stats)
         if not removals:
@@ -430,11 +448,8 @@ class _StreamEngine:
             log.debug("removal walk capped at sample %d: %d vertices",
                       self.consumed - 1, len(removals))
         pick = self._pick(removals, [r.zero_indices for r in removals])
-        _, w_q = problem.vertex_weights(pick.indices)
-        tol = TOL_ZERO_FACTOR * max(float(w_q.max()), 0.0)
-        zero = w_q <= tol
-        w_q[zero] = 0.0
-        return w_q, zero.nonzero()[0].tolist()
+        zero = pick.weights <= TOL_ZERO_FACTOR * max(float(pick.weights.max()), 0.0)
+        return np.where(zero, 0.0, pick.weights), zero.nonzero()[0].tolist()
 
     def _apply(self, u, zeroed, y, col, src_idx):
         n = self.X.shape[0]

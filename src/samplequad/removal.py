@@ -1,4 +1,4 @@
-"""The ratio scan of one removal, and the walk over all M-node removals.
+"""The ratio scan of one removal, and the search for all M-node removals.
 
 `ratio_extrema` is the one single-direction ratio scan: along a null
 direction c, the scalings of w - alpha c that first zero a node on
@@ -7,25 +7,37 @@ both use it.
 
 Removing M nodes while staying exact on a basis shrunk by M functions
 and keeping weights non-negative corresponds to a vertex of the simplex
-of feasible null-space coefficients.  Each vertex has, per removed
-node, exactly one adjacent vertex reachable by exchanging that node, so
-a breadth-first walk over these exchanges visits every vertex.
+of feasible null-space coefficients: the coefficients a with
+w - C a >= 0 for a null basis C.  A vertex solve is an M x M inverse of
+rows of C, and every vertex found keeps the weights of that solve.
 
-The caller seeds the walk with a vertex it already knows; `initial()`,
-M successive single removals, is the fallback when there is no seed or
-the seed fails the vertex checks.  The walk takes the vertices a wave
-at a time.  Everything lives inside one null basis C: a vertex solve is
-an M x M inverse of rows of C, and the inverse's columns, mapped
-through C, are the exchange directions.  The inverses, vertex weights,
-exchange ratio scans and neighbour tuples of a whole wave are stacked
-array operations; a vertex that fails the batch checks is redone on
-its own through the same exchange scan.
+For M = 2 the feasible set is a polygon with a handful of vertices.
+One facet scan finds them all in a fixed number of array operations,
+where the walk takes several waves of them to go round it.  Every line
+C_i a = w_i is cut by all the other constraints at once; the lines that
+keep a segment are the edges, and the constraint that ends an edge
+names the vertex it shares with the next edge.  All vertices are solved
+in one batch.  The scan vouches for its result only when there are 3 to
+`cap` edges, the end of each edge starts another, and every vertex
+passes the checks with no weight but its own two near zero.  Otherwise
+(a degenerate vertex, a cap below the vertex count), and for M >= 3,
+the walk runs.
+
+The walk is breadth-first over exchanges: each vertex has, per removed
+node, exactly one adjacent vertex reachable by exchanging that node.
+The caller seeds it with a vertex it already knows; `initial()`, M
+successive single removals, is the fallback when there is no seed or
+the seed fails the vertex checks.  It takes the vertices a wave at a
+time; the columns of the inverse, mapped through C, are the exchange
+directions, and the inverses, vertex weights, exchange ratio scans and
+neighbour tuples of a whole wave are stacked array operations.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +45,9 @@ from .basis import basis_matrix  # noqa: F401  (perfbench's timing shims wrap it
 from .errors import DegenerateNullVector, DimensionMismatch, NoRemovalExists, NullSpaceFailure
 from .linalg import null_space  # noqa: F401  (perfbench's timing shims wrap it here)
 from .tolerances import TOL_VERTEX_NEG, TOL_VERTEX_RESID, TOL_VERTEX_ZERO, TOL_ZERO_FACTOR
+
+# C @ _TURN turns each row of C a quarter clockwise, exactly
+_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def ratio_extrema(weights: np.ndarray, c: np.ndarray, exclude: np.ndarray | None = None):
@@ -71,11 +86,13 @@ class Removal:
 
     `indices` is the canonical sorted M-tuple.  `zero_indices` is every
     position whose weight vanishes at the vertex, more than M at a
-    degenerate vertex.
+    degenerate vertex.  `weights`, when the removal comes from a vertex
+    solve, are the weights at the vertex, exactly zero at `indices`.
     """
 
     indices: tuple[int, ...]
     zero_indices: tuple[int, ...] = ()
+    weights: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.zero_indices:
@@ -86,20 +103,19 @@ class RemovalProblem:
     """Removal computations for one positive rule and removal size M."""
 
     @classmethod
-    def from_parts(cls, V: np.ndarray, weights: np.ndarray, null_basis: np.ndarray):
-        """Build from a Vandermonde V, its weights and a null basis of V.
+    def from_parts(cls, weights: np.ndarray, null_basis: np.ndarray):
+        """Build from a rule's weights and a null basis of its Vandermonde.
 
-        The M columns of `null_basis` must span the null space of V; they
-        need not be orthonormal.
+        The M columns of `null_basis` must span the null space; they need
+        not be orthonormal.
         """
         self = cls.__new__(cls)
-        self.V = np.asarray(V, dtype=float)
         self.w = np.asarray(weights, dtype=float)
         self.C = np.asarray(null_basis, dtype=float)
         self.n = self.w.shape[0]
+        if self.C.ndim != 2 or self.C.shape[0] != self.n:
+            raise DimensionMismatch("null basis needs one row per weight")
         self.m = self.C.shape[1]
-        if self.C.shape[0] != self.n or self.V.shape[1] != self.n:
-            raise DimensionMismatch("inconsistent removal problem shapes")
         self.wmax = max(float(np.abs(self.w).max()), 1e-300)
         self._ztol = TOL_VERTEX_ZERO * self.wmax
         # the largest solve residual and the most negative weight of a vertex
@@ -110,39 +126,39 @@ class RemovalProblem:
 
     # -- vertex algebra -------------------------------------------------
 
-    def _pop_data(self, indices):
-        """(alphas, vertex weights, exchange directions) for one vertex.
+    def _vertices(self, q_mat):
+        """(weights, inverses, bad) of the vertices zeroing each row of q_mat.
 
-        The inverse B of the M x M block C[indices, :] yields everything
-        at once: alphas = B w[indices], and column i of C B is the null
-        direction vanishing at every removed node except the i-th.
+        Row i of q_mat (k x M) names the removed nodes of vertex i.  The
+        inverse B of the M x M block A = C[q, :] gives the coefficients
+        alphas = B w[q]; the weights w - C alphas are set exactly zero at
+        q.  `bad` marks the vertices whose solve residual or most negative
+        weight fails the checks.  Raises LinAlgError on a singular block.
         """
-        q = np.asarray(indices, dtype=np.intp)
-        A = self.C[q, :]
+        A = self.C[q_mat]
+        B = np.linalg.inv(A)
+        wq = self.w[q_mat][:, :, None]
+        alphas = B @ wq
+        resid = np.abs(A @ alphas - wq).max(axis=(1, 2))
+        W = self.w - (self.C @ alphas)[:, :, 0]
+        W[np.arange(q_mat.shape[0])[:, None], q_mat] = 0.0
+        bad = (resid > self._tol_res) | (W.min(axis=1) < self._tol_neg)
+        return W, B, bad
+
+    def vertex_weights(self, indices) -> np.ndarray:
+        """The full weight vector of the vertex zeroing `indices`."""
         try:
-            B = np.linalg.inv(A)
+            W, _, bad = self._vertices(np.asarray([indices], dtype=np.intp))
         except np.linalg.LinAlgError as exc:
             raise NullSpaceFailure(f"removal {tuple(indices)} has a singular block") from exc
-        alphas = B @ self.w[q]
-        if np.abs(A @ alphas - self.w[q]).max() > self._tol_res:
-            raise NullSpaceFailure(f"removal {tuple(indices)} is not a simplex vertex")
-        w_q = self.w - self.C @ alphas
-        w_q[q] = 0.0
-        if float(w_q.min()) < self._tol_neg:
-            raise NullSpaceFailure(
-                f"vertex {tuple(indices)} has negative weight {w_q.min():.3e}"
-            )
-        return alphas, w_q, self.C @ B
-
-    def vertex_weights(self, indices) -> tuple[np.ndarray, np.ndarray]:
-        """(alphas, full weight vector) of the vertex zeroing `indices`."""
-        alphas, w_q, _ = self._pop_data(indices)
-        return alphas, w_q
+        if bad[0]:
+            raise NullSpaceFailure(f"removal {tuple(indices)} is no feasible vertex")
+        return W[0]
 
     def _build(self, indices, w_q) -> Removal:
         # the removed positions are exactly zero in w_q
         zero = (np.abs(w_q) <= self._ztol).nonzero()[0].tolist()
-        return Removal(indices=tuple(indices), zero_indices=tuple(zero))
+        return Removal(indices=tuple(indices), zero_indices=tuple(zero), weights=w_q)
 
     # -- operations -----------------------------------------------------
 
@@ -199,16 +215,61 @@ class RemovalProblem:
                 exclude[j] = True
                 w_work[j] = 0.0
         q = tuple(sorted(removed[: self.m]))
-        _, w_q = self.vertex_weights(q)
-        return self._build(q, w_q)
+        return self._build(q, self.vertex_weights(q))
+
+    def _scan(self, cap: int):
+        """(removals, vertices solved) of the M = 2 facet scan.
+
+        The removals are None when the scan cannot vouch for them.  Line i
+        (C_i a = w_i) is walked along d_i, C_i turned a quarter
+        counter-clockwise, so the polygon lies on its left.  Line j meets
+        it at the point a with d_i . a = T[i, j] / G[i, j], where
+        T[i, j] = |C_i|^2 w_j - (C_i . C_j) w_i and G[i, j] = C_i x C_j is
+        the rate at which constraint j tightens along d_i: an upper end of
+        the segment where G > 0, a lower end where G < 0.  Going round the
+        polygon, the line that ends edge i at its upper end is the next
+        edge, and line i ends that one at its lower end.
+        """
+        C, w, n = self.C, self.w, self.n
+        G = C @ (C @ _TURN).T
+        # a line does not bound itself, even where the product rounds
+        np.fill_diagonal(G, 0.0)
+        gram = C @ C.T
+        T = gram.diagonal()[:, None] * w - gram * w[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            T /= G
+        upper = np.where(G > 0.0, T, np.inf)
+        lower = np.where(G < 0.0, T, -np.inf)
+        j_up = upper.argmin(axis=1)
+        j_lo = lower.argmax(axis=1)
+        rows = np.arange(n)
+        is_edge = lower[rows, j_lo] < upper[rows, j_up]
+        edges = is_edge.nonzero()[0]
+        nxt = j_up[edges]
+        if not (3 <= edges.shape[0] <= cap and is_edge[nxt].all() and (j_lo[nxt] == edges).all()):
+            return None, 0
+        # one vertex per edge: where it meets the next
+        pairs = sorted((min(i, j), max(i, j)) for i, j in zip(edges.tolist(), nxt.tolist()))
+        q_mat = np.array(pairs, dtype=np.intp)
+        try:
+            W, _, bad = self._vertices(q_mat)
+        except np.linalg.LinAlgError:
+            return None, 0
+        # every weight but the two removed ones stays clear of zero
+        if bad.any() or (W > self._ztol).sum() != W.shape[0] * (n - 2):
+            return None, len(pairs)
+        return [
+            Removal(indices=q, zero_indices=q, weights=w_q) for q, w_q in zip(pairs, W)
+        ], len(pairs)
 
     def _pop_single(self, q):
         """(vertex weights, exchange partners) of one vertex, None if it fails."""
+        q_mat = np.asarray([q], dtype=np.intp)
         try:
-            _, w_q, dirs = self._pop_data(q)
-        except NullSpaceFailure:
+            W, B, bad = self._vertices(q_mat)
+        except np.linalg.LinAlgError:
             return None
-        return w_q, self._neighbors(np.asarray([q]), w_q[None, :], dirs[None])[0]
+        return None if bad[0] else (W[0], self._neighbors(q_mat, W, self.C @ B)[0])
 
     _WAVE = 64
 
@@ -216,46 +277,48 @@ class RemovalProblem:
         """Vertex weights and exchange partners for a batch of removals.
 
         All per-vertex M x M inversions, weight updates, and interval
-        scans run as stacked operations; vertices that fail the batch
-        checks are redone individually.
+        scans run as stacked operations; a vertex that fails the checks
+        gives None.  A singular block fails the stacked inversion, and
+        then every vertex of the wave is taken on its own.
         """
-        k = len(wave)
         q_mat = np.asarray(wave, dtype=np.intp)
-        A = self.C[q_mat]
         try:
-            B = np.linalg.inv(A)
+            W, B, bad = self._vertices(q_mat)
         except np.linalg.LinAlgError:
             return [self._pop_single(q) for q in wave]
-        wq_rm = self.w[q_mat][:, :, None]
-        alphas = B @ wq_rm
-        resid = np.abs(A @ alphas - wq_rm).max(axis=(1, 2))
-        Wq = self.w - (self.C @ alphas)[:, :, 0]
-        Wq[np.arange(k)[:, None], q_mat] = 0.0
-        bad = ((resid > self._tol_res) | (Wq.min(axis=1) < self._tol_neg)).tolist()
-        neighbors = self._neighbors(q_mat, Wq, self.C @ B)
-        return [
-            self._pop_single(q) if bad[i] else (Wq[i], neighbors[i])
-            for i, q in enumerate(wave)
-        ]
+        neighbors = self._neighbors(q_mat, W, self.C @ B)
+        return [None if bad[i] else (W[i], neighbors[i]) for i in range(len(wave))]
 
-    def enumerate(self, cap: int = 10**6, initial: Removal | None = None,
+    def enumerate(self, cap: int = 10**6,
+                  initial: Removal | Callable[[], Removal | None] | None = None,
                   stats: dict | None = None) -> list[Removal]:
-        """The removals reachable from a start vertex, sorted.
+        """The removals of the problem, sorted by indices.
 
-        The caller seeds the walk with `initial`; `initial()` is the
-        fallback when there is no seed or the seed fails the vertex
-        checks.  Breadth-first over exchanges, a wave of up to _WAVE
-        vertices at a time.  Once `cap` distinct removals have been seen
-        the walk queues no more and returns the removals it found.
-        `stats`, if given, receives the pops, the solves and whether the
-        cap was hit.
+        For M = 2 the facet scan answers unless it cannot vouch for its
+        result.  Otherwise the walk runs from `initial`, a vertex or a
+        callable that returns one (or None); it is called only then.
+        `initial()` is the fallback when there is no seed or the seed
+        fails the vertex checks.  Breadth-first over exchanges, a wave of
+        up to _WAVE vertices at a time.  Once `cap` distinct removals have
+        been seen the walk queues no more and returns the removals it
+        found.  `stats`, if given, receives the vertices solved (`pops`)
+        and whether the cap was hit.
         """
-        results, pops, capped = self._walk(initial or self.initial(), cap)
-        if not results and initial is not None:
+        pops = 0
+        if self.m == 2:
+            found, pops = self._scan(cap)
+            if found is not None:
+                if stats is not None:
+                    stats.update(pops=pops, capped=False)
+                return found
+        seed = initial() if callable(initial) else initial
+        results, more, capped = self._walk(seed or self.initial(), cap)
+        pops += more
+        if not results and seed is not None:
             results, more, capped = self._walk(self.initial(), cap)
             pops += more
         if stats is not None:
-            stats.update(pops=pops, solves=pops * (self.m + 1), capped=capped)
+            stats.update(pops=pops, capped=capped)
         return [results[k] for k in sorted(results)]
 
     def _walk(self, start: Removal, cap: int):

@@ -183,7 +183,7 @@ class QuadratureRule:
         require_keys(
             data, ("spec", "K", "nodes", "weights", "source_indices", "fixed_mask"), "rule"
         )
-        return cls(
+        rule = cls(
             nodes=np.asarray(data["nodes"], dtype=float),
             weights=np.asarray(data["weights"], dtype=float),
             spec=BasisSpec.from_json_dict(data["spec"]),
@@ -191,6 +191,16 @@ class QuadratureRule:
             source_indices=np.asarray(data["source_indices"], dtype=np.intp),
             fixed_mask=np.asarray(data["fixed_mask"], dtype=bool),
         )
+        if not (np.isfinite(rule.weights).all() and (rule.weights >= 0.0).all()):
+            raise InvalidSpec("rule 'weights' must be finite and non-negative")
+        # K + 1 samples were consumed, at least one per node drawn from the
+        # stream; the base nodes of a resampled extension have no source index
+        drawn = int(np.count_nonzero(rule.source_indices >= 0))
+        if rule.K < max(drawn - 1, 0):
+            raise InvalidSpec(
+                f"rule 'K' is {rule.K}, but {drawn} nodes come from the stream"
+            )
+        return rule
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import samplequad.nested
 from samplequad.cli import main
 from samplequad.rule import QuadratureRule
 from samplequad.sampling import read_samples
@@ -184,6 +185,35 @@ class TestExtend:
         assert run("extend", "--rule", bad, "--samples", sample_file,
                    "--degree-size", 10, "--mode", "degree", "--out", tmp_path / "r.json") == 2
         assert named in caplog.text
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda rule: rule.update(weights=[-w for w in rule["weights"]]), "'weights'"),
+        (lambda rule: rule["weights"].__setitem__(0, float("nan")), "'weights'"),
+        (lambda rule: rule.update(K=-5), "'K'"),
+        (lambda rule: rule.update(K=len(rule["nodes"]) - 2), "'K'"),
+    ], ids=["negated-weights", "nan-weight", "negative-K", "K-below-node-count"])
+    def test_invalid_rule_values_exit_2_before_streaming(
+        self, edit, named, tmp_path, caplog, monkeypatch
+    ):
+        samples = tmp_path / "s.csv"
+        assert run("--seed", 1, "gen-samples", "--dist", UNIFORM_2D,
+                   "--count", 300, "--out", samples) == 0
+        r1 = tmp_path / "r1.json"
+        assert run("build", "--samples", samples, "--degree-size", 6, "--out", r1) == 0
+        rule = json.loads(r1.read_text())
+        edit(rule)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(rule))
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("the stream must not start")
+
+        monkeypatch.setattr(samplequad.nested, "run_stream", no_stream)
+        out = tmp_path / "r.json"
+        assert run("extend", "--rule", bad, "--samples", samples,
+                   "--degree-size", 6, "--mode", "continue", "--out", out) == 2
+        assert named in caplog.text
+        assert not out.exists()
 
 
 class TestBenchGenz:

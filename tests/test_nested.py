@@ -338,14 +338,15 @@ SEED_CORPUS = (
 
 
 class TestSeededRemovalWalk:
-    """The M-removal walk starts at the fast-path vertex."""
+    """Two-node removals come from the facet scan; larger ones from a seeded walk."""
 
     @pytest.mark.parametrize("case", SEED_CORPUS)
     def test_fast_path_steps_never_start_cold(self, case, monkeypatch):
-        steps = []  # (M, seeded, null_space calls, initial() calls)
-        calls = {"null_space": 0, "initial": 0}
-        enumerate_, initial_, null_space_ = (
-            RemovalProblem.enumerate, RemovalProblem.initial, samplequad.nested.null_space
+        steps = []  # (M, seeded, null_space calls, initial() calls, walks)
+        calls = {"null_space": 0, "initial": 0, "walk": 0}
+        enumerate_, initial_, walk_, null_space_ = (
+            RemovalProblem.enumerate, RemovalProblem.initial, RemovalProblem._walk,
+            samplequad.nested.null_space,
         )
 
         def counting_null_space(*args):
@@ -356,19 +357,29 @@ class TestSeededRemovalWalk:
             calls["initial"] += 1
             return initial_(self)
 
+        def counting_walk(self, start, cap):
+            calls["walk"] += 1
+            return walk_(self, start, cap)
+
         def recording_enumerate(self, cap=10**6, initial=None, stats=None):
             out = enumerate_(self, cap=cap, initial=initial, stats=stats)
-            steps.append((self.m, initial is not None, calls["null_space"], calls["initial"]))
-            calls.update(null_space=0, initial=0)
+            steps.append((self.m, initial is not None, calls["null_space"], calls["initial"],
+                          calls["walk"]))
+            calls.update(null_space=0, initial=0, walk=0)
             return out
 
         monkeypatch.setattr(samplequad.nested, "null_space", counting_null_space)
         monkeypatch.setattr(RemovalProblem, "initial", counting_initial)
+        monkeypatch.setattr(RemovalProblem, "_walk", counting_walk)
         monkeypatch.setattr(RemovalProblem, "enumerate", recording_enumerate)
         _increase_degree_chain(*case)
-        fast = [s for s in steps if s[2] == 0]
-        assert {2, 3} <= {m for m, *_ in fast}
-        assert all(seeded and cold == 0 for _, seeded, _, cold in fast)
+        two = [s for s in steps if s[0] == 2]
+        assert two
+        # the scan answers every two-node step: no SVD, no start vertex, no walk
+        assert all(svd == 0 and cold == 0 and walks == 0 for _, _, svd, cold, walks in two)
+        fast = [s for s in steps if s[0] >= 3 and s[2] == 0]
+        assert 3 in {m for m, *_ in fast}
+        assert all(seeded and cold == 0 and walks == 1 for _, seeded, _, cold, walks in fast)
 
     @pytest.mark.parametrize("case", SEED_CORPUS)
     def test_seeded_walk_finds_what_a_cold_walk_finds(self, case, monkeypatch):
@@ -377,11 +388,20 @@ class TestSeededRemovalWalk:
 
         def compared_enumerate(self, cap=10**6, initial=None, stats=None):
             out = enumerate_(self, cap=cap, initial=initial, stats=stats)
-            cold = enumerate_(self, cap=cap)
+            found, _, _ = self._walk(self.initial(), cap)
+            cold = [found[q] for q in sorted(found)]
             # the same removals and zero sets, so the seeded draw picks the same
             assert [(r.indices, r.zero_indices) for r in out] == [
                 (r.indices, r.zero_indices) for r in cold
             ]
+            if self.m == 2:
+                scanned, _ = self._scan(cap)
+                assert [(r.indices, r.zero_indices) for r in scanned] == [
+                    (r.indices, r.zero_indices) for r in cold
+                ]
+            # the step keeps the weights of the batch it solved a vertex in
+            for r in out:
+                np.testing.assert_array_equal(r.weights, self.vertex_weights(r.indices))
             sizes.add(self.m)
             return out
 
@@ -392,20 +412,21 @@ class TestSeededRemovalWalk:
     def test_seed_that_is_no_vertex_falls_back(self, monkeypatch):
         case = SEED_CORPUS[1]
         expect = _increase_degree_chain(*case)
-        null_basis = _StreamEngine._null_basis
+        walk_seed = _StreamEngine._walk_seed
         bad_seeds = []
 
-        def bad_seed(self, v, col, excess):
-            C, seed = null_basis(self, v, col, excess)
+        def bad_seed(self, v, C, nonsupport):
+            seed = walk_seed(self, v, C, nonsupport)
             if seed is not None:
                 # a removal listing one node twice has a singular block
                 seed = Removal(indices=(seed.indices[0],) * len(seed.indices))
                 bad_seeds.append(seed)
-            return C, seed
+            return seed
 
-        monkeypatch.setattr(_StreamEngine, "_null_basis", bad_seed)
+        monkeypatch.setattr(_StreamEngine, "_walk_seed", bad_seed)
         got = _increase_degree_chain(*case)
-        assert bad_seeds
+        # only the walks of three or more nodes ask for a seed
+        assert bad_seeds and all(len(seed.indices) >= 3 for seed in bad_seeds)
         for want, rule in zip(expect, got):
             np.testing.assert_array_equal(rule.nodes, want.nodes)
             np.testing.assert_array_equal(rule.weights, want.weights)

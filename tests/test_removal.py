@@ -42,7 +42,7 @@ def random_rule(rng, n_samples, size):
 def removal_problem(rule, m):
     """The M-removal problem of a rule on its basis shrunk by M functions."""
     V = basis_matrix(replace(rule.spec, size=rule.n_nodes - m), rule.nodes)
-    return RemovalProblem.from_parts(V, rule.weights, null_space(V, m))
+    return RemovalProblem.from_parts(rule.weights, null_space(V, m))
 
 
 def neighbors(problem, indices):
@@ -113,7 +113,7 @@ class TestNeighbor:
         rng = np.random.default_rng(0)
         problem = removal_problem(random_rule(rng, 9, 5), 2)
         with pytest.raises(NullSpaceFailure):
-            problem._pop_data((0, 0))
+            problem.vertex_weights((0, 0))
         assert problem._pop_single((0, 0)) is None
 
 
@@ -181,12 +181,12 @@ class TestEnumerateRemovals:
         rng = np.random.default_rng(10)
         for n_samples, size in ((8, 4), (10, 5), (12, 6)):
             rule = random_rule(rng, n_samples, size)
-            m = 2
-            stats = {}
-            removals = removal_problem(rule, m).enumerate(stats=stats)
-            z = len(removals)
-            assert stats["pops"] <= z + m + 1
-            assert stats["solves"] <= (m + 1) * (z + m + 1)
+            for m in (2, 3):
+                stats = {}
+                removals = removal_problem(rule, m).enumerate(stats=stats)
+                z = len(removals)
+                # the scan solves each vertex once; the walk pops a few more
+                assert stats["pops"] == z if m == 2 else stats["pops"] <= z + m + 1
 
     def test_cap_partial_returns_valid_subset(self):
         rng = np.random.default_rng(12)
@@ -223,28 +223,83 @@ def wave_cases():
         yield removal_problem(symmetric_rule(), m)
 
 
+def cold_walk(problem, cap=10**6):
+    """The removals the walk finds from `initial()`, sorted."""
+    found, _, _ = problem._walk(problem.initial(), cap)
+    return [found[q] for q in sorted(found)]
+
+
 class TestProcessWave:
     @pytest.mark.parametrize("problem", list(wave_cases()))
     def test_batch_matches_one_vertex_at_a_time(self, problem):
         # every vertex, plus index sets that are no vertex
-        wave = [r.indices for r in problem.enumerate()]
+        wave = [r.indices for r in cold_walk(problem)]
         wave += [q for q in itertools.combinations(range(problem.n), problem.m)
                  if q not in wave][:6]
         for got, want in zip(problem._process_wave(wave), [problem._pop_single(q) for q in wave]):
             assert (got is None) == (want is None)
             if want is not None:
                 assert got[1] == want[1]
-                np.testing.assert_allclose(got[0], want[0], rtol=0.0, atol=1e-12)
+                np.testing.assert_array_equal(got[0], want[0])
+
+
+def removals_of(found):
+    return [(r.indices, r.zero_indices) for r in found]
+
+
+class TestFacetScan:
+    """Two-node removals by one scan, or by the walk where it cannot vouch."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scan_is_the_walk(self, seed):
+        rule = random_rule(np.random.default_rng(20 + seed), 14, 8)
+        problem = removal_problem(rule, 2)
+        scanned, solved = problem._scan(10**6)
+        walked = cold_walk(problem)
+        assert removals_of(scanned) == removals_of(walked)
+        assert solved == len(walked)
+        for got, want in zip(scanned, walked):
+            np.testing.assert_array_equal(got.weights, want.weights)
+            np.testing.assert_array_equal(got.weights, problem.vertex_weights(got.indices))
+
+    def test_degenerate_polygon_takes_the_walk(self):
+        # the square |a_0|, |a_1| <= 1 and the line a_0 + a_1 = 2 through
+        # its corner (1, 1): three constraints meet at one vertex
+        C = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]])
+        problem = RemovalProblem.from_parts(np.array([1.0, 1.0, 1.0, 1.0, 2.0]), C)
+        assert problem._scan(10**6)[0] is None
+        got = problem.enumerate()
+        assert removals_of(got) == removals_of(cold_walk(problem)) == [
+            ((0, 2), (0, 2, 4)), ((0, 3), (0, 3)), ((1, 2), (1, 2)), ((1, 3), (1, 3)),
+        ]
+
+    def test_cap_below_the_vertex_count_takes_the_walk(self):
+        rule = random_rule(np.random.default_rng(20), 14, 8)
+        problem = removal_problem(rule, 2)
+        vertices = len(problem._scan(10**6)[0])
+        assert vertices >= 3
+        cap = vertices - 1
+        assert problem._scan(cap)[0] is None
+        stats = {}
+        got = problem.enumerate(cap=cap, stats=stats)
+        assert removals_of(got) == removals_of(cold_walk(problem, cap))
+        assert stats["capped"]
+
+    def test_scan_needs_no_seed(self):
+        problem = removal_problem(random_rule(np.random.default_rng(21), 14, 8), 2)
+        asked = []
+        problem.enumerate(initial=lambda: asked.append(1))
+        assert asked == []
 
 
 class TestSeededEnumerate:
     def test_seed_that_is_no_vertex_falls_back_to_initial(self, monkeypatch):
         rng = np.random.default_rng(15)
         rule = random_rule(rng, 9, 5)
-        problem = removal_problem(rule, 2)
+        problem = removal_problem(rule, 3)
         cold = problem.enumerate()
-        valid = brute_force_removals(rule, 2)
-        bad = next(q for q in itertools.combinations(range(rule.n_nodes), 2) if q not in valid)
+        valid = brute_force_removals(rule, 3)
+        bad = next(q for q in itertools.combinations(range(rule.n_nodes), 3) if q not in valid)
         calls = []
         initial = RemovalProblem.initial
         monkeypatch.setattr(RemovalProblem, "initial", lambda self: calls.append(1) or initial(self))

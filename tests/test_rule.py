@@ -562,6 +562,19 @@ class TestRuleSerialization:
         with pytest.raises(InvalidSpec, match=repr(key)):
             QuadratureRule.from_json_dict(data)
 
+    def test_k_counts_only_the_nodes_drawn_from_the_stream(self):
+        # the base nodes of a resampled extension carry no source index, so
+        # one consumed sample (K = 0) is enough for the rule below
+        rule = QuadratureRule(
+            nodes=[[0.0], [0.5], [1.0]], weights=np.full(3, 1 / 3),
+            spec=monomial_spec(3), K=0, source_indices=[-1, -1, 0],
+        )
+        assert QuadratureRule.from_json_dict(rule.to_json_dict()).K == 0
+        data = rule.to_json_dict()
+        data["source_indices"] = [0, 1, 2]
+        with pytest.raises(InvalidSpec, match="'K'"):
+            QuadratureRule.from_json_dict(data)
+
     def test_moment_vector_wrapper(self):
         mv = MomentVector(values=[1.0, 0.5], K=9)
         assert isinstance(mv.values, np.ndarray)
