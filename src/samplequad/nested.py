@@ -169,11 +169,17 @@ def initialize_extension(req: ExtensionRequest):
 class _StreamEngine:
     """The per-sample iteration, with fixed-node bookkeeping.
 
-    A factorization of the square Vandermonde over the positively
-    weighted (support) nodes is kept across iterations; `fact_cols`
-    records which node position each factorization column holds.  Most
-    iterations change the support by at most a couple of nodes, which
-    is handled by rank-one column exchanges instead of refactorizing.
+    While the positively weighted (support) nodes form a full square
+    base, a factorization of their Vandermonde is kept; `fact_cols`
+    records which node position each factorization column holds.  A
+    scalar step ends in one of three ways: the sample is dropped and the
+    nodes are only reweighted; a clean swap puts the sample in the
+    deleted node's position; or one compaction deletes the zeroed
+    non-fixed nodes and appends the sample if it is kept.  Before any
+    node array moves, `_exchange` reads the support change off the
+    step's weights and follows it by rank-one column exchanges; a step
+    that moves more than three columns, or leaves no square base,
+    rebuilds the factorization instead.
     """
 
     def __init__(self, work: QuadratureRule, rng, removal_cap):
@@ -201,44 +207,38 @@ class _StreamEngine:
         )
 
     def _rebuild_fact(self):
-        b = self.spec.size
-        support = np.nonzero(self.w > 0.0)[0]
-        if self.X.shape[0] < b or support.shape[0] != b:
+        support = np.flatnonzero(self.w > 0.0)
+        if support.shape[0] != self.spec.size:
             self.fact = None
             self.fact_cols = None
         else:
             self.fact = ExtensionFactorization(np.take(self.Vall, support, axis=1))
-            self.fact_cols = support.copy()
+            self.fact_cols = support
 
-    def _sync_fact(self, remap):
-        """Follow support changes with column exchanges where possible.
+    def _exchange(self, u, col):
+        """Follow the step's support change by column exchanges.
 
-        `remap` maps old node positions to new ones (-1 when deleted).
-        Falls back to a full rebuild when more than a few columns moved.
+        `u` holds the step's weights, the nodes first and the incoming
+        sample (position n) last; nothing has moved yet.  Each slot whose
+        node the step zeroed takes a positive position outside the
+        factorization, the two paired in ascending order.  Returns False,
+        changing nothing, when there is no factorization, the support
+        does not stay a full square base, or more than three columns
+        would move; the caller then rebuilds once the step is applied.
         """
         if self.fact is None:
-            self._rebuild_fact()
-            return
-        b = self.spec.size
-        support_mask = self.w > 0.0
-        if int(support_mask.sum()) != b:
-            self._rebuild_fact()
-            return
-        cols = np.full(self.fact_cols.shape, -1, dtype=np.intp)
-        mapped = self.fact_cols < remap.shape[0]
-        cols[mapped] = remap[self.fact_cols[mapped]]
-        alive = (cols >= 0) & support_mask[np.clip(cols, 0, None)]
-        taken = np.zeros_like(support_mask)
-        taken[cols[alive]] = True
-        entrants = np.nonzero(support_mask & ~taken)[0]
-        leaver_slots = np.nonzero(~alive)[0]
-        if entrants.shape[0] != leaver_slots.shape[0] or entrants.shape[0] > 3:
-            self._rebuild_fact()
-            return
-        for slot, p in zip(leaver_slots, entrants):
-            self.fact.replace_column(int(slot), self.Vall[:, p])
-            cols[slot] = p
-        self.fact_cols = cols
+            return False
+        leaving = np.flatnonzero(u[self.fact_cols] == 0.0)
+        outside = u > 0.0
+        outside[self.fact_cols] = False
+        entering = np.flatnonzero(outside)
+        if leaving.shape[0] != entering.shape[0] or leaving.shape[0] > 3:
+            return False
+        n = self.X.shape[0]
+        for slot, p in zip(leaving, entering):
+            self.fact.replace_column(int(slot), col if p == n else self.Vall[:, p])
+            self.fact_cols[slot] = p
+        return True
 
     def feed(self, y, col, src_idx):
         """The scalar step: consume one sample."""
@@ -250,8 +250,11 @@ class _StreamEngine:
         tail = 1.0 / (count + 1.0)
         if n + 1 <= b:
             # below capacity: the extended system has no null space
-            self.w = self.w * scale
-            self._append(y, col, src_idx, tail)
+            self.X = np.vstack([self.X, y])
+            self.w = np.append(self.w * scale, tail)
+            self.src = np.append(self.src, src_idx)
+            self.fixed = np.append(self.fixed, False)
+            self.Vall = np.column_stack([self.Vall, col])
             if n + 2 > b:
                 self._rebuild_fact()
             return
@@ -345,13 +348,6 @@ class _StreamEngine:
             return None
         return slot, W
 
-    def _append(self, y, col, src_idx, weight):
-        self.X = np.vstack([self.X, y])
-        self.w = np.concatenate([self.w, [weight]])
-        self.src = np.concatenate([self.src, [src_idx]])
-        self.fixed = np.concatenate([self.fixed, [False]])
-        self.Vall = np.column_stack([self.Vall, col])
-
     def _candidate(self, v, c, alpha, attained):
         """New weights of one removal, and the positions it zeroed."""
         u = apply_removal(v, c, alpha, attained)
@@ -392,9 +388,7 @@ class _StreamEngine:
             return u, zeroed
         # a fixed node was zeroed: price both removals, prefer the one
         # deleting more non-fixed nodes
-        a_min, _, a_max, _, feasible = removal_interval(v, c)
-        if not feasible:
-            raise NullSpaceFailure("empty removal interval on non-negative weights")
+        a_min, _, a_max, _, _ = removal_interval(v, c)
         cands = [
             self._candidate(v, c, alpha, attained_indices(v, c, alpha, side))
             for alpha, side in ((a_max, +1), (a_min, -1))
@@ -409,10 +403,11 @@ class _StreamEngine:
         zero at every other column outside the support.  After the SVD
         branch the nodes are None.
         """
-        nonsupport = np.nonzero(self.w == 0.0)[0]
-        n = self.X.shape[0]
-        if self.fact is None or nonsupport.shape[0] + 1 != excess:
+        if self.fact is None:
             return null_space(np.column_stack([self.Vall, col]), excess), None
+        # the support is a full square base: every other node is nonsupport
+        nonsupport = np.flatnonzero(self.w == 0.0)
+        n = self.X.shape[0]
         cols = np.empty((col.shape[0], excess))
         cols[:, :-1] = self.Vall[:, nonsupport]
         cols[:, -1] = col
@@ -454,49 +449,34 @@ class _StreamEngine:
     def _apply(self, u, zeroed, y, col, src_idx):
         n = self.X.shape[0]
         deleted = self._deletable(zeroed)
-        if not deleted:
-            # only fixed nodes were zeroed: the rule physically grows
+        exchanged = self._exchange(u, col)
+        if deleted == [n]:
+            # only the incoming sample was deleted: reweight
             self.w = u[:n]
-            self._append(y, col, src_idx, u[n])
-            self._renorm()
-            self._sync_fact(np.arange(n, dtype=np.intp))
-        elif deleted == [n]:
-            # the incoming sample itself was removed; unless a fixed node
-            # was zeroed, a full support of positive weights is unchanged
-            changed = len(zeroed) > 1 or self.fact is None or n != self.spec.size
-            self.w = u[:n]
-            self._renorm()
-            if changed:
-                self._sync_fact(np.arange(n, dtype=np.intp))
-        elif len(zeroed) == 1 and self.fact is not None:
-            # clean swap: the new node takes the vacated slot in place
+        elif len(zeroed) == 1 and deleted and exchanged:
+            # clean swap: the sample takes the vacated position in place
             j = deleted[0]
-            w = u[:n].copy()
-            w[j] = u[n]
-            self.w = w
+            self.w = u[:n]
+            self.w[j] = u[n]
             self.X[j] = y
             self.src[j] = src_idx
             self.Vall[:, j] = col
-            slot = np.nonzero(self.fact_cols == j)[0]
-            if slot.shape[0] == 1:
-                self.fact.replace_column(int(slot[0]), col)
-            else:
-                self._rebuild_fact()
-            self._renorm()
+            self.fact_cols[self.fact_cols == n] = j
         else:
-            keep_old = np.ones(n, dtype=bool)
-            keep_old[[k for k in deleted if k < n]] = False
-            remap = np.full(n, -1, dtype=np.intp)
-            remap[keep_old] = np.arange(int(keep_old.sum()), dtype=np.intp)
-            self.X = self.X[keep_old]
-            self.w = u[:n][keep_old]
-            self.src = self.src[keep_old]
-            self.fixed = self.fixed[keep_old]
-            self.Vall = np.ascontiguousarray(self.Vall[:, keep_old])
-            if deleted[-1] != n:
-                self._append(y, col, src_idx, u[n])
-            self._renorm()
-            self._sync_fact(remap)
+            # one compaction deletes the zeroed non-fixed nodes and
+            # appends the sample if it is kept (a grow deletes nothing)
+            keep = np.ones(n + 1, dtype=bool)
+            keep[deleted] = False
+            self.X = np.vstack([self.X, y])[keep]
+            self.w = u[keep]
+            self.src = np.append(self.src, src_idx)[keep]
+            self.fixed = np.append(self.fixed, False)[keep]
+            self.Vall = np.compress(keep, np.column_stack([self.Vall, col]), axis=1)
+            if exchanged:
+                self.fact_cols = np.cumsum(keep)[self.fact_cols] - 1
+        self._renorm()
+        if not exchanged:
+            self._rebuild_fact()
 
     def _renorm(self):
         total = self.w.sum()

@@ -320,7 +320,7 @@ def _rejection_sample(spec: DistributionSpec, count: int):
     return SampleSet(out, provenance=provenance)
 
 
-def generate(spec: DistributionSpec, count: int, trace=None) -> SampleSet:
+def generate(spec: DistributionSpec, count: int) -> SampleSet:
     """Draw `count` points; deterministic for a fixed spec and seed.
 
     A `file` spec yields the first `count` rows of its file.
@@ -339,7 +339,7 @@ def generate(spec: DistributionSpec, count: int, trace=None) -> SampleSet:
             )
         return SampleSet(samples.points[:count], provenance=samples.provenance)
     if spec.kind == ROSENBROCK:
-        return _mh_rosenbrock(spec, count, trace=trace)
+        return _mh_rosenbrock(spec, count)
     if spec.kind == INDICATOR:
         return _rejection_sample(spec, count)
     rng = np.random.default_rng(np.random.PCG64(spec.seed))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import samplequad.bench
 from samplequad.bench import (
     ExperimentConfig,
     FAMILIES,
@@ -15,6 +16,7 @@ from samplequad.bench import (
     genz_eval_many,
     run_convergence,
 )
+from samplequad.rule import sample_moments
 from samplequad.sampling import DistributionSpec
 
 
@@ -167,6 +169,69 @@ class TestRunConvergence:
             small_config(k_max=5)
         with pytest.raises(ValueError):
             small_config(families=("nope",))
+
+
+# The paper's claim: on smooth Genz integrands the nested rules beat Monte
+# Carlo by orders of magnitude.  Monte Carlo error over nested-rule error at
+# N = 64, d = 2, k_max 2000, schedule 4-64, one repetition, smallest over
+# seeds 1-3 (seed 1, the gated one, in brackets):
+#   uniform: oscillatory 1.6e8 (1.6e8), product peak 366 (366),
+#            corner peak 1,730 (2,270), Gaussian 7,120 (7,120);
+#   rosenbrock: oscillatory 4,350 (112,000).
+# The gate asks for 10x on exactly these, the families at >= 100x on every
+# seed.  Not gated: c0 (uniform 4.7-42x, rosenbrock 7-509x), discontinuous
+# (0.3-8x), and rosenbrock's product peak (38-58x) and Gaussian (38-206x).
+CLAIM_MARGIN = 10.0
+MEASURED_MARGINS = {
+    "uniform": {"oscillatory": 1.6e8, "product_peak": 366.0, "corner_peak": 1730.0,
+                "gaussian": 7120.0},
+    "rosenbrock": {"oscillatory": 4350.0},
+}
+
+
+class TestPaperClaims:
+    @pytest.mark.parametrize("kind", sorted(MEASURED_MARGINS))
+    def test_nested_rules_beat_monte_carlo(self, kind, monkeypatch):
+        config = ExperimentConfig(
+            d=2, k_max=2000, schedule=(4, 8, 16, 32, 64),
+            distribution=DistributionSpec(kind=kind, d=2), repetitions=1, seed=1,
+        )
+        chains = []  # (samples, chain) of every chain built
+        build = samplequad.bench._build_chain
+
+        def recording_build(config, samples, select_seed):
+            chain = build(config, samples, select_seed)
+            chains.append((samples, chain))
+            return chain
+
+        monkeypatch.setattr(samplequad.bench, "_build_chain", recording_build)
+        report = run_convergence(config)
+        again = run_convergence(config)
+        assert report.failures == []
+        assert report.errors == again.errors
+
+        (samples, chain), (_, chain_again) = chains
+        sample_keys = {row.tobytes() for row in samples.points}
+        assert [rule.spec.size for rule in chain] == [n + 1 for n in config.schedule]
+        assert chain[0].n_nodes <= chain[0].spec.size
+        for base, rule in zip([None] + chain[:-1], chain):
+            assert rule.weights.min() >= 0.0
+            assert rule.moment_residual(sample_moments(samples, rule.spec)) <= 1e-8
+            node_keys = {row.tobytes() for row in rule.nodes}
+            assert node_keys <= sample_keys
+            if base is not None:
+                assert {row.tobytes() for row in base.nodes} <= node_keys
+                n, d_plus = base.n_nodes - 1, rule.spec.size - 1
+                assert d_plus <= rule.n_nodes - 1 <= n + d_plus + 1
+        for rule, rule_again in zip(chain, chain_again):
+            np.testing.assert_array_equal(rule.nodes, rule_again.nodes)
+            np.testing.assert_array_equal(rule.weights, rule_again.weights)
+
+        for family in MEASURED_MARGINS[kind]:
+            mc = report.errors[(family, 64, MONTE_CARLO)]
+            nested = report.errors[(family, 64, NESTED_RULE)]
+            measured = MEASURED_MARGINS[kind][family]
+            assert nested * CLAIM_MARGIN <= mc, (family, mc / nested, measured)
 
 
 class TestFitSlope:

@@ -62,3 +62,43 @@ def test_no_module_imports_a_name_it_never_uses():
                     if name not in used and (module, name) not in shimmed:
                         unused.append(f"{module}: {name}")
     assert unused == []
+
+
+def _private_definitions(tree):
+    """Private names a module defines at module level or in a class body."""
+    scopes = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    for body in scopes:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def test_every_private_name_is_used_inside_the_package():
+    # tests may call private names, but a private name the package itself
+    # never reads is dead code
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    dead = [
+        f"samplequad.{stem}: {name}"
+        for stem, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in read
+    ]
+    assert dead == []

@@ -31,6 +31,7 @@ from samplequad.rule import (
     removal_interval,
     sample_moments,
 )
+from test_nested import SEED_CORPUS, _increase_degree_chain
 
 
 def monomial_spec(size, lo=-1.0, hi=1.0):
@@ -421,6 +422,18 @@ def _corpus_stream(d, size, dist, n, dup):
     return pts, legendre_spec(d, size, domain_from_samples(pts))
 
 
+def _corpus_request(mode, d, size, target, dist, n, seed):
+    pts = _stream_points(d, dist, n)
+    first = SampleSet(pts[:1000])
+    base = construct_fixed_rule(first, legendre_spec(d, size, domain_from_samples(first.points)))
+    if mode == "continue_samples":
+        # continue a nested rule, which carries fixed nodes
+        base = extend_rule(ExtensionRequest(base, target, first, "increase_degree"), seed)
+    # a resampled extension streams fresh samples past the base nodes
+    source = SampleSet(pts[1000:] if mode == "resampled" else pts)
+    return ExtensionRequest(base=base, target_basis_size=target, sample_source=source, mode=mode)
+
+
 class TestBlockPass:
     @pytest.mark.parametrize("d,size,dist,n,dup", BLOCK_PASS_CORPUS)
     def test_matches_per_sample_reference(self, d, size, dist, n, dup):
@@ -458,23 +471,9 @@ class TestBlockPass:
     def test_extension_matches_per_sample_reference(
         self, mode, d, size, target, dist, n, seed
     ):
-        pts = _stream_points(d, dist, n)
-        first = SampleSet(pts[:1000])
-        base = construct_fixed_rule(
-            first, legendre_spec(d, size, domain_from_samples(first.points))
-        )
-        if mode == "continue_samples":
-            # continue a nested rule, which carries fixed nodes
-            base = extend_rule(
-                ExtensionRequest(base, target, first, "increase_degree"), seed
-            )
-        # a resampled extension streams fresh samples past the base nodes
-        source = SampleSet(pts[1000:] if mode == "resampled" else pts)
-        req = ExtensionRequest(
-            base=base, target_basis_size=target, sample_source=source, mode=mode
-        )
+        req = _corpus_request(mode, d, size, target, dist, n, seed)
         work, stream_idx = initialize_extension(req)
-        ref = _per_sample_rule(work, source.points, stream_idx, seed)
+        ref = _per_sample_rule(work, req.sample_source.points, stream_idx, seed)
         rule = extend_rule(req, selection_seed=seed)
         assert rule.fixed_mask.any()
         _assert_same_rule(rule, ref)
@@ -516,6 +515,73 @@ class TestBlockPass:
         rule = construct_fixed_rule(ss, spec)
         assert len(calls) <= 5
         assert rule.moment_residual(sample_moments(ss, spec)) <= 1e-8
+
+
+# increase_degree chains (kind, samples, basis sizes, seed): the first is
+# from test_nested's SEED_CORPUS; in the second, one step moves four
+# columns of the factorization, which is then rebuilt
+BOOKKEEPING_CHAINS = [SEED_CORPUS[0], ("uniform", 512, (5, 9, 17, 33, 65), 8)]
+
+
+class TestFactorizationBookkeeping:
+    """After every step the factorization holds exactly the support's columns.
+
+    Between them the cases grow the rule, delete several nodes at once,
+    zero fixed nodes, swap one node for the sample, and rebuild after a
+    step that moves more than three columns.
+    """
+
+    @pytest.fixture
+    def refused(self, monkeypatch):
+        """Checks every `feed` and `drop_run`; counts refused exchanges."""
+        refusals = []
+        feed, drop_run, exchange = (
+            _StreamEngine.feed, _StreamEngine.drop_run, _StreamEngine._exchange
+        )
+
+        def check(engine):
+            if engine.fact is None:
+                return
+            np.testing.assert_array_equal(engine.fact.V, engine.Vall[:, engine.fact_cols])
+            assert engine.fact_cols.shape[0] == engine.spec.size
+            np.testing.assert_array_equal(
+                np.sort(engine.fact_cols), np.flatnonzero(engine.w > 0.0)
+            )
+
+        def checked_feed(self, *args):
+            feed(self, *args)
+            check(self)
+
+        def checked_drop_run(self, *args):
+            out = drop_run(self, *args)
+            check(self)
+            return out
+
+        def counted_exchange(self, u, col):
+            held = self.fact is not None
+            out = exchange(self, u, col)
+            if held and not out:
+                refusals.append(self.consumed)
+            return out
+
+        monkeypatch.setattr(_StreamEngine, "feed", checked_feed)
+        monkeypatch.setattr(_StreamEngine, "drop_run", checked_drop_run)
+        monkeypatch.setattr(_StreamEngine, "_exchange", counted_exchange)
+        return refusals
+
+    @pytest.mark.parametrize("d,size,dist,n,dup", BLOCK_PASS_CORPUS)
+    def test_fixed_rule_stream(self, d, size, dist, n, dup, refused):
+        pts, spec = _corpus_stream(d, size, dist, n, dup)
+        construct_fixed_rule(SampleSet(pts), spec)
+
+    @pytest.mark.parametrize("mode,d,size,target,dist,n,seed", EXTENSION_CORPUS)
+    def test_extension(self, mode, d, size, target, dist, n, seed, refused):
+        extend_rule(_corpus_request(mode, d, size, target, dist, n, seed), seed)
+
+    @pytest.mark.parametrize("case", BOOKKEEPING_CHAINS)
+    def test_increase_degree_chain(self, case, refused):
+        _increase_degree_chain(*case)
+        assert len(refused) == (1 if case is BOOKKEEPING_CHAINS[1] else 0)
 
 
 class TestRuleSerialization:

@@ -16,6 +16,7 @@ from samplequad.errors import (
     InvalidSpec,
     ParseError,
 )
+from samplequad import sampling
 from samplequad.sampling import (
     DistributionSpec,
     generate,
@@ -194,7 +195,7 @@ class TestRosenbrock:
             kind="rosenbrock", d=2, seed=11,
             params={"burn_in": 200, "thinning": 2},
         )
-        generate(spec, 200, trace=trace)
+        sampling._mh_rosenbrock(spec, 200, trace=trace)
         assert len(trace) >= 400
         for x, prop, log_ratio, log_u, accepted in trace[:500]:
             want = banana_log_density_oracle(prop) - banana_log_density_oracle(x)
