@@ -15,9 +15,10 @@ space is larger: one block solve gives a direction per zero-weight node
 and one for the sample.  The step enumerates all removals of that size
 and takes one that deletes the most non-fixed nodes (same tie break),
 with the weights its vertex solve left.  For two directions, the usual
-case, one facet scan of the removal polygon finds every vertex (see
-`samplequad.removal`).  For more, or where the scan cannot vouch for its
-result, a walk runs from the vertex the sample's smallest-|alpha|
+case, an edge trace goes round the removal polygon, one ratio test per
+vertex, starting on the zero-weight node's line (see
+`samplequad.removal`).  For more, or where the trace cannot vouch for
+its result, a walk runs from the vertex the sample's smallest-|alpha|
 removal reaches, which saves the SVDs of a cold start.
 
 Most steps delete the incoming sample, which only reweights the

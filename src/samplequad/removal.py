@@ -11,17 +11,17 @@ of feasible null-space coefficients: the coefficients a with
 w - C a >= 0 for a null basis C.  A vertex solve is an M x M inverse of
 rows of C, and every vertex found keeps the weights of that solve.
 
-For M = 2 the feasible set is a polygon with a handful of vertices.
-One facet scan finds them all in a fixed number of array operations,
-where the walk takes several waves of them to go round it.  Every line
-C_i a = w_i is cut by all the other constraints at once; the lines that
-keep a segment are the edges, and the constraint that ends an edge
-names the vertex it shares with the next edge.  All vertices are solved
-in one batch.  The scan vouches for its result only when there are 3 to
-`cap` edges, the end of each edge starts another, and every vertex
-passes the checks with no weight but its own two near zero.  Otherwise
-(a degenerate vertex, a cap below the vertex count), and for M >= 3,
-the walk runs.
+For M = 2 the feasible set is a polygon with a handful of vertices, and
+an edge trace goes round it (pivoting vertex enumeration in the plane;
+Avis and Fukuda, 1992).  Along the line C_i a = w_i of an edge, one
+ratio test over the rows finds the constraint that ends it: that names
+the vertex and the next edge's line.  The trace starts on the line of a
+zero weight, which a = 0 lies on, or on the first one a ray out of
+a = 0 meets, so it needs no seed and no SVD.  All vertices are solved in
+one batch.  The trace vouches for its result only when it closes within
+`cap` vertices and every vertex passes the checks with no weight but its
+own two near zero.  Otherwise (a degenerate vertex, a cap below the
+vertex count, an unbounded region), and for M >= 3, the walk runs.
 
 The walk is breadth-first over exchanges: each vertex has, per removed
 node, exactly one adjacent vertex reachable by exchanging that node.
@@ -45,9 +45,6 @@ from .basis import basis_matrix  # noqa: F401  (perfbench's timing shims wrap it
 from .errors import DegenerateNullVector, DimensionMismatch, NoRemovalExists, NullSpaceFailure
 from .linalg import null_space  # noqa: F401  (perfbench's timing shims wrap it here)
 from .tolerances import TOL_VERTEX_NEG, TOL_VERTEX_RESID, TOL_VERTEX_ZERO, TOL_ZERO_FACTOR
-
-# C @ _TURN turns each row of C a quarter clockwise, exactly
-_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def ratio_extrema(weights: np.ndarray, c: np.ndarray, exclude: np.ndarray | None = None):
@@ -217,39 +214,52 @@ class RemovalProblem:
         q = tuple(sorted(removed[: self.m]))
         return self._build(q, self.vertex_weights(q))
 
-    def _scan(self, cap: int):
-        """(removals, vertices solved) of the M = 2 facet scan.
+    def _trace(self, cap: int):
+        """(removals, vertices solved) of the M = 2 edge trace.
 
-        The removals are None when the scan cannot vouch for them.  Line i
-        (C_i a = w_i) is walked along d_i, C_i turned a quarter
-        counter-clockwise, so the polygon lies on its left.  Line j meets
-        it at the point a with d_i . a = T[i, j] / G[i, j], where
-        T[i, j] = |C_i|^2 w_j - (C_i . C_j) w_i and G[i, j] = C_i x C_j is
-        the rate at which constraint j tightens along d_i: an upper end of
-        the segment where G > 0, a lower end where G < 0.  Going round the
-        polygon, the line that ends edge i at its upper end is the next
-        edge, and line i ends that one at its lower end.
+        The removals are None when the trace cannot vouch for them.  Line
+        i (C_i a = w_i) is walked along d_i, C_i turned a quarter
+        counter-clockwise, so the polygon lies on its left.  Line j
+        crosses it where d_i . a = t_j / r_j, with
+        t_j = |C_i|^2 w_j - (C_i . C_j) w_i and r_j = C_j . d_i the rate
+        at which constraint j tightens along d_i: an upper end of the edge
+        where r_j > 0, a lower end where r_j < 0.  Only the first edge
+        needs both ends; the trace closes when its lower end comes round.
         """
         C, w, n = self.C, self.w, self.n
-        G = C @ (C @ _TURN).T
-        # a line does not bound itself, even where the product rounds
-        np.fill_diagonal(G, 0.0)
-        gram = C @ C.T
-        T = gram.diagonal()[:, None] * w - gram * w[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            T /= G
-        upper = np.where(G > 0.0, T, np.inf)
-        lower = np.where(G < 0.0, T, -np.inf)
-        j_up = upper.argmin(axis=1)
-        j_lo = lower.argmax(axis=1)
-        rows = np.arange(n)
-        is_edge = lower[rows, j_lo] < upper[rows, j_up]
-        edges = is_edge.nonzero()[0]
-        nxt = j_up[edges]
-        if not (3 <= edges.shape[0] <= cap and is_edge[nxt].all() and (j_lo[nxt] == edges).all()):
+        rows = np.concatenate((w[None], C.T))
+        inf = np.full(n, np.inf)
+
+        def crossings(i):
+            # the rows (w_j, C_j) against (|C_i|^2, -w_i C_i) and (0, d_i)
+            (x, y), w_i = C[i].tolist(), float(w[i])
+            t, r = np.array([[x * x + y * y, -w_i * x, -w_i * y], [0.0, -y, x]]) @ rows
+            # a line does not bound itself, even where the product rounds
+            r[i] = 0.0
+            return t, r
+
+        def upper_end(t, r):
+            return np.divide(t, r, out=inf.copy(), where=r > 0.0)
+
+        start = int(w.argmin())
+        if w[start] != 0.0:
+            ray = upper_end(w, C @ C[0])
+            start = int(ray.argmin())
+        t, r = crossings(start)
+        ahead = upper_end(t, r)
+        behind = np.divide(t, r, out=-inf, where=r < 0.0)
+        last, line = int(behind.argmax()), int(ahead.argmin())
+        if not -np.inf < behind[last] < ahead[line] < np.inf:
             return None, 0
-        # one vertex per edge: where it meets the next
-        pairs = sorted((min(i, j), max(i, j)) for i, j in zip(edges.tolist(), nxt.tolist()))
+        # the edges' lines in counter-clockwise order; each ends where the next starts
+        ring = [last, start]
+        while line != last:
+            # a line met twice: the trace is not going round a polygon
+            if line in ring or len(ring) >= cap:
+                return None, 0
+            ring.append(line)
+            line = int(upper_end(*crossings(line)).argmin())
+        pairs = sorted((min(i, j), max(i, j)) for i, j in zip(ring, ring[1:] + ring[:1]))
         q_mat = np.array(pairs, dtype=np.intp)
         try:
             W, _, bad = self._vertices(q_mat)
@@ -294,7 +304,7 @@ class RemovalProblem:
                   stats: dict | None = None) -> list[Removal]:
         """The removals of the problem, sorted by indices.
 
-        For M = 2 the facet scan answers unless it cannot vouch for its
+        For M = 2 the edge trace answers unless it cannot vouch for its
         result.  Otherwise the walk runs from `initial`, a vertex or a
         callable that returns one (or None); it is called only then.
         `initial()` is the fallback when there is no seed or the seed
@@ -306,7 +316,7 @@ class RemovalProblem:
         """
         pops = 0
         if self.m == 2:
-            found, pops = self._scan(cap)
+            found, pops = self._trace(cap)
             if found is not None:
                 if stats is not None:
                     stats.update(pops=pops, capped=False)

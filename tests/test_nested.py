@@ -338,7 +338,7 @@ SEED_CORPUS = (
 
 
 class TestSeededRemovalWalk:
-    """Two-node removals come from the facet scan; larger ones from a seeded walk."""
+    """Two-node removals come from the edge trace; larger ones from a seeded walk."""
 
     @pytest.mark.parametrize("case", SEED_CORPUS)
     def test_fast_path_steps_never_start_cold(self, case, monkeypatch):
@@ -375,7 +375,7 @@ class TestSeededRemovalWalk:
         _increase_degree_chain(*case)
         two = [s for s in steps if s[0] == 2]
         assert two
-        # the scan answers every two-node step: no SVD, no start vertex, no walk
+        # the trace answers every two-node step: no SVD, no start vertex, no walk
         assert all(svd == 0 and cold == 0 and walks == 0 for _, _, svd, cold, walks in two)
         fast = [s for s in steps if s[0] >= 3 and s[2] == 0]
         assert 3 in {m for m, *_ in fast}
@@ -395,7 +395,7 @@ class TestSeededRemovalWalk:
                 (r.indices, r.zero_indices) for r in cold
             ]
             if self.m == 2:
-                scanned, _ = self._scan(cap)
+                scanned, _ = self._trace(cap)
                 assert [(r.indices, r.zero_indices) for r in scanned] == [
                     (r.indices, r.zero_indices) for r in cold
                 ]

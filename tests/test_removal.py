@@ -185,7 +185,7 @@ class TestEnumerateRemovals:
                 stats = {}
                 removals = removal_problem(rule, m).enumerate(stats=stats)
                 z = len(removals)
-                # the scan solves each vertex once; the walk pops a few more
+                # the trace solves each vertex once; the walk pops a few more
                 assert stats["pops"] == z if m == 2 else stats["pops"] <= z + m + 1
 
     def test_cap_partial_returns_valid_subset(self):
@@ -247,14 +247,45 @@ def removals_of(found):
     return [(r.indices, r.zero_indices) for r in found]
 
 
+def with_zero_weights(rule, rng, count):
+    """The two-node removal problem of a rule plus `count` samples at weight zero.
+
+    The samples are drawn in the rule's domain; the basis is shrunk by two
+    functions from the node count.
+    """
+    (lo, hi), = rule.spec.domain
+    nodes = np.vstack([rule.nodes, lo + (hi - lo) * rng.random((count, 1))])
+    weights = np.append(rule.weights, np.zeros(count))
+    V = basis_matrix(replace(rule.spec, size=nodes.shape[0] - 2), nodes)
+    return RemovalProblem.from_parts(weights, null_space(V, 2))
+
+
+def trace_or_walk(problem, cap=10**6):
+    """The trace's removals, checked against the cold walk; None if it declined.
+
+    Where the trace vouches it must find the walk's removals, zero sets and
+    weights, solving each vertex once; where it declines, `enumerate` must
+    still return what the walk finds.
+    """
+    traced, solved = problem._trace(cap)
+    walked = cold_walk(problem, cap)
+    if traced is not None:
+        assert removals_of(traced) == removals_of(walked)
+        assert solved == len(walked)
+        for got, want in zip(traced, walked):
+            np.testing.assert_array_equal(got.weights, want.weights)
+    assert removals_of(problem.enumerate(cap=cap)) == removals_of(walked)
+    return traced
+
+
 class TestFacetScan:
-    """Two-node removals by one scan, or by the walk where it cannot vouch."""
+    """Two-node removals by one edge trace, or by the walk where it cannot vouch."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_scan_is_the_walk(self, seed):
         rule = random_rule(np.random.default_rng(20 + seed), 14, 8)
         problem = removal_problem(rule, 2)
-        scanned, solved = problem._scan(10**6)
+        scanned, solved = problem._trace(10**6)
         walked = cold_walk(problem)
         assert removals_of(scanned) == removals_of(walked)
         assert solved == len(walked)
@@ -267,7 +298,7 @@ class TestFacetScan:
         # its corner (1, 1): three constraints meet at one vertex
         C = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]])
         problem = RemovalProblem.from_parts(np.array([1.0, 1.0, 1.0, 1.0, 2.0]), C)
-        assert problem._scan(10**6)[0] is None
+        assert problem._trace(10**6)[0] is None
         got = problem.enumerate()
         assert removals_of(got) == removals_of(cold_walk(problem)) == [
             ((0, 2), (0, 2, 4)), ((0, 3), (0, 3)), ((1, 2), (1, 2)), ((1, 3), (1, 3)),
@@ -276,14 +307,78 @@ class TestFacetScan:
     def test_cap_below_the_vertex_count_takes_the_walk(self):
         rule = random_rule(np.random.default_rng(20), 14, 8)
         problem = removal_problem(rule, 2)
-        vertices = len(problem._scan(10**6)[0])
+        vertices = len(problem._trace(10**6)[0])
         assert vertices >= 3
         cap = vertices - 1
-        assert problem._scan(cap)[0] is None
+        assert problem._trace(cap)[0] is None
         stats = {}
         got = problem.enumerate(cap=cap, stats=stats)
         assert removals_of(got) == removals_of(cold_walk(problem, cap))
         assert stats["capped"]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_zero_weight_starts_the_trace(self, seed):
+        # every problem the streaming engine builds has one: a = 0 lies on
+        # the zero-weight node's line, an edge of the polygon
+        rng = np.random.default_rng(30 + seed)
+        problem = with_zero_weights(random_rule(rng, 14, 8), rng, 1)
+        assert (problem.w == 0.0).sum() == 1
+        traced = trace_or_walk(problem)
+        assert traced is not None and len(traced) >= 3
+        # the zero-weight node is removed at the two ends of its edge
+        assert sum(problem.n - 1 in r.indices for r in traced) == 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_zero_weights_make_a_0_a_vertex(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        problem = with_zero_weights(random_rule(rng, 14, 8), rng, 2)
+        traced = trace_or_walk(problem)
+        assert traced is not None
+        zero = (problem.n - 2, problem.n - 1)
+        assert zero in [r.indices for r in traced]
+
+    @pytest.mark.parametrize("zeros", (0, 1))
+    def test_repeated_row(self, zeros):
+        rng = np.random.default_rng(50)
+        rule = random_rule(rng, 14, 8)
+        problem = with_zero_weights(rule, rng, 1) if zeros else removal_problem(rule, 2)
+        edges = {j for r in problem._trace(10**6)[0] for j in r.indices}
+        declined = 0
+        for j in range(problem.n):
+            doubled = RemovalProblem.from_parts(
+                np.append(problem.w, problem.w[j]), np.vstack([problem.C, problem.C[j]])
+            )
+            if j in edges:
+                # both vertices of a doubled edge zero three weights
+                assert doubled._trace(10**6)[0] is None
+            try:
+                cold_walk(doubled)
+            except NullSpaceFailure:
+                # the cold start zeroes the line and its copy at once: a
+                # singular block, and enumerate fails alike
+                with pytest.raises(NullSpaceFailure):
+                    doubled.enumerate()
+                continue
+            declined += trace_or_walk(doubled) is None
+        assert declined >= 1
+
+    @pytest.mark.parametrize("zeros", (0, 1))
+    def test_cap_at_and_below_the_vertex_count(self, zeros):
+        rng = np.random.default_rng(60)
+        rule = random_rule(rng, 14, 8)
+        problem = with_zero_weights(rule, rng, 1) if zeros else removal_problem(rule, 2)
+        vertices = len(problem._trace(10**6)[0])
+        assert vertices >= 3
+        assert len(trace_or_walk(problem, cap=vertices)) == vertices
+        assert trace_or_walk(problem, cap=vertices - 1) is None
+
+    @pytest.mark.parametrize("w", ([1.0, 1.0, 1.0], [0.0, 1.0, 1.0]))
+    def test_unbounded_region_is_declined(self, w):
+        # a_0 <= w_0, a_1 <= w_1 and a_0 + a_1 <= w_2 bound no polygon: the
+        # start line's edge has no lower end, from a ray or a zero weight
+        C = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        problem = RemovalProblem.from_parts(np.array(w), C)
+        assert problem._trace(10**6) == (None, 0)
 
     def test_scan_needs_no_seed(self):
         problem = removal_problem(random_rule(np.random.default_rng(21), 14, 8), 2)
