@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -105,7 +105,11 @@ class ExperimentConfig:
     removal_cap: int = 128
 
     def __post_init__(self):
+        for name in ("d", "k_max", "repetitions", "seed", "removal_cap"):
+            setattr(self, name, int(getattr(self, name)))
+        self.include_nonnested = bool(self.include_nonnested)
         self.schedule = tuple(int(n) for n in self.schedule)
+        self.families = tuple(self.families)
         if self.repetitions < 1:
             raise ValueError("need at least one repetition")
         if list(self.schedule) != sorted(self.schedule):
@@ -123,34 +127,19 @@ class ExperimentConfig:
         return self.families
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "k_max": self.k_max,
-            "schedule": list(self.schedule),
-            "distribution": self.distribution.to_json_dict(),
-            "repetitions": self.repetitions,
-            "seed": self.seed,
-            "include_nonnested": self.include_nonnested,
-            "families": list(self.families),
-            "basis_family": self.basis_family,
-            "removal_cap": self.removal_cap,
-        }
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+        out["distribution"] = self.distribution.to_json_dict()
+        return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
         require_keys(data, ("d", "k_max", "schedule", "distribution"), "experiment config")
-        return cls(
-            d=int(data["d"]),
-            k_max=int(data["k_max"]),
-            schedule=tuple(data["schedule"]),
-            distribution=DistributionSpec.from_json_dict(data["distribution"]),
-            repetitions=int(data.get("repetitions", 20)),
-            seed=int(data.get("seed", 0)),
-            include_nonnested=bool(data.get("include_nonnested", False)),
-            families=tuple(data.get("families", FAMILIES)),
-            basis_family=data.get("basis_family", "product_legendre"),
-            removal_cap=int(data.get("removal_cap", 128)),
-        )
+        kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+        kwargs["distribution"] = DistributionSpec.from_json_dict(data["distribution"])
+        return cls(**kwargs)
 
 
 @dataclass
@@ -205,25 +194,16 @@ def fit_slope(ns, errors) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _rep_seeds(config: ExperimentConfig):
+def _rep_seeds(config: ExperimentConfig) -> list[list[int]]:
+    """(sample, parameter, selection) seeds of every repetition."""
     root = np.random.SeedSequence(config.seed)
     state = root.generate_state(3 * config.repetitions, dtype=np.uint64)
-    for r in range(config.repetitions):
-        yield (
-            int(state[3 * r] >> 1),
-            int(state[3 * r + 1] >> 1),
-            int(state[3 * r + 2] >> 1),
-        )
+    return (state >> 1).reshape(-1, 3).tolist()
 
 
-def _build_chain(config: ExperimentConfig, samples: SampleSet, select_seed: int):
-    dom = domain_from_samples(samples.points)
-    chain = []
-    spec0 = BasisSpec(
-        d=config.d, size=config.schedule[0] + 1,
-        family=config.basis_family, domain=dom,
-    )
-    chain.append(construct_fixed_rule(samples, spec0))
+def _build_chain(config: ExperimentConfig, samples: SampleSet, spec: BasisSpec,
+                 select_seed: int):
+    chain = [construct_fixed_rule(samples, spec)]
     for n in config.schedule[1:]:
         req = ExtensionRequest(
             base=chain[-1],
@@ -244,83 +224,66 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
     """
     report = ExperimentReport(config=config)
     families = config.active_families()
-    sums: dict = {}
-    counts: dict = {}
-    eval_counts = {NESTED_RULE: 0, REGENERATED_RULE: 0, MONTE_CARLO: 0}
-    rep_done = {f: 0 for f in families}
+    totals: dict = {}  # (family, N, method) -> (error sum, count)
+    report.evaluations = {NESTED_RULE: 0, REGENERATED_RULE: 0, MONTE_CARLO: 0}
+    completed = 0
+
+    # both read the current repetition's rep, samples, funcs and prefixes
+    def record(method, n, rule=None):
+        """Add each family's error at size n: the prefix mean, or `rule`'s."""
+        for f, prefix in zip(funcs, prefixes):
+            if rule is None:
+                estimate = prefix[min(n, samples.count - 1)]
+            else:
+                estimate = rule.apply(genz_eval_many(f, rule.nodes))
+            key = (f.family, n, method)
+            total, count = totals.get(key, (0.0, 0))
+            # sequential +, never sum(): from Python 3.12 it is compensated
+            totals[key] = (total + abs(estimate - prefix[-1]), count + 1)
+
+    def fail(msg):
+        msg = f"repetition {rep}: {msg}"
+        log.warning(msg)
+        report.failures.append(msg)
 
     for rep, (sample_seed, param_seed, select_seed) in enumerate(_rep_seeds(config)):
-        dist = DistributionSpec(
-            kind=config.distribution.kind,
-            d=config.distribution.d,
-            seed=sample_seed,
-            params=config.distribution.params,
-        )
-        samples = generate(dist, config.k_max)
+        samples = generate(replace(config.distribution, seed=sample_seed), config.k_max)
         a, b = draw_genz_params(config.d, param_seed)
-        funcs = {f: GenzFunction(f, a, b) for f in families}
-        values = {f: genz_eval_many(funcs[f], samples.points) for f in families}
-        prefix = {
-            f: np.cumsum(values[f]) / np.arange(1, samples.count + 1)
-            for f in families
-        }
-        reference = {f: prefix[f][-1] for f in families}
+        funcs = [GenzFunction(f, a, b) for f in families]
+        # the mean over the full sample set is the error reference
+        ramp = np.arange(1, samples.count + 1)
+        prefixes = [np.cumsum(genz_eval_many(f, samples.points)) / ramp for f in funcs]
+        for n in config.schedule:
+            record(MONTE_CARLO, n)
+        report.evaluations[MONTE_CARLO] += max(config.schedule) + 1
 
-        for f in families:
-            for n in config.schedule:
-                key = (f, n, MONTE_CARLO)
-                err = abs(prefix[f][min(n, samples.count - 1)] - reference[f])
-                sums[key] = sums.get(key, 0.0) + err
-                counts[key] = counts.get(key, 0) + 1
-        eval_counts[MONTE_CARLO] += max(config.schedule) + 1
-
+        spec = BasisSpec(
+            d=config.d, size=config.schedule[0] + 1,
+            family=config.basis_family, domain=domain_from_samples(samples.points),
+        )
         try:
-            chain = _build_chain(config, samples, select_seed)
+            chain = _build_chain(config, samples, spec, select_seed)
         except SampleQuadError as exc:
-            msg = f"repetition {rep}: nested chain failed: {exc}"
-            log.warning(msg)
-            report.failures.append(msg)
-            chain = None
-        if chain is not None:
-            seen_nodes = set()
+            fail(f"nested chain failed: {exc}")
+        else:
             for n, rule in zip(config.schedule, chain):
-                node_vals = {f: genz_eval_many(funcs[f], rule.nodes) for f in families}
-                for row in rule.nodes:
-                    seen_nodes.add(row.tobytes())
-                for f in families:
-                    key = (f, n, NESTED_RULE)
-                    err = abs(rule.apply(node_vals[f]) - reference[f])
-                    sums[key] = sums.get(key, 0.0) + err
-                    counts[key] = counts.get(key, 0) + 1
-            eval_counts[NESTED_RULE] += len(seen_nodes)
-            for f in families:
-                rep_done[f] += 1
+                record(NESTED_RULE, n, rule)
+            seen = {row.tobytes() for rule in chain for row in rule.nodes}
+            report.evaluations[NESTED_RULE] += len(seen)
+            completed += 1
 
         if config.include_nonnested:
-            dom = domain_from_samples(samples.points)
             for n in config.schedule:
-                spec = BasisSpec(
-                    d=config.d, size=n + 1,
-                    family=config.basis_family, domain=dom,
-                )
                 try:
-                    rule = construct_fixed_rule(samples, spec)
+                    rule = construct_fixed_rule(samples, replace(spec, size=n + 1))
                 except SampleQuadError as exc:
-                    msg = f"repetition {rep}: regenerated rule N={n} failed: {exc}"
-                    log.warning(msg)
-                    report.failures.append(msg)
+                    fail(f"regenerated rule N={n} failed: {exc}")
                     continue
-                eval_counts[REGENERATED_RULE] += rule.n_nodes
-                for f in families:
-                    key = (f, n, REGENERATED_RULE)
-                    err = abs(rule.apply(genz_eval_many(funcs[f], rule.nodes)) - reference[f])
-                    sums[key] = sums.get(key, 0.0) + err
-                    counts[key] = counts.get(key, 0) + 1
+                report.evaluations[REGENERATED_RULE] += rule.n_nodes
+                record(REGENERATED_RULE, n, rule)
 
-    for key, total in sums.items():
-        report.errors[key] = total / counts[key]
-    report.evaluations = eval_counts
-    report.completed_repetitions = rep_done
+    report.errors = {key: total / count for key, (total, count) in totals.items()}
+    report.completed_repetitions = dict.fromkeys(families, completed)
 
     methods = {m for (_, _, m) in report.errors}
     for f in families:

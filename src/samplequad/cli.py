@@ -1,8 +1,9 @@
 """Command-line driver: generate samples, build, extend, benchmark.
 
 Exit codes: 0 success, 2 bad specification or usage, 3 I/O failure,
-4 insufficient samples, 5 null-space failure, 7 benchmark family failed
-completely.  Data goes to stdout, diagnostics to stderr.
+4 insufficient samples, 5 null-space failure, 7 the benchmark's nested
+chain failed in every repetition.  Data goes to stdout, diagnostics to
+stderr.
 
 `extend --removal-cap` limits how many removals one step's enumeration
 visits; the step then chooses among the removals it found.
@@ -123,11 +124,11 @@ def cmd_bench_genz(args) -> int:
     if args.seed is not None:
         config.seed = args.seed
     report = run_convergence(config)
-    for family in config.active_families():
-        if report.completed_repetitions.get(family, 0) == 0:
-            log.error("family %s failed in every repetition", family)
-            return EXIT_BENCH
-    if config.distribution.kind == "rosenbrock" and "corner_peak" in config.families:
+    # every active family counts the same completed repetitions
+    if 0 in report.completed_repetitions.values():
+        log.error("the nested chain failed in every repetition")
+        return EXIT_BENCH
+    if config.active_families() != config.families:
         log.warning("corner peak excluded: its integral diverges for this density")
     report.to_csv(args.out)
     report.to_json(str(args.out) + ".json")

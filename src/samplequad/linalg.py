@@ -97,12 +97,11 @@ class ExtensionFactorization:
         self._fnorm2 = float(np.sum(self.V * self.V))
         self._inv = None
         self._stale = False
-        rows, cols = self.V.shape
-        if rows == cols:
-            try:
-                self._inv = np.linalg.inv(self.V)
-            except np.linalg.LinAlgError:
-                pass
+        # a base that is not square (or is singular) raises LinAlgError
+        try:
+            self._inv = np.linalg.inv(self.V)
+        except np.linalg.LinAlgError:
+            pass
 
     def _solve(self, cols: np.ndarray):
         """(Z, accepted) for V z = col, one column or a matrix of them.
@@ -197,9 +196,8 @@ class ExtensionFactorization:
         self.V[:, k] = col
         self._fnorm2 += float(np.dot(col, col) - np.dot(old, old))
         if self._inv is None:
-            # a singular square base can become regular by the exchange
-            if self.V.shape[0] == self.V.shape[1]:
-                self._refresh()
+            # a singular base can become regular by the exchange
+            self._refresh()
             return
         z = self._inv @ col
         pivot = z[k]

@@ -444,8 +444,10 @@ class _StreamEngine:
             log.debug("removal walk capped at sample %d: %d vertices",
                       self.consumed - 1, len(removals))
         pick = self._pick(removals, [r.zero_indices for r in removals])
-        zero = pick.weights <= TOL_ZERO_FACTOR * max(float(pick.weights.max()), 0.0)
-        return np.where(zero, 0.0, pick.weights), zero.nonzero()[0].tolist()
+        zeroed = list(pick.zero_indices)
+        u = pick.weights.copy()
+        u[zeroed] = 0.0
+        return u, zeroed
 
     def _apply(self, u, zeroed, y, col, src_idx):
         n = self.X.shape[0]

@@ -44,7 +44,7 @@ import numpy as np
 from .basis import basis_matrix  # noqa: F401  (perfbench's timing shims wrap it here)
 from .errors import DegenerateNullVector, DimensionMismatch, NoRemovalExists, NullSpaceFailure
 from .linalg import null_space  # noqa: F401  (perfbench's timing shims wrap it here)
-from .tolerances import TOL_VERTEX_NEG, TOL_VERTEX_RESID, TOL_VERTEX_ZERO, TOL_ZERO_FACTOR
+from .tolerances import TOL_VERTEX_NEG, TOL_VERTEX_RESID, TOL_ZERO_FACTOR
 
 
 def ratio_extrema(weights: np.ndarray, c: np.ndarray, exclude: np.ndarray | None = None):
@@ -113,11 +113,10 @@ class RemovalProblem:
         if self.C.ndim != 2 or self.C.shape[0] != self.n:
             raise DimensionMismatch("null basis needs one row per weight")
         self.m = self.C.shape[1]
-        self.wmax = max(float(np.abs(self.w).max()), 1e-300)
-        self._ztol = TOL_VERTEX_ZERO * self.wmax
         # the largest solve residual and the most negative weight of a vertex
-        self._tol_res = TOL_VERTEX_RESID * max(1.0, self.wmax)
-        self._tol_neg = -TOL_VERTEX_NEG * max(1.0, self.wmax)
+        scale = max(1.0, float(np.abs(self.w).max()))
+        self._tol_res = TOL_VERTEX_RESID * scale
+        self._tol_neg = -TOL_VERTEX_NEG * scale
         self._eye = np.eye(self.m, dtype=bool)
         return self
 
@@ -153,8 +152,8 @@ class RemovalProblem:
         return W[0]
 
     def _build(self, indices, w_q) -> Removal:
-        # the removed positions are exactly zero in w_q
-        zero = (np.abs(w_q) <= self._ztol).nonzero()[0].tolist()
+        # zero by the step's rule; the removed positions are exactly zero in w_q
+        zero = (w_q <= TOL_ZERO_FACTOR * max(float(w_q.max()), 0.0)).nonzero()[0].tolist()
         return Removal(indices=tuple(indices), zero_indices=tuple(zero), weights=w_q)
 
     # -- operations -----------------------------------------------------
@@ -266,7 +265,8 @@ class RemovalProblem:
         except np.linalg.LinAlgError:
             return None, 0
         # every weight but the two removed ones stays clear of zero
-        if bad.any() or (W > self._ztol).sum() != W.shape[0] * (n - 2):
+        tol = TOL_ZERO_FACTOR * np.maximum(W.max(axis=1, keepdims=True), 0.0)
+        if bad.any() or (W > tol).sum() != W.shape[0] * (n - 2):
             return None, len(pairs)
         return [
             Removal(indices=q, zero_indices=q, weights=w_q) for q, w_q in zip(pairs, W)

@@ -157,7 +157,7 @@ def _log_density(x, a: float, b: float) -> float:
     return -f - 0.5 * (sq + u * u)
 
 
-def _mh_rosenbrock(spec: DistributionSpec, count: int, trace=None):
+def _mh_rosenbrock(spec: DistributionSpec, count: int):
     p = spec.params
     a = float(p.get("a", 1.0))
     b = float(p.get("b", 10.0))
@@ -186,10 +186,7 @@ def _mh_rosenbrock(spec: DistributionSpec, count: int, trace=None):
         for t, s, lu in window:
             prop = list(map(add, x, s))
             log_q = _log_density(prop, a, b)
-            accept = lu < log_q - log_p
-            if trace is not None:
-                trace.append((np.array(x), np.array(prop), log_q - log_p, lu, accept))
-            if accept:
+            if lu < log_q - log_p:
                 x = prop
                 log_p = log_q
                 accepted += 1

@@ -20,8 +20,6 @@ TOL_PIVOT = 1e-8
 # margin by which a speculated step must win its ratio test and keep its
 # weights above the drop threshold; closer calls take the scalar step
 TOL_NEAR_TIE = 1e-9
-# removal vertices: a weight at or below this fraction of max |w| is zero
-TOL_VERTEX_ZERO = 1e-12
 # removal vertices: solve residual and most negative weight, relative to
 # max(1, max |w|)
 TOL_VERTEX_RESID = 1e-10

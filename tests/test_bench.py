@@ -16,6 +16,7 @@ from samplequad.bench import (
     genz_eval_many,
     run_convergence,
 )
+from samplequad.errors import NullSpaceFailure
 from samplequad.rule import sample_moments
 from samplequad.sampling import DistributionSpec
 
@@ -132,6 +133,41 @@ class TestRunConvergence:
         report = run_convergence(small_config(include_nonnested=True))
         assert any(m == REGENERATED_RULE for (_, _, m) in report.errors)
 
+    def test_failures_abort_only_their_repetition(self, monkeypatch):
+        extend, construct = samplequad.bench.extend_rule, samplequad.bench.construct_fixed_rule
+        calls = {"extend": 0, "size 9": 0}
+
+        def failing_extend(req, **kwargs):
+            # the chain's third extension is the first of repetition 1
+            calls["extend"] += 1
+            if calls["extend"] == 3:
+                raise NullSpaceFailure("injected extension failure")
+            return extend(req, **kwargs)
+
+        def failing_construct(samples, spec):
+            # only the regenerated N = 8 rules have size 9; fail the first
+            if spec.size == 9:
+                calls["size 9"] += 1
+                if calls["size 9"] == 1:
+                    raise NullSpaceFailure("injected construction failure")
+            return construct(samples, spec)
+
+        monkeypatch.setattr(samplequad.bench, "extend_rule", failing_extend)
+        monkeypatch.setattr(samplequad.bench, "construct_fixed_rule", failing_construct)
+        config = small_config(include_nonnested=True)
+        report = run_convergence(config)
+        assert report.failures == [
+            "repetition 0: regenerated rule N=8 failed: injected construction failure",
+            "repetition 1: nested chain failed: injected extension failure",
+        ]
+        assert report.completed_repetitions == dict.fromkeys(config.active_families(), 1)
+        monkeypatch.undo()
+        # one repetition draws the seeds of repetition 0
+        alone = run_convergence(small_config(include_nonnested=True, repetitions=1))
+        nested = {k: e for k, e in report.errors.items() if k[2] == NESTED_RULE}
+        assert nested == {k: e for k, e in alone.errors.items() if k[2] == NESTED_RULE}
+        assert len(nested) == 3 * len(FAMILIES)
+
     def test_rosenbrock_excludes_corner_peak(self):
         config = small_config(
             distribution=DistributionSpec(kind="rosenbrock", d=2),
@@ -214,8 +250,8 @@ class TestPaperClaims:
         chains = []  # (samples, chain) of every chain built
         build = samplequad.bench._build_chain
 
-        def recording_build(config, samples, select_seed):
-            chain = build(config, samples, select_seed)
+        def recording_build(config, samples, *args):
+            chain = build(config, samples, *args)
             chains.append((samples, chain))
             return chain
 

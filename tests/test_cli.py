@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+import samplequad.bench
 import samplequad.nested
 from samplequad.cli import main
+from samplequad.errors import NullSpaceFailure
 from samplequad.rule import QuadratureRule
 from samplequad.sampling import read_samples
 
@@ -257,3 +259,28 @@ class TestBenchGenz:
         assert run("bench-genz", "--config", cfg_path, "--out", a) == 0
         assert run("bench-genz", "--config", cfg_path, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_exit_7_when_every_chain_fails(self, tmp_path, caplog, monkeypatch):
+        def failing_extend(req, **kwargs):
+            raise NullSpaceFailure("injected extension failure")
+
+        monkeypatch.setattr(samplequad.bench, "extend_rule", failing_extend)
+        config = {
+            "d": 2, "k_max": 100, "schedule": [2, 4], "repetitions": 2,
+            "distribution": {"kind": "uniform", "d": 2},
+        }
+        out = tmp_path / "r.csv"
+        assert run("bench-genz", "--config", json.dumps(config), "--out", out) == 7
+        assert "nested chain failed in every repetition" in caplog.text
+        assert not out.exists()
+
+    def test_rosenbrock_warns_about_the_corner_peak(self, tmp_path, caplog):
+        config = {
+            "d": 2, "k_max": 100, "schedule": [2, 4], "repetitions": 1,
+            "families": ["oscillatory", "corner_peak"],
+            "distribution": {"kind": "rosenbrock", "d": 2},
+        }
+        out = tmp_path / "r.csv"
+        assert run("bench-genz", "--config", json.dumps(config), "--out", out) == 0
+        assert "corner peak excluded" in caplog.text
+        assert "corner_peak" not in out.read_text()

@@ -16,7 +16,6 @@ from samplequad.errors import (
     InvalidSpec,
     ParseError,
 )
-from samplequad import sampling
 from samplequad.sampling import (
     DistributionSpec,
     generate,
@@ -34,11 +33,12 @@ def banana_log_density_oracle(x):
     return -f - 0.5 * float(np.dot(x, x))
 
 
-def frozen_mh_rosenbrock(spec, count):
-    """The numpy chain the Python-float sampler replaced, without its trace.
+def frozen_mh_rosenbrock(spec, count, trace=None):
+    """The numpy chain the Python-float sampler replaced.
 
     Returns (points, acceptance rate).  Its log density takes the squared
-    norm from `np.dot`; the accept decisions must agree anyway.
+    norm from `np.dot`; the accept decisions must agree anyway.  `trace`,
+    if given, receives (x, proposal, log ratio, log u, accepted) per step.
     """
 
     def log_density(x, a, b):
@@ -66,6 +66,8 @@ def frozen_mh_rosenbrock(spec, count):
     for t in range(total):
         prop = x + steps[t]
         log_q = log_density(prop, a, b)
+        if trace is not None:
+            trace.append((x, prop, log_q - log_p, log_u[t], log_u[t] < log_q - log_p))
         if log_u[t] < log_q - log_p:
             x = prop
             log_p = log_q
@@ -195,7 +197,8 @@ class TestRosenbrock:
             kind="rosenbrock", d=2, seed=11,
             params={"burn_in": 200, "thinning": 2},
         )
-        sampling._mh_rosenbrock(spec, 200, trace=trace)
+        points, _ = frozen_mh_rosenbrock(spec, 200, trace=trace)
+        assert points.tobytes() == generate(spec, 200).points.tobytes()
         assert len(trace) >= 400
         for x, prop, log_ratio, log_u, accepted in trace[:500]:
             want = banana_log_density_oracle(prop) - banana_log_density_oracle(x)
