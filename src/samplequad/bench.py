@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .basis import BasisSpec, domain_from_samples
-from .errors import SampleQuadError, require_keys
+from .errors import InvalidSpec, SampleQuadError, require_keys
 from .nested import ExtensionRequest, extend_rule
 from .rule import SampleSet, construct_fixed_rule
 from .sampling import DistributionSpec, ROSENBROCK, generate
@@ -107,9 +107,12 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("d", "k_max", "repetitions", "seed", "removal_cap"):
             setattr(self, name, int(getattr(self, name)))
-        self.include_nonnested = bool(self.include_nonnested)
+        if not isinstance(self.include_nonnested, bool):
+            raise ValueError(f"include_nonnested must be a bool, not {self.include_nonnested!r}")
         self.schedule = tuple(int(n) for n in self.schedule)
         self.families = tuple(self.families)
+        if self.d != self.distribution.d:
+            raise ValueError(f"d={self.d} but the distribution has d={self.distribution.d}")
         if self.repetitions < 1:
             raise ValueError("need at least one repetition")
         if list(self.schedule) != sorted(self.schedule):
@@ -137,6 +140,9 @@ class ExperimentConfig:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
         require_keys(data, ("d", "k_max", "schedule", "distribution"), "experiment config")
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise InvalidSpec(f"experiment config JSON has unknown keys {sorted(unknown)}")
         kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
         kwargs["distribution"] = DistributionSpec.from_json_dict(data["distribution"])
         return cls(**kwargs)

@@ -120,51 +120,41 @@ def initialize_extension(req: ExtensionRequest):
     source = req.sample_source
     spec = replace(req.base.spec, size=req.target_basis_size)
     base = req.base
+    n = base.n_nodes
+    if req.mode == RESAMPLED:
+        # the stream is fresh, base nodes are generally not in it
+        if source.count < 1:
+            raise InsufficientSamples("resampled extension needs at least one sample")
+        work = QuadratureRule(
+            nodes=np.vstack([base.nodes, source.points[:1]]),
+            weights=np.concatenate([np.zeros(n), [1.0]]),
+            spec=spec,
+            K=0,
+            source_indices=np.concatenate([np.full(n, -1, dtype=np.intp), [0]]),
+            fixed_mask=np.concatenate([np.ones(n, dtype=bool), [False]]),
+        )
+        return work, np.arange(1, source.count)
+
+    if req.mode == CONTINUE_SAMPLES and req.target_basis_size != base.spec.size:
+        raise ModeMismatch("continue_samples cannot change the basis size")
+    _check_nodes_in_stream(base, source, req.mode)
     if req.mode == CONTINUE_SAMPLES:
-        if req.target_basis_size != base.spec.size:
-            raise ModeMismatch("continue_samples cannot change the basis size")
-        _check_nodes_in_stream(base, source, CONTINUE_SAMPLES)
         if source.count <= base.K:
             raise ModeMismatch("sample source is shorter than the consumed prefix")
-        work = QuadratureRule(
-            nodes=base.nodes.copy(),
-            weights=base.weights.copy(),
-            spec=spec,
-            K=base.K,
-            source_indices=base.source_indices.copy(),
-            fixed_mask=np.ones(base.n_nodes, dtype=bool),
-        )
-        return work, np.arange(base.K + 1, source.count)
-
-    if req.mode == INCREASE_DEGREE:
-        _check_nodes_in_stream(base, source, INCREASE_DEGREE)
-        n = base.n_nodes
+        weights, K, rows = base.weights.copy(), base.K, np.arange(base.K + 1, source.count)
+    else:
         remaining = np.ones(source.count, dtype=bool)
         remaining[base.source_indices] = False
-        work = QuadratureRule(
-            nodes=base.nodes.copy(),
-            weights=np.full(n, 1.0 / n),
-            spec=spec,
-            K=n - 1,
-            source_indices=base.source_indices.copy(),
-            fixed_mask=np.ones(n, dtype=bool),
-        )
-        return work, np.nonzero(remaining)[0]
-
-    # resampled: the stream is fresh, base nodes are generally not in it
-    if source.count < 1:
-        raise InsufficientSamples("resampled extension needs at least one sample")
-    nodes = np.vstack([base.nodes, source.points[:1]])
-    n = base.n_nodes
+        weights, K, rows = np.full(n, 1.0 / n), n - 1, np.nonzero(remaining)[0]
     work = QuadratureRule(
-        nodes=nodes,
-        weights=np.concatenate([np.zeros(n), [1.0]]),
+        nodes=base.nodes.copy(),
+        weights=weights,
         spec=spec,
-        K=0,
-        source_indices=np.concatenate([np.full(n, -1, dtype=np.intp), [0]]),
-        fixed_mask=np.concatenate([np.ones(n, dtype=bool), [False]]),
+        K=K,
+        source_indices=base.source_indices.copy(),
+        fixed_mask=np.ones(n, dtype=bool),
     )
-    return work, np.arange(1, source.count)
+    return work, rows
 
 
 class _StreamEngine:

@@ -30,7 +30,8 @@ successive single removals, is the fallback when there is no seed or
 the seed fails the vertex checks.  It takes the vertices a wave at a
 time; the columns of the inverse, mapped through C, are the exchange
 directions, and the inverses, vertex weights, exchange ratio scans and
-neighbour tuples of a whole wave are stacked array operations.
+neighbour tuples of a whole wave are stacked array operations.  A
+singular block is a vertex that fails the checks, wherever it is solved.
 """
 
 from __future__ import annotations
@@ -128,25 +129,32 @@ class RemovalProblem:
         Row i of q_mat (k x M) names the removed nodes of vertex i.  The
         inverse B of the M x M block A = C[q, :] gives the coefficients
         alphas = B w[q]; the weights w - C alphas are set exactly zero at
-        q.  `bad` marks the vertices whose solve residual or most negative
-        weight fails the checks.  Raises LinAlgError on a singular block.
+        q.  `bad` marks a singular block (its inverse is zero) and a solve
+        residual or most negative weight that fails the checks.
         """
         A = self.C[q_mat]
-        B = np.linalg.inv(A)
+        singular = np.zeros(q_mat.shape[0], dtype=bool)
+        try:
+            B = np.linalg.inv(A)
+        except np.linalg.LinAlgError:
+            # numpy refuses the whole stack for one singular block
+            B = np.zeros_like(A)
+            for i, a in enumerate(A):
+                try:
+                    B[i] = np.linalg.inv(a)
+                except np.linalg.LinAlgError:
+                    singular[i] = True
         wq = self.w[q_mat][:, :, None]
         alphas = B @ wq
         resid = np.abs(A @ alphas - wq).max(axis=(1, 2))
         W = self.w - (self.C @ alphas)[:, :, 0]
         W[np.arange(q_mat.shape[0])[:, None], q_mat] = 0.0
-        bad = (resid > self._tol_res) | (W.min(axis=1) < self._tol_neg)
+        bad = singular | (resid > self._tol_res) | (W.min(axis=1) < self._tol_neg)
         return W, B, bad
 
     def vertex_weights(self, indices) -> np.ndarray:
         """The full weight vector of the vertex zeroing `indices`."""
-        try:
-            W, _, bad = self._vertices(np.asarray([indices], dtype=np.intp))
-        except np.linalg.LinAlgError as exc:
-            raise NullSpaceFailure(f"removal {tuple(indices)} has a singular block") from exc
+        W, _, bad = self._vertices(np.asarray([indices], dtype=np.intp))
         if bad[0]:
             raise NullSpaceFailure(f"removal {tuple(indices)} is no feasible vertex")
         return W[0]
@@ -206,11 +214,12 @@ class RemovalProblem:
             newly = np.nonzero(active & (w_work <= tol))[0]
             if newly.size == 0:
                 raise NoRemovalExists("no weight reached zero during initial removal")
-            for j in newly:
-                removed.append(int(j))
-                exclude[j] = True
-                w_work[j] = 0.0
-        q = tuple(sorted(removed[: self.m]))
+            exclude[newly] = True
+            # a zeroed row joins only if independent: a repeat is zeroed with its copy
+            for j in newly.tolist():
+                if np.linalg.matrix_rank(self.C[removed + [j]]) > len(removed):
+                    removed.append(j)
+        q = tuple(sorted(removed))
         return self._build(q, self.vertex_weights(q))
 
     def _trace(self, cap: int):
@@ -260,10 +269,7 @@ class RemovalProblem:
             line = int(upper_end(*crossings(line)).argmin())
         pairs = sorted((min(i, j), max(i, j)) for i, j in zip(ring, ring[1:] + ring[:1]))
         q_mat = np.array(pairs, dtype=np.intp)
-        try:
-            W, _, bad = self._vertices(q_mat)
-        except np.linalg.LinAlgError:
-            return None, 0
+        W, _, bad = self._vertices(q_mat)
         # every weight but the two removed ones stays clear of zero
         tol = TOL_ZERO_FACTOR * np.maximum(W.max(axis=1, keepdims=True), 0.0)
         if bad.any() or (W > tol).sum() != W.shape[0] * (n - 2):
@@ -272,32 +278,7 @@ class RemovalProblem:
             Removal(indices=q, zero_indices=q, weights=w_q) for q, w_q in zip(pairs, W)
         ], len(pairs)
 
-    def _pop_single(self, q):
-        """(vertex weights, exchange partners) of one vertex, None if it fails."""
-        q_mat = np.asarray([q], dtype=np.intp)
-        try:
-            W, B, bad = self._vertices(q_mat)
-        except np.linalg.LinAlgError:
-            return None
-        return None if bad[0] else (W[0], self._neighbors(q_mat, W, self.C @ B)[0])
-
     _WAVE = 64
-
-    def _process_wave(self, wave):
-        """Vertex weights and exchange partners for a batch of removals.
-
-        All per-vertex M x M inversions, weight updates, and interval
-        scans run as stacked operations; a vertex that fails the checks
-        gives None.  A singular block fails the stacked inversion, and
-        then every vertex of the wave is taken on its own.
-        """
-        q_mat = np.asarray(wave, dtype=np.intp)
-        try:
-            W, B, bad = self._vertices(q_mat)
-        except np.linalg.LinAlgError:
-            return [self._pop_single(q) for q in wave]
-        neighbors = self._neighbors(q_mat, W, self.C @ B)
-        return [None if bad[i] else (W[i], neighbors[i]) for i in range(len(wave))]
 
     def enumerate(self, cap: int = 10**6,
                   initial: Removal | Callable[[], Removal | None] | None = None,
@@ -314,25 +295,23 @@ class RemovalProblem:
         found.  `stats`, if given, receives the vertices solved (`pops`)
         and whether the cap was hit.
         """
-        pops = 0
+        found, pops, capped = None, 0, False
         if self.m == 2:
             found, pops = self._trace(cap)
-            if found is not None:
-                if stats is not None:
-                    stats.update(pops=pops, capped=False)
-                return found
-        seed = initial() if callable(initial) else initial
-        results, more, capped = self._walk(seed or self.initial(), cap)
-        pops += more
-        if not results and seed is not None:
-            results, more, capped = self._walk(self.initial(), cap)
+        if found is None:
+            seed = initial() if callable(initial) else initial
+            results, more, capped = self._walk(seed or self.initial(), cap)
             pops += more
+            if not results and seed is not None:
+                results, more, capped = self._walk(self.initial(), cap)
+                pops += more
+            found = [results[k] for k in sorted(results)]
         if stats is not None:
             stats.update(pops=pops, capped=capped)
-        return [results[k] for k in sorted(results)]
+        return found
 
     def _walk(self, start: Removal, cap: int):
-        """(removals by indices, pops, capped) of the walk from `start`."""
+        """(removals by indices, pops, capped) of the walk; one vertex solve per wave."""
         queue = deque([tuple(start.indices)])
         seen = {tuple(start.indices)}
         results: dict[tuple[int, ...], Removal] = {}
@@ -341,10 +320,11 @@ class RemovalProblem:
         while queue and not capped:
             wave = [queue.popleft() for _ in range(min(len(queue), self._WAVE))]
             pops += len(wave)
-            for q, data in zip(wave, self._process_wave(wave)):
-                if data is None:
+            q_mat = np.asarray(wave, dtype=np.intp)
+            W, B, bad = self._vertices(q_mat)
+            for q, w_q, neighbors, b in zip(wave, W, self._neighbors(q_mat, W, self.C @ B), bad):
+                if b:
                     continue
-                w_q, neighbors = data
                 results[q] = self._build(q, w_q)
                 if capped:
                     continue

@@ -107,6 +107,13 @@ class DistributionSpec:
         if self.kind == INDICATOR:
             if "base" not in p or "region" not in p:
                 raise InvalidSpec("indicator needs a base spec and a region")
+            base = p["base"]
+            if isinstance(base, dict):
+                # a new dict: the caller's params stay as given
+                base = DistributionSpec.from_json_dict(base)
+                self.params = {**p, "base": base}
+            if not isinstance(base, DistributionSpec) or base.d != self.d:
+                raise InvalidSpec(f"indicator base must be a spec of dimension {self.d}")
             _parse_region(p["region"], self.d)
         if self.kind == FILE and "path" not in p:
             raise InvalidSpec("file kind needs a path")
@@ -120,21 +127,18 @@ class DistributionSpec:
 
     def to_json_dict(self) -> dict:
         params = dict(self.params)
-        if self.kind == INDICATOR and isinstance(params.get("base"), DistributionSpec):
+        if self.kind == INDICATOR:
             params["base"] = params["base"].to_json_dict()
         return {"kind": self.kind, "d": self.d, "seed": self.seed, "params": params}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DistributionSpec":
         require_keys(data, ("kind", "d"), "distribution spec")
-        params = dict(data.get("params", {}))
-        if data["kind"] == INDICATOR and isinstance(params.get("base"), dict):
-            params["base"] = cls.from_json_dict(params["base"])
         return cls(
             kind=data["kind"],
             d=int(data["d"]),
             seed=int(data.get("seed", 0)),
-            params=params,
+            params=dict(data.get("params", {})),
         )
 
 
@@ -280,8 +284,6 @@ def _indicator_predicate(spec: DistributionSpec):
 
 def _rejection_sample(spec: DistributionSpec, count: int):
     base = spec.params["base"]
-    if isinstance(base, dict):
-        base = DistributionSpec.from_json_dict(base)
     predicate = _indicator_predicate(spec)
     out = np.empty((count, spec.d))
     filled = 0

@@ -16,7 +16,7 @@ from samplequad.bench import (
     genz_eval_many,
     run_convergence,
 )
-from samplequad.errors import NullSpaceFailure
+from samplequad.errors import InvalidSpec, NullSpaceFailure
 from samplequad.rule import sample_moments
 from samplequad.sampling import DistributionSpec
 
@@ -96,6 +96,39 @@ def small_config(**kw):
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+CONFIG_JSON = {
+    "d": 2, "k_max": 400, "schedule": [2, 4, 8],
+    "distribution": {"kind": "uniform", "d": 2},
+}
+
+
+class TestExperimentConfigJson:
+    def test_round_trip_keeps_the_int_coercions(self):
+        config = ExperimentConfig.from_json_dict({**CONFIG_JSON, "d": "2", "k_max": 400.0})
+        assert (config.d, config.k_max) == (2, 400)
+        assert ExperimentConfig.from_json_dict(config.to_json_dict()) == config
+
+    def test_unknown_key_is_named(self):
+        with pytest.raises(InvalidSpec, match="'repetiton'"):
+            ExperimentConfig.from_json_dict({**CONFIG_JSON, "repetiton": 1})
+
+    @pytest.mark.parametrize("value", ("false", 0, 1, None))
+    def test_include_nonnested_must_be_a_bool(self, value):
+        with pytest.raises(ValueError, match="include_nonnested must be a bool"):
+            ExperimentConfig.from_json_dict({**CONFIG_JSON, "include_nonnested": value})
+        with pytest.raises(ValueError, match="include_nonnested must be a bool"):
+            small_config(include_nonnested=value)
+        for flag in (False, True):
+            config = ExperimentConfig.from_json_dict({**CONFIG_JSON, "include_nonnested": flag})
+            assert config.include_nonnested is flag
+
+    def test_dimension_must_match_the_distribution(self):
+        with pytest.raises(ValueError, match="d=3 but the distribution has d=2"):
+            ExperimentConfig.from_json_dict({**CONFIG_JSON, "d": 3})
+        with pytest.raises(ValueError, match="d=3"):
+            small_config(d=3)
 
 
 class TestRunConvergence:

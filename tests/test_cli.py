@@ -46,6 +46,15 @@ class TestGenSamples:
         assert f"rosenbrock {name} must be" in caplog.text
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("base_d", (1, 3))
+    def test_indicator_base_of_another_dimension_exits_2(self, base_d, tmp_path, caplog):
+        dist = json.dumps({"kind": "indicator", "d": 2, "params": {
+            "base": {"kind": "uniform", "d": base_d}, "region": "x[0] < 0.5"}})
+        code = run("gen-samples", "--dist", dist, "--count", 5, "--out", tmp_path / "x.csv")
+        assert code == 2
+        assert "indicator base must be a spec of dimension 2" in caplog.text
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("d, count, code", [(2, 5, 0), (3, 5, 2), (2, 60, 4)])
     def test_file_source_checks_dimension_and_count(self, d, count, code, tmp_path):
         source = tmp_path / "fifty.csv"
@@ -223,6 +232,19 @@ class TestBenchGenz:
         code = run("bench-genz", "--config", '{"k_max": 64}', "--out", tmp_path / "r.csv")
         assert code == 2
         assert "'schedule'" in caplog.text
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("repetiton", 1, "'repetiton'"),
+        ("include_nonnested", "false", "include_nonnested must be a bool"),
+        ("d", 3, "d=3 but the distribution has d=2"),
+    ])
+    def test_bad_config_exits_2(self, key, value, named, tmp_path, caplog):
+        config = {"d": 2, "k_max": 100, "schedule": [2, 4], "repetitions": 1,
+                  "distribution": {"kind": "uniform", "d": 2}, key: value}
+        out = tmp_path / "r.csv"
+        assert run("bench-genz", "--config", json.dumps(config), "--out", out) == 2
+        assert named in caplog.text
+        assert not out.exists()
 
     def test_tiny_benchmark(self, tmp_path, capsys):
         config = {

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import samplequad.nested
-from samplequad.basis import BasisSpec, domain_from_samples
+from samplequad.basis import BasisSpec, basis_matrix, domain_from_samples
 from samplequad.errors import (
     InsufficientSamples,
     MissingEvaluation,
@@ -437,3 +437,69 @@ class TestSeededRemovalWalk:
         with pytest.raises(NullSpaceFailure) as info:
             extend_rule(req, selection_seed=7)
         assert info.value.sample_index is not None
+
+
+def quadratic_engine(nodes, weights, fixed):
+    """A stream engine on the monomials 1, x, x^2 over d = 1 nodes.
+
+    Nodes -1, 0 and 1 and the dyadic points between them keep the block
+    solves exact, so ratio tests can tie exactly.
+    """
+    spec = BasisSpec(d=1, size=3, family="monomial", domain=((-1.0, 1.0),))
+    work = QuadratureRule(
+        nodes=np.array(nodes)[:, None], weights=np.array(weights), spec=spec,
+        K=len(nodes) - 1, fixed_mask=np.array(fixed),
+    )
+    return _StreamEngine(work, np.random.default_rng(0), 10**6)
+
+
+class TestStreamGuards:
+    def test_clean_swap_refuses_a_weight_near_the_drop_threshold(self):
+        engine = quadratic_engine([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25], [False] * 3)
+        z = np.array([2.0, 0.5, 0.0])
+        slot, W = engine._clean_swap(np.array([1.0, 1.0, 0.5]), z)
+        assert slot == 0
+        np.testing.assert_array_equal(W, [1.5, 0.75, 0.5])
+        # the same swap would leave the last weight at 1e-15
+        assert engine._clean_swap(np.array([1.0, 1.0, 1e-15]), z) is None
+
+    def test_drop_run_stops_at_a_swap_near_the_drop_threshold(self):
+        # a repeat of node -1 wins against it (weight 3 * 0.25 < 1) and
+        # would leave node 1 at 3e-15: the block pass leaves it to `feed`
+        weights = [0.25, 0.75 - 1e-15, 1e-15]
+        engine = quadratic_engine([-1.0, 0.0, 1.0], weights, [False] * 3)
+        points = np.array([[-1.0]])
+        cols = basis_matrix(engine.spec, points)
+        assert engine.drop_run(cols, np.array([0]), points) == 0
+        np.testing.assert_array_equal(engine.w, weights)
+        assert engine.consumed == 3
+
+    def test_walk_seed_declines_a_tie_and_the_walk_starts_cold(self, monkeypatch):
+        # along the sample's direction (-1/8, 3/4, 3/8 at -1, 0, 1; -1 at
+        # the sample 1/2) nodes 0 and 1 reach zero together: weights 2 : 1
+        engine = quadratic_engine(
+            [-1.0, 0.0, 1.0, 0.25, -0.5], [13 / 16, 1 / 8, 1 / 16, 0.0, 0.0],
+            [False, False, False, True, True],
+        )
+        y = np.array([0.5])
+        col = basis_matrix(engine.spec, y[None])[:, 0]
+        v = np.append(engine.w * (5 / 6), 1 / 6)
+        C, nonsupport = engine._null_basis(col, 3)
+        assert engine._walk_seed(v, C, nonsupport) is None
+        enumerate_ = RemovalProblem.enumerate
+        steps = []
+
+        def compared_enumerate(self, cap=10**6, initial=None, stats=None):
+            out = enumerate_(self, cap=cap, initial=initial, stats=stats)
+            found, pops, _ = self._walk(self.initial(), cap)
+            # the step solves only the cold walk's vertices and finds its removals
+            assert stats["pops"] == pops
+            assert [(r.indices, r.zero_indices) for r in out] == [
+                (found[q].indices, found[q].zero_indices) for q in sorted(found)
+            ]
+            steps.append(self.m)
+            return out
+
+        monkeypatch.setattr(RemovalProblem, "enumerate", compared_enumerate)
+        engine.feed(y, col, 5)
+        assert steps == [3]

@@ -288,6 +288,28 @@ class TestIndicatorRegion:
             generate(spec, 10)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("base_d", (1, 3))
+    def test_base_of_another_dimension_is_rejected(self, base_d):
+        # a d=1 base used to be broadcast into both columns (x0 == x1)
+        params = {"base": {"kind": "uniform", "d": base_d}, "region": "x[0] < 0.5"}
+        with pytest.raises(InvalidSpec, match="dimension 2"):
+            DistributionSpec(kind="indicator", d=2, params=params)
+        with pytest.raises(InvalidSpec, match="dimension 2"):
+            DistributionSpec.from_json_dict({"kind": "indicator", "d": 2, "params": params})
+
+    def test_dict_base_is_a_spec_base(self):
+        base = {"kind": "uniform", "d": 2, "params": {"lo": -1.0, "hi": 1.0}}
+        params = {"base": base, "region": "x[0] < x[1]"}
+        spec = DistributionSpec(kind="indicator", d=2, seed=5, params=params)
+        assert params["base"] is base
+        assert spec.params["base"] == DistributionSpec.from_json_dict(base)
+        twin = DistributionSpec(kind="indicator", d=2, seed=5,
+                                params={**params, "base": DistributionSpec.from_json_dict(base)})
+        again = DistributionSpec.from_json_dict(spec.to_json_dict())
+        pts = generate(spec, 200).points
+        assert pts.tobytes() == generate(twin, 200).points.tobytes()
+        assert pts.tobytes() == generate(again, 200).points.tobytes()
+
     def test_region_grammar_evaluates_like_python(self):
         region = "not (x[0] > 0.5 and x[1] < 0.25) or sqrt(abs(x[0] - x[1])) < pi / 8"
         base = DistributionSpec(kind="uniform", d=2)
