@@ -115,6 +115,8 @@ class ExperimentConfig:
             raise ValueError(f"d={self.d} but the distribution has d={self.distribution.d}")
         if self.repetitions < 1:
             raise ValueError("need at least one repetition")
+        if self.removal_cap < 1:
+            raise InvalidSpec(f"removal_cap must be at least 1, not {self.removal_cap}")
         if list(self.schedule) != sorted(self.schedule):
             raise ValueError("schedule must be ascending")
         if self.k_max < max(self.schedule) + 1:

@@ -5,7 +5,8 @@ that is the current (square) Vandermonde extended by a single new
 column.  `ExtensionFactorization` keeps an explicit inverse of the
 square base, updated by rank-one exchanges, so each null vector costs
 O(n^2) instead of a fresh O(n^3) factorization.  Its upkeep follows the
-residuals, not a schedule: every fast-path solve is residual-checked; a
+residuals, not a schedule: every fast-path solve is residual-checked,
+and the squared norms that judge it also scale its null vector; a
 rejected solve gets one step of iterative refinement from the residual
 already computed (Skeel 1980); only then is an inverse that exchanges
 have updated recomputed, and an SVD of the explicitly extended matrix
@@ -29,26 +30,28 @@ from .tolerances import TOL_FAST, TOL_LEAD, TOL_NULL, TOL_PIVOT
 
 def _fix_sign(c: np.ndarray) -> np.ndarray:
     """Deterministic sign: first entry above noise level is positive."""
-    scale = np.abs(c).max()
+    mag = np.abs(c)
+    scale = mag.max()
     if scale == 0.0:
         return c
-    nz = np.nonzero(np.abs(c) > TOL_LEAD * scale)[0]
-    lead = nz[0] if nz.size else int(np.argmax(np.abs(c)))
+    nz = (mag > TOL_LEAD * scale).nonzero()[0]
+    lead = nz[0] if nz.size else int(mag.argmax())
     return -c if c[lead] < 0 else c
 
 
 def _sq(x: np.ndarray):
     """Squared Euclidean norm of a vector, or of each column of a matrix."""
-    return np.dot(x, x) if x.ndim == 1 else np.einsum("ij,ij->j", x, x)
+    return x @ x if x.ndim == 1 else np.einsum("ij,ij->j", x, x)
 
 
-def _fast_accepts(Z, R, fnorm):
+def _fast_accepts(zz, R, fnorm):
     """Fast-path acceptance of the null vectors (z, -1)/norm, per column.
 
-    R = V Z - cols holds the residuals of the solutions Z; `fnorm` is
-    the Frobenius norm of each extended matrix [V, col].
+    `zz` holds the squared norms of the solutions z, R = V Z - cols
+    their residuals, and `fnorm` the Frobenius norm of each extended
+    matrix [V, col].
     """
-    return np.sqrt(_sq(R)) / np.sqrt(_sq(Z) + 1.0) <= TOL_FAST * np.maximum(fnorm, 1.0)
+    return np.sqrt(_sq(R)) / np.sqrt(zz + 1.0) <= TOL_FAST * np.maximum(fnorm, 1.0)
 
 
 def null_vector(V: np.ndarray) -> np.ndarray:
@@ -104,12 +107,13 @@ class ExtensionFactorization:
             pass
 
     def _solve(self, cols: np.ndarray):
-        """(Z, accepted) for V z = col, one column or a matrix of them.
+        """(Z, accepted, squared norms of Z) for V z = col, one column or many.
 
         Solves through the cached inverse and checks every column with
         `_fast_accepts`; a rejected column gets one refinement step
-        z -= inv (V z - col) and is checked again.  None without an
-        inverse.
+        z -= inv (V z - col) and is checked again.  The squared norms
+        that judged the columns are returned for the normalization.
+        None without an inverse.
         """
         inv = self._inv
         if inv is None:
@@ -117,14 +121,16 @@ class ExtensionFactorization:
         Z = inv @ cols
         R = self.V @ Z
         R -= cols
+        zz = _sq(Z)
         fnorm = np.sqrt(self._fnorm2 + _sq(cols))
-        ok = _fast_accepts(Z, R, fnorm)
+        ok = _fast_accepts(zz, R, fnorm)
         if not (ok.all() if Z.ndim == 2 else ok):
             refined = Z - inv @ R
-            redo = _fast_accepts(refined, self.V @ refined - cols, fnorm)
+            redo = _fast_accepts(_sq(refined), self.V @ refined - cols, fnorm)
             Z = np.where(ok, Z, refined)
             ok = ok | redo
-        return Z, ok
+            zz = _sq(Z)
+        return Z, ok, zz
 
     def null_vector_extended(self, col: np.ndarray) -> np.ndarray:
         """Unit null vector of [V_base, col], new column last.
@@ -143,11 +149,11 @@ class ExtensionFactorization:
             solved = self._solve(col)
         if solved is None or not solved[1]:
             return null_vector(np.column_stack([self.V, col]))
-        z = solved[0]
+        z, _, zz = solved
         c = np.empty(z.shape[0] + 1)
         c[:-1] = z
         c[-1] = -1.0
-        return _fix_sign(c / np.sqrt(np.dot(z, z) + 1.0))
+        return _fix_sign(c / np.sqrt(zz + 1.0))
 
     def solve_block(self, cols: np.ndarray):
         """Fast-path solves of V z = col for every column of `cols` at once.
@@ -162,7 +168,8 @@ class ExtensionFactorization:
         cols = np.asarray(cols, dtype=float)
         if cols.ndim != 2 or cols.shape[0] != self.V.shape[0]:
             raise DimensionMismatch("extension columns have wrong length")
-        return self._solve(cols)
+        solved = self._solve(cols)
+        return None if solved is None else solved[:2]
 
     def null_vectors_extended(self, cols: np.ndarray) -> np.ndarray:
         """Unit null vectors of [V_base, col] for every column of `cols`.
@@ -171,17 +178,16 @@ class ExtensionFactorization:
         `null_vector_extended(cols[:, t])` returns: one block solve serves
         every column, and only a column it rejects (every column, without
         an inverse) takes `null_vector_extended` with its recomputed
-        inverse and SVD.
+        inverse and SVD.  The squared norms that accepted a column scale
+        it.  `cols` is a float array of shape (b, k).
         """
-        solved = self.solve_block(cols)
-        if solved is None:
-            solved = np.zeros(cols.shape), np.zeros(cols.shape[1], dtype=bool)
-        Z, ok = solved
-        U = np.empty((Z.shape[0] + 1, Z.shape[1]))
+        k = cols.shape[1]
+        Z, ok, zz = self._solve(cols) or (np.zeros(cols.shape), np.zeros(k, dtype=bool), 0.0)
+        U = np.empty((Z.shape[0] + 1, k))
         U[:-1] = Z
         U[-1] = -1.0
-        U /= np.sqrt(_sq(Z) + 1.0)
-        for t in np.flatnonzero(~ok):
+        U /= np.sqrt(zz + 1.0)
+        for t in (~ok).nonzero()[0]:
             U[:, t] = self.null_vector_extended(cols[:, t])
         return U
 
@@ -194,20 +200,20 @@ class ExtensionFactorization:
         col = np.asarray(col, dtype=float)
         old = self.V[:, k].copy()
         self.V[:, k] = col
-        self._fnorm2 += float(np.dot(col, col) - np.dot(old, old))
+        self._fnorm2 += float(col @ col - old @ old)
         if self._inv is None:
             # a singular base can become regular by the exchange
             self._refresh()
             return
         z = self._inv @ col
         pivot = z[k]
-        if abs(pivot) < TOL_PIVOT * max(np.abs(z).max(), 1.0):
+        if abs(pivot) < TOL_PIVOT * np.abs(z).max(initial=1.0):
             self._refresh()
             return
-        # inv(V + (col - V e_k) e_k^T) via Sherman-Morrison
+        # inv(V + (col - V e_k) e_k^T) = inv - (z - e_k) inv[k] / pivot, the
+        # outer product as one BLAS product of a column and a row
         z[k] -= 1.0
-        adjust = z / pivot
-        self._inv -= np.outer(adjust, self._inv[k, :])
+        self._inv -= np.dot((z / pivot)[:, None], self._inv[k][None])
         self._stale = True
 
     def remove_columns(self, keep: np.ndarray) -> None:

@@ -7,10 +7,11 @@ count with non-negative weights.  Fixed nodes (the nodes of the rule
 being extended) are never deleted: a removal that zeroes one leaves it
 in place with weight zero.  A fixed rule is a stream without them.
 
-With a one-dimensional null space the step takes the smallest-|alpha|
-removal (ties to the positive side).  Only if that zeroes a fixed node
-are both removals priced: the one deleting more non-fixed nodes wins,
-and a seeded draw breaks ties.  With zero-weight fixed nodes the null
+With a one-dimensional null space one ratio scan gives both removals
+and the nodes each zeroes; the step takes the smallest-|alpha| one (ties
+to the positive side).  Only if that zeroes a fixed node is the other
+built too: the one deleting more non-fixed nodes wins, and a seeded draw
+breaks ties.  With zero-weight fixed nodes the null
 space is larger: one block solve gives a direction per zero-weight node
 and one for the sample.  The step enumerates all removals of that size
 and takes one that deletes the most non-fixed nodes (same tie break),
@@ -50,13 +51,14 @@ from .errors import (
     DimensionMismatch,
     ExactnessViolation,
     InsufficientSamples,
+    InvalidSpec,
     MissingEvaluation,
     ModeMismatch,
     NullSpaceFailure,
 )
 from .linalg import ExtensionFactorization, null_space
 from .linalg import null_vector  # noqa: F401  (perfbench's timing shims wrap it here)
-from .removal import Removal, RemovalProblem, attained_indices
+from .removal import Removal, RemovalProblem
 from .rule import _BLOCK, BlockMoments, QuadratureRule, SampleSet
 from .rule import apply_removal, choose_alpha, dropped_mask, removal_interval
 from .rule import sample_moments  # noqa: F401  (perfbench's timing shims wrap it here)
@@ -98,6 +100,8 @@ class ExtensionRequest:
             raise ModeMismatch("target basis must be at least as large as the base")
         if self.sample_source.d != self.base.spec.d:
             raise DimensionMismatch("sample dimension does not match base rule")
+        if self.removal_cap < 1:
+            raise InvalidSpec(f"removal_cap must be at least 1, not {self.removal_cap}")
 
 
 def _check_nodes_in_stream(base: QuadratureRule, source: SampleSet, what: str):
@@ -168,9 +172,9 @@ class _StreamEngine:
     deleted node's position; or one compaction deletes the zeroed
     non-fixed nodes and appends the sample if it is kept.  Before any
     node array moves, `_exchange` reads the support change off the
-    step's weights and follows it by rank-one column exchanges; a step
-    that moves more than three columns, or leaves no square base,
-    rebuilds the factorization instead.
+    step's weights and follows it by rank-one column exchanges (a step
+    that zeroes only the sample moves none); a step that moves more than
+    three columns, or leaves no square base, rebuilds it instead.
     """
 
     def __init__(self, work: QuadratureRule, rng, removal_cap):
@@ -219,10 +223,10 @@ class _StreamEngine:
         """
         if self.fact is None:
             return False
-        leaving = np.flatnonzero(u[self.fact_cols] == 0.0)
+        leaving = (u[self.fact_cols] == 0.0).nonzero()[0]
         outside = u > 0.0
         outside[self.fact_cols] = False
-        entering = np.flatnonzero(outside)
+        entering = outside.nonzero()[0]
         if leaving.shape[0] != entering.shape[0] or leaving.shape[0] > 3:
             return False
         n = self.X.shape[0]
@@ -372,18 +376,19 @@ class _StreamEngine:
         return pool[0] if len(pool) == 1 else pool[int(self.rng.integers(len(pool)))]
 
     def _single_direction(self, v, col):
-        n = self.X.shape[0]
-        c = self._embed_at(self.fact.null_vector_extended(col), n)
-        u, zeroed = self._candidate(v, c, *choose_alpha(v, c))
-        if len(self._deletable(zeroed)) == len(zeroed):
-            return u, zeroed
-        # a fixed node was zeroed: price both removals, prefer the one
-        # deleting more non-fixed nodes
-        a_min, _, a_max, _, _ = removal_interval(v, c)
-        cands = [
-            self._candidate(v, c, alpha, attained_indices(v, c, alpha, side))
-            for alpha, side in ((a_max, +1), (a_min, -1))
-        ]
+        """One ratio scan gives both removals; the second is built only if needed."""
+        c = self._embed_at(self.fact.null_vector_extended(col), self.X.shape[0])
+        a_min, at_min, a_max, at_max, _ = removal_interval(v, c)
+        pos, neg = (a_max, at_max), (a_min, at_min)
+        # the smallest |alpha| first, ties to the positive side
+        near, far = (neg, pos) if abs(a_max) > abs(a_min) else (pos, neg)
+        first = self._candidate(v, c, *near)
+        if len(self._deletable(first[1])) == len(first[1]):
+            return first
+        # a fixed node was zeroed: price the other removal too; the one
+        # deleting more non-fixed nodes wins (positive side listed first)
+        other = self._candidate(v, c, *far)
+        cands = [other, first] if near is neg else [first, other]
         return self._pick(cands, [zeroed for _, zeroed in cands])
 
     def _null_basis(self, col, excess):
@@ -397,15 +402,15 @@ class _StreamEngine:
         if self.fact is None:
             return null_space(np.column_stack([self.Vall, col]), excess), None
         # the support is a full square base: every other node is nonsupport
-        nonsupport = np.flatnonzero(self.w == 0.0)
-        n = self.X.shape[0]
+        nonsupport = (self.w == 0.0).nonzero()[0]
         cols = np.empty((col.shape[0], excess))
         cols[:, :-1] = self.Vall[:, nonsupport]
         cols[:, -1] = col
         U = self.fact.null_vectors_extended(cols)
-        C = np.zeros((n + 1, excess))
+        C = np.zeros((self.X.shape[0] + 1, excess))
         C[self.fact_cols] = U[:-1]
-        C[np.append(nonsupport, n), np.arange(excess)] = U[-1]
+        C[nonsupport, np.arange(excess - 1)] = U[-1, :-1]
+        C[-1, -1] = U[-1, -1]
         return C, nonsupport
 
     def _walk_seed(self, v, C, nonsupport):
@@ -442,7 +447,8 @@ class _StreamEngine:
     def _apply(self, u, zeroed, y, col, src_idx):
         n = self.X.shape[0]
         deleted = self._deletable(zeroed)
-        exchanged = self._exchange(u, col)
+        # zeroing only the sample moves no column of a square support
+        exchanged = zeroed == [n] and self.fact is not None or self._exchange(u, col)
         if deleted == [n]:
             # only the incoming sample was deleted: reweight
             self.w = u[:n]

@@ -2,8 +2,8 @@
 
 `ratio_extrema` is the one single-direction ratio scan: along a null
 direction c, the scalings of w - alpha c that first zero a node on
-either side.  The streaming engine's single removal and the walk below
-both use it.
+either side, and every node each zeroes.  The streaming engine's single
+removal and the walk below both use it.
 
 Removing M nodes while staying exact on a basis shrunk by M functions
 and keeping weights non-negative corresponds to a vertex of the simplex
@@ -29,9 +29,9 @@ The caller seeds it with a vertex it already knows; `initial()`, M
 successive single removals, is the fallback when there is no seed or
 the seed fails the vertex checks.  It takes the vertices a wave at a
 time; the columns of the inverse, mapped through C, are the exchange
-directions, and the inverses, vertex weights, exchange ratio scans and
-neighbour tuples of a whole wave are stacked array operations.  A
-singular block is a vertex that fails the checks, wherever it is solved.
+directions, and the inverses, vertex weights, zero sets, exchange ratio
+scans and neighbour tuples of a whole wave are stacked array operations.
+A singular block is a vertex that fails the checks, wherever it is solved.
 """
 
 from __future__ import annotations
@@ -49,9 +49,12 @@ from .tolerances import TOL_VERTEX_NEG, TOL_VERTEX_RESID, TOL_ZERO_FACTOR
 
 
 def ratio_extrema(weights: np.ndarray, c: np.ndarray, exclude: np.ndarray | None = None):
-    """(alpha_min, k_min, alpha_max, k_max) of the feasibility interval.
+    """(alpha_min, at_min, alpha_max, at_max) of the feasibility interval.
 
-    Positions marked in `exclude` take no part.
+    alpha_max is the smallest ratio w_k / c_k over c_k > 0 and alpha_min
+    the largest over c_k < 0; `at_max` and `at_min` are the ascending
+    positions whose ratio equals that end exactly.  Positions marked in
+    `exclude` take no part.
     """
     pos = c > 0.0
     neg = c < 0.0
@@ -62,23 +65,18 @@ def ratio_extrema(weights: np.ndarray, c: np.ndarray, exclude: np.ndarray | None
         raise DegenerateNullVector(
             "null vector lacks entries of both signs (zero-sum structure broken)"
         )
-    ratios = np.divide(weights, c, out=np.full(c.shape[0], np.inf), where=pos)
-    k_max = int(ratios.argmin())
-    alpha_max = float(ratios[k_max])
-    ratios = np.divide(weights, c, out=np.full(c.shape[0], -np.inf), where=neg)
-    k_min = int(ratios.argmax())
-    alpha_min = float(ratios[k_min])
-    return alpha_min, k_min, alpha_max, k_max
+    ratios = np.full(c.shape[0], np.inf)
+    np.divide(weights, c, out=ratios, where=pos)
+    alpha_max = ratios[ratios.argmin()]
+    at_max = (ratios == alpha_max).nonzero()[0]
+    ratios.fill(-np.inf)
+    np.divide(weights, c, out=ratios, where=neg)
+    alpha_min = ratios[ratios.argmax()]
+    at_min = (ratios == alpha_min).nonzero()[0]
+    return float(alpha_min), at_min, float(alpha_max), at_max
 
 
-def attained_indices(weights: np.ndarray, c: np.ndarray, alpha: float, side: int):
-    """All indices on the chosen sign side whose ratio equals alpha exactly."""
-    mask = c > 0.0 if side > 0 else c < 0.0
-    idx = mask.nonzero()[0]
-    return idx[weights[idx] / c[idx] == alpha]
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Removal:
     """A set of node positions whose joint deletion keeps weights >= 0.
 
@@ -86,6 +84,8 @@ class Removal:
     position whose weight vanishes at the vertex, more than M at a
     degenerate vertex.  `weights`, when the removal comes from a vertex
     solve, are the weights at the vertex, exactly zero at `indices`.
+    Not frozen, so that the one made per vertex found is cheap to build;
+    nothing changes it afterwards.
     """
 
     indices: tuple[int, ...]
@@ -94,7 +94,7 @@ class Removal:
 
     def __post_init__(self):
         if not self.zero_indices:
-            object.__setattr__(self, "zero_indices", self.indices)
+            self.zero_indices = self.indices
 
 
 class RemovalProblem:
@@ -118,7 +118,6 @@ class RemovalProblem:
         scale = max(1.0, float(np.abs(self.w).max()))
         self._tol_res = TOL_VERTEX_RESID * scale
         self._tol_neg = -TOL_VERTEX_NEG * scale
-        self._eye = np.eye(self.m, dtype=bool)
         return self
 
     # -- vertex algebra -------------------------------------------------
@@ -159,10 +158,10 @@ class RemovalProblem:
             raise NullSpaceFailure(f"removal {tuple(indices)} is no feasible vertex")
         return W[0]
 
-    def _build(self, indices, w_q) -> Removal:
-        # zero by the step's rule; the removed positions are exactly zero in w_q
-        zero = (w_q <= TOL_ZERO_FACTOR * max(float(w_q.max()), 0.0)).nonzero()[0].tolist()
-        return Removal(indices=tuple(indices), zero_indices=tuple(zero), weights=w_q)
+    @staticmethod
+    def _zero_tol(W):
+        """Per vertex (row of W), the step's drop threshold: its largest weight's share."""
+        return TOL_ZERO_FACTOR * np.maximum(W.max(axis=1, keepdims=True), 0.0)
 
     # -- operations -----------------------------------------------------
 
@@ -170,25 +169,27 @@ class RemovalProblem:
         """Exchange partners of a wave of vertices in one vectorized sweep.
 
         Vertex i removes the nodes q_mat[i] (k x M), has weights W[i]
-        (k x n) and exchange directions dirs[i] (k x n x M), which this
-        overwrites: at the removed rows direction j is exactly one at
-        q_mat[i, j] and zero elsewhere.  Returns per vertex a list of M
-        neighbor index tuples (None where the exchange is degenerate).
+        (k x n) and exchange directions dirs[i] (k x n x M); at the
+        removed rows direction j is set exactly one at q_mat[i, j] and
+        zero elsewhere.  The ratio scans run along the nodes, one row per
+        vertex and direction.  Returns per vertex a list of M neighbor
+        index tuples (None where the exchange is degenerate).
         """
         k, m = q_mat.shape
-        dirs[np.arange(k)[:, None], q_mat, :] = self._eye
+        eye = np.eye(m, dtype=bool)
+        dirs = dirs.transpose(0, 2, 1).copy()
+        dirs[np.arange(k)[:, None], :, q_mat] = eye
         pos = dirs > 0.0
         neg = dirs < 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = W[:, :, None] / dirs
-        k_max = np.where(pos, ratios, np.inf).argmin(axis=1)
-        k_min = np.where(neg, ratios, -np.inf).argmax(axis=1)
+        W = W[:, None, :]
+        k_max = np.divide(W, dirs, out=np.full(dirs.shape, np.inf), where=pos).argmin(axis=2)
+        k_min = np.divide(W, dirs, out=np.full(dirs.shape, -np.inf), where=neg).argmax(axis=2)
         # the own row is on the positive side at ratio zero, so the
         # exchange is degenerate exactly when no entry is negative
         cand = np.where(k_max == q_mat, k_min, k_max)
-        swapped = np.where(self._eye, cand[:, :, None], q_mat[:, None, :])
+        swapped = np.where(eye, cand[:, :, None], q_mat[:, None, :])
         swapped.sort(axis=2)
-        ok = neg.any(axis=1).ravel().tolist()
+        ok = neg.any(axis=2).ravel().tolist()
         flat = [tuple(t) if o else None for t, o in zip(swapped.reshape(k * m, m).tolist(), ok)]
         return [flat[i * m:(i + 1) * m] for i in range(k)]
 
@@ -200,12 +201,10 @@ class RemovalProblem:
         while len(removed) < self.m:
             # a null direction whose weight change vanishes at `removed`
             c = self.C @ np.linalg.svd(self.C[removed, :])[2][-1] if removed else self.C[:, 0]
-            a_min, k_min, a_max, k_max = ratio_extrema(w_work, c, exclude)
+            a_min, at_min, a_max, at_max = ratio_extrema(w_work, c, exclude)
             if a_min > a_max:
                 raise NoRemovalExists("empty removal interval from a positive rule")
-            alpha, side = (a_max, +1) if abs(a_max) <= abs(a_min) else (a_min, -1)
-            # excluded positions are zeroed anyway, attained or not
-            attained = attained_indices(w_work, c, alpha, side)
+            alpha, attained = (a_max, at_max) if abs(a_max) <= abs(a_min) else (a_min, at_min)
             w_work = w_work - alpha * c
             w_work[attained] = 0.0
             w_work[exclude] = 0.0
@@ -220,7 +219,9 @@ class RemovalProblem:
                 if np.linalg.matrix_rank(self.C[removed + [j]]) > len(removed):
                     removed.append(j)
         q = tuple(sorted(removed))
-        return self._build(q, self.vertex_weights(q))
+        w_q = self.vertex_weights(q)
+        zero = w_q <= self._zero_tol(w_q[None])[0]
+        return Removal(q, tuple(zero.nonzero()[0].tolist()), w_q)
 
     def _trace(self, cap: int):
         """(removals, vertices solved) of the M = 2 edge trace.
@@ -267,16 +268,12 @@ class RemovalProblem:
                 return None, 0
             ring.append(line)
             line = int(upper_end(*crossings(line)).argmin())
-        pairs = sorted((min(i, j), max(i, j)) for i, j in zip(ring, ring[1:] + ring[:1]))
-        q_mat = np.array(pairs, dtype=np.intp)
-        W, _, bad = self._vertices(q_mat)
+        pairs = sorted([(i, j) if i < j else (j, i) for i, j in zip(ring, ring[1:] + ring[:1])])
+        W, _, bad = self._vertices(np.array(pairs, dtype=np.intp))
         # every weight but the two removed ones stays clear of zero
-        tol = TOL_ZERO_FACTOR * np.maximum(W.max(axis=1, keepdims=True), 0.0)
-        if bad.any() or (W > tol).sum() != W.shape[0] * (n - 2):
+        if bad.any() or np.count_nonzero(W > self._zero_tol(W)) != W.shape[0] * (n - 2):
             return None, len(pairs)
-        return [
-            Removal(indices=q, zero_indices=q, weights=w_q) for q, w_q in zip(pairs, W)
-        ], len(pairs)
+        return [Removal(q, q, w_q) for q, w_q in zip(pairs, W)], len(pairs)
 
     _WAVE = 64
 
@@ -322,10 +319,11 @@ class RemovalProblem:
             pops += len(wave)
             q_mat = np.asarray(wave, dtype=np.intp)
             W, B, bad = self._vertices(q_mat)
-            for q, w_q, neighbors, b in zip(wave, W, self._neighbors(q_mat, W, self.C @ B), bad):
+            partners = self._neighbors(q_mat, W, self.C @ B)
+            for q, w_q, z, neighbors, b in zip(wave, W, W <= self._zero_tol(W), partners, bad):
                 if b:
                     continue
-                results[q] = self._build(q, w_q)
+                results[q] = Removal(q, tuple(z.nonzero()[0].tolist()), w_q)
                 if capped:
                     continue
                 for q_hat in neighbors:

@@ -4,14 +4,13 @@ A rule is a weighted subset of a sample stream that reproduces the raw
 moments of every basis function over the full stream.
 
 The streaming engine of `samplequad.nested` makes every single removal
-from three steps here: `choose_alpha` scales the null direction c by the
-smallest-|alpha| that zeroes a node (ties to the positive side),
-`apply_removal` forms w - alpha c with the attaining entries exactly
-zero, and `dropped_mask` marks every weight that reached zero.  Where
-that zeroes a fixed node the engine prices both ends of
-`removal_interval` instead.  All of them read the one ratio scan,
-`removal.ratio_extrema`.  `construct_fixed_rule` runs the engine without
-fixed nodes.
+from three steps here: `removal_interval` reads both ends of the
+scalings of the null direction c, and the nodes each end zeroes, off the
+one ratio scan, `removal.ratio_extrema`; `apply_removal` forms
+w - alpha c with the attaining entries exactly zero, and `dropped_mask`
+marks every weight that reached zero.  `choose_alpha` is the
+smallest-|alpha| end alone (ties to the positive side).
+`construct_fixed_rule` runs the engine without fixed nodes.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .errors import (
     NullSpaceFailure,
     require_keys,
 )
-from .removal import attained_indices, ratio_extrema
+from .removal import ratio_extrema
 from .tolerances import TOL_ZERO_FACTOR
 
 # rows of basis evaluation per block; moments are summed block by block
@@ -216,12 +215,14 @@ class QuadratureRule:
 def removal_interval(weights: np.ndarray, c: np.ndarray):
     """Feasible scaling interval for one removal, weights of any sign.
 
-    Returns (alpha_min, k_min, alpha_max, k_max, feasible).  A removal
-    keeping all weights non-negative exists iff alpha_min <= alpha_max;
-    for non-negative weights the interval always brackets zero.
+    Returns (alpha_min, at_min, alpha_max, at_max, feasible), where
+    `at_min` and `at_max` are the positions each end zeroes (ascending).
+    A removal keeping all weights non-negative exists iff
+    alpha_min <= alpha_max; for non-negative weights the interval always
+    brackets zero.
     """
-    alpha_min, k_min, alpha_max, k_max = ratio_extrema(weights, c)
-    return alpha_min, k_min, alpha_max, k_max, alpha_min <= alpha_max
+    alpha_min, at_min, alpha_max, at_max = ratio_extrema(weights, c)
+    return alpha_min, at_min, alpha_max, at_max, alpha_min <= alpha_max
 
 
 def apply_removal(weights: np.ndarray, c: np.ndarray, alpha: float, attained) -> np.ndarray:
@@ -236,12 +237,10 @@ def choose_alpha(v: np.ndarray, c: np.ndarray):
 
     Ties in magnitude go to the positive side (alpha_max).
     """
-    alpha_min, _, alpha_max, _ = ratio_extrema(v, c)
+    alpha_min, at_min, alpha_max, at_max = ratio_extrema(v, c)
     if abs(alpha_max) <= abs(alpha_min):
-        alpha, side = alpha_max, +1
-    else:
-        alpha, side = alpha_min, -1
-    return alpha, attained_indices(v, c, alpha, side)
+        return alpha_max, at_max
+    return alpha_min, at_min
 
 
 def dropped_mask(w_new: np.ndarray) -> np.ndarray:

@@ -124,6 +124,14 @@ class TestExperimentConfigJson:
             config = ExperimentConfig.from_json_dict({**CONFIG_JSON, "include_nonnested": flag})
             assert config.include_nonnested is flag
 
+    @pytest.mark.parametrize("cap", (0, -3))
+    def test_removal_cap_below_one_rejected(self, cap):
+        with pytest.raises(InvalidSpec, match="removal_cap must be at least 1"):
+            ExperimentConfig.from_json_dict({**CONFIG_JSON, "removal_cap": cap})
+        with pytest.raises(InvalidSpec, match="removal_cap must be at least 1"):
+            small_config(removal_cap=cap)
+        assert small_config(removal_cap=1).removal_cap == 1
+
     def test_dimension_must_match_the_distribution(self):
         with pytest.raises(ValueError, match="d=3 but the distribution has d=2"):
             ExperimentConfig.from_json_dict({**CONFIG_JSON, "d": 3})

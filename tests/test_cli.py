@@ -154,6 +154,17 @@ class TestExtend:
                    "--out", tmp_path / "r2.json") == 0
         assert "node_count_bound ok" in capsys.readouterr().out
 
+    def test_removal_cap_below_one_exits_2(self, sample_file, tmp_path, caplog):
+        r1 = tmp_path / "r1.json"
+        assert run("build", "--samples", sample_file, "--degree-size", 5,
+                   "--out", r1) == 0
+        out = tmp_path / "r2.json"
+        assert run("extend", "--rule", r1, "--samples", sample_file,
+                   "--degree-size", 11, "--mode", "degree", "--removal-cap", 0,
+                   "--out", out) == 2
+        assert "removal_cap must be at least 1" in caplog.text
+        assert not out.exists()
+
     def test_resampled_mode_with_fresh_file(self, sample_file, tmp_path):
         r1 = tmp_path / "r1.json"
         assert run("build", "--samples", sample_file, "--degree-size", 5,
@@ -237,6 +248,7 @@ class TestBenchGenz:
         ("repetiton", 1, "'repetiton'"),
         ("include_nonnested", "false", "include_nonnested must be a bool"),
         ("d", 3, "d=3 but the distribution has d=2"),
+        ("removal_cap", 0, "removal_cap must be at least 1"),
     ])
     def test_bad_config_exits_2(self, key, value, named, tmp_path, caplog):
         config = {"d": 2, "k_max": 100, "schedule": [2, 4], "repetitions": 1,

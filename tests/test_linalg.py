@@ -166,6 +166,33 @@ class TestExtensionFactorization:
             cosine = abs(np.dot(fast, slow))
             assert cosine >= 1 - 1e-9
 
+    def test_exchanges_keep_the_norm_and_the_inverse(self, monkeypatch):
+        refreshes = []
+        refresh = ExtensionFactorization._refresh
+        monkeypatch.setattr(
+            ExtensionFactorization, "_refresh", lambda self: refreshes.append(1) or refresh(self)
+        )
+        rng = np.random.default_rng(13)
+        V = rng.standard_normal((6, 6)) + 3 * np.eye(6)
+        handle = ExtensionFactorization(V)
+        for step in range(40):
+            k = step % 6
+            new = rng.standard_normal(6) + 3 * np.eye(6)[k]
+            handle.replace_column(k, new)
+            V[:, k] = new
+            # the squared Frobenius norm follows by the columns' norms alone
+            assert handle._fnorm2 == pytest.approx(np.sum(V * V), rel=1e-12)
+            np.testing.assert_allclose(handle._inv, np.linalg.inv(V), rtol=0, atol=1e-10)
+        assert refreshes == [1]
+        # a column almost in the span of the others gives a pivot too weak
+        # to trust: the inverse and the norm are recomputed
+        weak = 2.0 * V[:, 1] + 1e-10 * V[:, 4]
+        handle.replace_column(4, weak)
+        V[:, 4] = weak
+        assert refreshes == [1, 1]
+        assert handle._fnorm2 == np.sum(V * V)
+        np.testing.assert_array_equal(handle._inv, np.linalg.inv(V))
+
     def test_refinement_and_stale_refresh_precede_the_svd(self, monkeypatch):
         # scaling the cached inverse by (1 + e) stands in for update drift:
         # the first solve then misses the acceptance by a relative e, and

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import samplequad.nested
+import samplequad.rule
 from samplequad.basis import BasisSpec, basis_matrix, domain_from_samples
 from samplequad.errors import (
     InsufficientSamples,
+    InvalidSpec,
     MissingEvaluation,
     ModeMismatch,
     NullSpaceFailure,
@@ -122,6 +124,12 @@ class TestInitializeExtension:
                 sample_source=uniform_samples,
                 mode="increase_degree",
             )
+
+    @pytest.mark.parametrize("cap", (0, -3))
+    def test_removal_cap_below_one_rejected(self, cap, base_rule, uniform_samples):
+        with pytest.raises(InvalidSpec, match="removal_cap must be at least 1"):
+            ExtensionRequest(base_rule, 10, uniform_samples, "increase_degree", cap)
+        assert ExtensionRequest(base_rule, 10, uniform_samples, "increase_degree", 1)
 
 
 class TestExtendRule:
@@ -503,3 +511,81 @@ class TestStreamGuards:
         monkeypatch.setattr(RemovalProblem, "enumerate", compared_enumerate)
         engine.feed(y, col, 5)
         assert steps == [3]
+
+
+# (basis size, sorted source indices, weights in that order) of the chain
+# built from 256 uniform samples (seed 1), schedule 4 to 32, selection seed 1
+PINNED_CHAIN = (
+    (5,
+     [0, 1, 4, 8, 12],
+     [0.18484617246633514, 0.11890657606557481, 0.33068596900667685, 0.20190647799597689,
+      0.16365480446543632]),
+    (9,
+     [0, 1, 4, 8, 12, 22, 80, 173, 205],
+     [0.05517902718058499, 0.014214598501316613, 0.16146847612359871, 0.28947373508166796,
+      0.024359881909438403, 0.2319274425052256, 0.13628293932892838, 0.072949320481914,
+      0.01414457888732534]),
+    (17,
+     [0, 1, 4, 8, 12, 22, 71, 74, 77, 80, 114, 119, 168, 173, 205, 247, 253, 255],
+     [0.07925543513599943, 0.03406702012730802, 0.03585215811169342, 0.025710570280869812,
+      0.034080049773721054, 0.11861886185540313, 0.07505260932475015, 0.02145087550687434,
+      0.08154612845081989, 0.0, 0.05547369041981639, 0.017356469292218277,
+      0.07019173156309876, 0.15515596742161822, 0.015556342229121313, 0.04758564039180861,
+      0.06481456410114932, 0.06823188601372977]),
+    (33,
+     [0, 1, 4, 8, 10, 12, 22, 36, 60, 67, 71, 74, 77, 80, 93, 97, 105, 114, 119, 131, 158,
+      159, 167, 168, 173, 192, 200, 205, 229, 238, 247, 253, 254, 255],
+     [0.006364539843623211, 0.01494547978091352, 0.029389240879810232, 0.03298579823378617,
+      0.06369856288448843, 0.02828779094047054, 0.0, 0.046173919480232826,
+      0.045236753764034125, 0.04120698482082356, 0.03847286067202382, 0.015117828227583771,
+      0.02485150698441937, 0.038588396991339084, 0.007159640539219643, 0.020169513580173312,
+      0.017258940638154596, 0.02510243443934405, 0.017395091209963937, 0.01972591045116645,
+      0.05264465506747687, 0.013614231556781034, 0.04937039220803891, 0.04365280261951097,
+      0.07841362112833579, 0.05854344895243601, 0.006665885239821917, 0.00800897963037554,
+      0.0034973293926108123, 0.0008920003105705172, 0.030968370988028737,
+      0.044244979028638415, 0.014255448621238936, 0.0630966608945649]),
+)
+
+
+class TestScalarStep:
+    def test_one_ratio_scan_per_single_direction_step(self, monkeypatch):
+        # each step reads both removals and their zeroed nodes off one scan,
+        # made through `removal_interval`; where the first removal zeroes a
+        # fixed node, only the other side's candidate is built on top
+        steps = []  # (interval calls, ratio scans, both removals priced)
+        counts = {"interval": 0, "scan": 0, "pick": 0}
+        interval, scan = samplequad.nested.removal_interval, samplequad.rule.ratio_extrema
+        single, pick = _StreamEngine._single_direction, _StreamEngine._pick
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        def recorded_single(self, v, col):
+            counts.update(interval=0, scan=0, pick=0)
+            out = single(self, v, col)
+            steps.append((counts["interval"], counts["scan"], counts["pick"] > 0))
+            return out
+
+        monkeypatch.setattr(samplequad.nested, "removal_interval", counted("interval", interval))
+        monkeypatch.setattr(samplequad.rule, "ratio_extrema", counted("scan", scan))
+        monkeypatch.setattr(_StreamEngine, "_pick", counted("pick", pick))
+        monkeypatch.setattr(_StreamEngine, "_single_direction", recorded_single)
+        _increase_degree_chain(*SEED_CORPUS[0])
+        assert sum(priced for _, _, priced in steps) >= 10
+        assert {s[:2] for s in steps} == {(1, 1)}
+
+    def test_small_uniform_chain_is_pinned(self):
+        samples = generate(DistributionSpec("uniform", 2, seed=1), 256)
+        spec = BasisSpec(d=2, size=5, domain=domain_from_samples(samples.points))
+        chain = [construct_fixed_rule(samples, spec)]
+        for size, _, _ in PINNED_CHAIN[1:]:
+            req = ExtensionRequest(chain[-1], size, samples, "increase_degree")
+            chain.append(extend_rule(req, selection_seed=1))
+        for rule, (size, source, weights) in zip(chain, PINNED_CHAIN):
+            order = np.argsort(rule.source_indices)
+            assert rule.spec.size == size
+            assert rule.source_indices[order].tolist() == source
+            np.testing.assert_allclose(rule.weights[order], weights, rtol=0, atol=1e-12)

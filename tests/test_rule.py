@@ -135,20 +135,28 @@ class TestAddSample:
 
 class TestSelectAlpha:
     # the two removals at the ends of `removal_interval` for weights >= 0:
-    # alpha_max zeroes a node of the positive side, alpha_min of the negative
+    # alpha_max zeroes the nodes it lists on the positive side, alpha_min
+    # those on the negative side
     def test_two_entry_ratios(self):
         v = np.full(3, 1.0 / 3.0)
         c = np.array([1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0), 0.0])
-        a2, k2, a1, k1, _ = removal_interval(v, c)
+        a2, at2, a1, at1, _ = removal_interval(v, c)
         assert a1 == pytest.approx(np.sqrt(2.0) / 3.0, abs=1e-15)
-        assert (k1, k2) == (0, 1)
+        assert (at1.tolist(), at2.tolist()) == ([0], [1])
         assert a2 == pytest.approx(-np.sqrt(2.0) / 3.0, abs=1e-15)
 
     def test_zero_weight_gives_zero_alpha(self):
         v = np.array([0.0, 0.5, 0.5])
         c = np.array([0.5, 0.3, -0.8])
-        _, _, a1, k1, _ = removal_interval(v, c)
-        assert a1 == 0.0 and k1 == 0
+        _, _, a1, at1, _ = removal_interval(v, c)
+        assert a1 == 0.0 and at1.tolist() == [0]
+
+    def test_every_node_attaining_an_end_is_listed(self):
+        v = np.array([0.25, 0.5, 0.25, 0.5])
+        c = np.array([0.5, 1.0, -0.5, -0.25])
+        a_min, at_min, a_max, at_max, _ = removal_interval(v, c)
+        assert (a_max, at_max.tolist()) == (0.5, [0, 1])
+        assert (a_min, at_min.tolist()) == (-0.5, [2])
 
     def test_removal_keeps_weights_nonnegative(self):
         rng = np.random.default_rng(4)
@@ -156,11 +164,11 @@ class TestSelectAlpha:
             v = rng.random(8)
             c = rng.standard_normal(8)
             c -= c.mean()  # zero-sum, both signs present
-            a2, k2, a1, k1, _ = removal_interval(v, c)
-            for alpha, k in ((a1, k1), (a2, k2)):
+            a2, at2, a1, at1, _ = removal_interval(v, c)
+            for alpha, at in ((a1, at1), (a2, at2)):
                 w = v - alpha * c
                 assert w.min() >= -1e-12 * max(1.0, np.abs(w).max())
-                assert abs(w[k]) <= 1e-12
+                assert at.size and np.abs(w[at]).max() <= 1e-12
 
     def test_degenerate_vector_rejected(self):
         with pytest.raises(DegenerateNullVector):
@@ -181,7 +189,7 @@ class TestRemovalInterval:
     def test_hand_computed_equal_endpoints(self):
         w = np.array([1.0, -1.0])
         c = np.array([1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)])
-        a_min, k_min, a_max, k_max, feasible = removal_interval(w, c)
+        a_min, _, a_max, _, feasible = removal_interval(w, c)
         assert a_min == pytest.approx(np.sqrt(2.0), abs=1e-15)
         assert a_max == pytest.approx(np.sqrt(2.0), abs=1e-15)
         assert feasible
