@@ -51,10 +51,6 @@ class ExactnessViolation(SampleQuadError):
     """A finished rule failed its moment-residual bound."""
 
 
-class NoRemovalExists(SampleQuadError):
-    """No single node can be deleted while keeping weights non-negative."""
-
-
 class ModeMismatch(SampleQuadError):
     """Extension request inconsistent with its declared mode."""
 

@@ -10,7 +10,9 @@ and the squared norms that judge it also scale its null vector; a
 rejected solve gets one step of iterative refinement from the residual
 already computed (Skeel 1980); only then is an inverse that exchanges
 have updated recomputed, and an SVD of the explicitly extended matrix
-is the last resort.
+is the last resort.  That SVD is the only one the streaming engine
+runs: it keeps a square base through degenerate steps, so a base has
+no inverse only where repeated samples leave it singular.
 
 `ExtensionFactorization.solve_block` solves the base against a whole
 block of extension columns with one matrix product and the same
@@ -88,8 +90,8 @@ class ExtensionFactorization:
     Solves for null vectors of the base extended by one column, and
     follows the per-sample iteration by in-place column exchanges.  An
     exchange marks the inverse stale; a stale inverse is recomputed only
-    when a solve through it fails even after refinement.  A base that is
-    not square (or is singular) has no inverse and takes the SVD path.
+    when a solve through it fails even after refinement.  A singular
+    base has no inverse and takes the SVD path.
     """
 
     def __init__(self, V_base: np.ndarray):
@@ -100,7 +102,7 @@ class ExtensionFactorization:
         self._fnorm2 = float(np.sum(self.V * self.V))
         self._inv = None
         self._stale = False
-        # a base that is not square (or is singular) raises LinAlgError
+        # a singular base raises LinAlgError
         try:
             self._inv = np.linalg.inv(self.V)
         except np.linalg.LinAlgError:
@@ -161,9 +163,8 @@ class ExtensionFactorization:
         Returns (Z, accepted): Z holds the solutions column by column,
         and `accepted` marks the columns whose null vector (z, -1) passes
         the residual acceptance of `null_vector_extended`'s fast path.
-        Returns None when there is no cached inverse (the base is not
-        square or is singular); nothing is recomputed or falls back to
-        an SVD here.
+        Returns None when there is no cached inverse (the base is
+        singular); nothing is recomputed or falls back to an SVD here.
         """
         cols = np.asarray(cols, dtype=float)
         if cols.ndim != 2 or cols.shape[0] != self.V.shape[0]:

@@ -11,16 +11,16 @@ With a one-dimensional null space one ratio scan gives both removals
 and the nodes each zeroes; the step takes the smallest-|alpha| one (ties
 to the positive side).  Only if that zeroes a fixed node is the other
 built too: the one deleting more non-fixed nodes wins, and a seeded draw
-breaks ties.  With zero-weight fixed nodes the null
-space is larger: one block solve gives a direction per zero-weight node
-and one for the sample.  The step enumerates all removals of that size
-and takes one that deletes the most non-fixed nodes (same tie break),
-with the weights its vertex solve left.  For two directions, the usual
-case, an edge trace goes round the removal polygon, one ratio test per
-vertex, starting on the zero-weight node's line (see
-`samplequad.removal`).  For more, or where the trace cannot vouch for
-its result, a walk runs from the vertex the sample's smallest-|alpha|
-removal reaches, which saves the SVDs of a cold start.
+breaks ties.  With zero-weight fixed nodes the null space is larger:
+one block solve gives a direction per node outside the square base and
+one for the sample.  The step enumerates all removals of that size and
+takes one that deletes the most non-fixed nodes (same tie break), with
+the weights its vertex solve left: for two directions, the usual case,
+by an edge trace round the removal polygon (see `samplequad.removal`),
+else by a walk from the vertex the sample's smallest-|alpha| removal
+reaches.  The base stays square where steps leave some of its nodes at
+weight zero, a degenerate basis of the revised simplex method (Dantzig,
+1963), so it is always a vertex to walk from.
 
 Most steps delete the incoming sample, which only reweights the
 support S, so the stream runs block-speculatively: k such steps leave
@@ -56,13 +56,13 @@ from .errors import (
     ModeMismatch,
     NullSpaceFailure,
 )
-from .linalg import ExtensionFactorization, null_space
-from .linalg import null_vector  # noqa: F401  (perfbench's timing shims wrap it here)
+from .linalg import ExtensionFactorization
+from .linalg import null_space, null_vector  # noqa: F401  (perfbench's timing shims wrap them)
 from .removal import Removal, RemovalProblem
 from .rule import _BLOCK, BlockMoments, QuadratureRule, SampleSet
 from .rule import apply_removal, choose_alpha, dropped_mask, removal_interval
 from .rule import sample_moments  # noqa: F401  (perfbench's timing shims wrap it here)
-from .tolerances import TOL_MOM, TOL_NEAR_TIE, TOL_ZERO_FACTOR
+from .tolerances import TOL_MOM, TOL_NEAR_TIE, TOL_PIVOT, TOL_ZERO_FACTOR
 
 log = logging.getLogger(__name__)
 
@@ -164,17 +164,16 @@ def initialize_extension(req: ExtensionRequest):
 class _StreamEngine:
     """The per-sample iteration, with fixed-node bookkeeping.
 
-    While the positively weighted (support) nodes form a full square
-    base, a factorization of their Vandermonde is kept; `fact_cols`
-    records which node position each factorization column holds.  A
-    scalar step ends in one of three ways: the sample is dropped and the
-    nodes are only reweighted; a clean swap puts the sample in the
-    deleted node's position; or one compaction deletes the zeroed
-    non-fixed nodes and appends the sample if it is kept.  Before any
-    node array moves, `_exchange` reads the support change off the
-    step's weights and follows it by rank-one column exchanges (a step
-    that zeroes only the sample moves none); a step that moves more than
-    three columns, or leaves no square base, rebuilds it instead.
+    From b nodes on, a factorization of a square base is kept: the
+    positively weighted (support) nodes, and zero-weight fixed nodes
+    where the support is short.  `fact_cols` records which node position
+    each factorization column holds.  A scalar step ends in one of three
+    ways: the sample is dropped and the nodes are only reweighted; a
+    clean swap puts the sample in the deleted node's position; or one
+    compaction deletes the zeroed non-fixed nodes and appends the sample
+    if it is kept.  Before any node array moves, `_exchange` follows the
+    step's removal by rank-one column exchanges, or declines and the
+    base is rebuilt.
     """
 
     def __init__(self, work: QuadratureRule, rng, removal_cap):
@@ -187,49 +186,58 @@ class _StreamEngine:
         self.rng = rng
         self.removal_cap = removal_cap
         self.Vall = basis_matrix(self.spec, self.X)
-        self.fact = None
-        self.fact_cols = None
         self._rebuild_fact()
 
     def rule(self) -> QuadratureRule:
-        return QuadratureRule(
-            nodes=self.X,
-            weights=self.w,
-            spec=self.spec,
-            K=self.consumed - 1,
-            source_indices=self.src,
-            fixed_mask=self.fixed,
-        )
+        return QuadratureRule(nodes=self.X, weights=self.w, spec=self.spec, K=self.consumed - 1,
+                              source_indices=self.src, fixed_mask=self.fixed)
 
     def _rebuild_fact(self):
-        support = np.flatnonzero(self.w > 0.0)
-        if support.shape[0] != self.spec.size:
-            self.fact = None
-            self.fact_cols = None
-        else:
-            self.fact = ExtensionFactorization(np.take(self.Vall, support, axis=1))
-            self.fact_cols = support
+        """A square base of the support and zero-weight nodes; none below b nodes.
 
-    def _exchange(self, u, col):
-        """Follow the step's support change by column exchanges.
-
-        `u` holds the step's weights, the nodes first and the incoming
-        sample (position n) last; nothing has moved yet.  Each slot whose
-        node the step zeroed takes a positive position outside the
-        factorization, the two paired in ascending order.  Returns False,
-        changing nothing, when there is no factorization, the support
-        does not stay a full square base, or more than three columns
-        would move; the caller then rebuilds once the step is applied.
+        A start with more positive weights (an increase_degree base with
+        zero-weight fixed nodes; every node is fixed) is brought to a
+        vertex of the base by single removals: node j's zeroes j, or a
+        base node that j then replaces.
         """
-        if self.fact is None:
-            return False
-        leaving = (u[self.fact_cols] == 0.0).nonzero()[0]
-        outside = u > 0.0
-        outside[self.fact_cols] = False
-        entering = outside.nonzero()[0]
-        if leaving.shape[0] != entering.shape[0] or leaving.shape[0] > 3:
-            return False
+        b = self.spec.size
+        if self.X.shape[0] < b:
+            self.fact = self.fact_cols = None
+            return
+        support = np.flatnonzero(self.w > 0.0)
+        cols = support
+        if support.shape[0] != b:
+            cols = _raise_rank(self.Vall, np.append(support, np.flatnonzero(self.w == 0.0)), b)
+        self.fact = ExtensionFactorization(np.take(self.Vall, cols, axis=1))
+        self.fact_cols = cols
+        for j in sorted(set(support.tolist()) - set(cols.tolist())):
+            c = self._embed_at(self.fact.null_vector_extended(self.Vall[:, j]), j)[:-1]
+            alpha, attained = choose_alpha(self.w, c)
+            self.w = apply_removal(self.w, c, alpha, attained)
+            self.w[dropped_mask(self.w)] = 0.0
+            if j not in attained:
+                slot = (self.fact_cols == attained[0]).argmax()
+                self.fact.replace_column(slot, self.Vall[:, j])
+                self.fact_cols[slot] = j
+
+    def _exchange(self, removed, deleted, col):
+        """Follow the step's removal by column exchanges.
+
+        `removed` holds the positions the removal takes out of the base,
+        the incoming sample at position n; nothing has moved yet.  Their
+        slots take the positions outside the base that are not removed,
+        both in ascending order.  Returns False, changing nothing, when a
+        `deleted` position is not removed (a degenerate vertex) or more
+        than three columns would move; the caller then rebuilds.
+        """
         n = self.X.shape[0]
+        out = np.zeros(n + 1, dtype=bool)
+        out[list(removed)] = True
+        leaving = out[self.fact_cols].nonzero()[0]
+        if leaving.shape[0] > 3 or any(k not in removed for k in deleted):
+            return False
+        out[self.fact_cols] = True
+        entering = (~out).nonzero()[0]
         for slot, p in zip(leaving, entering):
             self.fact.replace_column(int(slot), col if p == n else self.Vall[:, p])
             self.fact_cols[slot] = p
@@ -250,16 +258,12 @@ class _StreamEngine:
             self.src = np.append(self.src, src_idx)
             self.fixed = np.append(self.fixed, False)
             self.Vall = np.column_stack([self.Vall, col])
-            if n + 2 > b:
-                self._rebuild_fact()
+            self._rebuild_fact()
             return
         v = np.concatenate([self.w * scale, [tail]])
-        excess = n + 1 - b
-        if excess == 1 and self.fact is not None:
-            u, zeroed = self._single_direction(v, col)
-        else:
-            u, zeroed = self._multi_direction(v, col)
-        self._apply(u, zeroed, y, col, src_idx)
+        # with n = b nodes the extended system has a one-dimensional null space
+        step = self._single_direction if n == b else self._multi_direction
+        self._apply(*step(v, col), y, col, src_idx)
 
     def drop_run(self, cols: np.ndarray, rows: np.ndarray, points: np.ndarray) -> int:
         """Take the leading drop-incoming and clean-swap steps of a run.
@@ -276,10 +280,10 @@ class _StreamEngine:
         column, and the rest of the window is solved again through the
         exchanged inverse.  No weight after either step nears the drop
         threshold, so nothing else is zeroed and the draw is never
-        consulted.  Returns 0 unless the support is a full square base
-        with a cached inverse.
+        consulted.  Returns 0 unless every node is in the base with a
+        positive weight and the base has a cached inverse.
         """
-        if self.fact is None or self.X.shape[0] != self.spec.size:
+        if self.X.shape[0] != self.spec.size or not self.w.min() > 0.0:
             return 0
         # factorization order: row i of Z belongs to node fact_cols[i];
         # W holds the weights times the number of samples consumed
@@ -344,11 +348,11 @@ class _StreamEngine:
         return slot, W
 
     def _candidate(self, v, c, alpha, attained):
-        """New weights of one removal, and the positions it zeroed."""
+        """New weights of one removal, the positions it zeroed, and the one it removes."""
         u = apply_removal(v, c, alpha, attained)
         zero = dropped_mask(u)
         u[zero] = 0.0
-        return u, zero.nonzero()[0].tolist()
+        return u, zero.nonzero()[0].tolist(), (_leaving(attained, c.shape[0] - 1),)
 
     def _deletable(self, zeroed):
         """The zeroed positions that are not fixed nodes."""
@@ -356,7 +360,7 @@ class _StreamEngine:
         return [k for k in zeroed if k == n or not self.fixed[k]]
 
     def _embed_at(self, c_loc, pos):
-        """Scatter a support-ordered null vector into node order.
+        """Scatter a base-ordered null vector into node order.
 
         `pos` is the node position of the extension column.
         """
@@ -389,50 +393,46 @@ class _StreamEngine:
         # deleting more non-fixed nodes wins (positive side listed first)
         other = self._candidate(v, c, *far)
         cands = [other, first] if near is neg else [first, other]
-        return self._pick(cands, [zeroed for _, zeroed in cands])
+        return self._pick(cands, [cand[1] for cand in cands])
 
     def _null_basis(self, col, excess):
-        """Null basis of [V, col], and the zero-weight nodes on the fast path.
+        """Null basis of [V, col], and the nodes outside the base.
 
-        On the fast path one block solve gives one direction per zero-weight
-        (non-support) node, and the last for the incoming sample; each is
-        zero at every other column outside the support.  After the SVD
-        branch the nodes are None.
+        One block solve gives one direction per node outside the base, and
+        the last for the incoming sample; each is zero at every other
+        column outside the base.
         """
-        if self.fact is None:
-            return null_space(np.column_stack([self.Vall, col]), excess), None
-        # the support is a full square base: every other node is nonsupport
-        nonsupport = (self.w == 0.0).nonzero()[0]
+        outside = np.ones(self.X.shape[0], dtype=bool)
+        outside[self.fact_cols] = False
+        nonbase = outside.nonzero()[0]
         cols = np.empty((col.shape[0], excess))
-        cols[:, :-1] = self.Vall[:, nonsupport]
+        cols[:, :-1] = self.Vall[:, nonbase]
         cols[:, -1] = col
         U = self.fact.null_vectors_extended(cols)
         C = np.zeros((self.X.shape[0] + 1, excess))
         C[self.fact_cols] = U[:-1]
-        C[nonsupport, np.arange(excess - 1)] = U[-1, :-1]
+        C[nonbase, np.arange(excess - 1)] = U[-1, :-1]
         C[-1, -1] = U[-1, -1]
-        return C, nonsupport
+        return C, nonbase
 
-    def _walk_seed(self, v, C, nonsupport):
-        """A vertex to start the removal walk from, or None.
+    def _walk_seed(self, v, C, nonbase):
+        """The vertex to start the removal walk from.
 
-        The incoming sample's direction (the last column of the fast-path
-        null basis) is zero at every zero-weight node, so its
-        smallest-|alpha| removal plus those nodes is a vertex, unless the
-        ratio test attains more than one node.
+        The sample's direction (the null basis' last column) is zero at
+        the nodes outside the base, which weigh zero, so its
+        smallest-|alpha| removal plus those nodes is a vertex: its block
+        is triangular, with a nonzero diagonal.
         """
         _, attained = choose_alpha(v, C[:, -1])
-        if attained.shape[0] != 1:
-            return None
-        return Removal(tuple(sorted(nonsupport.tolist() + attained.tolist())))
+        return Removal(tuple(sorted(nonbase.tolist() + [_leaving(attained, v.shape[0] - 1)])))
 
     def _multi_direction(self, v, col):
         excess = self.X.shape[0] + 1 - self.spec.size
-        C, nonsupport = self._null_basis(col, excess)
+        C, nonbase = self._null_basis(col, excess)
         problem = RemovalProblem.from_parts(v, C)
-        seed = None if nonsupport is None else (lambda: self._walk_seed(v, C, nonsupport))
         stats = {}
-        removals = problem.enumerate(cap=self.removal_cap, initial=seed, stats=stats)
+        removals = problem.enumerate(lambda: self._walk_seed(v, C, nonbase),
+                                     cap=self.removal_cap, stats=stats)
         if not removals:
             raise NullSpaceFailure("the removal walk found no vertex")
         if stats["capped"]:
@@ -442,13 +442,13 @@ class _StreamEngine:
         zeroed = list(pick.zero_indices)
         u = pick.weights.copy()
         u[zeroed] = 0.0
-        return u, zeroed
+        return u, zeroed, pick.indices
 
-    def _apply(self, u, zeroed, y, col, src_idx):
+    def _apply(self, u, zeroed, removed, y, col, src_idx):
         n = self.X.shape[0]
         deleted = self._deletable(zeroed)
-        # zeroing only the sample moves no column of a square support
-        exchanged = zeroed == [n] and self.fact is not None or self._exchange(u, col)
+        # removing and deleting only the sample moves no column of the base
+        exchanged = removed == (n,) and deleted == [n] or self._exchange(removed, deleted, col)
         if deleted == [n]:
             # only the incoming sample was deleted: reweight
             self.w = u[:n]
@@ -473,14 +473,31 @@ class _StreamEngine:
             self.Vall = np.compress(keep, np.column_stack([self.Vall, col]), axis=1)
             if exchanged:
                 self.fact_cols = np.cumsum(keep)[self.fact_cols] - 1
-        self._renorm()
+        self.w /= self.w.sum()
         if not exchanged:
             self._rebuild_fact()
 
-    def _renorm(self):
-        total = self.w.sum()
-        if total > 0.0:
-            self.w /= total
+
+def _leaving(attained, sample):
+    """The position a removal takes out of the base: the sample if attained, else the first."""
+    return int(attained[-1] if attained[-1] == sample else attained[0])
+
+
+def _raise_rank(V, candidates, b):
+    """The first b candidates that raise the rank of V's columns, ascending.
+
+    A column joins if its distance from the span of those taken is above
+    TOL_PIVOT of its norm.  Where repeated samples keep the rank below b,
+    the candidates passed over complete the base, which is then singular.
+    """
+    cols = []
+    for j in candidates.tolist():
+        distance = abs(np.linalg.qr(V[:, cols + [j]], mode="r")[-1, -1])
+        if distance > TOL_PIVOT * np.linalg.norm(V[:, j]):
+            cols.append(j)
+            if len(cols) == b:
+                break
+    return np.sort(cols + [j for j in candidates.tolist() if j not in cols][: b - len(cols)])
 
 
 def _drop_prefix(W, Z, ok):

@@ -2,8 +2,8 @@
 
 `ratio_extrema` is the one single-direction ratio scan: along a null
 direction c, the scalings of w - alpha c that first zero a node on
-either side, and every node each zeroes.  The streaming engine's single
-removal and the walk below both use it.
+either side, and every node each zeroes.  The streaming engine's
+single removals use it.
 
 Removing M nodes while staying exact on a basis shrunk by M functions
 and keeping weights non-negative corresponds to a vertex of the simplex
@@ -25,13 +25,13 @@ vertex count, an unbounded region), and for M >= 3, the walk runs.
 
 The walk is breadth-first over exchanges: each vertex has, per removed
 node, exactly one adjacent vertex reachable by exchanging that node.
-The caller seeds it with a vertex it already knows; `initial()`, M
-successive single removals, is the fallback when there is no seed or
-the seed fails the vertex checks.  It takes the vertices a wave at a
-time; the columns of the inverse, mapped through C, are the exchange
-directions, and the inverses, vertex weights, zero sets, exchange ratio
-scans and neighbour tuples of a whole wave are stacked array operations.
-A singular block is a vertex that fails the checks, wherever it is solved.
+It starts from a vertex the caller knows (the streaming engine's
+square base gives one); a seed that fails the vertex checks finds
+nothing.  It takes the vertices a wave at a time; the columns of the
+inverse, mapped through C, are the exchange directions, and the
+inverses, vertex weights, zero sets, exchange ratio scans and neighbour
+tuples of a whole wave are stacked array operations.  A singular block
+is a vertex that fails the checks, wherever it is solved.
 """
 
 from __future__ import annotations
@@ -43,24 +43,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import basis_matrix  # noqa: F401  (perfbench's timing shims wrap it here)
-from .errors import DegenerateNullVector, DimensionMismatch, NoRemovalExists, NullSpaceFailure
+from .errors import DegenerateNullVector, DimensionMismatch, NullSpaceFailure
 from .linalg import null_space  # noqa: F401  (perfbench's timing shims wrap it here)
 from .tolerances import TOL_VERTEX_NEG, TOL_VERTEX_RESID, TOL_ZERO_FACTOR
 
 
-def ratio_extrema(weights: np.ndarray, c: np.ndarray, exclude: np.ndarray | None = None):
+def ratio_extrema(weights: np.ndarray, c: np.ndarray):
     """(alpha_min, at_min, alpha_max, at_max) of the feasibility interval.
 
     alpha_max is the smallest ratio w_k / c_k over c_k > 0 and alpha_min
     the largest over c_k < 0; `at_max` and `at_min` are the ascending
-    positions whose ratio equals that end exactly.  Positions marked in
-    `exclude` take no part.
+    positions whose ratio equals that end exactly.
     """
     pos = c > 0.0
     neg = c < 0.0
-    if exclude is not None:
-        pos &= ~exclude
-        neg &= ~exclude
     if not pos.any() or not neg.any():
         raise DegenerateNullVector(
             "null vector lacks entries of both signs (zero-sum structure broken)"
@@ -193,36 +189,6 @@ class RemovalProblem:
         flat = [tuple(t) if o else None for t, o in zip(swapped.reshape(k * m, m).tolist(), ok)]
         return [flat[i * m:(i + 1) * m] for i in range(k)]
 
-    def initial(self) -> Removal:
-        """A first valid removal via M successive single removals."""
-        removed: list[int] = []
-        w_work = self.w.copy()
-        exclude = np.zeros(self.n, dtype=bool)
-        while len(removed) < self.m:
-            # a null direction whose weight change vanishes at `removed`
-            c = self.C @ np.linalg.svd(self.C[removed, :])[2][-1] if removed else self.C[:, 0]
-            a_min, at_min, a_max, at_max = ratio_extrema(w_work, c, exclude)
-            if a_min > a_max:
-                raise NoRemovalExists("empty removal interval from a positive rule")
-            alpha, attained = (a_max, at_max) if abs(a_max) <= abs(a_min) else (a_min, at_min)
-            w_work = w_work - alpha * c
-            w_work[attained] = 0.0
-            w_work[exclude] = 0.0
-            active = ~exclude
-            tol = TOL_ZERO_FACTOR * max(float(w_work[active].max()), 0.0)
-            newly = np.nonzero(active & (w_work <= tol))[0]
-            if newly.size == 0:
-                raise NoRemovalExists("no weight reached zero during initial removal")
-            exclude[newly] = True
-            # a zeroed row joins only if independent: a repeat is zeroed with its copy
-            for j in newly.tolist():
-                if np.linalg.matrix_rank(self.C[removed + [j]]) > len(removed):
-                    removed.append(j)
-        q = tuple(sorted(removed))
-        w_q = self.vertex_weights(q)
-        zero = w_q <= self._zero_tol(w_q[None])[0]
-        return Removal(q, tuple(zero.nonzero()[0].tolist()), w_q)
-
     def _trace(self, cap: int):
         """(removals, vertices solved) of the M = 2 edge trace.
 
@@ -277,31 +243,24 @@ class RemovalProblem:
 
     _WAVE = 64
 
-    def enumerate(self, cap: int = 10**6,
-                  initial: Removal | Callable[[], Removal | None] | None = None,
+    def enumerate(self, seed: Removal | Callable[[], Removal], cap: int = 10**6,
                   stats: dict | None = None) -> list[Removal]:
         """The removals of the problem, sorted by indices.
 
         For M = 2 the edge trace answers unless it cannot vouch for its
-        result.  Otherwise the walk runs from `initial`, a vertex or a
-        callable that returns one (or None); it is called only then.
-        `initial()` is the fallback when there is no seed or the seed
-        fails the vertex checks.  Breadth-first over exchanges, a wave of
-        up to _WAVE vertices at a time.  Once `cap` distinct removals have
-        been seen the walk queues no more and returns the removals it
-        found.  `stats`, if given, receives the vertices solved (`pops`)
-        and whether the cap was hit.
+        result.  Otherwise the walk runs from `seed`, a vertex or a
+        callable (called only then) that returns one; a seed that is no
+        vertex gives no removals.  The walk takes a wave of up to _WAVE
+        vertices at a time, and once `cap` distinct removals have been
+        seen it queues no more.  `stats`, if given, receives the vertices
+        solved (`pops`) and whether the cap was hit.
         """
         found, pops, capped = None, 0, False
         if self.m == 2:
             found, pops = self._trace(cap)
         if found is None:
-            seed = initial() if callable(initial) else initial
-            results, more, capped = self._walk(seed or self.initial(), cap)
+            results, more, capped = self._walk(seed() if callable(seed) else seed, cap)
             pops += more
-            if not results and seed is not None:
-                results, more, capped = self._walk(self.initial(), cap)
-                pops += more
             found = [results[k] for k in sorted(results)]
         if stats is not None:
             stats.update(pops=pops, capped=capped)

@@ -46,6 +46,15 @@ ROSENBROCK = "rosenbrock"
 INDICATOR = "indicator"
 FILE = "file"
 KINDS = (UNIFORM, BETA, NORMAL, ROSENBROCK, INDICATOR, FILE)
+# the params each kind reads
+PARAMS = {
+    UNIFORM: ("lo", "hi"),
+    NORMAL: ("mean", "sd"),
+    BETA: ("a", "b", "lo", "hi"),
+    ROSENBROCK: ("a", "b", "step", "burn_in", "thinning"),
+    INDICATOR: ("base", "region"),
+    FILE: ("path", "format"),
+}
 
 # Metropolis-Hastings defaults, recorded in provenance
 MH_STEP = 0.25
@@ -117,6 +126,12 @@ class DistributionSpec:
             _parse_region(p["region"], self.d)
         if self.kind == FILE and "path" not in p:
             raise InvalidSpec("file kind needs a path")
+        unknown = [key for key in p if key not in PARAMS[self.kind]]
+        if unknown:
+            raise InvalidSpec(
+                f"{self.kind} params take no {', '.join(map(repr, unknown))} "
+                f"(known: {', '.join(PARAMS[self.kind])})"
+            )
 
     def box(self, lo_default=0.0, hi_default=1.0):
         lo = np.broadcast_to(np.asarray(self.params.get("lo", lo_default), float), self.d)

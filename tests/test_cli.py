@@ -11,6 +11,7 @@ from samplequad.cli import main
 from samplequad.errors import NullSpaceFailure
 from samplequad.rule import QuadratureRule
 from samplequad.sampling import read_samples
+from test_nested import svd_calls
 
 UNIFORM_2D = '{"kind":"uniform","d":2,"params":{"lo":0.0,"hi":1.0}}'
 
@@ -44,6 +45,13 @@ class TestGenSamples:
         code = run("gen-samples", "--dist", dist, "--count", 5, "--out", tmp_path / "x.csv")
         assert code == 2
         assert f"rosenbrock {name} must be" in caplog.text
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_unknown_parameter_exits_2(self, tmp_path, caplog):
+        dist = '{"kind":"beta","d":2,"params":{"a":2,"beta":5}}'
+        code = run("gen-samples", "--dist", dist, "--count", 5, "--out", tmp_path / "x.csv")
+        assert code == 2
+        assert "beta params take no 'beta'" in caplog.text
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("base_d", (1, 3))
@@ -165,7 +173,7 @@ class TestExtend:
         assert "removal_cap must be at least 1" in caplog.text
         assert not out.exists()
 
-    def test_resampled_mode_with_fresh_file(self, sample_file, tmp_path):
+    def test_resampled_mode_with_fresh_file(self, sample_file, tmp_path, monkeypatch):
         r1 = tmp_path / "r1.json"
         assert run("build", "--samples", sample_file, "--degree-size", 5,
                    "--out", r1) == 0
@@ -173,8 +181,11 @@ class TestExtend:
         assert run("--seed", 77, "gen-samples", "--dist", UNIFORM_2D,
                    "--count", 600, "--out", fresh, "--format", "csv") == 0
         r2 = tmp_path / "r2.json"
+        svd = svd_calls(monkeypatch)
         assert run("extend", "--rule", r1, "--samples", fresh,
                    "--degree-size", 8, "--mode", "resampled", "--out", r2) == 0
+        # the stream starts from a degenerate square base, not an SVD null basis
+        assert svd == []
         b = QuadratureRule.load(r2)
         assert b.weights.min() >= -1e-12
 

@@ -28,10 +28,18 @@ from samplequad.rule import (
     sample_moments,
 )
 from samplequad.sampling import DistributionSpec, generate
+from test_removal import brute_force_removals, first_vertex
 
 
 def node_keys(rule):
     return {row.tobytes() for row in rule.nodes}
+
+
+def svd_calls(monkeypatch):
+    """A list that gets one entry per `np.linalg.svd` call from now on."""
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +197,7 @@ class TestExtendRule:
             n_plus_m = out.n_nodes - 1
             assert d_plus <= n_plus_m <= n_base + d_plus + 1
 
-    def test_off_sample_fixed_nodes(self):
+    def test_off_sample_fixed_nodes(self, monkeypatch):
         # nodes provided beforehand that are not samples at all
         rng = np.random.default_rng(103)
         samples = SampleSet(rng.standard_normal((100_000, 1)))
@@ -206,13 +214,42 @@ class TestExtendRule:
             sample_source=samples,
             mode="resampled",
         )
+        svd = svd_calls(monkeypatch)
         out = extend_rule(req, selection_seed=11)
+        # the zero-weight base nodes complete a square base: no SVD null basis
+        assert svd == []
         assert node_keys(base) <= node_keys(out)
         assert out.weights.min() >= -1e-12
         # bound: D <= N+M <= N+D+1 with N=2, D=4
         assert 4 <= out.n_nodes - 1 <= 7
         mu = sample_moments(samples, out.spec)
         assert out.moment_residual(mu) <= 1e-8
+
+    def test_more_base_nodes_than_basis_functions(self, monkeypatch):
+        # a base with a zero-weight fixed node, extended to its own size:
+        # more start weights are positive than the square base can hold
+        rng = np.random.default_rng(7)
+        samples = SampleSet(rng.random((400, 2)))
+        spec = BasisSpec(d=2, size=4, domain=domain_from_samples(samples.points))
+        first = construct_fixed_rule(SampleSet(samples.points[:100]), spec)
+        base = extend_rule(ExtensionRequest(first, 5, samples, "increase_degree"), 0)
+        assert base.n_nodes == 6 and (base.weights == 0.0).sum() == 1
+        req = ExtensionRequest(base, 5, samples, "increase_degree")
+        work, _ = initialize_extension(req)
+        assert (work.weights > 0.0).all()
+        # single removals bring the start to a vertex of the base, same moments
+        engine = _StreamEngine(work, np.random.default_rng(0), 10**6)
+        support = np.flatnonzero(engine.w > 0.0)
+        assert support.shape[0] <= 5 and np.isin(support, engine.fact_cols).all()
+        np.testing.assert_allclose(engine.Vall @ engine.w, engine.Vall @ work.weights,
+                                   rtol=0, atol=1e-14)
+        svd = svd_calls(monkeypatch)
+        out = extend_rule(req, 0)
+        assert svd == []
+        assert node_keys(base) <= node_keys(out)
+        assert out.weights.min() >= 0.0
+        assert out.moment_residual(sample_moments(samples, out.spec)) <= 1e-8
+        assert sorted(out.source_indices.tolist()) == [0, 5, 8, 48, 392, 397]
 
     def test_standard_normal_extension_of_three_given_nodes(self):
         # nodes 0, 1/2, 1 are a poor interpolatory set for a standard normal
@@ -350,53 +387,46 @@ class TestSeededRemovalWalk:
 
     @pytest.mark.parametrize("case", SEED_CORPUS)
     def test_fast_path_steps_never_start_cold(self, case, monkeypatch):
-        steps = []  # (M, seeded, null_space calls, initial() calls, walks)
-        calls = {"null_space": 0, "initial": 0, "walk": 0}
-        enumerate_, initial_, walk_, null_space_ = (
-            RemovalProblem.enumerate, RemovalProblem.initial, RemovalProblem._walk,
-            samplequad.nested.null_space,
-        )
+        steps = []  # (M, SVDs inside the enumeration, walks)
+        calls = {"svd": 0, "walk": 0}
+        enumerate_, walk_, svd_ = RemovalProblem.enumerate, RemovalProblem._walk, np.linalg.svd
 
-        def counting_null_space(*args):
-            calls["null_space"] += 1
-            return null_space_(*args)
-
-        def counting_initial(self):
-            calls["initial"] += 1
-            return initial_(self)
+        def counting_svd(*args, **kwargs):
+            calls["svd"] += 1
+            return svd_(*args, **kwargs)
 
         def counting_walk(self, start, cap):
             calls["walk"] += 1
             return walk_(self, start, cap)
 
-        def recording_enumerate(self, cap=10**6, initial=None, stats=None):
-            out = enumerate_(self, cap=cap, initial=initial, stats=stats)
-            steps.append((self.m, initial is not None, calls["null_space"], calls["initial"],
-                          calls["walk"]))
-            calls.update(null_space=0, initial=0, walk=0)
+        def recording_enumerate(self, seed, cap=10**6, stats=None):
+            calls.update(svd=0, walk=0)
+            out = enumerate_(self, seed, cap=cap, stats=stats)
+            steps.append((self.m, calls["svd"], calls["walk"]))
             return out
 
-        monkeypatch.setattr(samplequad.nested, "null_space", counting_null_space)
-        monkeypatch.setattr(RemovalProblem, "initial", counting_initial)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(RemovalProblem, "_walk", counting_walk)
         monkeypatch.setattr(RemovalProblem, "enumerate", recording_enumerate)
         _increase_degree_chain(*case)
         two = [s for s in steps if s[0] == 2]
         assert two
-        # the trace answers every two-node step: no SVD, no start vertex, no walk
-        assert all(svd == 0 and cold == 0 and walks == 0 for _, _, svd, cold, walks in two)
-        fast = [s for s in steps if s[0] >= 3 and s[2] == 0]
-        assert 3 in {m for m, *_ in fast}
-        assert all(seeded and cold == 0 and walks == 1 for _, seeded, _, cold, walks in fast)
+        # the trace answers every two-node step: no SVD, no walk
+        assert all(svd == 0 and walks == 0 for _, svd, walks in two)
+        more = [s for s in steps if s[0] >= 3]
+        assert 3 in {m for m, *_ in more}
+        # a larger step walks once, from the engine's seed, without an SVD
+        assert all(svd == 0 and walks == 1 for _, svd, walks in more)
 
     @pytest.mark.parametrize("case", SEED_CORPUS)
     def test_seeded_walk_finds_what_a_cold_walk_finds(self, case, monkeypatch):
+        # the cold walk starts from a vertex found by brute force
         enumerate_ = RemovalProblem.enumerate
         sizes = set()
 
-        def compared_enumerate(self, cap=10**6, initial=None, stats=None):
-            out = enumerate_(self, cap=cap, initial=initial, stats=stats)
-            found, _, _ = self._walk(self.initial(), cap)
+        def compared_enumerate(self, seed, cap=10**6, stats=None):
+            out = enumerate_(self, seed, cap=cap, stats=stats)
+            found, _, _ = self._walk(first_vertex(self), cap)
             cold = [found[q] for q in sorted(found)]
             # the same removals and zero sets, so the seeded draw picks the same
             assert [(r.indices, r.zero_indices) for r in out] == [
@@ -417,30 +447,26 @@ class TestSeededRemovalWalk:
         _increase_degree_chain(*case)
         assert {2, 3} <= sizes
 
-    def test_seed_that_is_no_vertex_falls_back(self, monkeypatch):
-        case = SEED_CORPUS[1]
-        expect = _increase_degree_chain(*case)
+    def test_seed_that_is_no_vertex_raises_a_typed_failure(self, monkeypatch):
         walk_seed = _StreamEngine._walk_seed
         bad_seeds = []
 
-        def bad_seed(self, v, C, nonsupport):
-            seed = walk_seed(self, v, C, nonsupport)
-            if seed is not None:
-                # a removal listing one node twice has a singular block
-                seed = Removal(indices=(seed.indices[0],) * len(seed.indices))
-                bad_seeds.append(seed)
+        def bad_seed(self, v, C, nonbase):
+            # a removal listing one node twice has a singular block
+            seed = walk_seed(self, v, C, nonbase)
+            seed = Removal(indices=(seed.indices[0],) * len(seed.indices))
+            bad_seeds.append(seed)
             return seed
 
         monkeypatch.setattr(_StreamEngine, "_walk_seed", bad_seed)
-        got = _increase_degree_chain(*case)
+        with pytest.raises(NullSpaceFailure, match="found no vertex") as info:
+            _increase_degree_chain(*SEED_CORPUS[1])
+        assert info.value.sample_index is not None
         # only the walks of three or more nodes ask for a seed
         assert bad_seeds and all(len(seed.indices) >= 3 for seed in bad_seeds)
-        for want, rule in zip(expect, got):
-            np.testing.assert_array_equal(rule.nodes, want.nodes)
-            np.testing.assert_array_equal(rule.weights, want.weights)
 
     def test_empty_walk_raises_a_typed_failure(self, monkeypatch, uniform_samples, base_rule):
-        monkeypatch.setattr(RemovalProblem, "enumerate", lambda self, **kwargs: [])
+        monkeypatch.setattr(RemovalProblem, "enumerate", lambda self, *args, **kwargs: [])
         req = ExtensionRequest(base_rule, 11, uniform_samples, "increase_degree")
         with pytest.raises(NullSpaceFailure) as info:
             extend_rule(req, selection_seed=7)
@@ -482,7 +508,7 @@ class TestStreamGuards:
         np.testing.assert_array_equal(engine.w, weights)
         assert engine.consumed == 3
 
-    def test_walk_seed_declines_a_tie_and_the_walk_starts_cold(self, monkeypatch):
+    def test_tie_seed_is_a_vertex_and_the_walk_finds_every_removal(self, monkeypatch):
         # along the sample's direction (-1/8, 3/4, 3/8 at -1, 0, 1; -1 at
         # the sample 1/2) nodes 0 and 1 reach zero together: weights 2 : 1
         engine = quadratic_engine(
@@ -492,16 +518,26 @@ class TestStreamGuards:
         y = np.array([0.5])
         col = basis_matrix(engine.spec, y[None])[:, 0]
         v = np.append(engine.w * (5 / 6), 1 / 6)
-        C, nonsupport = engine._null_basis(col, 3)
-        assert engine._walk_seed(v, C, nonsupport) is None
+        C, nonbase = engine._null_basis(col, 3)
+        # the seed removes the first tied node (position 1) and keeps the
+        # node at 1 in the base, at weight zero: a degenerate vertex
+        seed = engine._walk_seed(v, C, nonbase)
+        assert seed.indices == (1, 3, 4)
+        problem = RemovalProblem.from_parts(v, C)
+        W, _, bad = problem._vertices(np.array([seed.indices]))
+        assert not bad[0]
+        assert np.flatnonzero(W[0] <= 0.0).tolist() == [1, 2, 3, 4]
+        rule = QuadratureRule(
+            nodes=np.vstack([engine.X, y]), weights=v, spec=engine.spec, K=5,
+        )
+        valid = brute_force_removals(rule, 3)
+        assert {r.indices for r in problem.enumerate(seed)} == valid
         enumerate_ = RemovalProblem.enumerate
         steps = []
 
-        def compared_enumerate(self, cap=10**6, initial=None, stats=None):
-            out = enumerate_(self, cap=cap, initial=initial, stats=stats)
-            found, pops, _ = self._walk(self.initial(), cap)
-            # the step solves only the cold walk's vertices and finds its removals
-            assert stats["pops"] == pops
+        def compared_enumerate(self, seed, cap=10**6, stats=None):
+            out = enumerate_(self, seed, cap=cap, stats=stats)
+            found, _, _ = self._walk(first_vertex(self), cap)
             assert [(r.indices, r.zero_indices) for r in out] == [
                 (found[q].indices, found[q].zero_indices) for q in sorted(found)
             ]

@@ -62,29 +62,55 @@ def neighbors(problem, indices):
     return partners
 
 
+def vertex_subsets(problem):
+    """Every M-subset whose vertex solve passes the checks, in lexicographic order.
+
+    All subsets are solved in one `_vertices` batch.
+    """
+    q_mat = np.array(list(itertools.combinations(range(problem.n), problem.m)), dtype=np.intp)
+    _, _, bad = problem._vertices(q_mat)
+    return [tuple(q) for q in q_mat[~bad].tolist()]
+
+
+def first_vertex(problem):
+    """A start vertex found by brute force: the first subset that passes the checks."""
+    return Removal(vertex_subsets(problem)[0])
+
+
+def all_removals(problem, **kwargs):
+    """`enumerate`, its walk seeded by brute force."""
+    return problem.enumerate(lambda: first_vertex(problem), **kwargs)
+
+
 class TestFindInitialRemoval:
+    """The brute-force start vertex, and the vertex solve it relies on."""
+
     def test_one_removal_is_one_of_the_two(self):
         rng = np.random.default_rng(0)
         rule = random_rule(rng, 9, 4)
-        rem = removal_problem(rule, 1).initial()
-        assert rem.indices in brute_force_removals(rule, 1)
+        problem = removal_problem(rule, 1)
+        assert first_vertex(problem).indices in brute_force_removals(rule, 1)
+        assert {r.indices for r in all_removals(problem)} == brute_force_removals(rule, 1)
 
     def test_remove_all_but_one(self):
         # guard case: only the single remaining node carries weight one
         rng = np.random.default_rng(1)
         rule = random_rule(rng, 7, 4)
         n = rule.n_nodes
-        rem = removal_problem(rule, n - 1).initial()
+        problem = removal_problem(rule, n - 1)
+        rem = first_vertex(problem)
         assert len(rem.indices) == n - 1
         keep = [i for i in range(n) if i not in rem.indices]
         assert len(keep) == 1
+        assert {r.indices for r in all_removals(problem)} == brute_force_removals(rule, n - 1)
 
     def test_two_removal_in_brute_force_set(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
             rule = random_rule(rng, int(rng.integers(7, 10)), 5)
-            rem = removal_problem(rule, 2).initial()
-            assert rem.indices in brute_force_removals(rule, 2)
+            problem = removal_problem(rule, 2)
+            # the vertex solve accepts exactly the brute-force removals
+            assert set(vertex_subsets(problem)) == brute_force_removals(rule, 2)
 
 
 class TestNeighbor:
@@ -92,7 +118,7 @@ class TestNeighbor:
         rng = np.random.default_rng(3)
         rule = random_rule(rng, 9, 5)
         problem = removal_problem(rule, 2)
-        rem = problem.initial().indices
+        rem = first_vertex(problem).indices
         for j, flipped in enumerate(neighbors(problem, rem)):
             # exchanging the j-th removed node keeps the other one
             assert rem[1 - j] in flipped
@@ -106,7 +132,7 @@ class TestNeighbor:
         rule = random_rule(rng, 8, 4)
         both = brute_force_removals(rule, 1)
         problem = removal_problem(rule, 1)
-        rem = problem.initial().indices
+        rem = first_vertex(problem).indices
         (other,) = neighbors(problem, rem)
         assert {rem, other} == both
 
@@ -115,7 +141,7 @@ class TestNeighbor:
         for _ in range(5):
             rule = random_rule(rng, 9, 5)
             problem = removal_problem(rule, 2)
-            out = neighbors(problem, problem.initial().indices)
+            out = neighbors(problem, first_vertex(problem).indices)
             assert out[0] in brute_force_removals(rule, 2)
 
     def test_singular_block_is_not_a_vertex(self):
@@ -135,7 +161,7 @@ class TestEnumerateRemovals:
         rng = np.random.default_rng(6)
         for _ in range(10):
             rule = random_rule(rng, int(rng.integers(6, 12)), int(rng.integers(3, 6)))
-            removals = removal_problem(rule, 1).enumerate()
+            removals = all_removals(removal_problem(rule, 1))
             assert len(removals) == 2
 
     def test_equals_brute_force(self):
@@ -146,7 +172,7 @@ class TestEnumerateRemovals:
             for m in (1, 2, 3):
                 if m >= rule.n_nodes:
                     continue
-                got = {r.indices for r in removal_problem(rule, m).enumerate()}
+                got = {r.indices for r in all_removals(removal_problem(rule, m))}
                 assert got == brute_force_removals(rule, m)
 
     def test_every_removal_validates_independently(self):
@@ -155,7 +181,7 @@ class TestEnumerateRemovals:
         sub = BasisSpec(d=1, size=rule.n_nodes - 2, domain=rule.spec.domain)
         V = basis_matrix(sub, rule.nodes)
         mu = V @ rule.weights
-        for rem in removal_problem(rule, 2).enumerate():
+        for rem in all_removals(removal_problem(rule, 2)):
             keep = [i for i in range(rule.n_nodes) if i not in rem.indices]
             w = np.linalg.solve(V[:, keep], mu)
             assert w.min() >= -1e-11
@@ -164,10 +190,10 @@ class TestEnumerateRemovals:
     def test_independent_of_initial_removal(self):
         rng = np.random.default_rng(9)
         rule = random_rule(rng, 9, 5)
-        removals = removal_problem(rule, 2).enumerate()
+        removals = all_removals(removal_problem(rule, 2))
         assert len(removals) >= 2
         for start in removals[:3]:
-            again = removal_problem(rule, 2).enumerate(initial=start)
+            again = removal_problem(rule, 2).enumerate(start)
             assert [r.indices for r in again] == [r.indices for r in removals]
 
     def test_symmetric_rule_enumeration_closed_under_mirror(self):
@@ -180,7 +206,7 @@ class TestEnumerateRemovals:
         spec = BasisSpec(d=1, size=5, family="monomial", domain=((-1.0, 1.0),))
         rule = QuadratureRule(nodes=nodes, weights=weights, spec=spec, K=4)
         for m in (1, 2):
-            removals = removal_problem(rule, m).enumerate()
+            removals = all_removals(removal_problem(rule, m))
             zero_sets = {r.zero_indices for r in removals}
             mirrored = {tuple(sorted(4 - i for i in q)) for q in zero_sets}
             assert zero_sets == mirrored
@@ -196,7 +222,7 @@ class TestEnumerateRemovals:
             rule = random_rule(rng, n_samples, size)
             for m in (2, 3):
                 stats = {}
-                removals = removal_problem(rule, m).enumerate(stats=stats)
+                removals = all_removals(removal_problem(rule, m), stats=stats)
                 z = len(removals)
                 # the trace solves each vertex once; the walk pops a few more
                 assert stats["pops"] == z if m == 2 else stats["pops"] <= z + m + 1
@@ -204,10 +230,10 @@ class TestEnumerateRemovals:
     def test_cap_partial_returns_valid_subset(self):
         rng = np.random.default_rng(12)
         rule = random_rule(rng, 10, 5)
-        full = {r.indices for r in removal_problem(rule, 3).enumerate()}
+        full = {r.indices for r in all_removals(removal_problem(rule, 3))}
         prob = removal_problem(rule, 3)
         stats = {}
-        partial = prob.enumerate(cap=3, stats=stats)
+        partial = all_removals(prob, cap=3, stats=stats)
         assert stats["capped"]
         assert 0 < len(partial) <= len(full)
         assert {r.indices for r in partial} <= full
@@ -237,8 +263,8 @@ def wave_cases():
 
 
 def cold_walk(problem, cap=10**6):
-    """The removals the walk finds from `initial()`, sorted."""
-    found, _, _ = problem._walk(problem.initial(), cap)
+    """The removals the walk finds from the brute-force start vertex, sorted."""
+    found, _, _ = problem._walk(first_vertex(problem), cap)
     return [found[q] for q in sorted(found)]
 
 
@@ -264,17 +290,18 @@ def removals_of(found):
     return [(r.indices, r.zero_indices) for r in found]
 
 
-def with_zero_weights(rule, rng, count):
-    """The two-node removal problem of a rule plus `count` samples at weight zero.
+def with_zero_weights(rule, rng, count, m=2):
+    """A rule plus `count` samples at weight zero, and its M-node removal problem.
 
-    The samples are drawn in the rule's domain; the basis is shrunk by two
+    The samples are drawn in the rule's domain; the basis is shrunk by M
     functions from the node count.
     """
     (lo, hi), = rule.spec.domain
-    nodes = np.vstack([rule.nodes, lo + (hi - lo) * rng.random((count, 1))])
-    weights = np.append(rule.weights, np.zeros(count))
-    V = basis_matrix(replace(rule.spec, size=nodes.shape[0] - 2), nodes)
-    return RemovalProblem.from_parts(weights, null_space(V, 2))
+    grown = QuadratureRule(
+        nodes=np.vstack([rule.nodes, lo + (hi - lo) * rng.random((count, 1))]),
+        weights=np.append(rule.weights, np.zeros(count)), spec=rule.spec, K=rule.K,
+    )
+    return grown, removal_problem(grown, m)
 
 
 def trace_or_walk(problem, cap=10**6):
@@ -291,7 +318,7 @@ def trace_or_walk(problem, cap=10**6):
         assert solved == len(walked)
         for got, want in zip(traced, walked):
             np.testing.assert_array_equal(got.weights, want.weights)
-    assert removals_of(problem.enumerate(cap=cap)) == removals_of(walked)
+    assert removals_of(all_removals(problem, cap=cap)) == removals_of(walked)
     return traced
 
 
@@ -316,7 +343,7 @@ class TestFacetScan:
         C = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]])
         problem = RemovalProblem.from_parts(np.array([1.0, 1.0, 1.0, 1.0, 2.0]), C)
         assert problem._trace(10**6)[0] is None
-        got = problem.enumerate()
+        got = all_removals(problem)
         assert removals_of(got) == removals_of(cold_walk(problem)) == [
             ((0, 2), (0, 2, 4)), ((0, 3), (0, 3)), ((1, 2), (1, 2)), ((1, 3), (1, 3)),
         ]
@@ -329,7 +356,7 @@ class TestFacetScan:
         cap = vertices - 1
         assert problem._trace(cap)[0] is None
         stats = {}
-        got = problem.enumerate(cap=cap, stats=stats)
+        got = all_removals(problem, cap=cap, stats=stats)
         assert removals_of(got) == removals_of(cold_walk(problem, cap))
         assert stats["capped"]
 
@@ -338,7 +365,7 @@ class TestFacetScan:
         # every problem the streaming engine builds has one: a = 0 lies on
         # the zero-weight node's line, an edge of the polygon
         rng = np.random.default_rng(30 + seed)
-        problem = with_zero_weights(random_rule(rng, 14, 8), rng, 1)
+        _, problem = with_zero_weights(random_rule(rng, 14, 8), rng, 1)
         assert (problem.w == 0.0).sum() == 1
         traced = trace_or_walk(problem)
         assert traced is not None and len(traced) >= 3
@@ -348,7 +375,7 @@ class TestFacetScan:
     @pytest.mark.parametrize("seed", range(4))
     def test_two_zero_weights_make_a_0_a_vertex(self, seed):
         rng = np.random.default_rng(40 + seed)
-        problem = with_zero_weights(random_rule(rng, 14, 8), rng, 2)
+        _, problem = with_zero_weights(random_rule(rng, 14, 8), rng, 2)
         traced = trace_or_walk(problem)
         assert traced is not None
         zero = (problem.n - 2, problem.n - 1)
@@ -358,7 +385,7 @@ class TestFacetScan:
     def test_repeated_row(self, zeros):
         rng = np.random.default_rng(50)
         rule = random_rule(rng, 14, 8)
-        problem = with_zero_weights(rule, rng, 1) if zeros else removal_problem(rule, 2)
+        problem = with_zero_weights(rule, rng, 1)[1] if zeros else removal_problem(rule, 2)
         edges = {j for r in problem._trace(10**6)[0] for j in r.indices}
         declined = 0
         for j in range(problem.n):
@@ -368,8 +395,8 @@ class TestFacetScan:
             if j in edges:
                 # both vertices of a doubled edge zero three weights
                 assert doubled._trace(10**6)[0] is None
-            # the cold start zeroes the line and its copy at once, and
-            # removes only one of them
+            # where the trace declines, the walk from a brute-force start
+            # vertex still finds every removal
             declined += trace_or_walk(doubled) is None
         assert declined >= 1
 
@@ -377,7 +404,7 @@ class TestFacetScan:
     def test_cap_at_and_below_the_vertex_count(self, zeros):
         rng = np.random.default_rng(60)
         rule = random_rule(rng, 14, 8)
-        problem = with_zero_weights(rule, rng, 1) if zeros else removal_problem(rule, 2)
+        problem = with_zero_weights(rule, rng, 1)[1] if zeros else removal_problem(rule, 2)
         vertices = len(problem._trace(10**6)[0])
         assert vertices >= 3
         assert len(trace_or_walk(problem, cap=vertices)) == vertices
@@ -394,26 +421,44 @@ class TestFacetScan:
     def test_scan_needs_no_seed(self):
         problem = removal_problem(random_rule(np.random.default_rng(21), 14, 8), 2)
         asked = []
-        problem.enumerate(initial=lambda: asked.append(1))
+        problem.enumerate(lambda: asked.append(1))
         assert asked == []
 
 
 class TestSeededEnumerate:
-    def test_seed_that_is_no_vertex_falls_back_to_initial(self, monkeypatch):
+    def test_seed_that_is_no_vertex_finds_nothing(self):
         rng = np.random.default_rng(15)
         rule = random_rule(rng, 9, 5)
         problem = removal_problem(rule, 3)
-        cold = problem.enumerate()
         valid = brute_force_removals(rule, 3)
         bad = next(q for q in itertools.combinations(range(rule.n_nodes), 3) if q not in valid)
-        calls = []
-        initial = RemovalProblem.initial
-        monkeypatch.setattr(RemovalProblem, "initial", lambda self: calls.append(1) or initial(self))
-        again = problem.enumerate(initial=Removal(indices=bad))
-        assert calls == [1]
-        assert [(r.indices, r.zero_indices) for r in again] == [
-            (r.indices, r.zero_indices) for r in cold
-        ]
-        # a seed that is a vertex needs no cold start
-        problem.enumerate(initial=cold[-1])
-        assert calls == [1]
+        assert problem.enumerate(Removal(indices=bad)) == []
+        # from every vertex the walk finds the same removals and zero sets
+        found = all_removals(problem)
+        assert {r.indices for r in found} == valid
+        for start in found:
+            assert removals_of(problem.enumerate(start)) == removals_of(found)
+
+
+class TestZeroWeightBase:
+    """Problems with more zero weights than removal directions, as in a degenerate base."""
+
+    @pytest.mark.parametrize("m", (2, 3))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_removals_are_the_brute_force_ones(self, m, seed):
+        rng = np.random.default_rng(70 + seed)
+        for count in (m, m + 1, m + 2):
+            rule, problem = with_zero_weights(random_rule(rng, 14, 6), rng, count, m)
+            valid = brute_force_removals(rule, m)
+            # the engine's seed: the zero-weight nodes outside the base, and
+            # one zero-weight node of the base
+            zero = tuple(range(problem.n - count, problem.n))
+            for seed_vertex in (first_vertex(problem), Removal(zero[:m])):
+                got = problem.enumerate(seed_vertex)
+                assert {r.indices for r in got} <= valid
+                # every removal lies in the zero set of one found
+                for q in valid:
+                    assert any(set(q) <= set(r.zero_indices) for r in got)
+                if count == m:
+                    # a = 0 is no degenerate vertex: the lists are equal
+                    assert {r.indices for r in got} == valid

@@ -31,7 +31,7 @@ from samplequad.rule import (
     removal_interval,
     sample_moments,
 )
-from test_nested import SEED_CORPUS, _increase_degree_chain
+from test_nested import SEED_CORPUS, _increase_degree_chain, svd_calls
 
 
 def monomial_spec(size, lo=-1.0, hi=1.0):
@@ -532,7 +532,7 @@ BOOKKEEPING_CHAINS = [SEED_CORPUS[0], ("uniform", 512, (5, 9, 17, 33, 65), 8)]
 
 
 class TestFactorizationBookkeeping:
-    """After every step the factorization holds exactly the support's columns.
+    """After every step the base holds the support, and zero-weight fixed nodes.
 
     Between them the cases grow the rule, delete several nodes at once,
     zero fixed nodes, swap one node for the sample, and rebuild after a
@@ -548,13 +548,18 @@ class TestFactorizationBookkeeping:
         )
 
         def check(engine):
+            b = engine.spec.size
+            # a base exists exactly when there are at least b nodes
+            assert (engine.fact is not None) == (engine.X.shape[0] >= b)
             if engine.fact is None:
                 return
             np.testing.assert_array_equal(engine.fact.V, engine.Vall[:, engine.fact_cols])
-            assert engine.fact_cols.shape[0] == engine.spec.size
-            np.testing.assert_array_equal(
-                np.sort(engine.fact_cols), np.flatnonzero(engine.w > 0.0)
-            )
+            assert engine.fact_cols.shape[0] == b
+            support = np.flatnonzero(engine.w > 0.0)
+            assert np.isin(support, engine.fact_cols).all()
+            # every base column outside the support is a weight-zero fixed node
+            zero = np.setdiff1d(engine.fact_cols, support)
+            assert (engine.w[zero] == 0.0).all() and engine.fixed[zero].all()
 
         def checked_feed(self, *args):
             feed(self, *args)
@@ -565,10 +570,9 @@ class TestFactorizationBookkeeping:
             check(self)
             return out
 
-        def counted_exchange(self, u, col):
-            held = self.fact is not None
-            out = exchange(self, u, col)
-            if held and not out:
+        def counted_exchange(self, *args):
+            out = exchange(self, *args)
+            if not out:
                 refusals.append(self.consumed)
             return out
 
@@ -585,6 +589,13 @@ class TestFactorizationBookkeeping:
     @pytest.mark.parametrize("mode,d,size,target,dist,n,seed", EXTENSION_CORPUS)
     def test_extension(self, mode, d, size, target, dist, n, seed, refused):
         extend_rule(_corpus_request(mode, d, size, target, dist, n, seed), seed)
+
+    def test_resampled_extension_takes_no_svd(self, monkeypatch):
+        # fixed nodes at weight zero complete the base from the first sample
+        req = _corpus_request("resampled", 2, 6, 10, "normal", 1500, 2)
+        svd = svd_calls(monkeypatch)
+        extend_rule(req, 2)
+        assert svd == []
 
     @pytest.mark.parametrize("case", BOOKKEEPING_CHAINS)
     def test_increase_degree_chain(self, case, refused):

@@ -143,6 +143,22 @@ class TestGenerate:
         with pytest.raises(InvalidSpec, match=f"rosenbrock {name} must be"):
             DistributionSpec(kind="rosenbrock", d=2, params={name: value})
 
+    def test_unknown_beta_parameter_is_named(self):
+        # Beta(2, 5) meant, but "alpha" and "beta" are not the shape keys:
+        # the spec used to sample Beta(2, 2) without a word
+        with pytest.raises(InvalidSpec, match="beta params take no 'alpha', 'beta'"):
+            DistributionSpec(kind="beta", d=1, params={"alpha": 2, "beta": 5})
+
+    def test_misspelled_rosenbrock_parameter_is_named(self):
+        with pytest.raises(InvalidSpec, match="rosenbrock params take no 'burnin'"):
+            DistributionSpec(kind="rosenbrock", d=2, params={"step": 0.5, "burnin": 100})
+
+    def test_unknown_key_of_a_dict_base_is_named(self):
+        params = {"base": {"kind": "uniform", "d": 2, "params": {"low": 0.5}},
+                  "region": "x[0] < 0.5"}
+        with pytest.raises(InvalidSpec, match="uniform params take no 'low'"):
+            DistributionSpec(kind="indicator", d=2, params=params)
+
     def test_rosenbrock_parameter_bounds_are_inclusive(self):
         params = {"step": 1e-3, "burn_in": np.int64(0), "thinning": 1, "a": -2, "b": 0.0}
         ss = generate(DistributionSpec(kind="rosenbrock", d=2, params=params), 3)
