@@ -117,6 +117,8 @@ class ExperimentConfig:
             raise ValueError("need at least one repetition")
         if self.removal_cap < 1:
             raise InvalidSpec(f"removal_cap must be at least 1, not {self.removal_cap}")
+        if not self.schedule or min(self.schedule) < 1:
+            raise ValueError(f"schedule must list rule sizes >= 1, got {list(self.schedule)}")
         if list(self.schedule) != sorted(self.schedule):
             raise ValueError("schedule must be ascending")
         if self.k_max < max(self.schedule) + 1:

@@ -31,13 +31,9 @@ from .tolerances import TOL_FAST, TOL_LEAD, TOL_NULL, TOL_PIVOT
 
 
 def _fix_sign(c: np.ndarray) -> np.ndarray:
-    """Deterministic sign: first entry above noise level is positive."""
+    """Deterministic sign of a unit vector: first entry above noise level is positive."""
     mag = np.abs(c)
-    scale = mag.max()
-    if scale == 0.0:
-        return c
-    nz = (mag > TOL_LEAD * scale).nonzero()[0]
-    lead = nz[0] if nz.size else int(mag.argmax())
+    lead = (mag > TOL_LEAD * mag.max()).argmax()
     return -c if c[lead] < 0 else c
 
 

@@ -382,7 +382,7 @@ class _StreamEngine:
     def _single_direction(self, v, col):
         """One ratio scan gives both removals; the second is built only if needed."""
         c = self._embed_at(self.fact.null_vector_extended(col), self.X.shape[0])
-        a_min, at_min, a_max, at_max, _ = removal_interval(v, c)
+        a_min, at_min, a_max, at_max = removal_interval(v, c)
         pos, neg = (a_max, at_max), (a_min, at_min)
         # the smallest |alpha| first, ties to the positive side
         near, far = (neg, pos) if abs(a_max) > abs(a_min) else (pos, neg)

@@ -1,9 +1,4 @@
-"""The ratio scan of one removal, and the search for all M-node removals.
-
-`ratio_extrema` is the one single-direction ratio scan: along a null
-direction c, the scalings of w - alpha c that first zero a node on
-either side, and every node each zeroes.  The streaming engine's
-single removals use it.
+"""The search for all M-node removals.
 
 Removing M nodes while staying exact on a basis shrunk by M functions
 and keeping weights non-negative corresponds to a vertex of the simplex
@@ -16,12 +11,13 @@ an edge trace goes round it (pivoting vertex enumeration in the plane;
 Avis and Fukuda, 1992).  Along the line C_i a = w_i of an edge, one
 ratio test over the rows finds the constraint that ends it: that names
 the vertex and the next edge's line.  The trace starts on the line of a
-zero weight, which a = 0 lies on, or on the first one a ray out of
-a = 0 meets, so it needs no seed and no SVD.  All vertices are solved in
-one batch.  The trace vouches for its result only when it closes within
-`cap` vertices and every vertex passes the checks with no weight but its
-own two near zero.  Otherwise (a degenerate vertex, a cap below the
-vertex count, an unbounded region), and for M >= 3, the walk runs.
+zero weight, which a = 0 lies on (every problem the streaming engine
+builds has one), so it needs no seed and no SVD.  All vertices are
+solved in one batch.  The trace vouches for its result only when it
+closes within `cap` vertices and every vertex passes the checks with no
+weight but its own two near zero.  Otherwise (no zero weight, a
+degenerate vertex, a cap below the vertex count, an unbounded region),
+and for M >= 3, the walk runs.
 
 The walk is breadth-first over exchanges: each vertex has, per removed
 node, exactly one adjacent vertex reachable by exchanging that node.
@@ -43,33 +39,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import basis_matrix  # noqa: F401  (perfbench's timing shims wrap it here)
-from .errors import DegenerateNullVector, DimensionMismatch, NullSpaceFailure
+from .errors import DimensionMismatch, NullSpaceFailure
 from .linalg import null_space  # noqa: F401  (perfbench's timing shims wrap it here)
 from .tolerances import TOL_VERTEX_NEG, TOL_VERTEX_RESID, TOL_ZERO_FACTOR
-
-
-def ratio_extrema(weights: np.ndarray, c: np.ndarray):
-    """(alpha_min, at_min, alpha_max, at_max) of the feasibility interval.
-
-    alpha_max is the smallest ratio w_k / c_k over c_k > 0 and alpha_min
-    the largest over c_k < 0; `at_max` and `at_min` are the ascending
-    positions whose ratio equals that end exactly.
-    """
-    pos = c > 0.0
-    neg = c < 0.0
-    if not pos.any() or not neg.any():
-        raise DegenerateNullVector(
-            "null vector lacks entries of both signs (zero-sum structure broken)"
-        )
-    ratios = np.full(c.shape[0], np.inf)
-    np.divide(weights, c, out=ratios, where=pos)
-    alpha_max = ratios[ratios.argmin()]
-    at_max = (ratios == alpha_max).nonzero()[0]
-    ratios.fill(-np.inf)
-    np.divide(weights, c, out=ratios, where=neg)
-    alpha_min = ratios[ratios.argmax()]
-    at_min = (ratios == alpha_min).nonzero()[0]
-    return float(alpha_min), at_min, float(alpha_max), at_max
 
 
 @dataclass(slots=True)
@@ -192,7 +164,8 @@ class RemovalProblem:
     def _trace(self, cap: int):
         """(removals, vertices solved) of the M = 2 edge trace.
 
-        The removals are None when the trace cannot vouch for them.  Line
+        The removals are None when the trace cannot vouch for them, and
+        (None, 0) when no weight is zero.  Line
         i (C_i a = w_i) is walked along d_i, C_i turned a quarter
         counter-clockwise, so the polygon lies on its left.  Line j
         crosses it where d_i . a = t_j / r_j, with
@@ -218,8 +191,7 @@ class RemovalProblem:
 
         start = int(w.argmin())
         if w[start] != 0.0:
-            ray = upper_end(w, C @ C[0])
-            start = int(ray.argmin())
+            return None, 0
         t, r = crossings(start)
         ahead = upper_end(t, r)
         behind = np.divide(t, r, out=-inf, where=r < 0.0)

@@ -4,12 +4,12 @@ A rule is a weighted subset of a sample stream that reproduces the raw
 moments of every basis function over the full stream.
 
 The streaming engine of `samplequad.nested` makes every single removal
-from three steps here: `removal_interval` reads both ends of the
-scalings of the null direction c, and the nodes each end zeroes, off the
-one ratio scan, `removal.ratio_extrema`; `apply_removal` forms
-w - alpha c with the attaining entries exactly zero, and `dropped_mask`
-marks every weight that reached zero.  `choose_alpha` is the
-smallest-|alpha| end alone (ties to the positive side).
+from three steps here: `removal_interval`, the one single-direction
+ratio scan, reads both ends of the scalings of the null direction c and
+the nodes each end zeroes; `apply_removal` forms w - alpha c with the
+attaining entries exactly zero, and `dropped_mask` marks every weight
+that reached zero.  `choose_alpha` is the smallest-|alpha| end alone
+(ties to the positive side).
 `construct_fixed_rule` runs the engine without fixed nodes.
 """
 
@@ -22,13 +22,13 @@ import numpy as np
 
 from .basis import BasisSpec, basis_matrix
 from .errors import (
+    DegenerateNullVector,
     DimensionMismatch,
     InsufficientSamples,
     InvalidSpec,
     NullSpaceFailure,
     require_keys,
 )
-from .removal import ratio_extrema
 from .tolerances import TOL_ZERO_FACTOR
 
 # rows of basis evaluation per block; moments are summed block by block
@@ -134,6 +134,10 @@ class QuadratureRule:
         n = self.nodes.shape[0]
         if self.weights.shape[0] != n:
             raise DimensionMismatch("node and weight counts differ")
+        if n and self.nodes.shape[1] != self.spec.d:
+            raise DimensionMismatch(
+                f"nodes have {self.nodes.shape[1]} columns, the basis has d = {self.spec.d}"
+            )
         if self.source_indices is None:
             self.source_indices = np.full(n, -1, dtype=np.intp)
         else:
@@ -192,12 +196,18 @@ class QuadratureRule:
         )
         if not (np.isfinite(rule.weights).all() and (rule.weights >= 0.0).all()):
             raise InvalidSpec("rule 'weights' must be finite and non-negative")
-        # K + 1 samples were consumed, at least one per node drawn from the
-        # stream; the base nodes of a resampled extension have no source index
-        drawn = int(np.count_nonzero(rule.source_indices >= 0))
-        if rule.K < max(drawn - 1, 0):
+        # K + 1 samples were consumed, a different one for each node drawn
+        # from the stream; the base nodes of a resampled extension have no
+        # source index (-1)
+        drawn = set()
+        for i in rule.source_indices.tolist():
+            if i in drawn:
+                raise InvalidSpec(f"rule 'source_indices' repeats sample {i}")
+            if i >= 0:
+                drawn.add(i)
+        if rule.K < max(len(drawn) - 1, 0):
             raise InvalidSpec(
-                f"rule 'K' is {rule.K}, but {drawn} nodes come from the stream"
+                f"rule 'K' is {rule.K}, but {len(drawn)} nodes come from the stream"
             )
         return rule
 
@@ -213,16 +223,30 @@ class QuadratureRule:
 
 
 def removal_interval(weights: np.ndarray, c: np.ndarray):
-    """Feasible scaling interval for one removal, weights of any sign.
+    """(alpha_min, at_min, alpha_max, at_max): the scalings of one removal.
 
-    Returns (alpha_min, at_min, alpha_max, at_max, feasible), where
-    `at_min` and `at_max` are the positions each end zeroes (ascending).
-    A removal keeping all weights non-negative exists iff
-    alpha_min <= alpha_max; for non-negative weights the interval always
-    brackets zero.
+    alpha_max is the smallest ratio w_k / c_k over c_k > 0 and alpha_min
+    the largest over c_k < 0; `at_max` and `at_min` are the ascending
+    positions whose ratio equals that end exactly, the nodes each end
+    zeroes.  For weights of any sign, a removal keeping all weights
+    non-negative exists iff alpha_min <= alpha_max; for non-negative
+    weights the interval always brackets zero.
     """
-    alpha_min, at_min, alpha_max, at_max = ratio_extrema(weights, c)
-    return alpha_min, at_min, alpha_max, at_max, alpha_min <= alpha_max
+    pos = c > 0.0
+    neg = c < 0.0
+    if not pos.any() or not neg.any():
+        raise DegenerateNullVector(
+            "null vector lacks entries of both signs (zero-sum structure broken)"
+        )
+    ratios = np.full(c.shape[0], np.inf)
+    np.divide(weights, c, out=ratios, where=pos)
+    alpha_max = ratios[ratios.argmin()]
+    at_max = (ratios == alpha_max).nonzero()[0]
+    ratios.fill(-np.inf)
+    np.divide(weights, c, out=ratios, where=neg)
+    alpha_min = ratios[ratios.argmax()]
+    at_min = (ratios == alpha_min).nonzero()[0]
+    return float(alpha_min), at_min, float(alpha_max), at_max
 
 
 def apply_removal(weights: np.ndarray, c: np.ndarray, alpha: float, attained) -> np.ndarray:
@@ -237,7 +261,7 @@ def choose_alpha(v: np.ndarray, c: np.ndarray):
 
     Ties in magnitude go to the positive side (alpha_max).
     """
-    alpha_min, at_min, alpha_max, at_max = ratio_extrema(v, c)
+    alpha_min, at_min, alpha_max, at_max = removal_interval(v, c)
     if abs(alpha_max) <= abs(alpha_min):
         return alpha_max, at_max
     return alpha_min, at_min

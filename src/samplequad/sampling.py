@@ -6,7 +6,10 @@ on every platform.  Besides the standard box distributions this module
 provides acceptance-rejection sampling on indicator regions and a
 Metropolis-Hastings chain for the strongly correlated banana-shaped
 density exp(-f(x)) * standard_normal_pdf(x), where f is the Rosenbrock
-function (by default a = 1, b = 10).
+function with parameters a and b.
+
+`PARAMS` holds every kind's parameters: name, default and check.  A spec
+resolves them once, when it is built; the generators read `resolved`.
 
 The chain draws all its normal steps and uniforms up front, then runs
 on Python floats: each log density is a fixed sequence of IEEE
@@ -23,7 +26,7 @@ import math
 import numbers
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import add
 
 import numpy as np
@@ -46,20 +49,6 @@ ROSENBROCK = "rosenbrock"
 INDICATOR = "indicator"
 FILE = "file"
 KINDS = (UNIFORM, BETA, NORMAL, ROSENBROCK, INDICATOR, FILE)
-# the params each kind reads
-PARAMS = {
-    UNIFORM: ("lo", "hi"),
-    NORMAL: ("mean", "sd"),
-    BETA: ("a", "b", "lo", "hi"),
-    ROSENBROCK: ("a", "b", "step", "burn_in", "thinning"),
-    INDICATOR: ("base", "region"),
-    FILE: ("path", "format"),
-}
-
-# Metropolis-Hastings defaults, recorded in provenance
-MH_STEP = 0.25
-MH_BURN_IN = 10_000
-MH_THINNING = 10
 
 _MIN_ACCEPT_RATE = 1e-4
 _ACCEPT_WINDOW = 1000
@@ -67,78 +56,166 @@ _ACCEPT_WINDOW = 1000
 MAGIC = b"IQSAMPLE"
 
 
-def _check_mh_params(p: dict) -> None:
-    """InvalidSpec naming the first Metropolis-Hastings parameter out of range."""
-    for name in ("a", "b", "step"):
-        v = p.get(name, 0.0)
-        try:
-            ok = isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-        except OverflowError:  # an int beyond the float range
-            ok = False
+_REGION_FUNCS = {"abs": abs, "min": min, "max": max}
+_REGION_FUNCS.update({name: getattr(math, name) for name in ("sqrt", "sin", "cos", "exp")})
+# operators of a region: arithmetic, comparisons, and/or/not
+_REGION_OPS = (
+    ast.Expression, ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare,
+    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow, ast.USub, ast.UAdd,
+    ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq, ast.And, ast.Or, ast.Not,
+)
+
+
+def _region_predicate(expr, d: int):
+    """The test of a point against the region `expr`; InvalidSpec outside its grammar.
+
+    A region may use x[i] for a literal coordinate index i < d, numeric
+    constants, pi, arithmetic, comparisons, and/or/not, and calls to
+    abs, min, max, sqrt, sin, cos and exp.
+    """
+    if not isinstance(expr, str):
+        raise InvalidSpec("indicator region must be a string")
+    try:
+        tree = ast.parse(expr, "<region>", mode="eval")
+    except (SyntaxError, ValueError) as exc:
+        raise InvalidSpec(f"indicator region does not parse: {exc}") from exc
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        children = []
+        if isinstance(node, ast.Subscript):
+            idx = node.slice
+            ok = (isinstance(node.value, ast.Name) and node.value.id == "x"
+                  and isinstance(idx, ast.Constant) and type(idx.value) is int
+                  and 0 <= idx.value < d)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            ok = isinstance(func, ast.Name) and func.id in _REGION_FUNCS and not node.keywords
+            children = node.args
+        elif isinstance(node, ast.Name):
+            ok = node.id == "pi"
+        elif isinstance(node, ast.Constant):
+            # evaluated as floats, so that no integer power grows without bound
+            ok = type(node.value) in (int, float) and abs(node.value) <= sys.float_info.max
+            if ok:
+                node.value = float(node.value)
+        else:
+            ok = isinstance(node, _REGION_OPS)
+            children = list(ast.iter_child_nodes(node))
         if not ok:
-            raise InvalidSpec(f"rosenbrock {name} must be a finite number, got {v!r}")
-    if p.get("step", MH_STEP) <= 0:
-        raise InvalidSpec(f"rosenbrock step must be > 0, got {p['step']!r}")
-    for name, low in (("burn_in", 0), ("thinning", 1)):
-        v = p.get(name, low)
+            what = ast.unparse(node) or type(node).__name__
+            raise InvalidSpec(f"indicator region may not contain {what}")
+        stack.extend(children)
+    code = compile(tree, "<region>", "eval")
+    env = {"__builtins__": {}, "pi": math.pi, **_REGION_FUNCS}
+
+    def predicate(x):
+        try:
+            return bool(eval(code, env, {"x": x}))
+        except (ArithmeticError, ValueError) as exc:
+            raise InvalidSpec(f"indicator region fails at {x.tolist()}: {exc}") from exc
+
+    return predicate
+
+
+def _reals(positive: bool, vector: bool):
+    """A check: finite numbers, above zero if `positive`; one per coordinate or one in all."""
+    low = 0.0 if positive else -math.inf
+    def convert(v, d):
+        a = np.asarray(v)
+        # the dtype before any conversion, which would take "0.5" and True
+        if a.dtype.kind not in "iuf" or not (np.isfinite(a) & (a > low)).all():
+            raise ValueError
+        return np.broadcast_to(a.astype(float), d) if vector else float(a)
+    what = "positive finite number" if positive else "finite number"
+    return (f"{what}s, one or one per coordinate" if vector else f"a {what}"), convert
+
+
+def _integer(low: int):
+    """A check: an integer (not a bool) >= `low`."""
+    def convert(v, d):
         if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < low:
-            raise InvalidSpec(f"rosenbrock {name} must be an integer >= {low}, got {v!r}")
+            raise ValueError
+        return int(v)
+    return f"an integer >= {low}", convert
+
+
+def _base(v, d: int):
+    base = DistributionSpec.from_json_dict(v) if isinstance(v, dict) else v
+    if not isinstance(base, DistributionSpec) or base.d != d:
+        raise InvalidSpec(f"indicator base must be a spec of dimension {d}")
+    return base
+
+
+def _format(v, d: int):
+    if v is not None and v not in ("csv", "binary_f64"):
+        raise ValueError
+    return v
+
+
+# A check is (what a value must be, its conversion to the value the
+# generators read); the conversion raises ValueError or TypeError where
+# the value is not that, or InvalidSpec with a message of its own.
+_FINITE, _POSITIVE = _reals(False, True), _reals(True, True)
+_REQUIRED = object()
+
+# every parameter of each kind: name -> (default or _REQUIRED, check)
+PARAMS = {
+    UNIFORM: {"lo": (0.0, _FINITE), "hi": (1.0, _FINITE)},
+    NORMAL: {"mean": (0.0, _FINITE), "sd": (1.0, _POSITIVE)},
+    BETA: {"a": (2.0, _POSITIVE), "b": (2.0, _POSITIVE), "lo": (0.0, _FINITE),
+           "hi": (1.0, _FINITE)},
+    # the Metropolis-Hastings chain; every value is recorded in provenance
+    ROSENBROCK: {"a": (1.0, _reals(False, False)), "b": (10.0, _reals(False, False)),
+                 "step": (0.25, _reals(True, False)), "burn_in": (10_000, _integer(0)),
+                 "thinning": (10, _integer(1))},
+    # a region is compiled to check it, but kept as given: a spec stays picklable
+    INDICATOR: {"base": (_REQUIRED, ("a distribution spec", _base)),
+                "region": (_REQUIRED, ("a string", lambda v, d: _region_predicate(v, d) and v))},
+    FILE: {"path": (_REQUIRED, ("a file path", lambda v, d: v)),
+           "format": (None, ("'csv' or 'binary_f64'", _format))},
+}
 
 
 @dataclass
 class DistributionSpec:
-    """Declarative description of a sample source."""
+    """Declarative description of a sample source; `params` stays as given."""
 
     kind: str
     d: int
     seed: int = 0
     params: dict = field(default_factory=dict)
+    resolved: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown distribution kind {self.kind!r}")
-        if self.d < 1:
-            raise InvalidSpec("dimension must be >= 1")
-        p = self.params
-        if self.kind == BETA:
-            a = np.broadcast_to(np.asarray(p.get("a", 2.0), float), self.d)
-            b = np.broadcast_to(np.asarray(p.get("b", 2.0), float), self.d)
-            if np.any(a <= 0) or np.any(b <= 0):
-                raise InvalidSpec("beta shape parameters must be positive")
-        if self.kind == NORMAL and np.any(
-            np.broadcast_to(np.asarray(p.get("sd", 1.0), float), self.d) <= 0
-        ):
-            raise InvalidSpec("normal sd must be positive")
-        if self.kind == ROSENBROCK:
-            if self.d < 2:
-                raise InvalidSpec("the banana density needs d >= 2")
-            _check_mh_params(p)
-        if self.kind == INDICATOR:
-            if "base" not in p or "region" not in p:
-                raise InvalidSpec("indicator needs a base spec and a region")
-            base = p["base"]
-            if isinstance(base, dict):
-                # a new dict: the caller's params stay as given
-                base = DistributionSpec.from_json_dict(base)
-                self.params = {**p, "base": base}
-            if not isinstance(base, DistributionSpec) or base.d != self.d:
-                raise InvalidSpec(f"indicator base must be a spec of dimension {self.d}")
-            _parse_region(p["region"], self.d)
-        if self.kind == FILE and "path" not in p:
-            raise InvalidSpec("file kind needs a path")
-        unknown = [key for key in p if key not in PARAMS[self.kind]]
+        if not isinstance(self.params, dict):
+            raise InvalidSpec(f"{self.kind} params must be a JSON object, got {self.params!r}")
+        # a copy: no later change to the caller's dict gets past the checks
+        table, p = PARAMS[self.kind], dict(self.params)
+        # the banana density needs two coordinates
+        given = [("d", self.d, _integer(2 if self.kind == ROSENBROCK else 1)),
+                 ("seed", self.seed, _integer(0))]
+        given += [(key, p.get(key, default), check) for key, (default, check) in table.items()]
+        resolved = {}
+        for key, v, (what, convert) in given:
+            if v is _REQUIRED:
+                raise InvalidSpec(f"{self.kind} params need {key!r}")
+            try:
+                resolved[key] = convert(v, self.d)
+            except (ValueError, TypeError):
+                raise InvalidSpec(f"{self.kind} {key} must be {what}, got {v!r}") from None
+        unknown = [key for key in p if key not in table]
         if unknown:
-            raise InvalidSpec(
-                f"{self.kind} params take no {', '.join(map(repr, unknown))} "
-                f"(known: {', '.join(PARAMS[self.kind])})"
-            )
-
-    def box(self, lo_default=0.0, hi_default=1.0):
-        lo = np.broadcast_to(np.asarray(self.params.get("lo", lo_default), float), self.d)
-        hi = np.broadcast_to(np.asarray(self.params.get("hi", hi_default), float), self.d)
-        if np.any(lo >= hi):
-            raise InvalidSpec("need lo < hi per coordinate")
-        return lo, hi
+            raise InvalidSpec(f"{self.kind} params take no {', '.join(map(repr, unknown))} "
+                              f"(known: {', '.join(table)})")
+        self.resolved = {key: resolved[key] for key in table}
+        if "lo" in table and np.any(self.resolved["lo"] >= self.resolved["hi"]):
+            raise InvalidSpec(f"{self.kind} needs lo < hi per coordinate")
+        if self.kind == INDICATOR:
+            p["base"] = self.resolved["base"]
+        self.params = p
 
     def to_json_dict(self) -> dict:
         params = dict(self.params)
@@ -149,12 +226,8 @@ class DistributionSpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "DistributionSpec":
         require_keys(data, ("kind", "d"), "distribution spec")
-        return cls(
-            kind=data["kind"],
-            d=int(data["d"]),
-            seed=int(data.get("seed", 0)),
-            params=dict(data.get("params", {})),
-        )
+        return cls(kind=data["kind"], d=data["d"], seed=data.get("seed", 0),
+                   params=data.get("params", {}))
 
 
 def _log_density(x, a: float, b: float) -> float:
@@ -177,12 +250,8 @@ def _log_density(x, a: float, b: float) -> float:
 
 
 def _mh_rosenbrock(spec: DistributionSpec, count: int):
-    p = spec.params
-    a = float(p.get("a", 1.0))
-    b = float(p.get("b", 10.0))
-    step = float(p.get("step", MH_STEP))
-    burn_in = int(p.get("burn_in", MH_BURN_IN))
-    thin = int(p.get("thinning", MH_THINNING))
+    p = spec.resolved
+    a, b, step, burn_in, thin = p["a"], p["b"], p["step"], p["burn_in"], p["thinning"]
     rng = np.random.default_rng(np.random.PCG64(spec.seed))
     total = burn_in + count * thin
     steps = rng.normal(0.0, step, size=(total, spec.d))
@@ -219,97 +288,21 @@ def _mh_rosenbrock(spec: DistributionSpec, count: int):
             raise AcceptanceTooLow(
                 f"MH acceptance below {_MIN_ACCEPT_RATE} in a window at step {t}"
             )
-    provenance = {
-        "kind": ROSENBROCK,
-        "seed": spec.seed,
-        "a": a,
-        "b": b,
-        "step": step,
-        "burn_in": burn_in,
-        "thinning": thin,
-        "acceptance_rate": accepted_total / total,
-    }
+    provenance = {"kind": ROSENBROCK, "seed": spec.seed, **p,
+                  "acceptance_rate": accepted_total / total}
     return SampleSet(out, provenance=provenance)
 
 
-_REGION_FUNCS = {"abs": abs, "min": min, "max": max}
-_REGION_FUNCS.update({name: getattr(math, name) for name in ("sqrt", "sin", "cos", "exp")})
-# operators of a region: arithmetic, comparisons, and/or/not
-_REGION_OPS = (
-    ast.Expression, ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare,
-    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow, ast.USub, ast.UAdd,
-    ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq, ast.And, ast.Or, ast.Not,
-)
-
-
-def _parse_region(expr, d: int):
-    """The compiled region expression; InvalidSpec outside its grammar.
-
-    A region may use x[i] for a literal coordinate index i < d, numeric
-    constants, pi, arithmetic, comparisons, and/or/not, and calls to
-    abs, min, max, sqrt, sin, cos and exp.
-    """
-    if not isinstance(expr, str):
-        raise InvalidSpec("region must be a string")
-    try:
-        tree = ast.parse(expr, "<region>", mode="eval")
-    except (SyntaxError, ValueError) as exc:
-        raise InvalidSpec(f"region does not parse: {exc}") from exc
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        children = []
-        if isinstance(node, ast.Subscript):
-            idx = node.slice
-            ok = (isinstance(node.value, ast.Name) and node.value.id == "x"
-                  and isinstance(idx, ast.Constant) and type(idx.value) is int
-                  and 0 <= idx.value < d)
-        elif isinstance(node, ast.Call):
-            func = node.func
-            ok = isinstance(func, ast.Name) and func.id in _REGION_FUNCS and not node.keywords
-            children = node.args
-        elif isinstance(node, ast.Name):
-            ok = node.id == "pi"
-        elif isinstance(node, ast.Constant):
-            # evaluated as floats, so that no integer power grows without bound
-            ok = type(node.value) in (int, float) and abs(node.value) <= sys.float_info.max
-            if ok:
-                node.value = float(node.value)
-        else:
-            ok = isinstance(node, _REGION_OPS)
-            children = list(ast.iter_child_nodes(node))
-        if not ok:
-            raise InvalidSpec(f"region may not contain {ast.unparse(node) or type(node).__name__}")
-        stack.extend(children)
-    return compile(tree, "<region>", "eval")
-
-
-def _indicator_predicate(spec: DistributionSpec):
-    code = _parse_region(spec.params["region"], spec.d)
-    env = {"__builtins__": {}, "pi": math.pi, **_REGION_FUNCS}
-
-    def predicate(x):
-        try:
-            return bool(eval(code, env, {"x": x}))
-        except (ArithmeticError, ValueError) as exc:
-            raise InvalidSpec(f"region fails at {x.tolist()}: {exc}") from exc
-
-    return predicate
-
-
 def _rejection_sample(spec: DistributionSpec, count: int):
-    base = spec.params["base"]
-    predicate = _indicator_predicate(spec)
+    base = spec.resolved["base"]
+    predicate = _region_predicate(spec.resolved["region"], spec.d)
     out = np.empty((count, spec.d))
     filled = 0
     proposed = 0
     accepted = 0
     batch_seed = spec.seed
     while filled < count:
-        batch_spec = DistributionSpec(
-            kind=base.kind, d=base.d, seed=batch_seed, params=base.params
-        )
-        block = generate(batch_spec, max(4 * (count - filled), 1024)).points
+        block = generate(replace(base, seed=batch_seed), max(4 * (count - filled), 1024)).points
         batch_seed = batch_seed * 6364136223846793005 + 1442695040888963407
         batch_seed &= (1 << 63) - 1
         for row in block:
@@ -320,17 +313,11 @@ def _rejection_sample(spec: DistributionSpec, count: int):
                 filled += 1
                 if filled == count:
                     break
-        if proposed >= max(_ACCEPT_WINDOW * 100, 10 * count):
-            if accepted / proposed < _MIN_ACCEPT_RATE:
-                raise AcceptanceTooLow(
-                    f"rejection acceptance {accepted / proposed:.2e} too low"
-                )
-    provenance = {
-        "kind": INDICATOR,
-        "seed": spec.seed,
-        "base": base.to_json_dict(),
-        "acceptance_rate": accepted / max(proposed, 1),
-    }
+        rate = accepted / proposed
+        if proposed >= max(_ACCEPT_WINDOW * 100, 10 * count) and rate < _MIN_ACCEPT_RATE:
+            raise AcceptanceTooLow(f"rejection acceptance {rate:.2e} too low")
+    provenance = {"kind": INDICATOR, "seed": spec.seed, "base": base.to_json_dict(),
+                  "acceptance_rate": rate}
     return SampleSet(out, provenance=provenance)
 
 
@@ -341,8 +328,9 @@ def generate(spec: DistributionSpec, count: int) -> SampleSet:
     """
     if count < 1:
         raise InvalidSpec("count must be >= 1")
+    p = spec.resolved
     if spec.kind == FILE:
-        samples = read_samples(spec.params["path"], spec.params.get("format"))
+        samples = read_samples(p["path"], p["format"])
         if samples.d != spec.d:
             raise DimensionMismatch(
                 f"sample file has dimension {samples.d}, the spec declares {spec.d}"
@@ -357,20 +345,12 @@ def generate(spec: DistributionSpec, count: int) -> SampleSet:
     if spec.kind == INDICATOR:
         return _rejection_sample(spec, count)
     rng = np.random.default_rng(np.random.PCG64(spec.seed))
-    if spec.kind == UNIFORM:
-        lo, hi = spec.box()
-        pts = lo + (hi - lo) * rng.random((count, spec.d))
-    elif spec.kind == NORMAL:
-        mean = np.broadcast_to(np.asarray(spec.params.get("mean", 0.0), float), spec.d)
-        sd = np.broadcast_to(np.asarray(spec.params.get("sd", 1.0), float), spec.d)
-        pts = mean + sd * rng.standard_normal((count, spec.d))
-    elif spec.kind == BETA:
-        a = np.broadcast_to(np.asarray(spec.params.get("a", 2.0), float), spec.d)
-        b = np.broadcast_to(np.asarray(spec.params.get("b", 2.0), float), spec.d)
-        lo, hi = spec.box()
-        pts = lo + (hi - lo) * rng.beta(a, b, size=(count, spec.d))
-    else:  # pragma: no cover - guarded by __post_init__
-        raise InvalidSpec(spec.kind)
+    shape = (count, spec.d)
+    if spec.kind == NORMAL:
+        pts = p["mean"] + p["sd"] * rng.standard_normal(shape)
+    else:
+        unit = rng.random(shape) if spec.kind == UNIFORM else rng.beta(p["a"], p["b"], size=shape)
+        pts = p["lo"] + (p["hi"] - p["lo"]) * unit
     provenance = {"kind": spec.kind, "seed": spec.seed, "params": dict(spec.params)}
     return SampleSet(pts, provenance=provenance)
 

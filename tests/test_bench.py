@@ -239,6 +239,11 @@ class TestRunConvergence:
         assert payload["config"]["d"] == 2
         assert len(payload["errors"]) == len(report.errors)
 
+    @pytest.mark.parametrize("schedule", [(), (-3, 4)], ids=["empty", "negative-size"])
+    def test_schedule_that_cannot_run_is_rejected(self, schedule):
+        with pytest.raises(ValueError, match="schedule"):
+            small_config(schedule=schedule)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             small_config(schedule=(8, 4))

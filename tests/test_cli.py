@@ -12,6 +12,7 @@ from samplequad.errors import NullSpaceFailure
 from samplequad.rule import QuadratureRule
 from samplequad.sampling import read_samples
 from test_nested import svd_calls
+from test_sampling import BAD_SPECS
 
 UNIFORM_2D = '{"kind":"uniform","d":2,"params":{"lo":0.0,"hi":1.0}}'
 
@@ -45,6 +46,16 @@ class TestGenSamples:
         code = run("gen-samples", "--dist", dist, "--count", 5, "--out", tmp_path / "x.csv")
         assert code == 2
         assert f"rosenbrock {name} must be" in caplog.text
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("kind, d, seed, params, named", BAD_SPECS)
+    def test_bad_spec_exits_2_naming_the_parameter(
+        self, kind, d, seed, params, named, tmp_path, caplog
+    ):
+        dist = json.dumps({"kind": kind, "d": d, "seed": seed, "params": params})
+        code = run("gen-samples", "--dist", dist, "--count", 5, "--out", tmp_path / "x.csv")
+        assert code == 2
+        assert named in caplog.text
         assert not (tmp_path / "x.csv").exists()
 
     def test_unknown_parameter_exits_2(self, tmp_path, caplog):
@@ -245,6 +256,35 @@ class TestExtend:
         out = tmp_path / "r.json"
         assert run("extend", "--rule", bad, "--samples", samples,
                    "--degree-size", 6, "--mode", "continue", "--out", out) == 2
+        assert named in caplog.text
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("mode", ["degree", "resampled"])
+    @pytest.mark.parametrize("edit, named", [
+        (lambda rule: rule["source_indices"].__setitem__(1, rule["source_indices"][0]),
+         "'source_indices' repeats sample"),
+        (lambda rule: [row.append(0.5) for row in rule["nodes"]],
+         "nodes have 3 columns, the basis has d = 2"),
+    ], ids=["repeated-source-index", "three-column-nodes"])
+    def test_rule_contradicting_itself_exits_2_before_streaming(
+        self, edit, named, mode, sample_file, tmp_path, caplog, monkeypatch
+    ):
+        r1 = tmp_path / "r1.json"
+        assert run("build", "--samples", sample_file, "--degree-size", 6, "--out", r1) == 0
+        rule = json.loads(r1.read_text())
+        assert len(rule["nodes"]) == 6
+        edit(rule)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(rule))
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("the stream must not start")
+
+        monkeypatch.setattr(samplequad.nested, "run_stream", no_stream)
+        out = tmp_path / "r.json"
+        assert run("extend", "--rule", bad, "--samples", sample_file,
+                   "--degree-size", 10, "--mode", mode, "--out", out) == 2
         assert named in caplog.text
         assert not out.exists()
 

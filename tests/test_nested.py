@@ -585,12 +585,13 @@ PINNED_CHAIN = (
 
 class TestScalarStep:
     def test_one_ratio_scan_per_single_direction_step(self, monkeypatch):
-        # each step reads both removals and their zeroed nodes off one scan,
-        # made through `removal_interval`; where the first removal zeroes a
-        # fixed node, only the other side's candidate is built on top
-        steps = []  # (interval calls, ratio scans, both removals priced)
-        counts = {"interval": 0, "scan": 0, "pick": 0}
-        interval, scan = samplequad.nested.removal_interval, samplequad.rule.ratio_extrema
+        # each step reads both removals and their zeroed nodes off one
+        # scan, `removal_interval`, called from the engine or from
+        # `choose_alpha`; where the first removal zeroes a fixed node, only
+        # the other side's candidate is built on top
+        steps = []  # (ratio scans, both removals priced)
+        counts = {"scan": 0, "pick": 0}
+        scan = samplequad.rule.removal_interval
         single, pick = _StreamEngine._single_direction, _StreamEngine._pick
 
         def counted(key, fn):
@@ -600,18 +601,18 @@ class TestScalarStep:
             return wrapper
 
         def recorded_single(self, v, col):
-            counts.update(interval=0, scan=0, pick=0)
+            counts.update(scan=0, pick=0)
             out = single(self, v, col)
-            steps.append((counts["interval"], counts["scan"], counts["pick"] > 0))
+            steps.append((counts["scan"], counts["pick"] > 0))
             return out
 
-        monkeypatch.setattr(samplequad.nested, "removal_interval", counted("interval", interval))
-        monkeypatch.setattr(samplequad.rule, "ratio_extrema", counted("scan", scan))
+        for module in (samplequad.nested, samplequad.rule):
+            monkeypatch.setattr(module, "removal_interval", counted("scan", scan))
         monkeypatch.setattr(_StreamEngine, "_pick", counted("pick", pick))
         monkeypatch.setattr(_StreamEngine, "_single_direction", recorded_single)
         _increase_degree_chain(*SEED_CORPUS[0])
-        assert sum(priced for _, _, priced in steps) >= 10
-        assert {s[:2] for s in steps} == {(1, 1)}
+        assert sum(priced for _, priced in steps) >= 10
+        assert {scans for scans, _ in steps} == {1}
 
     def test_small_uniform_chain_is_pinned(self):
         samples = generate(DistributionSpec("uniform", 2, seed=1), 256)

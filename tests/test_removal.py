@@ -327,8 +327,9 @@ class TestFacetScan:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_scan_is_the_walk(self, seed):
-        rule = random_rule(np.random.default_rng(20 + seed), 14, 8)
-        problem = removal_problem(rule, 2)
+        rng = np.random.default_rng(20 + seed)
+        rule = random_rule(rng, 14, 8)
+        _, problem = with_zero_weights(rule, rng, 1)
         scanned, solved = problem._trace(10**6)
         walked = cold_walk(problem)
         assert removals_of(scanned) == removals_of(walked)
@@ -336,21 +337,28 @@ class TestFacetScan:
         for got, want in zip(scanned, walked):
             np.testing.assert_array_equal(got.weights, want.weights)
             np.testing.assert_array_equal(got.weights, problem.vertex_weights(got.indices))
+        # with no zero weight the trace has no start line: it declines
+        # unsolved, and the walk finds the removals
+        bare = removal_problem(rule, 2)
+        assert bare._trace(10**6) == (None, 0)
+        assert removals_of(all_removals(bare)) == removals_of(cold_walk(bare))
 
     def test_degenerate_polygon_takes_the_walk(self):
-        # the square |a_0|, |a_1| <= 1 and the line a_0 + a_1 = 2 through
-        # its corner (1, 1): three constraints meet at one vertex
+        # the square |a_0|, |a_1 - 1| <= 1 and the line a_0 + a_1 = 3 through
+        # its corner (1, 2): three constraints meet at one vertex.  a = 0
+        # lies on the zero weight's edge, so the trace starts, solves the
+        # four vertices, and declines at the checks
         C = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]])
-        problem = RemovalProblem.from_parts(np.array([1.0, 1.0, 1.0, 1.0, 2.0]), C)
-        assert problem._trace(10**6)[0] is None
+        problem = RemovalProblem.from_parts(np.array([1.0, 1.0, 2.0, 0.0, 3.0]), C)
+        assert problem._trace(10**6) == (None, 4)
         got = all_removals(problem)
         assert removals_of(got) == removals_of(cold_walk(problem)) == [
             ((0, 2), (0, 2, 4)), ((0, 3), (0, 3)), ((1, 2), (1, 2)), ((1, 3), (1, 3)),
         ]
 
     def test_cap_below_the_vertex_count_takes_the_walk(self):
-        rule = random_rule(np.random.default_rng(20), 14, 8)
-        problem = removal_problem(rule, 2)
+        rng = np.random.default_rng(20)
+        _, problem = with_zero_weights(random_rule(rng, 14, 8), rng, 1)
         vertices = len(problem._trace(10**6)[0])
         assert vertices >= 3
         cap = vertices - 1
@@ -381,11 +389,12 @@ class TestFacetScan:
         zero = (problem.n - 2, problem.n - 1)
         assert zero in [r.indices for r in traced]
 
-    @pytest.mark.parametrize("zeros", (0, 1))
-    def test_repeated_row(self, zeros):
+    # zero weights beyond the one of an engine problem; with one more,
+    # a = 0 is a vertex
+    @pytest.mark.parametrize("more_zeros", (0, 1))
+    def test_repeated_row(self, more_zeros):
         rng = np.random.default_rng(50)
-        rule = random_rule(rng, 14, 8)
-        problem = with_zero_weights(rule, rng, 1)[1] if zeros else removal_problem(rule, 2)
+        _, problem = with_zero_weights(random_rule(rng, 14, 8), rng, 1 + more_zeros)
         edges = {j for r in problem._trace(10**6)[0] for j in r.indices}
         declined = 0
         for j in range(problem.n):
@@ -400,11 +409,10 @@ class TestFacetScan:
             declined += trace_or_walk(doubled) is None
         assert declined >= 1
 
-    @pytest.mark.parametrize("zeros", (0, 1))
-    def test_cap_at_and_below_the_vertex_count(self, zeros):
+    @pytest.mark.parametrize("more_zeros", (0, 1))
+    def test_cap_at_and_below_the_vertex_count(self, more_zeros):
         rng = np.random.default_rng(60)
-        rule = random_rule(rng, 14, 8)
-        problem = with_zero_weights(rule, rng, 1)[1] if zeros else removal_problem(rule, 2)
+        _, problem = with_zero_weights(random_rule(rng, 14, 8), rng, 1 + more_zeros)
         vertices = len(problem._trace(10**6)[0])
         assert vertices >= 3
         assert len(trace_or_walk(problem, cap=vertices)) == vertices
@@ -413,13 +421,15 @@ class TestFacetScan:
     @pytest.mark.parametrize("w", ([1.0, 1.0, 1.0], [0.0, 1.0, 1.0]))
     def test_unbounded_region_is_declined(self, w):
         # a_0 <= w_0, a_1 <= w_1 and a_0 + a_1 <= w_2 bound no polygon: the
-        # start line's edge has no lower end, from a ray or a zero weight
+        # zero weight's edge has no lower end; with no zero weight the trace
+        # has no start line
         C = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         problem = RemovalProblem.from_parts(np.array(w), C)
         assert problem._trace(10**6) == (None, 0)
 
     def test_scan_needs_no_seed(self):
-        problem = removal_problem(random_rule(np.random.default_rng(21), 14, 8), 2)
+        rng = np.random.default_rng(21)
+        _, problem = with_zero_weights(random_rule(rng, 14, 8), rng, 1)
         asked = []
         problem.enumerate(lambda: asked.append(1))
         assert asked == []

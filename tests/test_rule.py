@@ -140,7 +140,7 @@ class TestSelectAlpha:
     def test_two_entry_ratios(self):
         v = np.full(3, 1.0 / 3.0)
         c = np.array([1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0), 0.0])
-        a2, at2, a1, at1, _ = removal_interval(v, c)
+        a2, at2, a1, at1 = removal_interval(v, c)
         assert a1 == pytest.approx(np.sqrt(2.0) / 3.0, abs=1e-15)
         assert (at1.tolist(), at2.tolist()) == ([0], [1])
         assert a2 == pytest.approx(-np.sqrt(2.0) / 3.0, abs=1e-15)
@@ -148,13 +148,13 @@ class TestSelectAlpha:
     def test_zero_weight_gives_zero_alpha(self):
         v = np.array([0.0, 0.5, 0.5])
         c = np.array([0.5, 0.3, -0.8])
-        _, _, a1, at1, _ = removal_interval(v, c)
+        _, _, a1, at1 = removal_interval(v, c)
         assert a1 == 0.0 and at1.tolist() == [0]
 
     def test_every_node_attaining_an_end_is_listed(self):
         v = np.array([0.25, 0.5, 0.25, 0.5])
         c = np.array([0.5, 1.0, -0.5, -0.25])
-        a_min, at_min, a_max, at_max, _ = removal_interval(v, c)
+        a_min, at_min, a_max, at_max = removal_interval(v, c)
         assert (a_max, at_max.tolist()) == (0.5, [0, 1])
         assert (a_min, at_min.tolist()) == (-0.5, [2])
 
@@ -164,7 +164,7 @@ class TestSelectAlpha:
             v = rng.random(8)
             c = rng.standard_normal(8)
             c -= c.mean()  # zero-sum, both signs present
-            a2, at2, a1, at1, _ = removal_interval(v, c)
+            a2, at2, a1, at1 = removal_interval(v, c)
             for alpha, at in ((a1, at1), (a2, at2)):
                 w = v - alpha * c
                 assert w.min() >= -1e-12 * max(1.0, np.abs(w).max())
@@ -182,17 +182,15 @@ class TestRemovalInterval:
             w = rng.random(6)
             c = rng.standard_normal(6)
             c -= c.mean()
-            a_min, _, a_max, _, feasible = removal_interval(w, c)
-            assert feasible
+            a_min, _, a_max, _ = removal_interval(w, c)
             assert a_min <= 0.0 <= a_max
 
     def test_hand_computed_equal_endpoints(self):
         w = np.array([1.0, -1.0])
         c = np.array([1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)])
-        a_min, _, a_max, _, feasible = removal_interval(w, c)
+        a_min, _, a_max, _ = removal_interval(w, c)
         assert a_min == pytest.approx(np.sqrt(2.0), abs=1e-15)
         assert a_max == pytest.approx(np.sqrt(2.0), abs=1e-15)
-        assert feasible
 
     def test_infeasible_case_matches_exhaustive_oracle(self):
         # weights with a negative entry where no single deletion can help
@@ -202,8 +200,8 @@ class TestRemovalInterval:
         V = basis_matrix(spec, nodes)
         mu = V @ w
         c = np.array([1.0, -2.0, 1.0]) / np.sqrt(6.0)
-        a_min, _, a_max, _, feasible = removal_interval(w, c)
-        assert not feasible and a_max < a_min
+        a_min, _, a_max, _ = removal_interval(w, c)
+        assert a_max < a_min
         # oracle: deleting any single node leaves a negative weight
         for drop in range(3):
             keep = [i for i in range(3) if i != drop]
@@ -637,6 +635,22 @@ class TestRuleSerialization:
                 nodes=np.zeros((3, 1)), weights=np.full(3, 1 / 3),
                 spec=monomial_spec(3), K=2, **kwargs,
             )
+
+    def test_nodes_of_another_dimension_are_a_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="2 columns, the basis has d = 1"):
+            QuadratureRule(nodes=np.zeros((3, 2)), weights=np.full(3, 1 / 3),
+                           spec=monomial_spec(3), K=2)
+
+    def test_only_the_no_source_index_may_repeat(self):
+        data = construct_fixed_rule(
+            SampleSet(np.linspace(0.0, 1.0, 20)), monomial_spec(3, 0.0, 1.0)
+        ).to_json_dict()
+        # the base nodes of a resampled extension: -1, more than once
+        data["source_indices"][:2] = [-1, -1]
+        assert QuadratureRule.from_json_dict(data).source_indices[:2].tolist() == [-1, -1]
+        data["source_indices"][:2] = [7, 7]
+        with pytest.raises(InvalidSpec, match="'source_indices' repeats sample 7"):
+            QuadratureRule.from_json_dict(data)
 
     @pytest.mark.parametrize("key", ["fixed_mask", "source_indices", "spec", "K"])
     def test_missing_json_key_is_named(self, key):

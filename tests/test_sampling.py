@@ -1,6 +1,7 @@
 """Tests for sample generation and file I/O."""
 
 import math
+import pickle
 import re
 
 import numpy as np
@@ -22,6 +23,25 @@ from samplequad.sampling import (
     read_samples,
     write_samples,
 )
+
+
+# (kind, d, seed, params, what the message names): each is rejected when
+# the spec is built, from Python and from JSON
+BAD_SPECS = [
+    pytest.param("normal", 2, 0, {"sd": [1, 2, 3]}, "normal sd must be", id="sd-length"),
+    pytest.param("beta", 2, 0, {"a": [1, 2, 3]}, "beta a must be", id="beta-a-length"),
+    pytest.param("uniform", 2, 0, {"hi": "x"}, "uniform hi must be", id="string-hi"),
+    pytest.param("uniform", 2, 0, {"lo": 1, "hi": 0}, "uniform needs lo < hi", id="lo-above-hi"),
+    pytest.param("normal", 2, 0, {"mean": math.nan}, "normal mean must be", id="nan-mean"),
+    pytest.param("uniform", 2, 0, {"hi": math.inf}, "uniform hi must be", id="inf-hi"),
+    pytest.param("beta", 2, 0, {"a": math.nan}, "beta a must be", id="nan-beta-a"),
+    pytest.param("uniform", 2, 0, {"lo": True}, "uniform lo must be", id="bool-lo"),
+    pytest.param("file", 2, 0, {"path": "x.csv", "format": "xml"}, "file format must be",
+                 id="xml-format"),
+    pytest.param("uniform", 2.5, 0, {}, "uniform d must be", id="fractional-d"),
+    pytest.param("uniform", 2, -1, {}, "uniform seed must be", id="negative-seed"),
+    pytest.param("uniform", 2, 0, 5, "uniform params must be", id="params-not-an-object"),
+]
 
 
 def banana_log_density_oracle(x):
@@ -131,6 +151,30 @@ class TestGenerate:
             DistributionSpec(kind="normal", d=1, params={"sd": 0.0})
         with pytest.raises(InvalidSpec):
             DistributionSpec(kind="rosenbrock", d=1)
+
+    @pytest.mark.parametrize("kind, d, seed, params, named", BAD_SPECS)
+    def test_bad_spec_is_named_when_built(self, kind, d, seed, params, named):
+        with pytest.raises(InvalidSpec, match=named):
+            DistributionSpec(kind, d, seed, params)
+        data = {"kind": kind, "d": d, "seed": seed, "params": params}
+        with pytest.raises(InvalidSpec, match=named):
+            DistributionSpec.from_json_dict(data)
+
+    def test_params_stay_as_given(self):
+        # the spec resolves its parameters, but records them as given: a
+        # scalar sd stays a scalar, an int stays an int
+        params = {"mean": [0, 1], "sd": 2}
+        spec = DistributionSpec("normal", 2, seed=4, params=params)
+        data = spec.to_json_dict()
+        assert data == {"kind": "normal", "d": 2, "seed": 4, "params": params}
+        assert type(data["params"]["sd"]) is int
+        assert generate(spec, 3).provenance["params"] == params
+        again = DistributionSpec.from_json_dict(data)
+        assert again == spec
+        # the spec keeps a copy, checked once
+        params["sd"] = -1.0
+        assert spec.params["sd"] == 2
+        assert generate(again, 5).points.tobytes() == generate(spec, 5).points.tobytes()
 
     @pytest.mark.parametrize(
         "name, value",
@@ -322,9 +366,10 @@ class TestIndicatorRegion:
         twin = DistributionSpec(kind="indicator", d=2, seed=5,
                                 params={**params, "base": DistributionSpec.from_json_dict(base)})
         again = DistributionSpec.from_json_dict(spec.to_json_dict())
+        pickled = pickle.loads(pickle.dumps(spec))
         pts = generate(spec, 200).points
-        assert pts.tobytes() == generate(twin, 200).points.tobytes()
-        assert pts.tobytes() == generate(again, 200).points.tobytes()
+        for other in (twin, again, pickled):
+            assert pts.tobytes() == generate(other, 200).points.tobytes()
 
     def test_region_grammar_evaluates_like_python(self):
         region = "not (x[0] > 0.5 and x[1] < 0.25) or sqrt(abs(x[0] - x[1])) < pi / 8"
