@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .basis import BasisSpec, domain_from_samples
-from .errors import InvalidSpec, SampleQuadError, require_keys
+from .errors import InvalidSpec, SampleQuadError, require_int, require_keys
 from .nested import ExtensionRequest, extend_rule
 from .rule import SampleSet, construct_fixed_rule
 from .sampling import DistributionSpec, ROSENBROCK, generate
@@ -106,15 +106,17 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("d", "k_max", "repetitions", "seed", "removal_cap"):
-            setattr(self, name, int(getattr(self, name)))
+            setattr(self, name, require_int(getattr(self, name), name))
         if not isinstance(self.include_nonnested, bool):
             raise ValueError(f"include_nonnested must be a bool, not {self.include_nonnested!r}")
-        self.schedule = tuple(int(n) for n in self.schedule)
+        self.schedule = tuple(require_int(n, "schedule") for n in self.schedule)
         self.families = tuple(self.families)
         if self.d != self.distribution.d:
             raise ValueError(f"d={self.d} but the distribution has d={self.distribution.d}")
         if self.repetitions < 1:
             raise ValueError("need at least one repetition")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be at least 0, not {self.seed}")
         if self.removal_cap < 1:
             raise InvalidSpec(f"removal_cap must be at least 1, not {self.removal_cap}")
         if not self.schedule or min(self.schedule) < 1:

@@ -15,6 +15,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -122,7 +123,7 @@ def cmd_extend(args) -> int:
 def cmd_bench_genz(args) -> int:
     config = ExperimentConfig.from_json_dict(_load_json(args.config))
     if args.seed is not None:
-        config.seed = args.seed
+        config = replace(config, seed=args.seed)
     report = run_convergence(config)
     # every active family counts the same completed repetitions
     if 0 in report.completed_repetitions.values():

@@ -16,6 +16,17 @@ def require_keys(data: dict, keys, what: str) -> None:
         raise InvalidSpec(f"{what} JSON lacks {', '.join(map(repr, missing))}")
 
 
+def require_int(value, name: str) -> int:
+    """`value` as an int where int() would not truncate it (no bool); else InvalidSpec."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or isinstance(value, bool) or not isinstance(value, str) and n != value:
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+    return n
+
+
 class InvalidDomain(InvalidSpec):
     """A per-coordinate domain box has lo >= hi."""
 

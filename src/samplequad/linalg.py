@@ -1,24 +1,20 @@
 """Null vectors of the extended Vandermonde: a cached inverse, an SVD fallback.
 
-The per-sample iteration repeatedly needs one null vector of a matrix
-that is the current (square) Vandermonde extended by a single new
-column.  `ExtensionFactorization` keeps an explicit inverse of the
-square base, updated by rank-one exchanges, so each null vector costs
-O(n^2) instead of a fresh O(n^3) factorization.  Its upkeep follows the
-residuals, not a schedule: every fast-path solve is residual-checked,
-and the squared norms that judge it also scale its null vector; a
-rejected solve gets one step of iterative refinement from the residual
-already computed (Skeel 1980); only then is an inverse that exchanges
-have updated recomputed, and an SVD of the explicitly extended matrix
+The per-sample iteration repeatedly needs the null directions of the
+current (square) Vandermonde V extended by new columns.  The one
+convention is the direction (z, -1) with V z = col: the new column's
+entry is -1, and z is left as solved, not normalized or sign-fixed.
+`ExtensionFactorization` keeps an explicit inverse of the square base,
+updated by rank-one exchanges, so each solve costs O(n^2) instead of a
+fresh O(n^3) factorization, and a block of columns costs one matrix
+product.  Its upkeep follows the residuals, not a schedule: every solve
+is residual-checked per column; a rejected column gets one step of
+iterative refinement from the residual already computed (Skeel 1980);
+only then is an inverse that exchanges have updated recomputed, and an
+SVD of the explicitly extended matrix, signed to match the convention,
 is the last resort.  That SVD is the only one the streaming engine
 runs: it keeps a square base through degenerate steps, so a base has
 no inverse only where repeated samples leave it singular.
-
-`ExtensionFactorization.solve_block` solves the base against a whole
-block of extension columns with one matrix product and the same
-acceptance per column; the block-speculative stream uses it to price a
-run of samples at once, and again through the exchanged inverse after
-each swap it takes inside the run.
 """
 
 from __future__ import annotations
@@ -83,11 +79,12 @@ def null_space(V: np.ndarray, m: int) -> np.ndarray:
 class ExtensionFactorization:
     """Explicit inverse of a square base matrix, kept usable by residuals.
 
-    Solves for null vectors of the base extended by one column, and
-    follows the per-sample iteration by in-place column exchanges.  An
-    exchange marks the inverse stale; a stale inverse is recomputed only
-    when a solve through it fails even after refinement.  A singular
-    base has no inverse and takes the SVD path.
+    `solve` gives the solutions z of the base against extension
+    columns, `null_vector_extended` the null directions (z, -1) they
+    make, and in-place column exchanges follow the per-sample
+    iteration.  An exchange marks the inverse stale; a stale inverse is
+    recomputed only when a solve through it fails even after
+    refinement.  A singular base has no inverse and takes the SVD path.
     """
 
     def __init__(self, V_base: np.ndarray):
@@ -104,88 +101,62 @@ class ExtensionFactorization:
         except np.linalg.LinAlgError:
             pass
 
-    def _solve(self, cols: np.ndarray):
-        """(Z, accepted, squared norms of Z) for V z = col, one column or many.
+    def solve(self, cols: np.ndarray):
+        """(Z, accepted) for V z = col, one column or each column of `cols`.
 
-        Solves through the cached inverse and checks every column with
-        `_fast_accepts`; a rejected column gets one refinement step
-        z -= inv (V z - col) and is checked again.  The squared norms
-        that judged the columns are returned for the normalization.
-        None without an inverse.
+        Solves through the cached inverse and checks every column's null
+        vector (z, -1) with `_fast_accepts`; a rejected column gets one
+        refinement step z -= inv (V z - col) and is checked again.
+        Returns None when there is no cached inverse (the base is
+        singular); nothing is recomputed or falls back to an SVD here.
         """
+        if cols.shape[0] != self.V.shape[0]:
+            raise DimensionMismatch("extension columns have wrong length")
         inv = self._inv
         if inv is None:
             return None
         Z = inv @ cols
         R = self.V @ Z
         R -= cols
-        zz = _sq(Z)
         fnorm = np.sqrt(self._fnorm2 + _sq(cols))
-        ok = _fast_accepts(zz, R, fnorm)
+        ok = _fast_accepts(_sq(Z), R, fnorm)
         if not (ok.all() if Z.ndim == 2 else ok):
             refined = Z - inv @ R
             redo = _fast_accepts(_sq(refined), self.V @ refined - cols, fnorm)
             Z = np.where(ok, Z, refined)
             ok = ok | redo
-            zz = _sq(Z)
-        return Z, ok, zz
+        return Z, ok
 
-    def null_vector_extended(self, col: np.ndarray) -> np.ndarray:
-        """Unit null vector of [V_base, col], new column last.
+    def null_vector_extended(self, cols: np.ndarray) -> np.ndarray:
+        """Null vectors (z, -1) of [V_base, col], new column last.
 
-        Fast path solves V z = col through the cached inverse and forms
-        (z, -1); a solve that fails its residual check after refinement
-        is retried once on a recomputed inverse if exchanges have updated
-        it, and an SVD fallback guarantees the public contract either way.
-        """
-        col = np.asarray(col, dtype=float)
-        if col.shape[0] != self.V.shape[0]:
-            raise DimensionMismatch("extension column has wrong length")
-        solved = self._solve(col)
-        if self._stale and not solved[1]:
-            self._refresh()
-            solved = self._solve(col)
-        if solved is None or not solved[1]:
-            return null_vector(np.column_stack([self.V, col]))
-        z, _, zz = solved
-        c = np.empty(z.shape[0] + 1)
-        c[:-1] = z
-        c[-1] = -1.0
-        return _fix_sign(c / np.sqrt(zz + 1.0))
-
-    def solve_block(self, cols: np.ndarray):
-        """Fast-path solves of V z = col for every column of `cols` at once.
-
-        Returns (Z, accepted): Z holds the solutions column by column,
-        and `accepted` marks the columns whose null vector (z, -1) passes
-        the residual acceptance of `null_vector_extended`'s fast path.
-        Returns None when there is no cached inverse (the base is
-        singular); nothing is recomputed or falls back to an SVD here.
+        One column gives one vector; a (b, k) array gives k vectors as
+        columns.  `solve` serves every column; only a column it rejects
+        (every column, without an inverse) takes the slow path: a solve
+        through the recomputed inverse if exchanges have updated it, then
+        the unit SVD vector, signed so that its last entry is <= 0, the
+        direction (z, -1) up to a positive factor where that entry is
+        not zero.
         """
         cols = np.asarray(cols, dtype=float)
-        if cols.ndim != 2 or cols.shape[0] != self.V.shape[0]:
-            raise DimensionMismatch("extension columns have wrong length")
-        solved = self._solve(cols)
-        return None if solved is None else solved[:2]
-
-    def null_vectors_extended(self, cols: np.ndarray) -> np.ndarray:
-        """Unit null vectors of [V_base, col] for every column of `cols`.
-
-        Column t of the result is, up to sign and rounding, what
-        `null_vector_extended(cols[:, t])` returns: one block solve serves
-        every column, and only a column it rejects (every column, without
-        an inverse) takes `null_vector_extended` with its recomputed
-        inverse and SVD.  The squared norms that accepted a column scale
-        it.  `cols` is a float array of shape (b, k).
-        """
-        k = cols.shape[1]
-        Z, ok, zz = self._solve(cols) or (np.zeros(cols.shape), np.zeros(k, dtype=bool), 0.0)
-        U = np.empty((Z.shape[0] + 1, k))
+        Z, ok = self.solve(cols) or (0.0, np.zeros(cols.shape[1:], dtype=bool))
+        U = np.empty((cols.shape[0] + 1,) + cols.shape[1:])
         U[:-1] = Z
         U[-1] = -1.0
-        U /= np.sqrt(zz + 1.0)
-        for t in (~ok).nonzero()[0]:
-            U[:, t] = self.null_vector_extended(cols[:, t])
+        if np.all(ok):
+            return U
+        # as (rows, k) views, a single column is column 0
+        C, U2 = cols.reshape(cols.shape[0], -1), U.reshape(U.shape[0], -1)
+        bad = np.flatnonzero(~ok)
+        if self._stale:
+            self._refresh()
+            again = self.solve(C[:, bad])
+            if again is not None:
+                U2[:-1, bad] = again[0]
+                bad = bad[~again[1]]
+        for t in bad.tolist():
+            c = null_vector(np.column_stack([self.V, C[:, t]]))
+            U2[:, t] = -c if c[-1] > 0.0 else c
         return U
 
     def replace_column(self, k: int, col: np.ndarray) -> None:

@@ -7,9 +7,18 @@ count with non-negative weights.  Fixed nodes (the nodes of the rule
 being extended) are never deleted: a removal that zeroes one leaves it
 in place with weight zero.  A fixed rule is a stream without them.
 
+Every step works in one convention.  Weights are sample counts: they
+sum to the number of samples consumed, a sample enters at weight 1, and
+only `rule()` divides by the sum.  A null direction is (z, -1) with
+V_S z = phi(y) for the square base V_S, scattered into node order, so
+the incoming sample's entry is -1 (the SVD fallback, where no solve is
+accepted, keeps that sign).  The removal tolerances scale with the sum
+of the weights.
+
 With a one-dimensional null space one ratio scan gives both removals
 and the nodes each zeroes; the step takes the smallest-|alpha| one (ties
-to the positive side).  Only if that zeroes a fixed node is the other
+to the positive side, the removal that keeps the sample, whose entry is
+negative).  Only if that zeroes a fixed node is the other
 built too: the one deleting more non-fixed nodes wins, and a seeded draw
 breaks ties.  With zero-weight fixed nodes the null space is larger:
 one block solve gives a direction per node outside the square base and
@@ -24,8 +33,8 @@ weight zero, a degenerate basis of the revised simplex method (Dantzig,
 
 Most steps delete the incoming sample, which only reweights the
 support S, so the stream runs block-speculatively: k such steps leave
-the weights at (c0 w0 + z_1 + ... + z_k) / (c0 + k) with
-z_j = V_S^-1 phi(y_j), so a window of samples costs one matrix product,
+the count weights at W0 + z_1 + ... + z_k with z_j = V_S^-1 phi(y_j),
+so a window of samples costs one matrix product,
 a prefix sum and a vectorized ratio test.  Most other steps are clean
 swaps: one old node is zeroed and the sample takes its place.  The
 block takes those too.  The inverse of V_S gets the exchange's
@@ -55,6 +64,7 @@ from .errors import (
     MissingEvaluation,
     ModeMismatch,
     NullSpaceFailure,
+    require_int,
 )
 from .linalg import ExtensionFactorization
 from .linalg import null_space, null_vector  # noqa: F401  (perfbench's timing shims wrap them)
@@ -100,6 +110,7 @@ class ExtensionRequest:
             raise ModeMismatch("target basis must be at least as large as the base")
         if self.sample_source.d != self.base.spec.d:
             raise DimensionMismatch("sample dimension does not match base rule")
+        self.removal_cap = require_int(self.removal_cap, "removal_cap")
         if self.removal_cap < 1:
             raise InvalidSpec(f"removal_cap must be at least 1, not {self.removal_cap}")
 
@@ -164,6 +175,7 @@ def initialize_extension(req: ExtensionRequest):
 class _StreamEngine:
     """The per-sample iteration, with fixed-node bookkeeping.
 
+    `w` holds the weights as sample counts; `rule()` normalizes them.
     From b nodes on, a factorization of a square base is kept: the
     positively weighted (support) nodes, and zero-weight fixed nodes
     where the support is short.  `fact_cols` records which node position
@@ -179,18 +191,18 @@ class _StreamEngine:
     def __init__(self, work: QuadratureRule, rng, removal_cap):
         self.spec = work.spec
         self.X = work.nodes.copy()
-        self.w = work.weights.copy()
         self.src = work.source_indices.copy()
         self.fixed = work.fixed_mask.copy()
         self.consumed = work.K + 1
+        self.w = work.weights * self.consumed
         self.rng = rng
         self.removal_cap = removal_cap
         self.Vall = basis_matrix(self.spec, self.X)
         self._rebuild_fact()
 
     def rule(self) -> QuadratureRule:
-        return QuadratureRule(nodes=self.X, weights=self.w, spec=self.spec, K=self.consumed - 1,
-                              source_indices=self.src, fixed_mask=self.fixed)
+        return QuadratureRule(nodes=self.X, weights=self.w / self.w.sum(), spec=self.spec,
+                              K=self.consumed - 1, source_indices=self.src, fixed_mask=self.fixed)
 
     def _rebuild_fact(self):
         """A square base of the support and zero-weight nodes; none below b nodes.
@@ -211,7 +223,9 @@ class _StreamEngine:
         self.fact = ExtensionFactorization(np.take(self.Vall, cols, axis=1))
         self.fact_cols = cols
         for j in sorted(set(support.tolist()) - set(cols.tolist())):
-            c = self._embed_at(self.fact.null_vector_extended(self.Vall[:, j]), j)[:-1]
+            # (z, -1) in node order: node j's entry is the -1
+            c = np.zeros(self.X.shape[0])
+            c[np.append(self.fact_cols, j)] = self.fact.null_vector_extended(self.Vall[:, j])
             alpha, attained = choose_alpha(self.w, c)
             self.w = apply_removal(self.w, c, alpha, attained)
             self.w[dropped_mask(self.w)] = 0.0
@@ -247,20 +261,17 @@ class _StreamEngine:
         """The scalar step: consume one sample."""
         b = self.spec.size
         n = self.X.shape[0]
-        count = self.consumed
         self.consumed += 1
-        scale = count / (count + 1.0)
-        tail = 1.0 / (count + 1.0)
         if n + 1 <= b:
             # below capacity: the extended system has no null space
             self.X = np.vstack([self.X, y])
-            self.w = np.append(self.w * scale, tail)
+            self.w = np.append(self.w, 1.0)
             self.src = np.append(self.src, src_idx)
             self.fixed = np.append(self.fixed, False)
             self.Vall = np.column_stack([self.Vall, col])
             self._rebuild_fact()
             return
-        v = np.concatenate([self.w * scale, [tail]])
+        v = np.append(self.w, 1.0)
         # with n = b nodes the extended system has a one-dimensional null space
         step = self._single_direction if n == b else self._multi_direction
         self._apply(*step(v, col), y, col, src_idx)
@@ -280,20 +291,22 @@ class _StreamEngine:
         column, and the rest of the window is solved again through the
         exchanged inverse.  No weight after either step nears the drop
         threshold, so nothing else is zeroed and the draw is never
-        consulted.  Returns 0 unless every node is in the base with a
-        positive weight and the base has a cached inverse.
+        consulted.  The pass works in the engine's counts: each sample
+        enters at weight 1 and the window's solutions z are the null
+        directions (z, -1), so the weights after k drops are the running
+        sum W + z_1 + ... + z_k.  Returns 0 unless every node is in the
+        base with a positive weight and the base has a cached inverse.
         """
         if self.X.shape[0] != self.spec.size or not self.w.min() > 0.0:
             return 0
-        # factorization order: row i of Z belongs to node fact_cols[i];
-        # W holds the weights times the number of samples consumed
-        W = self.consumed * self.w[self.fact_cols]
+        # factorization order: row i of Z belongs to node fact_cols[i]
+        W = self.w[self.fact_cols]
         done = 0
         # a window consumed whole doubles the next; a run that ends inside
         # one sizes the next to twice its length
         window = _MIN_WINDOW
         while done < cols.shape[1]:
-            solved = self.fact.solve_block(cols[:, done : done + window])
+            solved = self.fact.solve(cols[:, done : done + window])
             if solved is None:
                 break
             Z, ok = solved
@@ -316,17 +329,16 @@ class _StreamEngine:
             done += 1
         if done:
             self.w[self.fact_cols] = W
-            self.w /= self.w.sum()
             self.consumed += done
         return done
 
     def _clean_swap(self, W, z):
         """(slot, weights) of a clean swap of the incoming sample, or None.
 
-        W are the weights before the step in factorization order, scaled
-        to sum to the samples consumed, and z solves V_S z = phi(y).
-        Along the null direction (z, -1) node i is zeroed at the scaling
-        W_i / |z_i| and the incoming sample at 1; the node that is zeroed
+        W are the count weights before the step in factorization order,
+        and z solves V_S z = phi(y).  Along the null direction (z, -1)
+        node i is zeroed at the scaling W_i / |z_i| and the incoming
+        sample, at weight 1, at 1; the node that is zeroed
         first must win by the near-tie margin.
         """
         # reciprocal scalings; the incoming sample's is 1
@@ -359,16 +371,6 @@ class _StreamEngine:
         n = self.X.shape[0]
         return [k for k in zeroed if k == n or not self.fixed[k]]
 
-    def _embed_at(self, c_loc, pos):
-        """Scatter a base-ordered null vector into node order.
-
-        `pos` is the node position of the extension column.
-        """
-        c = np.zeros(self.X.shape[0] + 1)
-        c[self.fact_cols] = c_loc[:-1]
-        c[pos] = c_loc[-1]
-        return c
-
     def _pick(self, candidates, zeroed_sets):
         """The candidate whose zeroed set deletes the most non-fixed nodes.
 
@@ -381,10 +383,14 @@ class _StreamEngine:
 
     def _single_direction(self, v, col):
         """One ratio scan gives both removals; the second is built only if needed."""
-        c = self._embed_at(self.fact.null_vector_extended(col), self.X.shape[0])
+        u = self.fact.null_vector_extended(col)
+        c = np.zeros(v.shape[0])
+        c[self.fact_cols] = u[:-1]
+        c[-1] = u[-1]
         a_min, at_min, a_max, at_max = removal_interval(v, c)
         pos, neg = (a_max, at_max), (a_min, at_min)
-        # the smallest |alpha| first, ties to the positive side
+        # the smallest |alpha| first, ties to the positive side, which
+        # keeps the sample
         near, far = (neg, pos) if abs(a_max) > abs(a_min) else (pos, neg)
         first = self._candidate(v, c, *near)
         if len(self._deletable(first[1])) == len(first[1]):
@@ -408,7 +414,7 @@ class _StreamEngine:
         cols = np.empty((col.shape[0], excess))
         cols[:, :-1] = self.Vall[:, nonbase]
         cols[:, -1] = col
-        U = self.fact.null_vectors_extended(cols)
+        U = self.fact.null_vector_extended(cols)
         C = np.zeros((self.X.shape[0] + 1, excess))
         C[self.fact_cols] = U[:-1]
         C[nonbase, np.arange(excess - 1)] = U[-1, :-1]
@@ -473,7 +479,6 @@ class _StreamEngine:
             self.Vall = np.compress(keep, np.column_stack([self.Vall, col]), axis=1)
             if exchanged:
                 self.fact_cols = np.cumsum(keep)[self.fact_cols] - 1
-        self.w /= self.w.sum()
         if not exchanged:
             self._rebuild_fact()
 
@@ -503,11 +508,11 @@ def _raise_rank(V, candidates, b):
 def _drop_prefix(W, Z, ok):
     """(run, weights) of the leading drop-incoming steps of a solved block.
 
-    W are the weights before the block, scaled to sum to the samples
-    consumed, and Z the block's solutions in the same order; `ok` marks
-    the columns that passed the fast-path acceptance.
+    W are the count weights before the block, and Z the block's
+    solutions in the same order; `ok` marks the columns that passed the
+    fast-path acceptance.
     """
-    # column j holds the weights after j steps, scaled to sum to c0 + j
+    # column j holds the count weights after j steps
     S = np.empty((Z.shape[0], Z.shape[1] + 1))
     S[:, 0] = W
     S[:, 1:] = Z

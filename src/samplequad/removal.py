@@ -82,8 +82,9 @@ class RemovalProblem:
         if self.C.ndim != 2 or self.C.shape[0] != self.n:
             raise DimensionMismatch("null basis needs one row per weight")
         self.m = self.C.shape[1]
-        # the largest solve residual and the most negative weight of a vertex
-        scale = max(1.0, float(np.abs(self.w).max()))
+        # the largest solve residual and the most negative weight of a
+        # vertex, relative to the weights' sum (the engine's sample count)
+        scale = float(self.w.sum())
         self._tol_res = TOL_VERTEX_RESID * scale
         self._tol_neg = -TOL_VERTEX_NEG * scale
         return self

@@ -51,8 +51,8 @@ class SampleSet:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise DimensionMismatch("samples must form a non-empty (n, d) array")
+        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
+            raise DimensionMismatch("samples must form a non-empty (n, d) array with d >= 1")
         if not np.isfinite(pts).all():
             raise InvalidSpec("samples must be finite (found NaN or inf)")
         self.points = pts

@@ -24,6 +24,7 @@ import ast
 import json
 import math
 import numbers
+import os
 import struct
 import sys
 from dataclasses import dataclass, field, replace
@@ -147,6 +148,12 @@ def _base(v, d: int):
     return base
 
 
+def _path(v, d: int):
+    if not isinstance(v, (str, os.PathLike)):
+        raise TypeError
+    return v
+
+
 def _format(v, d: int):
     if v is not None and v not in ("csv", "binary_f64"):
         raise ValueError
@@ -172,7 +179,7 @@ PARAMS = {
     # a region is compiled to check it, but kept as given: a spec stays picklable
     INDICATOR: {"base": (_REQUIRED, ("a distribution spec", _base)),
                 "region": (_REQUIRED, ("a string", lambda v, d: _region_predicate(v, d) and v))},
-    FILE: {"path": (_REQUIRED, ("a file path", lambda v, d: v)),
+    FILE: {"path": (_REQUIRED, ("a str or os.PathLike", _path)),
            "format": (None, ("'csv' or 'binary_f64'", _format))},
 }
 

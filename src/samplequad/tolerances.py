@@ -21,6 +21,6 @@ TOL_PIVOT = 1e-8
 # weights above the drop threshold; closer calls take the scalar step
 TOL_NEAR_TIE = 1e-9
 # removal vertices: solve residual and most negative weight, relative to
-# max(1, max |w|)
+# the sum of the weights (the samples consumed, for the engine's counts)
 TOL_VERTEX_RESID = 1e-10
 TOL_VERTEX_NEG = 1e-11

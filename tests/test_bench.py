@@ -132,6 +132,22 @@ class TestExperimentConfigJson:
             small_config(removal_cap=cap)
         assert small_config(removal_cap=1).removal_cap == 1
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("k_max", "400.5", "k_max must be an integer"),
+        ("k_max", 400.5, "k_max must be an integer"),
+        ("schedule", [2, 4.9, 8], "schedule must be an integer"),
+        ("repetitions", 1.7, "repetitions must be an integer"),
+        ("seed", True, "seed must be an integer"),
+        ("seed", -1, "seed must be at least 0"),
+        ("removal_cap", 2.5, "removal_cap must be an integer"),
+        ("d", True, "d must be an integer"),
+    ])
+    def test_values_int_would_truncate_are_rejected(self, key, value, named):
+        with pytest.raises(InvalidSpec, match=named):
+            ExperimentConfig.from_json_dict({**CONFIG_JSON, key: value})
+        with pytest.raises(InvalidSpec, match=named):
+            small_config(**{key: value})
+
     def test_dimension_must_match_the_distribution(self):
         with pytest.raises(ValueError, match="d=3 but the distribution has d=2"):
             ExperimentConfig.from_json_dict({**CONFIG_JSON, "d": 3})

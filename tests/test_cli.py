@@ -1,16 +1,18 @@
 """Tests for the command-line interface."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 import samplequad.bench
+import samplequad.cli
 import samplequad.nested
 from samplequad.cli import main
 from samplequad.errors import NullSpaceFailure
 from samplequad.rule import QuadratureRule
-from samplequad.sampling import read_samples
+from samplequad.sampling import MAGIC, read_samples
 from test_nested import svd_calls
 from test_sampling import BAD_SPECS
 
@@ -143,6 +145,23 @@ class TestBuild:
         samples.write_text("0.1,0.2\n0.3,nan\n0.5,0.6\n0.7,0.8\n")
         assert run("build", "--samples", samples, "--degree-size", 3,
                    "--out", tmp_path / "r.json") == 2
+
+    def test_samples_without_columns_exit_2(self, tmp_path, caplog):
+        samples = tmp_path / "flat.bin"
+        samples.write_bytes(MAGIC + struct.pack("<II", 0, 5))
+        assert run("build", "--samples", samples, "--degree-size", 3,
+                   "--out", tmp_path / "r.json") == 2
+        assert "d >= 1" in caplog.text
+
+    def test_null_space_failure_exits_5(self, sample_file, tmp_path, caplog, monkeypatch):
+        def failing_build(samples, spec):
+            raise NullSpaceFailure("stream failed at sample 7: injected", sample_index=7)
+
+        monkeypatch.setattr(samplequad.cli, "construct_fixed_rule", failing_build)
+        out = tmp_path / "r.json"
+        assert run("build", "--samples", sample_file, "--degree-size", 6, "--out", out) == 5
+        assert "stream failed at sample 7: injected" in caplog.text
+        assert not out.exists()
 
     def test_missing_file_exit_3(self, tmp_path):
         assert run("build", "--samples", tmp_path / "absent.csv",
@@ -300,6 +319,11 @@ class TestBenchGenz:
         ("include_nonnested", "false", "include_nonnested must be a bool"),
         ("d", 3, "d=3 but the distribution has d=2"),
         ("removal_cap", 0, "removal_cap must be at least 1"),
+        ("removal_cap", 2.5, "removal_cap must be an integer"),
+        ("k_max", "100.5", "k_max must be an integer"),
+        ("schedule", [2, 4.9], "schedule must be an integer"),
+        ("repetitions", 1.7, "repetitions must be an integer"),
+        ("seed", True, "seed must be an integer"),
     ])
     def test_bad_config_exits_2(self, key, value, named, tmp_path, caplog):
         config = {"d": 2, "k_max": 100, "schedule": [2, 4], "repetitions": 1,
@@ -307,6 +331,25 @@ class TestBenchGenz:
         out = tmp_path / "r.csv"
         assert run("bench-genz", "--config", json.dumps(config), "--out", out) == 2
         assert named in caplog.text
+        assert not out.exists()
+
+    def test_seed_override_replaces_the_config_seed(self, tmp_path):
+        config = {"d": 2, "k_max": 100, "schedule": [2, 4], "repetitions": 1, "seed": 0,
+                  "families": ["oscillatory"], "distribution": {"kind": "uniform", "d": 2}}
+        overridden, direct = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("--seed", 5, "bench-genz", "--config", json.dumps(config),
+                   "--out", overridden) == 0
+        assert run("bench-genz", "--config", json.dumps({**config, "seed": 5}),
+                   "--out", direct) == 0
+        assert overridden.read_bytes() == direct.read_bytes()
+        assert json.loads((tmp_path / "a.csv.json").read_text())["config"]["seed"] == 5
+
+    def test_negative_seed_override_exits_2_naming_the_seed(self, tmp_path, caplog):
+        config = {"d": 2, "k_max": 100, "schedule": [2, 4], "repetitions": 1,
+                  "distribution": {"kind": "uniform", "d": 2}}
+        out = tmp_path / "r.csv"
+        assert run("--seed", -1, "bench-genz", "--config", json.dumps(config), "--out", out) == 2
+        assert "seed must be at least 0" in caplog.text
         assert not out.exists()
 
     def test_tiny_benchmark(self, tmp_path, capsys):

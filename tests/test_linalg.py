@@ -149,8 +149,11 @@ class TestExtensionFactorization:
         V = np.eye(4)
         handle = ExtensionFactorization(V)
         c = handle.null_vector_extended(np.array([1.0, 0.0, 0.0, 0.0]))
-        # null vector must live on the duplicated pair
-        np.testing.assert_allclose(np.abs(c), [np.sqrt(0.5), 0, 0, 0, np.sqrt(0.5)], atol=1e-12)
+        # null vector must live on the duplicated pair, as (z, -1)
+        assert c[-1] == -1.0
+        np.testing.assert_allclose(
+            np.abs(c) / np.linalg.norm(c), [np.sqrt(0.5), 0, 0, 0, np.sqrt(0.5)], atol=1e-12
+        )
 
     def test_column_replacement_tracks_matrix(self):
         rng = np.random.default_rng(9)
@@ -163,7 +166,7 @@ class TestExtensionFactorization:
             col = rng.standard_normal(6)
             fast = handle.null_vector_extended(col)
             slow = null_vector(np.column_stack([V, col]))
-            cosine = abs(np.dot(fast, slow))
+            cosine = abs(np.dot(fast, slow)) / np.linalg.norm(fast)
             assert cosine >= 1 - 1e-9
 
     def test_exchanges_keep_the_norm_and_the_inverse(self, monkeypatch):
@@ -209,7 +212,7 @@ class TestExtensionFactorization:
         cols = rng.standard_normal((6, 4))
         handle = ExtensionFactorization(V)
         handle._inv *= 1.0 + 1e-9
-        Z, accepted = handle.solve_block(cols)
+        Z, accepted = handle.solve(cols)
         assert accepted.all()
         np.testing.assert_allclose(V @ Z, cols, atol=1e-13)
         handle.null_vector_extended(cols[:, 0])
@@ -225,13 +228,15 @@ class TestExtensionFactorization:
         handle._inv *= 1.5
         c = handle.null_vector_extended(cols[:, 0])
         assert len(svd_calls) == 1
+        assert c[-1] == -1.0
         ext = np.column_stack([V, cols[:, 0]])
-        assert np.linalg.norm(ext @ c) <= 1e-12 * np.linalg.norm(ext)
+        assert np.linalg.norm(ext @ c) <= 1e-12 * np.linalg.norm(ext) * np.linalg.norm(c)
 
     def test_singular_base_falls_back(self):
         V = np.ones((3, 3))  # rank one
         handle = ExtensionFactorization(V)
         c = handle.null_vector_extended(np.array([1.0, 1.0, 1.0]))
+        assert c[-1] <= 0.0
         ext = np.column_stack([V, [1.0, 1.0, 1.0]])
         assert np.linalg.norm(ext @ c) <= 1e-10 * np.linalg.norm(ext)
 
@@ -240,26 +245,29 @@ class TestExtensionFactorization:
         V = rng.standard_normal((5, 5)) + 4 * np.eye(5)
         handle = ExtensionFactorization(V)
         rhs = rng.standard_normal((5, 3))
-        Z, accepted = handle.solve_block(rhs)
+        Z, accepted = handle.solve(rhs)
         assert accepted.all()
         np.testing.assert_allclose(V @ Z, rhs, atol=1e-10)
 
-    def test_solve_block_matches_null_vector_extended(self):
+    def test_solve_matches_null_vector_extended(self):
         rng = np.random.default_rng(11)
         spec = BasisSpec(d=2, size=10, domain=((0.0, 1.0),) * 2)
         handle = ExtensionFactorization(basis_matrix(spec, rng.random((10, 2))))
         cols = basis_matrix(spec, rng.random((7, 2)))
-        Z, accepted = handle.solve_block(cols)
+        Z, accepted = handle.solve(cols)
         assert accepted.all()
+        # the block of null vectors is the solutions with -1 appended
+        U = handle.null_vector_extended(cols)
+        np.testing.assert_array_equal(U, np.vstack([Z, -np.ones(7)]))
         for j in range(cols.shape[1]):
             u = np.append(Z[:, j], -1.0)
             c = handle.null_vector_extended(cols[:, j])
-            np.testing.assert_allclose(np.abs(c), np.abs(u) / np.linalg.norm(u), atol=1e-12)
+            np.testing.assert_allclose(np.abs(c), np.abs(u), atol=1e-12 * np.linalg.norm(u))
 
-    def test_solve_block_rejects_inaccurate_columns(self):
+    def test_solve_rejects_inaccurate_columns(self):
         # degree-29 Legendre on normal samples: the inverse exists, but its
         # solves miss the fast-path acceptance that null_vector_extended
-        # then escapes through the SVD
+        # then escapes through the SVD, signed to end in a non-positive entry
         from samplequad.basis import domain_from_samples
 
         rng = np.random.default_rng(0)
@@ -268,25 +276,30 @@ class TestExtensionFactorization:
         V = basis_matrix(spec, pts[:30])
         handle = ExtensionFactorization(V)
         cols = basis_matrix(spec, pts[30:])
-        _, accepted = handle.solve_block(cols)
+        _, accepted = handle.solve(cols)
         assert not accepted.any()
-        for col in cols.T:
+        U = handle.null_vector_extended(cols)
+        for col, u in zip(cols.T, U.T):
             c = handle.null_vector_extended(col)
+            np.testing.assert_array_equal(c, u)
+            assert c[-1] <= 0.0
             ext = np.column_stack([V, col])
             assert np.linalg.norm(ext @ c) <= 1e-10 * np.linalg.norm(ext)
 
-    def test_solve_block_needs_square_inverse(self):
-        assert ExtensionFactorization(np.ones((3, 3))).solve_block(np.eye(3)) is None
-        assert ExtensionFactorization(np.ones((2, 3))).solve_block(np.eye(2)) is None
+    def test_solve_needs_square_inverse(self):
+        assert ExtensionFactorization(np.ones((3, 3))).solve(np.eye(3)) is None
+        assert ExtensionFactorization(np.ones((2, 3))).solve(np.eye(2)) is None
         with pytest.raises(DimensionMismatch):
-            ExtensionFactorization(np.eye(3)).solve_block(np.ones((2, 2)))
+            ExtensionFactorization(np.eye(3)).solve(np.ones((2, 2)))
+        with pytest.raises(DimensionMismatch):
+            ExtensionFactorization(np.eye(3)).null_vector_extended(np.ones(2))
 
     def test_exchange_revives_singular_square_base(self):
         V = np.eye(4)
         V[:, 3] = V[:, 2]  # duplicated column: no inverse
         handle = ExtensionFactorization(V)
-        assert handle.solve_block(np.eye(4)) is None
+        assert handle.solve(np.eye(4)) is None
         handle.replace_column(3, np.array([0.0, 0.0, 0.0, 1.0]))
-        Z, accepted = handle.solve_block(np.eye(4))
+        Z, accepted = handle.solve(np.eye(4))
         assert accepted.all()
         np.testing.assert_allclose(Z, np.eye(4), atol=1e-15)

@@ -139,6 +139,13 @@ class TestInitializeExtension:
             ExtensionRequest(base_rule, 10, uniform_samples, "increase_degree", cap)
         assert ExtensionRequest(base_rule, 10, uniform_samples, "increase_degree", 1)
 
+    @pytest.mark.parametrize("cap", (2.5, True, "many"))
+    def test_removal_cap_must_be_an_integer(self, cap, base_rule, uniform_samples):
+        with pytest.raises(InvalidSpec, match="removal_cap must be an integer"):
+            ExtensionRequest(base_rule, 10, uniform_samples, "increase_degree", cap)
+        req = ExtensionRequest(base_rule, 10, uniform_samples, "increase_degree", 3.0)
+        assert req.removal_cap == 3 and type(req.removal_cap) is int
+
 
 class TestExtendRule:
     @pytest.mark.parametrize("base", ["none", "zero_nodes"])
@@ -237,12 +244,14 @@ class TestExtendRule:
         req = ExtensionRequest(base, 5, samples, "increase_degree")
         work, _ = initialize_extension(req)
         assert (work.weights > 0.0).all()
-        # single removals bring the start to a vertex of the base, same moments
+        # single removals bring the start to a vertex of the base, same
+        # moments; the engine holds the weights as sample counts
         engine = _StreamEngine(work, np.random.default_rng(0), 10**6)
         support = np.flatnonzero(engine.w > 0.0)
         assert support.shape[0] <= 5 and np.isin(support, engine.fact_cols).all()
-        np.testing.assert_allclose(engine.Vall @ engine.w, engine.Vall @ work.weights,
-                                   rtol=0, atol=1e-14)
+        count = engine.consumed
+        np.testing.assert_allclose(engine.Vall @ engine.w, engine.Vall @ work.weights * count,
+                                   rtol=0, atol=1e-14 * count)
         svd = svd_calls(monkeypatch)
         out = extend_rule(req, 0)
         assert svd == []
@@ -498,14 +507,15 @@ class TestStreamGuards:
         assert engine._clean_swap(np.array([1.0, 1.0, 1e-15]), z) is None
 
     def test_drop_run_stops_at_a_swap_near_the_drop_threshold(self):
-        # a repeat of node -1 wins against it (weight 3 * 0.25 < 1) and
+        # a repeat of node -1 wins against it (count 3 * 0.25 < 1) and
         # would leave node 1 at 3e-15: the block pass leaves it to `feed`
         weights = [0.25, 0.75 - 1e-15, 1e-15]
         engine = quadratic_engine([-1.0, 0.0, 1.0], weights, [False] * 3)
         points = np.array([[-1.0]])
         cols = basis_matrix(engine.spec, points)
         assert engine.drop_run(cols, np.array([0]), points) == 0
-        np.testing.assert_array_equal(engine.w, weights)
+        # the engine holds the weights as counts of the three samples
+        np.testing.assert_array_equal(engine.w, np.multiply(weights, 3))
         assert engine.consumed == 3
 
     def test_tie_seed_is_a_vertex_and_the_walk_finds_every_removal(self, monkeypatch):
@@ -517,7 +527,8 @@ class TestStreamGuards:
         )
         y = np.array([0.5])
         col = basis_matrix(engine.spec, y[None])[:, 0]
-        v = np.append(engine.w * (5 / 6), 1 / 6)
+        # the weights as counts of the five samples consumed, the sample's 1
+        v = np.append(engine.w, 1.0)
         C, nonbase = engine._null_basis(col, 3)
         # the seed removes the first tied node (position 1) and keeps the
         # node at 1 in the base, at weight zero: a degenerate vertex
@@ -528,7 +539,7 @@ class TestStreamGuards:
         assert not bad[0]
         assert np.flatnonzero(W[0] <= 0.0).tolist() == [1, 2, 3, 4]
         rule = QuadratureRule(
-            nodes=np.vstack([engine.X, y]), weights=v, spec=engine.spec, K=5,
+            nodes=np.vstack([engine.X, y]), weights=v / 6, spec=engine.spec, K=5,
         )
         valid = brute_force_removals(rule, 3)
         assert {r.indices for r in problem.enumerate(seed)} == valid

@@ -69,6 +69,10 @@ class TestSampleSet:
         with pytest.raises(InvalidSpec, match="finite"):
             SampleSet(pts)
 
+    def test_zero_columns_rejected(self):
+        with pytest.raises(DimensionMismatch, match="d >= 1"):
+            SampleSet(np.empty((5, 0)))
+
 
 class TestSampleMoments:
     def test_constant_moment_is_exactly_one(self):
@@ -484,6 +488,29 @@ class TestBlockPass:
         assert rule.fixed_mask.any()
         _assert_same_rule(rule, ref)
 
+    @pytest.mark.parametrize("mode", ["fixed", "increase_degree", "continue_samples"])
+    def test_engine_weights_are_sample_counts(self, mode, monkeypatch):
+        # the engine holds counts that sum to the samples consumed; only
+        # the rule it returns is normalized
+        engines = []
+        rule_ = _StreamEngine.rule
+        monkeypatch.setattr(_StreamEngine, "rule", lambda self: engines.append(self) or rule_(self))
+        if mode == "fixed":
+            pts, spec = _corpus_stream(2, 21, "uniform", 1500, False)
+            rule = construct_fixed_rule(SampleSet(pts), spec)
+        else:
+            case = next(c for c in EXTENSION_CORPUS if c[0] == mode)
+            req = _corpus_request(*case)
+            pts = req.sample_source.points
+            engines.clear()
+            rule = extend_rule(req, selection_seed=case[-1])
+        (engine,) = engines
+        # every mode here streams the whole sample set
+        assert engine.consumed == rule.K + 1 == pts.shape[0]
+        assert engine.w.sum() == pytest.approx(engine.consumed, rel=1e-12)
+        assert rule.weights.sum() == pytest.approx(1.0, rel=1e-14)
+        np.testing.assert_array_equal(rule.weights, engine.w / engine.w.sum())
+
     def test_duplicated_start_returns_to_fast_path(self, monkeypatch):
         # a duplicated sample among the first basis-size rows makes the
         # starting base singular; the first exchange must restore the
@@ -602,6 +629,13 @@ class TestFactorizationBookkeeping:
 
 
 class TestRuleSerialization:
+    def test_integrate_sums_weighted_values_at_the_nodes(self):
+        rule = QuadratureRule(nodes=[[0.0], [1.0], [0.5]], weights=[0.25, 0.5, 0.25],
+                              spec=monomial_spec(3), K=2)
+        # 0.25 * 1 + 0.5 * 4 + 0.25 * 2.25
+        assert rule.integrate(lambda x: (1.0 + x[0]) ** 2) == 2.8125
+        assert rule.integrate(lambda x: 1.0) == 1.0
+
     def test_json_round_trip_bit_exact(self):
         rng = np.random.default_rng(15)
         pts = rng.random((200, 2))

@@ -3,6 +3,7 @@
 import math
 import pickle
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from samplequad.errors import (
     InvalidSpec,
     ParseError,
 )
+from samplequad.rule import SampleSet
 from samplequad.sampling import (
+    MAGIC,
     DistributionSpec,
     generate,
     read_samples,
@@ -38,6 +41,9 @@ BAD_SPECS = [
     pytest.param("uniform", 2, 0, {"lo": True}, "uniform lo must be", id="bool-lo"),
     pytest.param("file", 2, 0, {"path": "x.csv", "format": "xml"}, "file format must be",
                  id="xml-format"),
+    # a file descriptor would read standard input
+    pytest.param("file", 2, 0, {"path": 0, "format": "csv"}, "file path must be", id="int-path"),
+    pytest.param("file", 2, 0, {"path": ["a"]}, "file path must be", id="list-path"),
     pytest.param("uniform", 2.5, 0, {}, "uniform d must be", id="fractional-d"),
     pytest.param("uniform", 2, -1, {}, "uniform seed must be", id="negative-seed"),
     pytest.param("uniform", 2, 0, 5, "uniform params must be", id="params-not-an-object"),
@@ -213,6 +219,11 @@ class TestGenerate:
         rows = read_samples(fifty_rows_d2).points
         np.testing.assert_array_equal(generate(spec, 5).points, rows[:5])
         np.testing.assert_array_equal(generate(spec, 50).points, rows)
+
+    def test_file_spec_takes_a_path_object(self, fifty_rows_d2):
+        spec = DistributionSpec(kind="file", d=2, params={"path": fifty_rows_d2})
+        np.testing.assert_array_equal(generate(spec, 5).points,
+                                      read_samples(fifty_rows_d2).points[:5])
 
     def test_file_of_another_dimension_is_a_mismatch(self, fifty_rows_d2):
         spec = DistributionSpec(kind="file", d=3, params={"path": str(fifty_rows_d2)})
@@ -424,6 +435,43 @@ class TestSampleFiles:
         with pytest.raises(DimensionInconsistent) as err:
             read_samples(path, "csv")
         assert err.value.line == 2
+
+    def test_csv_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("\n0.5,0.25\n\n  \n1,0\n\n", encoding="utf-8")
+        np.testing.assert_array_equal(read_samples(path).points, [[0.5, 0.25], [1.0, 0.0]])
+        # a row after blank lines is reported by its line in the file
+        path.write_text("0.5,0.25\n\n\n1,abc\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_samples(path)
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("text", ["", "\n \n"])
+    def test_csv_without_rows_is_empty(self, text, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="empty sample file"):
+            read_samples(path)
+
+    def test_binary_of_the_wrong_length(self, tmp_path):
+        path = tmp_path / "short.bin"
+        write_samples(SampleSet(np.ones((4, 2))), path, "binary_f64")
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ParseError, match="file length 72 != expected 80"):
+            read_samples(path)
+
+    def test_binary_without_columns_is_a_mismatch(self, tmp_path):
+        # a header of d = 0 and five rows has the length it declares
+        path = tmp_path / "flat.bin"
+        path.write_bytes(MAGIC + struct.pack("<II", 0, 5))
+        with pytest.raises(DimensionMismatch, match="d >= 1"):
+            read_samples(path)
+
+    def test_write_unknown_format(self, tmp_path):
+        path = tmp_path / "s.xml"
+        with pytest.raises(InvalidSpec, match="unknown sample format 'xml'"):
+            write_samples(SampleSet(np.ones((2, 2))), path, "xml")
+        assert not path.exists()
 
     def test_binary_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
