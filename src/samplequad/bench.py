@@ -109,6 +109,9 @@ class ExperimentConfig:
             setattr(self, name, require_int(getattr(self, name), name))
         if not isinstance(self.include_nonnested, bool):
             raise ValueError(f"include_nonnested must be a bool, not {self.include_nonnested!r}")
+        for name in ("schedule", "families"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise InvalidSpec(f"{name} must be a list, not {getattr(self, name)!r}")
         self.schedule = tuple(require_int(n, "schedule") for n in self.schedule)
         self.families = tuple(self.families)
         if self.d != self.distribution.d:

@@ -204,6 +204,3 @@ def main(argv=None) -> int:
         log.error("%s", exc)
         return EXIT_SPEC
 
-
-if __name__ == "__main__":
-    sys.exit(main())

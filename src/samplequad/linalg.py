@@ -1,23 +1,24 @@
 """Null vectors of the extended Vandermonde: a cached inverse, an SVD fallback.
 
-The per-sample iteration repeatedly needs the null directions of the
-current (square) Vandermonde V extended by new columns.  The one
-convention is the direction (z, -1) with V z = col: the new column's
-entry is -1, and z is left as solved, not normalized or sign-fixed.
-`ExtensionFactorization` keeps an explicit inverse of the square base,
-updated by rank-one exchanges, so each solve costs O(n^2) instead of a
-fresh O(n^3) factorization, and a block of columns costs one matrix
-product.  Its upkeep follows the residuals, not a schedule: every solve
-is residual-checked per column; a rejected column gets one step of
-iterative refinement from the residual already computed (Skeel 1980);
-only then is an inverse that exchanges have updated recomputed, and an
-SVD of the explicitly extended matrix, signed to match the convention,
-is the last resort.  That SVD is the only one the streaming engine
-runs: it keeps a square base through degenerate steps, so a base has
-no inverse only where repeated samples leave it singular.
+The per-sample iteration needs the null directions (z, -1), V z = col,
+of the square Vandermonde V extended by new columns.
+`ExtensionFactorization` keeps an explicit inverse of V, updated by
+rank-one exchanges, so a solve costs O(n^2) and a block of columns one
+matrix product.  Every solve is residual-checked per column; a rejected
+column gets one step of iterative refinement (Skeel 1980); only then is
+an inverse that exchanges have updated recomputed, and an SVD of the
+extended matrix, signed to match, is the last resort (the engine's only
+SVD: a base has no inverse only where repeated samples leave it
+singular).  Each column is solved once: the engine builds its null
+directions from the solutions `solve` accepts, and an exchange takes
+its entering column's solution, carried through an earlier exchange of
+the same step by the product form of the inverse (Dantzig &
+Orchard-Hays 1954).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -31,21 +32,6 @@ def _fix_sign(c: np.ndarray) -> np.ndarray:
     mag = np.abs(c)
     lead = (mag > TOL_LEAD * mag.max()).argmax()
     return -c if c[lead] < 0 else c
-
-
-def _sq(x: np.ndarray):
-    """Squared Euclidean norm of a vector, or of each column of a matrix."""
-    return x @ x if x.ndim == 1 else np.einsum("ij,ij->j", x, x)
-
-
-def _fast_accepts(zz, R, fnorm):
-    """Fast-path acceptance of the null vectors (z, -1)/norm, per column.
-
-    `zz` holds the squared norms of the solutions z, R = V Z - cols
-    their residuals, and `fnorm` the Frobenius norm of each extended
-    matrix [V, col].
-    """
-    return np.sqrt(_sq(R)) / np.sqrt(zz + 1.0) <= TOL_FAST * np.maximum(fnorm, 1.0)
 
 
 def null_vector(V: np.ndarray) -> np.ndarray:
@@ -67,9 +53,7 @@ def null_space(V: np.ndarray, m: int) -> np.ndarray:
         raise DimensionMismatch(f"need cols >= rows + {m} for {m} null vectors")
     _, _, vt = np.linalg.svd(V, full_matrices=True)
     bound = TOL_NULL * np.linalg.norm(V)
-    out = np.empty((cols, m))
-    for j in range(m):
-        out[:, j] = _fix_sign(vt[cols - 1 - j])
+    out = np.column_stack([_fix_sign(vt[cols - 1 - j]) for j in range(m)])
     resid = np.abs(V @ out).max(initial=0.0)
     if resid > bound:
         raise NullSpaceFailure(f"null-space residual {resid:.3e} exceeds {bound:.3e}")
@@ -79,12 +63,13 @@ def null_space(V: np.ndarray, m: int) -> np.ndarray:
 class ExtensionFactorization:
     """Explicit inverse of a square base matrix, kept usable by residuals.
 
-    `solve` gives the solutions z of the base against extension
-    columns, `null_vector_extended` the null directions (z, -1) they
-    make, and in-place column exchanges follow the per-sample
-    iteration.  An exchange marks the inverse stale; a stale inverse is
-    recomputed only when a solve through it fails even after
-    refinement.  A singular base has no inverse and takes the SVD path.
+    `solve` gives the solutions z of the base against extension columns,
+    and `null_vector_extended` null directions (z, -1) for any column,
+    with a slow path for those `solve` rejects.  In-place column
+    exchanges follow the per-sample iteration.  An exchange marks the
+    inverse stale; a stale inverse is recomputed only when a solve
+    through it fails even after refinement.  A singular base has no
+    inverse and takes the SVD path.
     """
 
     def __init__(self, V_base: np.ndarray):
@@ -92,51 +77,61 @@ class ExtensionFactorization:
         self._refresh()
 
     def _refresh(self):
-        self._fnorm2 = float(np.sum(self.V * self.V))
-        self._inv = None
-        self._stale = False
-        # a singular base raises LinAlgError
+        self._fnorm2, self._inv, self._stale = float(np.sum(self.V * self.V)), None, False
         try:
             self._inv = np.linalg.inv(self.V)
-        except np.linalg.LinAlgError:
+        except np.linalg.LinAlgError:  # a singular base
             pass
 
     def solve(self, cols: np.ndarray):
         """(Z, accepted) for V z = col, one column or each column of `cols`.
 
-        Solves through the cached inverse and checks every column's null
-        vector (z, -1) with `_fast_accepts`; a rejected column gets one
-        refinement step z -= inv (V z - col) and is checked again.
-        Returns None when there is no cached inverse (the base is
-        singular); nothing is recomputed or falls back to an SVD here.
+        Solves through the cached inverse and checks each null vector
+        (z, -1) by its residual; a rejected column gets one refinement
+        step z -= inv (V z - col) and is checked again.  One column is
+        checked on Python floats, a block by one stacked squared-norm
+        reduction, with the same verdicts.  An accepted z is its column's
+        one solve: the caller builds (z, -1) from it and hands it to
+        `replace_column`.  None without a cached inverse (a singular base).
         """
         if cols.shape[0] != self.V.shape[0]:
             raise DimensionMismatch("extension columns have wrong length")
         inv = self._inv
         if inv is None:
             return None
+        if cols.ndim == 1:
+            z = inv @ cols
+            r = self.V @ z - cols
+            bound = TOL_FAST * max(math.sqrt(self._fnorm2 + float(cols @ cols)), 1.0)
+            if math.sqrt(float(r @ r)) / math.sqrt(float(z @ z) + 1.0) <= bound:
+                return z, True
+            z = z - inv @ r
+            r = self.V @ z - cols
+            return z, math.sqrt(float(r @ r)) / math.sqrt(float(z @ z) + 1.0) <= bound
         Z = inv @ cols
-        R = self.V @ Z
-        R -= cols
-        fnorm = np.sqrt(self._fnorm2 + _sq(cols))
-        ok = _fast_accepts(_sq(Z), R, fnorm)
-        if not (ok.all() if Z.ndim == 2 else ok):
+        R = self.V @ Z - cols
+        S = np.concatenate([Z, R, cols], axis=1)
+        zz, rr, cc = np.einsum("ij,ij->j", S, S).reshape(3, -1)
+        bound = TOL_FAST * np.maximum(np.sqrt(self._fnorm2 + cc), 1.0)
+        ok = np.sqrt(rr) / np.sqrt(zz + 1.0) <= bound
+        if not ok.all():
             refined = Z - inv @ R
-            redo = _fast_accepts(_sq(refined), self.V @ refined - cols, fnorm)
+            R = self.V @ refined - cols
+            zz, rr = (np.einsum("ij,ij->j", X, X) for X in (refined, R))
+            redo = np.sqrt(rr) / np.sqrt(zz + 1.0) <= bound
             Z = np.where(ok, Z, refined)
-            ok = ok | redo
+            ok |= redo
         return Z, ok
 
     def null_vector_extended(self, cols: np.ndarray) -> np.ndarray:
         """Null vectors (z, -1) of [V_base, col], new column last.
 
         One column gives one vector; a (b, k) array gives k vectors as
-        columns.  `solve` serves every column; only a column it rejects
-        (every column, without an inverse) takes the slow path: a solve
-        through the recomputed inverse if exchanges have updated it, then
-        the unit SVD vector, signed so that its last entry is <= 0, the
-        direction (z, -1) up to a positive factor where that entry is
-        not zero.
+        columns.  `solve` serves the columns it accepts.  A rejected one
+        (every column, without an inverse) is solved through the
+        recomputed inverse if exchanges have updated it, else takes the
+        unit SVD vector, signed so that its last entry is <= 0: the
+        direction (z, -1) scaled to unit norm.
         """
         cols = np.asarray(cols, dtype=float)
         Z, ok = self.solve(cols) or (0.0, np.zeros(cols.shape[1:], dtype=bool))
@@ -147,7 +142,7 @@ class ExtensionFactorization:
             return U
         # as (rows, k) views, a single column is column 0
         C, U2 = cols.reshape(cols.shape[0], -1), U.reshape(U.shape[0], -1)
-        bad = np.flatnonzero(~ok)
+        bad = np.flatnonzero(np.logical_not(ok))
         if self._stale:
             self._refresh()
             again = self.solve(C[:, bad])
@@ -159,11 +154,15 @@ class ExtensionFactorization:
             U2[:, t] = -c if c[-1] > 0.0 else c
         return U
 
-    def replace_column(self, k: int, col: np.ndarray) -> None:
+    def replace_column(self, k: int, col: np.ndarray, z=None):
         """Exchange column k for `col`, updating the cached inverse.
 
         Rank-one (Sherman-Morrison) update, which leaves the inverse
         stale; recomputed at once when the pivot is too small to trust.
+        `z`, the caller's solution of V z = col against the base before
+        the exchange, spares the product inv @ col.  Returns eta =
+        (z - e_k) / z[k], which carries a solution z' against the old base
+        to z' - eta z'[k] against the new; None if the inverse was rebuilt.
         """
         col = np.asarray(col, dtype=float)
         old = self.V[:, k].copy()
@@ -172,17 +171,19 @@ class ExtensionFactorization:
         if self._inv is None:
             # a singular base can become regular by the exchange
             self._refresh()
-            return
-        z = self._inv @ col
-        pivot = z[k]
-        if abs(pivot) < TOL_PIVOT * np.abs(z).max(initial=1.0):
+            return None
+        eta = self._inv @ col if z is None else z.copy()
+        pivot = eta[k]
+        if abs(pivot) < TOL_PIVOT * np.abs(eta).max(initial=1.0):
             self._refresh()
-            return
+            return None
         # inv(V + (col - V e_k) e_k^T) = inv - (z - e_k) inv[k] / pivot, the
         # outer product as one BLAS product of a column and a row
-        z[k] -= 1.0
-        self._inv -= np.dot((z / pivot)[:, None], self._inv[k][None])
+        eta[k] -= 1.0
+        eta /= pivot
+        self._inv -= np.dot(eta[:, None], self._inv[k][None])
         self._stale = True
+        return eta
 
     def remove_columns(self, keep: np.ndarray) -> None:
         """Shrink the base to the kept columns; factorization is rebuilt."""

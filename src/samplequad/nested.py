@@ -7,44 +7,37 @@ count with non-negative weights.  Fixed nodes (the nodes of the rule
 being extended) are never deleted: a removal that zeroes one leaves it
 in place with weight zero.  A fixed rule is a stream without them.
 
-Every step works in one convention.  Weights are sample counts: they
-sum to the number of samples consumed, a sample enters at weight 1, and
-only `rule()` divides by the sum.  A null direction is (z, -1) with
-V_S z = phi(y) for the square base V_S, scattered into node order, so
-the incoming sample's entry is -1 (the SVD fallback, where no solve is
-accepted, keeps that sign).  The removal tolerances scale with the sum
-of the weights.
+Weights are sample counts: a sample enters at weight 1, and only
+`rule()` divides by their sum.  Null directions are (z, -1) with
+V_S z = phi(y) for the square base V_S, in node order; the SVD fallback
+keeps the sample's entry negative.
 
 With a one-dimensional null space one ratio scan gives both removals
 and the nodes each zeroes; the step takes the smallest-|alpha| one (ties
-to the positive side, the removal that keeps the sample, whose entry is
-negative).  Only if that zeroes a fixed node is the other
-built too: the one deleting more non-fixed nodes wins, and a seeded draw
-breaks ties.  With zero-weight fixed nodes the null space is larger:
-one block solve gives a direction per node outside the square base and
-one for the sample.  The step enumerates all removals of that size and
-takes one that deletes the most non-fixed nodes (same tie break), with
-the weights its vertex solve left: for two directions, the usual case,
-by an edge trace round the removal polygon (see `samplequad.removal`),
-else by a walk from the vertex the sample's smallest-|alpha| removal
-reaches.  The base stays square where steps leave some of its nodes at
-weight zero, a degenerate basis of the revised simplex method (Dantzig,
-1963), so it is always a vertex to walk from.
+to the positive side, which keeps the sample).  Only if that zeroes a
+fixed node is the other built too: the one deleting more non-fixed
+nodes wins, and a seeded draw breaks ties.  With zero-weight fixed
+nodes the null space is larger: one block solve gives a direction per
+node outside the square base and one for the sample.  The step
+enumerates all removals of that size and takes one that deletes the
+most non-fixed nodes (same tie break), with the weights its vertex
+solve left: for two directions by an edge trace round the removal
+polygon (see `samplequad.removal`), else by a walk from the vertex the
+sample's smallest-|alpha| removal reaches.  The base stays square where
+steps leave some of its nodes at weight zero, a degenerate basis of the
+revised simplex method (Dantzig, 1963), so it is always a vertex.
 
 Most steps delete the incoming sample, which only reweights the
 support S, so the stream runs block-speculatively: k such steps leave
-the count weights at W0 + z_1 + ... + z_k with z_j = V_S^-1 phi(y_j),
-so a window of samples costs one matrix product,
-a prefix sum and a vectorized ratio test.  Most other steps are clean
-swaps: one old node is zeroed and the sample takes its place.  The
-block takes those too.  The inverse of V_S gets the exchange's
-rank-one (Sherman-Morrison) update, the product-form update of the
-revised simplex method; the rest of the window is solved again through
-it, and the prefix sum restarts from the swapped weights.  A sample
-that might resolve otherwise (a near tie, a fixed node zeroed, a
-multi-delete, a grow, a rejected solve) takes the scalar step.  Window
-lengths follow the run lengths, and the stream backs off where block
-passes keep failing at their first sample.
+the weights at W0 + z_1 + ... + z_k with z_j = V_S^-1 phi(y_j), so a
+window of samples costs one matrix product, a prefix sum and a
+vectorized ratio test.  Most other steps are clean swaps: one old node
+is zeroed and the sample takes its place.  The block takes those too:
+the inverse of V_S gets the exchange's rank-one (Sherman-Morrison)
+update, the rest of the window is solved again through it, and the
+prefix sum restarts from the swapped weights.  Any other sample (a near
+tie, a fixed node zeroed, a multi-delete, a grow, a rejected solve)
+takes the scalar step, with the block's solution of its column.
 """
 
 from __future__ import annotations
@@ -102,10 +95,8 @@ class ExtensionRequest:
         if self.mode not in MODES:
             raise ModeMismatch(f"unknown extension mode {self.mode!r}")
         if self.base is None or self.base.n_nodes == 0:
-            raise ModeMismatch(
-                "extension needs a base rule with nodes; "
-                "construct_fixed_rule builds the first rule"
-            )
+            raise ModeMismatch("extension needs a base rule with nodes; "
+                               "construct_fixed_rule builds the first rule")
         if self.target_basis_size < self.base.spec.size:
             raise ModeMismatch("target basis must be at least as large as the base")
         if self.sample_source.d != self.base.spec.d:
@@ -119,10 +110,8 @@ def _check_nodes_in_stream(base: QuadratureRule, source: SampleSet, what: str):
     pts = source.points
     for node, idx in zip(base.nodes, base.source_indices):
         if idx < 0 or idx >= pts.shape[0] or not np.array_equal(pts[idx], node):
-            raise ModeMismatch(
-                f"{what} requires the original sample stream; node with source "
-                f"index {idx} does not match"
-            )
+            raise ModeMismatch(f"{what} requires the original sample stream; node with "
+                               f"source index {idx} does not match")
 
 
 def initialize_extension(req: ExtensionRequest):
@@ -142,12 +131,9 @@ def initialize_extension(req: ExtensionRequest):
             raise InsufficientSamples("resampled extension needs at least one sample")
         work = QuadratureRule(
             nodes=np.vstack([base.nodes, source.points[:1]]),
-            weights=np.concatenate([np.zeros(n), [1.0]]),
-            spec=spec,
-            K=0,
+            weights=np.concatenate([np.zeros(n), [1.0]]), spec=spec, K=0,
             source_indices=np.concatenate([np.full(n, -1, dtype=np.intp), [0]]),
-            fixed_mask=np.concatenate([np.ones(n, dtype=bool), [False]]),
-        )
+            fixed_mask=np.concatenate([np.ones(n, dtype=bool), [False]]))
         return work, np.arange(1, source.count)
 
     if req.mode == CONTINUE_SAMPLES and req.target_basis_size != base.spec.size:
@@ -161,48 +147,50 @@ def initialize_extension(req: ExtensionRequest):
         remaining = np.ones(source.count, dtype=bool)
         remaining[base.source_indices] = False
         weights, K, rows = np.full(n, 1.0 / n), n - 1, np.nonzero(remaining)[0]
-    work = QuadratureRule(
-        nodes=base.nodes.copy(),
-        weights=weights,
-        spec=spec,
-        K=K,
-        source_indices=base.source_indices.copy(),
-        fixed_mask=np.ones(n, dtype=bool),
-    )
+    work = QuadratureRule(nodes=base.nodes.copy(), weights=weights, spec=spec, K=K,
+                          source_indices=base.source_indices.copy(),
+                          fixed_mask=np.ones(n, dtype=bool))
     return work, rows
 
 
 class _StreamEngine:
     """The per-sample iteration, with fixed-node bookkeeping.
 
-    `w` holds the weights as sample counts; `rule()` normalizes them.
-    From b nodes on, a factorization of a square base is kept: the
-    positively weighted (support) nodes, and zero-weight fixed nodes
-    where the support is short.  `fact_cols` records which node position
-    each factorization column holds.  A scalar step ends in one of three
-    ways: the sample is dropped and the nodes are only reweighted; a
-    clean swap puts the sample in the deleted node's position; or one
-    compaction deletes the zeroed non-fixed nodes and appends the sample
-    if it is kept.  Before any node array moves, `_exchange` follows the
-    step's removal by rank-one column exchanges, or declines and the
-    base is rebuilt.
+    `X`, `w` (sample counts), `src`, `fixed` and `Vall` view the first n
+    nodes of buffers allocated once, with room for b nodes besides the
+    fixed ones (N+M <= N+D+1) and the incoming sample, at row n.  From b
+    nodes on, a factorization of a square base is kept: the support, and
+    zero-weight fixed nodes where it is short, node `fact_cols[i]` in
+    column i.  A scalar step solves its columns once and ends in one of
+    three ways: the sample is dropped; a clean swap puts it in the
+    deleted node's position; or one in-place compaction deletes the
+    zeroed non-fixed nodes in node order.  Before that, `_exchange`
+    follows the removal by rank-one column exchanges that reuse the
+    step's solutions, or declines and the base is rebuilt.
     """
 
     def __init__(self, work: QuadratureRule, rng, removal_cap):
-        self.spec = work.spec
-        self.X = work.nodes.copy()
-        self.src = work.source_indices.copy()
-        self.fixed = work.fixed_mask.copy()
-        self.consumed = work.K + 1
-        self.w = work.weights * self.consumed
-        self.rng = rng
-        self.removal_cap = removal_cap
-        self.Vall = basis_matrix(self.spec, self.X)
+        self.spec = spec = work.spec
+        n, self.consumed = work.n_nodes, work.K + 1
+        cap = max(n, int(work.fixed_mask.sum()) + spec.size) + 1
+        self._X, self._w, self._src, self._fixed = (
+            np.resize(a, (cap,) + a.shape[1:]) for a in
+            (work.nodes, work.weights * self.consumed, work.source_indices, work.fixed_mask))
+        self._V = np.empty((spec.size, cap))
+        self._V[:, :n] = basis_matrix(spec, work.nodes)
+        self._resize(n)
+        self.rng, self.removal_cap = rng, removal_cap
         self._rebuild_fact()
 
+    def _resize(self, n):
+        """Point the node arrays at the buffers' first n nodes."""
+        self.n, self.Vall = n, self._V[:, :n]
+        self.X, self.w, self.src, self.fixed = (
+            a[:n] for a in (self._X, self._w, self._src, self._fixed))
+
     def rule(self) -> QuadratureRule:
-        return QuadratureRule(nodes=self.X, weights=self.w / self.w.sum(), spec=self.spec,
-                              K=self.consumed - 1, source_indices=self.src, fixed_mask=self.fixed)
+        return QuadratureRule(self.X.copy(), self.w / self.w.sum(), self.spec, self.consumed - 1,
+                              self.src.copy(), self.fixed.copy())
 
     def _rebuild_fact(self):
         """A square base of the support and zero-weight nodes; none below b nodes.
@@ -213,7 +201,7 @@ class _StreamEngine:
         base node that j then replaces.
         """
         b = self.spec.size
-        if self.X.shape[0] < b:
+        if self.n < b:
             self.fact = self.fact_cols = None
             return
         support = np.flatnonzero(self.w > 0.0)
@@ -224,84 +212,86 @@ class _StreamEngine:
         self.fact_cols = cols
         for j in sorted(set(support.tolist()) - set(cols.tolist())):
             # (z, -1) in node order: node j's entry is the -1
-            c = np.zeros(self.X.shape[0])
+            c = np.zeros(self.n)
             c[np.append(self.fact_cols, j)] = self.fact.null_vector_extended(self.Vall[:, j])
             alpha, attained = choose_alpha(self.w, c)
-            self.w = apply_removal(self.w, c, alpha, attained)
-            self.w[dropped_mask(self.w)] = 0.0
+            self.w[:] = self._candidate(self.w, c, alpha, attained)[0]
             if j not in attained:
                 slot = (self.fact_cols == attained[0]).argmax()
                 self.fact.replace_column(slot, self.Vall[:, j])
                 self.fact_cols[slot] = j
 
-    def _exchange(self, removed, deleted, col):
+    def _exchange(self, removed, deleted, col, solved):
         """Follow the step's removal by column exchanges.
 
         `removed` holds the positions the removal takes out of the base,
         the incoming sample at position n; nothing has moved yet.  Their
         slots take the positions outside the base that are not removed,
-        both in ascending order.  Returns False, changing nothing, when a
-        `deleted` position is not removed (a degenerate vertex) or more
-        than three columns would move; the caller then rebuilds.
+        both in ascending order, with the step's accepted solutions of
+        their columns in `solved` (by position), carried through earlier
+        exchanges by the product form.  Returns False, changing nothing,
+        when a `deleted` position is not removed (a degenerate vertex) or
+        more than three columns would move; the caller then rebuilds.
         """
-        n = self.X.shape[0]
+        n = self.n
         out = np.zeros(n + 1, dtype=bool)
         out[list(removed)] = True
         leaving = out[self.fact_cols].nonzero()[0]
         if leaving.shape[0] > 3 or any(k not in removed for k in deleted):
             return False
         out[self.fact_cols] = True
-        entering = (~out).nonzero()[0]
-        for slot, p in zip(leaving, entering):
-            self.fact.replace_column(int(slot), col if p == n else self.Vall[:, p])
+        etas = []
+        for slot, p in zip(leaving.tolist(), (~out).nonzero()[0].tolist()):
+            z = solved.get(p)
+            for k, eta in etas if z is not None else ():
+                z = z - eta * z[k]
+            eta = self.fact.replace_column(slot, col if p == n else self.Vall[:, p], z)
+            # after a recomputed inverse the later columns solve against it
+            etas, solved = (etas + [(slot, eta)], solved) if eta is not None else ([], {})
             self.fact_cols[slot] = p
         return True
 
-    def feed(self, y, col, src_idx):
-        """The scalar step: consume one sample."""
-        b = self.spec.size
-        n = self.X.shape[0]
+    def feed(self, y, col, src_idx, z=None):
+        """The scalar step: consume one sample; `z` is its column's accepted solution if known."""
+        b, n = self.spec.size, self.n
         self.consumed += 1
-        if n + 1 <= b:
+        self._X[n], self._w[n], self._src[n], self._fixed[n] = y, 1.0, src_idx, False
+        self._V[:, n] = col
+        if n < b:
             # below capacity: the extended system has no null space
-            self.X = np.vstack([self.X, y])
-            self.w = np.append(self.w, 1.0)
-            self.src = np.append(self.src, src_idx)
-            self.fixed = np.append(self.fixed, False)
-            self.Vall = np.column_stack([self.Vall, col])
+            self._resize(n + 1)
             self._rebuild_fact()
             return
-        v = np.append(self.w, 1.0)
         # with n = b nodes the extended system has a one-dimensional null space
-        step = self._single_direction if n == b else self._multi_direction
-        self._apply(*step(v, col), y, col, src_idx)
+        v = self._w[: n + 1]
+        step = self._single_direction(v, col, z) if n == b else self._multi_direction(v, col)
+        self._apply(*step, col)
 
-    def drop_run(self, cols: np.ndarray, rows: np.ndarray, points: np.ndarray) -> int:
+    def drop_run(self, cols: np.ndarray, rows: np.ndarray, points: np.ndarray):
         """Take the leading drop-incoming and clean-swap steps of a run.
 
-        `cols` holds the basis columns of the samples `points[rows]`.
-        Returns how many leading samples were consumed, each as `feed`
-        would have (up to rounding in the weights), in windows of
-        _MIN_WINDOW.._MAX_WINDOW columns solved at once.  Every taken
-        column passed the fast-path solve against the base it meets.  In
-        a drop-incoming step the incoming sample wins the ratio test by
-        the near-tie margin.  In a clean swap one old non-fixed node wins
-        it by the margin against every other node and the incoming
-        sample; the sample takes that node's place and factorization
-        column, and the rest of the window is solved again through the
-        exchanged inverse.  No weight after either step nears the drop
-        threshold, so nothing else is zeroed and the draw is never
-        consulted.  The pass works in the engine's counts: each sample
-        enters at weight 1 and the window's solutions z are the null
-        directions (z, -1), so the weights after k drops are the running
-        sum W + z_1 + ... + z_k.  Returns 0 unless every node is in the
-        base with a positive weight and the base has a cached inverse.
+        `cols` holds the basis columns of the samples `points[rows]`,
+        solved in windows of _MIN_WINDOW.._MAX_WINDOW columns.  Returns
+        how many leading samples were consumed, each as `feed` would have
+        (up to rounding), and the accepted solution of the column it
+        stopped at, for `feed` (or None).  Every taken column passed the
+        fast-path solve against the base it meets.  A drop-incoming
+        sample wins the ratio test by the near-tie margin; in a clean swap
+        one old non-fixed node wins it by the margin against every other
+        node and the sample, which takes its place and factorization
+        column.  That exchange solves the column itself, as `feed`'s
+        would (the window's matrix product differs in the last bits), and
+        the rest of the window is solved again through it.  No weight
+        after either step nears the drop threshold, so the draw is never
+        consulted.  The weights after k drops are W + z_1 + ... + z_k in
+        counts.  Consumes nothing unless every node is in the base with a
+        positive weight and the base has a cached inverse.
         """
-        if self.X.shape[0] != self.spec.size or not self.w.min() > 0.0:
-            return 0
+        if self.n != self.spec.size or not self.w.min() > 0.0:
+            return 0, None
         # factorization order: row i of Z belongs to node fact_cols[i]
         W = self.w[self.fact_cols]
-        done = 0
+        done, z = 0, None
         # a window consumed whole doubles the next; a run that ends inside
         # one sizes the next to twice its length
         window = _MIN_WINDOW
@@ -318,6 +308,7 @@ class _StreamEngine:
             window = min(max(2 * run, _MIN_WINDOW), _MAX_WINDOW)
             swap = self._clean_swap(W, Z[:, run]) if ok[run] else None
             if swap is None:
+                z = Z[:, run] if ok[run] else None
                 break
             slot, W = swap
             j = self.fact_cols[slot]
@@ -330,7 +321,7 @@ class _StreamEngine:
         if done:
             self.w[self.fact_cols] = W
             self.consumed += done
-        return done
+        return done, z
 
     def _clean_swap(self, W, z):
         """(slot, weights) of a clean swap of the incoming sample, or None.
@@ -368,7 +359,7 @@ class _StreamEngine:
 
     def _deletable(self, zeroed):
         """The zeroed positions that are not fixed nodes."""
-        n = self.X.shape[0]
+        n = self.n
         return [k for k in zeroed if k == n or not self.fixed[k]]
 
     def _pick(self, candidates, zeroed_sets):
@@ -381,45 +372,45 @@ class _StreamEngine:
         pool = [cand for cand, cnt in zip(candidates, counts) if cnt == best]
         return pool[0] if len(pool) == 1 else pool[int(self.rng.integers(len(pool)))]
 
-    def _single_direction(self, v, col):
+    def _single_direction(self, v, col, z=None):
         """One ratio scan gives both removals; the second is built only if needed."""
-        u = self.fact.null_vector_extended(col)
-        c = np.zeros(v.shape[0])
-        c[self.fact_cols] = u[:-1]
-        c[-1] = u[-1]
+        z, ok = (z, True) if z is not None else self.fact.solve(col) or (None, False)
+        # (z, -1) in node order; only a rejected column takes the slow path
+        u = None if ok else self.fact.null_vector_extended(col)
+        c = np.empty(v.shape[0])
+        c[self.fact_cols], c[-1] = (z, -1.0) if ok else (u[:-1], u[-1])
         a_min, at_min, a_max, at_max = removal_interval(v, c)
         pos, neg = (a_max, at_max), (a_min, at_min)
         # the smallest |alpha| first, ties to the positive side, which
         # keeps the sample
         near, far = (neg, pos) if abs(a_max) > abs(a_min) else (pos, neg)
+        solved = {self.n: z} if ok else {}
         first = self._candidate(v, c, *near)
         if len(self._deletable(first[1])) == len(first[1]):
-            return first
+            return (*first, solved)
         # a fixed node was zeroed: price the other removal too; the one
         # deleting more non-fixed nodes wins (positive side listed first)
         other = self._candidate(v, c, *far)
         cands = [other, first] if near is neg else [first, other]
-        return self._pick(cands, [cand[1] for cand in cands])
+        return (*self._pick(cands, [cand[1] for cand in cands]), solved)
 
     def _null_basis(self, col, excess):
-        """Null basis of [V, col], and the nodes outside the base.
+        """Null basis of [V, col], the nodes outside the base, and the accepted solutions.
 
-        One block solve gives one direction per node outside the base, and
-        the last for the incoming sample; each is zero at every other
-        column outside the base.
+        One block solve gives one direction per node outside the base and
+        the last for the sample, each zero at the others.  An accepted
+        column keeps its -1 exactly; its solution, by position, is the
+        exchange's.
         """
-        outside = np.ones(self.X.shape[0], dtype=bool)
+        outside = np.ones(self.n + 1, dtype=bool)
         outside[self.fact_cols] = False
-        nonbase = outside.nonzero()[0]
-        cols = np.empty((col.shape[0], excess))
-        cols[:, :-1] = self.Vall[:, nonbase]
-        cols[:, -1] = col
+        pos = outside.nonzero()[0]
+        cols = np.concatenate([self.Vall[:, pos[:-1]], col[:, None]], axis=1)
         U = self.fact.null_vector_extended(cols)
-        C = np.zeros((self.X.shape[0] + 1, excess))
+        C = np.zeros((self.n + 1, excess))
         C[self.fact_cols] = U[:-1]
-        C[nonbase, np.arange(excess - 1)] = U[-1, :-1]
-        C[-1, -1] = U[-1, -1]
-        return C, nonbase
+        C[pos, np.arange(excess)] = U[-1]
+        return C, pos[:-1], {p: U[:-1, t] for t, p in enumerate(pos.tolist()) if U[-1, t] == -1.0}
 
     def _walk_seed(self, v, C, nonbase):
         """The vertex to start the removal walk from.
@@ -433,8 +424,8 @@ class _StreamEngine:
         return Removal(tuple(sorted(nonbase.tolist() + [_leaving(attained, v.shape[0] - 1)])))
 
     def _multi_direction(self, v, col):
-        excess = self.X.shape[0] + 1 - self.spec.size
-        C, nonbase = self._null_basis(col, excess)
+        excess = self.n + 1 - self.spec.size
+        C, nonbase, solved = self._null_basis(col, excess)
         problem = RemovalProblem.from_parts(v, C)
         stats = {}
         removals = problem.enumerate(lambda: self._walk_seed(v, C, nonbase),
@@ -448,37 +439,42 @@ class _StreamEngine:
         zeroed = list(pick.zero_indices)
         u = pick.weights.copy()
         u[zeroed] = 0.0
-        return u, zeroed, pick.indices
+        return u, zeroed, pick.indices, solved
 
-    def _apply(self, u, zeroed, removed, y, col, src_idx):
-        n = self.X.shape[0]
+    def _apply(self, u, zeroed, removed, solved, col):
+        n = self.n
         deleted = self._deletable(zeroed)
         # removing and deleting only the sample moves no column of the base
-        exchanged = removed == (n,) and deleted == [n] or self._exchange(removed, deleted, col)
+        exchanged = (removed == (n,) and deleted == [n]
+                     or self._exchange(removed, deleted, col, solved))
         if deleted == [n]:
             # only the incoming sample was deleted: reweight
-            self.w = u[:n]
+            self.w[:] = u[:n]
         elif len(zeroed) == 1 and deleted and exchanged:
             # clean swap: the sample takes the vacated position in place
             j = deleted[0]
-            self.w = u[:n]
+            self.w[:] = u[:n]
             self.w[j] = u[n]
-            self.X[j] = y
-            self.src[j] = src_idx
+            self.X[j] = self._X[n]
+            self.src[j] = self._src[n]
             self.Vall[:, j] = col
             self.fact_cols[self.fact_cols == n] = j
         else:
-            # one compaction deletes the zeroed non-fixed nodes and
-            # appends the sample if it is kept (a grow deletes nothing)
-            keep = np.ones(n + 1, dtype=bool)
-            keep[deleted] = False
-            self.X = np.vstack([self.X, y])[keep]
-            self.w = u[keep]
-            self.src = np.append(self.src, src_idx)[keep]
-            self.fixed = np.append(self.fixed, False)[keep]
-            self.Vall = np.compress(keep, np.column_stack([self.Vall, col]), axis=1)
+            # one in-place compaction deletes the zeroed non-fixed nodes
+            # (ascending): the kept runs between them move left, in order
+            ends = deleted + [n + 1]
+            m = ends[0]
+            self._w[:m] = u[:m]
+            for lo, hi in zip(ends, ends[1:]):
+                run, to = slice(lo + 1, hi), slice(m, m + hi - lo - 1)
+                for a in (self._X, self._src, self._fixed):
+                    a[to] = a[run]
+                self._V[:, to] = self._V[:, run]
+                self._w[to] = u[run]
+                m = to.stop
+            self._resize(m)
             if exchanged:
-                self.fact_cols = np.cumsum(keep)[self.fact_cols] - 1
+                self.fact_cols -= np.searchsorted(deleted, self.fact_cols)
         if not exchanged:
             self._rebuild_fact()
 
@@ -550,9 +546,9 @@ def run_stream(work, points, stream_idx, rng, removal_cap) -> QuadratureRule:
         j = 0
         while j < rows.shape[0]:
             if wait:
-                wait -= 1
+                wait, z = wait - 1, None
             else:
-                run = engine.drop_run(cols[:, j:], rows[j:], points)
+                run, z = engine.drop_run(cols[:, j:], rows[j:], points)
                 if run:
                     backoff = 1
                 else:
@@ -562,11 +558,10 @@ def run_stream(work, points, stream_idx, rng, removal_cap) -> QuadratureRule:
                     break
             k = int(rows[j])
             try:
-                engine.feed(points[k], cols[:, j], k)
+                engine.feed(points[k], cols[:, j], k, z)
             except (NullSpaceFailure, DegenerateNullVector) as exc:
-                raise NullSpaceFailure(
-                    f"stream failed at sample {k}: {exc}", sample_index=k
-                ) from exc
+                raise NullSpaceFailure(f"stream failed at sample {k}: {exc}",
+                                       sample_index=k) from exc
             j += 1
     rule = engine.rule()
     resid = rule.moment_residual(blocks.moments())
@@ -585,9 +580,8 @@ def extend_rule(req: ExtensionRequest, selection_seed: int = 0) -> QuadratureRul
     work, stream_idx = initialize_extension(req)
     total = work.K + 1 + stream_idx.shape[0]
     if total < req.target_basis_size:
-        raise InsufficientSamples(
-            f"{total} samples cannot support a basis of size {req.target_basis_size}"
-        )
+        raise InsufficientSamples(f"{total} samples cannot support a basis of size "
+                                  f"{req.target_basis_size}")
     # in every mode the fully consumed stream is, as a multiset, the whole
     # sample source (increase_degree re-adds the base nodes it skipped)
     rng = np.random.default_rng(selection_seed)

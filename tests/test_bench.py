@@ -148,6 +148,16 @@ class TestExperimentConfigJson:
         with pytest.raises(InvalidSpec, match=named):
             small_config(**{key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("schedule", 5), ("families", 5), ("families", "oscillatory"),
+    ])
+    def test_schedule_and_families_must_be_lists(self, key, value):
+        # a string would be split into letters, a number not iterated at all
+        with pytest.raises(InvalidSpec, match=f"{key} must be a list"):
+            ExperimentConfig.from_json_dict({**CONFIG_JSON, key: value})
+        with pytest.raises(InvalidSpec, match=f"{key} must be a list"):
+            small_config(**{key: value})
+
     def test_dimension_must_match_the_distribution(self):
         with pytest.raises(ValueError, match="d=3 but the distribution has d=2"):
             ExperimentConfig.from_json_dict({**CONFIG_JSON, "d": 3})

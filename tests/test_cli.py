@@ -1,7 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +328,9 @@ class TestBenchGenz:
         ("schedule", [2, 4.9], "schedule must be an integer"),
         ("repetitions", 1.7, "repetitions must be an integer"),
         ("seed", True, "seed must be an integer"),
+        ("schedule", 5, "schedule must be a list"),
+        ("families", 5, "families must be a list"),
+        ("families", "oscillatory", "families must be a list"),
     ])
     def test_bad_config_exits_2(self, key, value, named, tmp_path, caplog):
         config = {"d": 2, "k_max": 100, "schedule": [2, 4], "repetitions": 1,
@@ -412,3 +419,26 @@ class TestBenchGenz:
         assert run("bench-genz", "--config", json.dumps(config), "--out", out) == 0
         assert "corner peak excluded" in caplog.text
         assert "corner_peak" not in out.read_text()
+
+
+class TestModuleEntry:
+    def test_python_m_samplequad_runs_from_the_checkout(self, tmp_path):
+        src = Path(samplequad.cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+
+        def module(*argv):
+            return subprocess.run([sys.executable, "-m", "samplequad", *map(str, argv)],
+                                  env=env, cwd=tmp_path, capture_output=True, text=True,
+                                  timeout=120)
+
+        out = tmp_path / "s.csv"
+        done = module("--seed", 1, "gen-samples", "--dist", UNIFORM_2D, "--count", 10,
+                      "--out", out, "--format", "csv")
+        assert done.returncode == 0, done.stderr
+        assert read_samples(out, "csv").count == 10
+        # the exit code of `main` is the process's
+        bad = module("bench-genz", "--config", json.dumps(
+            {"d": 2, "k_max": 100, "schedule": 5, "distribution": {"kind": "uniform", "d": 2}}
+        ), "--out", tmp_path / "r.csv")
+        assert bad.returncode == 2
+        assert "schedule must be a list" in bad.stderr

@@ -6,6 +6,7 @@ import pytest
 from samplequad.basis import BasisSpec, basis_matrix
 from samplequad.errors import DimensionMismatch, NullSpaceFailure
 from samplequad.linalg import ExtensionFactorization, null_space, null_vector
+from samplequad.tolerances import TOL_FAST
 
 
 def spec_1d(size, family="monomial", lo=-1.0, hi=1.0):
@@ -239,6 +240,60 @@ class TestExtensionFactorization:
         assert c[-1] <= 0.0
         ext = np.column_stack([V, [1.0, 1.0, 1.0]])
         assert np.linalg.norm(ext @ c) <= 1e-10 * np.linalg.norm(ext)
+
+    @pytest.mark.parametrize("refine", [False, True], ids=["exact", "refined"])
+    def test_exchanges_given_the_solution_keep_the_norm_and_the_inverse(self, refine):
+        # the exchanges of the test above, each handed the solution of its
+        # column: as `solve` gives it, the inverse is bit for bit the one an
+        # exchange that solves for itself computes; refined, it stays close
+        rng = np.random.default_rng(13)
+        V = rng.standard_normal((6, 6)) + 3 * np.eye(6)
+        own, given = ExtensionFactorization(V), ExtensionFactorization(V)
+        other = rng.standard_normal(6)
+        for step in range(40):
+            k = step % 6
+            new = rng.standard_normal(6) + 3 * np.eye(6)[k]
+            z, accepted = given.solve(new)
+            assert accepted
+            if refine:
+                z = z - given._inv @ (given.V @ z - new)
+            carried, _ = given.solve(other)
+            own.replace_column(k, new)
+            eta = given.replace_column(k, new, z)
+            V[:, k] = new
+            # the update is built from the given solution, not a solve of its own
+            np.testing.assert_array_equal(eta, (z - np.eye(6)[k]) / z[k])
+            assert given._fnorm2 == own._fnorm2
+            np.testing.assert_allclose(given._inv, np.linalg.inv(V), rtol=0, atol=1e-10)
+            if not refine:
+                np.testing.assert_array_equal(given._inv, own._inv)
+            # eta carries a solution against the old base to the new one
+            np.testing.assert_allclose(carried - eta * carried[k], np.linalg.solve(V, other),
+                                       rtol=0, atol=1e-10)
+
+    def test_one_column_verdicts_match_the_block_path(self):
+        # degree-17 Legendre on normal samples: some solves pass the
+        # fast-path test at once, some only after refinement, some fail
+        from samplequad.basis import domain_from_samples
+
+        rng = np.random.default_rng(0)
+        pts = rng.standard_normal((80, 1))
+        spec = BasisSpec(d=1, size=18, domain=domain_from_samples(pts))
+        handle = ExtensionFactorization(basis_matrix(spec, pts[:18]))
+        cols = basis_matrix(spec, pts[18:])
+        first, verdicts = [], []
+        for col in cols.T:
+            z = handle._inv @ col
+            r = handle.V @ z - col
+            bound = TOL_FAST * max(np.sqrt(handle._fnorm2 + col @ col), 1.0)
+            first.append(np.linalg.norm(r) / np.sqrt(z @ z + 1.0) <= bound)
+            one, accepted = handle.solve(col)
+            block, verdict = handle.solve(col[:, None])
+            assert accepted == verdict[0]
+            np.testing.assert_array_equal(one, block[:, 0])
+            verdicts.append(accepted)
+        first, verdicts = np.array(first), np.array(verdicts)
+        assert first.any() and (~first & verdicts).any() and not verdicts.all()
 
     def test_solve(self):
         rng = np.random.default_rng(10)

@@ -13,6 +13,7 @@ from samplequad.errors import (
     ModeMismatch,
     NullSpaceFailure,
 )
+from samplequad.linalg import ExtensionFactorization
 from samplequad.nested import (
     ExtensionRequest,
     _StreamEngine,
@@ -513,7 +514,10 @@ class TestStreamGuards:
         engine = quadratic_engine([-1.0, 0.0, 1.0], weights, [False] * 3)
         points = np.array([[-1.0]])
         cols = basis_matrix(engine.spec, points)
-        assert engine.drop_run(cols, np.array([0]), points) == 0
+        done, z = engine.drop_run(cols, np.array([0]), points)
+        assert done == 0
+        # the solution of the column it stopped at goes on to `feed`
+        np.testing.assert_allclose(engine.fact.V @ z, cols[:, 0], atol=1e-14)
         # the engine holds the weights as counts of the three samples
         np.testing.assert_array_equal(engine.w, np.multiply(weights, 3))
         assert engine.consumed == 3
@@ -529,7 +533,7 @@ class TestStreamGuards:
         col = basis_matrix(engine.spec, y[None])[:, 0]
         # the weights as counts of the five samples consumed, the sample's 1
         v = np.append(engine.w, 1.0)
-        C, nonbase = engine._null_basis(col, 3)
+        C, nonbase, _ = engine._null_basis(col, 3)
         # the seed removes the first tied node (position 1) and keeps the
         # node at 1 in the base, at weight zero: a degenerate vertex
         seed = engine._walk_seed(v, C, nonbase)
@@ -594,6 +598,41 @@ PINNED_CHAIN = (
 )
 
 
+# the same for 256 rosenbrock (MH) samples, seed 1, schedule 4 to 32: the
+# ill-conditioned case, where a refined solve can feed an exchange, so
+# only the node sets are exact
+PINNED_ROSENBROCK_CHAIN = (
+    (5,
+     [4, 5, 9, 23, 46],
+     [0.08960287856645016, 0.1955184197652377, 0.5854459191836001, 0.09213621315456669,
+      0.03729656933014537]),
+    (9,
+     [3, 4, 5, 7, 9, 21, 23, 45, 46],
+     [0.010341054357264335, 0.05161961856619799, 0.08769350089539145, 0.20459567775836562,
+      0.4536918950712163, 0.03131170828657729, 0.07344541220284787, 0.07899307450714581,
+      0.008308058354993354]),
+    (17,
+     [3, 4, 5, 7, 9, 19, 21, 23, 24, 37, 45, 46, 56, 147, 199, 233, 252, 253],
+     [0.010305587651614458, 0.08082046896111089, 0.0, 0.06282790654238088,
+      0.22624878299724763, 0.035839309115882796, 0.008993095108319103, 0.04318460331247562,
+      0.12044775075092871, 0.031246500290186947, 0.03213226809877708, 0.0018963032240762404,
+      0.08957344894745252, 0.015172533280427945, 0.11437928863655367, 0.03558566942666851,
+      0.0020930715817495515, 0.08925341207414735]),
+    (33,
+     [1, 3, 4, 5, 7, 9, 10, 19, 21, 23, 24, 37, 45, 46, 47, 51, 56, 79, 99, 100, 113, 119, 122,
+      138, 147, 160, 196, 199, 205, 226, 233, 252, 253],
+     [0.13746620490767936, 0.004151437593981641, 0.03972208455558296, 0.01575978985198423,
+      0.08317735753208583, 0.03763647259883671, 0.07904809482325523, 0.004174926459110939,
+      0.005876935675309156, 0.01601499824284537, 0.0817518269405247, 0.00458022516363764,
+      0.025626442477015086, 0.003759463155005285, 0.006857453674184908, 0.009074650491770558,
+      0.059486418383742495, 0.04401669322010391, 0.019667224842856473, 0.002768960914459323,
+      0.017769844036772828, 0.01111814135610464, 0.003992170917892234, 0.03631072636960696,
+      0.0030582683613550746, 0.031003323774748417, 0.004801601920825058, 0.046057894881582594,
+      0.03563085327881099, 0.007681806751676064, 0.022211058163497697, 0.001311556833808401,
+      0.09843509184934726]),
+)
+
+
 class TestScalarStep:
     def test_one_ratio_scan_per_single_direction_step(self, monkeypatch):
         # each step reads both removals and their zeroed nodes off one
@@ -611,9 +650,9 @@ class TestScalarStep:
                 return fn(*args)
             return wrapper
 
-        def recorded_single(self, v, col):
+        def recorded_single(self, v, col, z=None):
             counts.update(scan=0, pick=0)
-            out = single(self, v, col)
+            out = single(self, v, col, z)
             steps.append((counts["scan"], counts["pick"] > 0))
             return out
 
@@ -624,6 +663,41 @@ class TestScalarStep:
         _increase_degree_chain(*SEED_CORPUS[0])
         assert sum(priced for _, priced in steps) >= 10
         assert {scans for scans, _ in steps} == {1}
+
+    def test_each_scalar_step_solves_its_column_once(self, monkeypatch):
+        # a single-direction step solves its column once, or not at all
+        # when the block pass that stopped at it hands its solution on;
+        # every exchange of a scalar step takes the step's solution
+        steps = []  # (handed a solution, solves, exchanges that solved)
+        current = []
+        solve, replace, feed = (ExtensionFactorization.solve,
+                                ExtensionFactorization.replace_column, _StreamEngine.feed)
+
+        def counted_solve(self, cols):
+            if current:
+                current[-1][1] += 1
+            return solve(self, cols)
+
+        def counted_replace(self, k, col, z=None):
+            if current:
+                current[-1][2] += z is None
+            return replace(self, k, col, z)
+
+        def recorded_feed(self, y, col, src_idx, z=None):
+            single = self.n == self.spec.size
+            current.append([z is not None, 0, 0])
+            feed(self, y, col, src_idx, z)
+            step = current.pop()
+            steps.append((single, *step))
+
+        monkeypatch.setattr(ExtensionFactorization, "solve", counted_solve)
+        monkeypatch.setattr(ExtensionFactorization, "replace_column", counted_replace)
+        monkeypatch.setattr(_StreamEngine, "feed", recorded_feed)
+        _increase_degree_chain(*SEED_CORPUS[0])
+        single = [step[1:] for step in steps if step[0]]
+        assert sum(handed for handed, _, _ in single) >= 10
+        assert all(solves == 1 - handed for handed, solves, _ in single)
+        assert all(own == 0 for _, _, _, own in steps)
 
     def test_small_uniform_chain_is_pinned(self):
         samples = generate(DistributionSpec("uniform", 2, seed=1), 256)
@@ -637,3 +711,17 @@ class TestScalarStep:
             assert rule.spec.size == size
             assert rule.source_indices[order].tolist() == source
             np.testing.assert_allclose(rule.weights[order], weights, rtol=0, atol=1e-12)
+
+    def test_small_rosenbrock_chain_is_pinned(self):
+        samples = generate(DistributionSpec("rosenbrock", 2, seed=1), 256)
+        spec = BasisSpec(d=2, size=5, domain=domain_from_samples(samples.points))
+        chain = [construct_fixed_rule(samples, spec)]
+        for size, _, _ in PINNED_ROSENBROCK_CHAIN[1:]:
+            req = ExtensionRequest(chain[-1], size, samples, "increase_degree")
+            chain.append(extend_rule(req, selection_seed=1))
+        for rule, (size, source, weights) in zip(chain, PINNED_ROSENBROCK_CHAIN):
+            order = np.argsort(rule.source_indices)
+            assert rule.spec.size == size
+            assert rule.source_indices[order].tolist() == source
+            # zero weights stay exactly zero; the others move by rounding
+            np.testing.assert_allclose(rule.weights[order], weights, rtol=1e-8, atol=0)
