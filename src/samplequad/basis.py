@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDomain, InvalidSpec, require_keys
+from .errors import DimensionMismatch, InvalidDomain, InvalidSpec, require_int, require_keys
 
 MONOMIAL = "monomial"
 PRODUCT_LEGENDRE = "product_legendre"
@@ -62,6 +62,8 @@ class BasisSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidSpec(f"unknown basis family {self.family!r}")
+        for name in ("d", "size"):
+            object.__setattr__(self, name, require_int(getattr(self, name), f"basis {name!r}"))
         if self.d < 1 or self.size < 1:
             raise InvalidSpec("need d >= 1 and size >= 1")
         domain = self.domain
@@ -98,8 +100,8 @@ class BasisSpec:
     def from_json_dict(cls, data: dict) -> "BasisSpec":
         require_keys(data, ("d", "size", "family", "domain"), "basis spec")
         return cls(
-            d=int(data["d"]),
-            size=int(data["size"]),
+            d=data["d"],
+            size=data["size"],
             family=str(data["family"]),
             domain=tuple((float(lo), float(hi)) for lo, hi in data["domain"]),
         )

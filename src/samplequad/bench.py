@@ -50,11 +50,11 @@ class GenzFunction:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown Genz family {self.family!r}")
+            raise InvalidSpec(f"unknown Genz family {self.family!r}")
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         if self.a.shape != self.b.shape:
-            raise ValueError("a and b must have equal length")
+            raise InvalidSpec("a and b must have equal length")
 
 
 def genz_eval_many(f: GenzFunction, pts: np.ndarray) -> np.ndarray:
@@ -108,29 +108,29 @@ class ExperimentConfig:
         for name in ("d", "k_max", "repetitions", "seed", "removal_cap"):
             setattr(self, name, require_int(getattr(self, name), name))
         if not isinstance(self.include_nonnested, bool):
-            raise ValueError(f"include_nonnested must be a bool, not {self.include_nonnested!r}")
+            raise InvalidSpec(f"include_nonnested must be a bool, not {self.include_nonnested!r}")
         for name in ("schedule", "families"):
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise InvalidSpec(f"{name} must be a list, not {getattr(self, name)!r}")
         self.schedule = tuple(require_int(n, "schedule") for n in self.schedule)
         self.families = tuple(self.families)
         if self.d != self.distribution.d:
-            raise ValueError(f"d={self.d} but the distribution has d={self.distribution.d}")
+            raise InvalidSpec(f"d={self.d} but the distribution has d={self.distribution.d}")
         if self.repetitions < 1:
-            raise ValueError("need at least one repetition")
+            raise InvalidSpec("need at least one repetition")
         if self.seed < 0:
             raise InvalidSpec(f"seed must be at least 0, not {self.seed}")
         if self.removal_cap < 1:
             raise InvalidSpec(f"removal_cap must be at least 1, not {self.removal_cap}")
         if not self.schedule or min(self.schedule) < 1:
-            raise ValueError(f"schedule must list rule sizes >= 1, got {list(self.schedule)}")
+            raise InvalidSpec(f"schedule must list rule sizes >= 1, got {list(self.schedule)}")
         if list(self.schedule) != sorted(self.schedule):
-            raise ValueError("schedule must be ascending")
+            raise InvalidSpec("schedule must be ascending")
         if self.k_max < max(self.schedule) + 1:
-            raise ValueError("k_max must exceed the largest rule size")
+            raise InvalidSpec("k_max must exceed the largest rule size")
         bad = [f for f in self.families if f not in FAMILIES]
         if bad:
-            raise ValueError(f"unknown families {bad}")
+            raise InvalidSpec(f"unknown families {bad}")
 
     def active_families(self) -> tuple[str, ...]:
         # the corner peak integral diverges under the banana density

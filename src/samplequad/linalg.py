@@ -1,4 +1,4 @@
-"""Null vectors of the extended Vandermonde: a cached inverse, an SVD fallback.
+"""Null vectors of the extended Vandermonde: a cached inverse, LU and SVD fallbacks.
 
 The per-sample iteration needs the null directions (z, -1), V z = col,
 of the square Vandermonde V extended by new columns.
@@ -6,14 +6,12 @@ of the square Vandermonde V extended by new columns.
 rank-one exchanges, so a solve costs O(n^2) and a block of columns one
 matrix product.  Every solve is residual-checked per column; a rejected
 column gets one step of iterative refinement (Skeel 1980); only then is
-an inverse that exchanges have updated recomputed, and an SVD of the
-extended matrix, signed to match, is the last resort (the engine's only
-SVD: a base has no inverse only where repeated samples leave it
-singular).  Each column is solved once: the engine builds its null
-directions from the solutions `solve` accepts, and an exchange takes
-its entering column's solution, carried through an earlier exchange of
-the same step by the product form of the inverse (Dantzig &
-Orchard-Hays 1954).
+an inverse that exchanges have updated recomputed.  A column still
+rejected is solved by LU (`np.linalg.solve`, backward stable where
+cond(V) is beyond what refinement through an inverse recovers), judged
+by the same residual test, and an SVD of the extended matrix, signed to
+match, is the last resort (the engine's only SVD).  Each exchange solves
+its own entering column.
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ class ExtensionFactorization:
     exchanges follow the per-sample iteration.  An exchange marks the
     inverse stale; a stale inverse is recomputed only when a solve
     through it fails even after refinement.  A singular base has no
-    inverse and takes the SVD path.
+    inverse, and no LU: it takes the SVD path.
     """
 
     def __init__(self, V_base: np.ndarray):
@@ -90,9 +88,8 @@ class ExtensionFactorization:
         (z, -1) by its residual; a rejected column gets one refinement
         step z -= inv (V z - col) and is checked again.  One column is
         checked on Python floats, a block by one stacked squared-norm
-        reduction, with the same verdicts.  An accepted z is its column's
-        one solve: the caller builds (z, -1) from it and hands it to
-        `replace_column`.  None without a cached inverse (a singular base).
+        reduction, with the same verdicts.  None without a cached inverse
+        (a singular base).
         """
         if cols.shape[0] != self.V.shape[0]:
             raise DimensionMismatch("extension columns have wrong length")
@@ -101,13 +98,11 @@ class ExtensionFactorization:
             return None
         if cols.ndim == 1:
             z = inv @ cols
-            r = self.V @ z - cols
-            bound = TOL_FAST * max(math.sqrt(self._fnorm2 + float(cols @ cols)), 1.0)
-            if math.sqrt(float(r @ r)) / math.sqrt(float(z @ z) + 1.0) <= bound:
-                return z, True
-            z = z - inv @ r
-            r = self.V @ z - cols
-            return z, math.sqrt(float(r @ r)) / math.sqrt(float(z @ z) + 1.0) <= bound
+            r, ok = self._check(z, cols)
+            if not ok:
+                z = z - inv @ r
+                ok = self._check(z, cols)[1]
+            return z, ok
         Z = inv @ cols
         R = self.V @ Z - cols
         S = np.concatenate([Z, R, cols], axis=1)
@@ -123,14 +118,21 @@ class ExtensionFactorization:
             ok |= redo
         return Z, ok
 
+    def _check(self, z, col):
+        """(V z - col, whether (z, -1) passes the residual test) for one column."""
+        r = self.V @ z - col
+        bound = TOL_FAST * max(math.sqrt(self._fnorm2 + float(col @ col)), 1.0)
+        return r, math.sqrt(float(r @ r)) / math.sqrt(float(z @ z) + 1.0) <= bound
+
     def null_vector_extended(self, cols: np.ndarray) -> np.ndarray:
         """Null vectors (z, -1) of [V_base, col], new column last.
 
         One column gives one vector; a (b, k) array gives k vectors as
         columns.  `solve` serves the columns it accepts.  A rejected one
         (every column, without an inverse) is solved through the
-        recomputed inverse if exchanges have updated it, else takes the
-        unit SVD vector, signed so that its last entry is <= 0: the
+        recomputed inverse if exchanges have updated it, then by LU, one
+        column at a time, judged by the same residual test; else it takes
+        the unit SVD vector, signed so that its last entry is <= 0: the
         direction (z, -1) scaled to unit norm.
         """
         cols = np.asarray(cols, dtype=float)
@@ -150,19 +152,23 @@ class ExtensionFactorization:
                 U2[:-1, bad] = again[0]
                 bad = bad[~again[1]]
         for t in bad.tolist():
+            try:
+                z = np.linalg.solve(self.V, C[:, t])
+                if self._check(z, C[:, t])[1]:
+                    U2[:-1, t] = z
+                    continue
+            except np.linalg.LinAlgError:  # a singular base
+                pass
             c = null_vector(np.column_stack([self.V, C[:, t]]))
             U2[:, t] = -c if c[-1] > 0.0 else c
         return U
 
-    def replace_column(self, k: int, col: np.ndarray, z=None):
+    def replace_column(self, k: int, col: np.ndarray) -> None:
         """Exchange column k for `col`, updating the cached inverse.
 
-        Rank-one (Sherman-Morrison) update, which leaves the inverse
+        Solves z = inv @ col against the base before the exchange, then
+        a rank-one (Sherman-Morrison) update, which leaves the inverse
         stale; recomputed at once when the pivot is too small to trust.
-        `z`, the caller's solution of V z = col against the base before
-        the exchange, spares the product inv @ col.  Returns eta =
-        (z - e_k) / z[k], which carries a solution z' against the old base
-        to z' - eta z'[k] against the new; None if the inverse was rebuilt.
         """
         col = np.asarray(col, dtype=float)
         old = self.V[:, k].copy()
@@ -171,19 +177,18 @@ class ExtensionFactorization:
         if self._inv is None:
             # a singular base can become regular by the exchange
             self._refresh()
-            return None
-        eta = self._inv @ col if z is None else z.copy()
-        pivot = eta[k]
-        if abs(pivot) < TOL_PIVOT * np.abs(eta).max(initial=1.0):
+            return
+        z = self._inv @ col
+        pivot = z[k]
+        if abs(pivot) < TOL_PIVOT * np.abs(z).max(initial=1.0):
             self._refresh()
-            return None
+            return
         # inv(V + (col - V e_k) e_k^T) = inv - (z - e_k) inv[k] / pivot, the
         # outer product as one BLAS product of a column and a row
-        eta[k] -= 1.0
-        eta /= pivot
-        self._inv -= np.dot(eta[:, None], self._inv[k][None])
+        z[k] -= 1.0
+        z /= pivot
+        self._inv -= np.dot(z[:, None], self._inv[k][None])
         self._stale = True
-        return eta
 
     def remove_columns(self, keep: np.ndarray) -> None:
         """Shrink the base to the kept columns; factorization is rebuilt."""

@@ -37,7 +37,7 @@ the inverse of V_S gets the exchange's rank-one (Sherman-Morrison)
 update, the rest of the window is solved again through it, and the
 prefix sum restarts from the swapped weights.  Any other sample (a near
 tie, a fixed node zeroed, a multi-delete, a grow, a rejected solve)
-takes the scalar step, with the block's solution of its column.
+takes the scalar step, which solves its column again.
 """
 
 from __future__ import annotations
@@ -161,12 +161,12 @@ class _StreamEngine:
     fixed ones (N+M <= N+D+1) and the incoming sample, at row n.  From b
     nodes on, a factorization of a square base is kept: the support, and
     zero-weight fixed nodes where it is short, node `fact_cols[i]` in
-    column i.  A scalar step solves its columns once and ends in one of
-    three ways: the sample is dropped; a clean swap puts it in the
-    deleted node's position; or one in-place compaction deletes the
-    zeroed non-fixed nodes in node order.  Before that, `_exchange`
-    follows the removal by rank-one column exchanges that reuse the
-    step's solutions, or declines and the base is rebuilt.
+    column i.  A scalar step ends in one of three ways: the sample is
+    dropped; a clean swap puts it in the deleted node's position; or one
+    in-place compaction deletes the zeroed non-fixed nodes in node order.
+    Before that, `_exchange` follows the removal by rank-one column
+    exchanges, each solving its own entering column, or declines and the
+    base is rebuilt.
     """
 
     def __init__(self, work: QuadratureRule, rng, removal_cap):
@@ -221,15 +221,13 @@ class _StreamEngine:
                 self.fact.replace_column(slot, self.Vall[:, j])
                 self.fact_cols[slot] = j
 
-    def _exchange(self, removed, deleted, col, solved):
+    def _exchange(self, removed, deleted, col):
         """Follow the step's removal by column exchanges.
 
         `removed` holds the positions the removal takes out of the base,
         the incoming sample at position n; nothing has moved yet.  Their
         slots take the positions outside the base that are not removed,
-        both in ascending order, with the step's accepted solutions of
-        their columns in `solved` (by position), carried through earlier
-        exchanges by the product form.  Returns False, changing nothing,
+        both in ascending order.  Returns False, changing nothing,
         when a `deleted` position is not removed (a degenerate vertex) or
         more than three columns would move; the caller then rebuilds.
         """
@@ -240,19 +238,13 @@ class _StreamEngine:
         if leaving.shape[0] > 3 or any(k not in removed for k in deleted):
             return False
         out[self.fact_cols] = True
-        etas = []
         for slot, p in zip(leaving.tolist(), (~out).nonzero()[0].tolist()):
-            z = solved.get(p)
-            for k, eta in etas if z is not None else ():
-                z = z - eta * z[k]
-            eta = self.fact.replace_column(slot, col if p == n else self.Vall[:, p], z)
-            # after a recomputed inverse the later columns solve against it
-            etas, solved = (etas + [(slot, eta)], solved) if eta is not None else ([], {})
+            self.fact.replace_column(slot, col if p == n else self.Vall[:, p])
             self.fact_cols[slot] = p
         return True
 
-    def feed(self, y, col, src_idx, z=None):
-        """The scalar step: consume one sample; `z` is its column's accepted solution if known."""
+    def feed(self, y, col, src_idx):
+        """The scalar step: consume one sample."""
         b, n = self.spec.size, self.n
         self.consumed += 1
         self._X[n], self._w[n], self._src[n], self._fixed[n] = y, 1.0, src_idx, False
@@ -264,34 +256,32 @@ class _StreamEngine:
             return
         # with n = b nodes the extended system has a one-dimensional null space
         v = self._w[: n + 1]
-        step = self._single_direction(v, col, z) if n == b else self._multi_direction(v, col)
+        step = self._single_direction(v, col) if n == b else self._multi_direction(v, col)
         self._apply(*step, col)
 
-    def drop_run(self, cols: np.ndarray, rows: np.ndarray, points: np.ndarray):
+    def drop_run(self, cols: np.ndarray, rows: np.ndarray, points: np.ndarray) -> int:
         """Take the leading drop-incoming and clean-swap steps of a run.
 
         `cols` holds the basis columns of the samples `points[rows]`,
         solved in windows of _MIN_WINDOW.._MAX_WINDOW columns.  Returns
         how many leading samples were consumed, each as `feed` would have
-        (up to rounding), and the accepted solution of the column it
-        stopped at, for `feed` (or None).  Every taken column passed the
-        fast-path solve against the base it meets.  A drop-incoming
-        sample wins the ratio test by the near-tie margin; in a clean swap
-        one old non-fixed node wins it by the margin against every other
-        node and the sample, which takes its place and factorization
-        column.  That exchange solves the column itself, as `feed`'s
-        would (the window's matrix product differs in the last bits), and
-        the rest of the window is solved again through it.  No weight
-        after either step nears the drop threshold, so the draw is never
-        consulted.  The weights after k drops are W + z_1 + ... + z_k in
-        counts.  Consumes nothing unless every node is in the base with a
-        positive weight and the base has a cached inverse.
+        (up to rounding); `feed` solves the sample it stopped at anew.
+        Every taken column passed the fast-path solve against the base it
+        meets.  A drop-incoming sample wins the ratio test by the near-tie
+        margin; in a clean swap one old non-fixed node wins it by the
+        margin against every other node and the sample, which takes its
+        place and factorization column.  That exchange solves the column
+        itself, and the rest of the window is solved again through it.
+        No weight after either step nears the drop threshold, so the draw
+        is never consulted.  The weights after k drops are W + z_1 + ... +
+        z_k in counts.  Consumes nothing unless every node is in the base
+        with a positive weight and the base has a cached inverse.
         """
         if self.n != self.spec.size or not self.w.min() > 0.0:
-            return 0, None
+            return 0
         # factorization order: row i of Z belongs to node fact_cols[i]
         W = self.w[self.fact_cols]
-        done, z = 0, None
+        done = 0
         # a window consumed whole doubles the next; a run that ends inside
         # one sizes the next to twice its length
         window = _MIN_WINDOW
@@ -308,7 +298,6 @@ class _StreamEngine:
             window = min(max(2 * run, _MIN_WINDOW), _MAX_WINDOW)
             swap = self._clean_swap(W, Z[:, run]) if ok[run] else None
             if swap is None:
-                z = Z[:, run] if ok[run] else None
                 break
             slot, W = swap
             j = self.fact_cols[slot]
@@ -321,7 +310,7 @@ class _StreamEngine:
         if done:
             self.w[self.fact_cols] = W
             self.consumed += done
-        return done, z
+        return done
 
     def _clean_swap(self, W, z):
         """(slot, weights) of a clean swap of the incoming sample, or None.
@@ -372,35 +361,31 @@ class _StreamEngine:
         pool = [cand for cand, cnt in zip(candidates, counts) if cnt == best]
         return pool[0] if len(pool) == 1 else pool[int(self.rng.integers(len(pool)))]
 
-    def _single_direction(self, v, col, z=None):
+    def _single_direction(self, v, col):
         """One ratio scan gives both removals; the second is built only if needed."""
-        z, ok = (z, True) if z is not None else self.fact.solve(col) or (None, False)
-        # (z, -1) in node order; only a rejected column takes the slow path
-        u = None if ok else self.fact.null_vector_extended(col)
+        # (z, -1) in node order
+        u = self.fact.null_vector_extended(col)
         c = np.empty(v.shape[0])
-        c[self.fact_cols], c[-1] = (z, -1.0) if ok else (u[:-1], u[-1])
+        c[self.fact_cols], c[-1] = u[:-1], u[-1]
         a_min, at_min, a_max, at_max = removal_interval(v, c)
         pos, neg = (a_max, at_max), (a_min, at_min)
         # the smallest |alpha| first, ties to the positive side, which
         # keeps the sample
         near, far = (neg, pos) if abs(a_max) > abs(a_min) else (pos, neg)
-        solved = {self.n: z} if ok else {}
         first = self._candidate(v, c, *near)
         if len(self._deletable(first[1])) == len(first[1]):
-            return (*first, solved)
+            return first
         # a fixed node was zeroed: price the other removal too; the one
         # deleting more non-fixed nodes wins (positive side listed first)
         other = self._candidate(v, c, *far)
         cands = [other, first] if near is neg else [first, other]
-        return (*self._pick(cands, [cand[1] for cand in cands]), solved)
+        return self._pick(cands, [cand[1] for cand in cands])
 
     def _null_basis(self, col, excess):
-        """Null basis of [V, col], the nodes outside the base, and the accepted solutions.
+        """Null basis of [V, col] and the nodes outside the base.
 
         One block solve gives one direction per node outside the base and
-        the last for the sample, each zero at the others.  An accepted
-        column keeps its -1 exactly; its solution, by position, is the
-        exchange's.
+        the last for the sample, each zero at the others.
         """
         outside = np.ones(self.n + 1, dtype=bool)
         outside[self.fact_cols] = False
@@ -410,7 +395,7 @@ class _StreamEngine:
         C = np.zeros((self.n + 1, excess))
         C[self.fact_cols] = U[:-1]
         C[pos, np.arange(excess)] = U[-1]
-        return C, pos[:-1], {p: U[:-1, t] for t, p in enumerate(pos.tolist()) if U[-1, t] == -1.0}
+        return C, pos[:-1]
 
     def _walk_seed(self, v, C, nonbase):
         """The vertex to start the removal walk from.
@@ -425,7 +410,7 @@ class _StreamEngine:
 
     def _multi_direction(self, v, col):
         excess = self.n + 1 - self.spec.size
-        C, nonbase, solved = self._null_basis(col, excess)
+        C, nonbase = self._null_basis(col, excess)
         problem = RemovalProblem.from_parts(v, C)
         stats = {}
         removals = problem.enumerate(lambda: self._walk_seed(v, C, nonbase),
@@ -439,14 +424,14 @@ class _StreamEngine:
         zeroed = list(pick.zero_indices)
         u = pick.weights.copy()
         u[zeroed] = 0.0
-        return u, zeroed, pick.indices, solved
+        return u, zeroed, pick.indices
 
-    def _apply(self, u, zeroed, removed, solved, col):
+    def _apply(self, u, zeroed, removed, col):
         n = self.n
         deleted = self._deletable(zeroed)
         # removing and deleting only the sample moves no column of the base
         exchanged = (removed == (n,) and deleted == [n]
-                     or self._exchange(removed, deleted, col, solved))
+                     or self._exchange(removed, deleted, col))
         if deleted == [n]:
             # only the incoming sample was deleted: reweight
             self.w[:] = u[:n]
@@ -546,9 +531,9 @@ def run_stream(work, points, stream_idx, rng, removal_cap) -> QuadratureRule:
         j = 0
         while j < rows.shape[0]:
             if wait:
-                wait, z = wait - 1, None
+                wait -= 1
             else:
-                run, z = engine.drop_run(cols[:, j:], rows[j:], points)
+                run = engine.drop_run(cols[:, j:], rows[j:], points)
                 if run:
                     backoff = 1
                 else:
@@ -558,7 +543,7 @@ def run_stream(work, points, stream_idx, rng, removal_cap) -> QuadratureRule:
                     break
             k = int(rows[j])
             try:
-                engine.feed(points[k], cols[:, j], k, z)
+                engine.feed(points[k], cols[:, j], k)
             except (NullSpaceFailure, DegenerateNullVector) as exc:
                 raise NullSpaceFailure(f"stream failed at sample {k}: {exc}",
                                        sample_index=k) from exc

@@ -27,6 +27,7 @@ from .errors import (
     InsufficientSamples,
     InvalidSpec,
     NullSpaceFailure,
+    require_int,
     require_keys,
 )
 from .tolerances import TOL_ZERO_FACTOR
@@ -186,11 +187,15 @@ class QuadratureRule:
         require_keys(
             data, ("spec", "K", "nodes", "weights", "source_indices", "fixed_mask"), "rule"
         )
+        # no entry is truncated or cast (a bool is no source index)
+        for key, kind in (("source_indices", int), ("fixed_mask", bool)):
+            if not (isinstance(data[key], list) and all(type(v) is kind for v in data[key])):
+                raise InvalidSpec(f"rule {key!r} must be a list of {kind.__name__}s")
         rule = cls(
             nodes=np.asarray(data["nodes"], dtype=float),
             weights=np.asarray(data["weights"], dtype=float),
             spec=BasisSpec.from_json_dict(data["spec"]),
-            K=int(data["K"]),
+            K=require_int(data["K"], "rule 'K'"),
             source_indices=np.asarray(data["source_indices"], dtype=np.intp),
             fixed_mask=np.asarray(data["fixed_mask"], dtype=bool),
         )

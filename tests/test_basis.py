@@ -180,6 +180,18 @@ class TestBasisSpec:
         assert again.indices == spec.indices
         assert again == spec
 
+    @pytest.mark.parametrize("key, value", [
+        ("d", 2.9), ("d", True), ("size", 5.5), ("size", None),
+    ])
+    def test_d_and_size_are_integers(self, key, value):
+        # neither a truncating float nor a bool is taken as an integer
+        data = BasisSpec(d=2, size=5, domain=((0.0, 1.0),) * 2).to_json_dict()
+        data[key] = value
+        with pytest.raises(InvalidSpec, match=f"basis '{key}' must be an integer"):
+            BasisSpec.from_json_dict(data)
+        with pytest.raises(InvalidSpec, match=f"basis '{key}' must be an integer"):
+            BasisSpec(**{"d": 2, "size": 5, key: value})
+
     def test_degenerate_domain_rejected(self):
         with pytest.raises(InvalidDomain):
             BasisSpec(d=1, size=2, domain=((1.0, 1.0),))

@@ -67,6 +67,15 @@ class TestGenzEval:
             np.testing.assert_allclose(many, single, rtol=1e-14)
 
 
+@pytest.mark.parametrize("family, a, b, named", [
+    ("nope", [1.0], [0.5], "unknown Genz family"),
+    ("oscillatory", [1.0, 2.0], [0.5], "equal length"),
+])
+def test_invalid_genz_function_is_a_typed_error(family, a, b, named):
+    with pytest.raises(InvalidSpec, match=named):
+        GenzFunction(family, a=np.array(a), b=np.array(b))
+
+
 class TestDrawGenzParams:
     def test_a_norm_is_five_halves(self):
         for seed in range(10):
@@ -116,9 +125,9 @@ class TestExperimentConfigJson:
 
     @pytest.mark.parametrize("value", ("false", 0, 1, None))
     def test_include_nonnested_must_be_a_bool(self, value):
-        with pytest.raises(ValueError, match="include_nonnested must be a bool"):
+        with pytest.raises(InvalidSpec, match="include_nonnested must be a bool"):
             ExperimentConfig.from_json_dict({**CONFIG_JSON, "include_nonnested": value})
-        with pytest.raises(ValueError, match="include_nonnested must be a bool"):
+        with pytest.raises(InvalidSpec, match="include_nonnested must be a bool"):
             small_config(include_nonnested=value)
         for flag in (False, True):
             config = ExperimentConfig.from_json_dict({**CONFIG_JSON, "include_nonnested": flag})
@@ -159,9 +168,9 @@ class TestExperimentConfigJson:
             small_config(**{key: value})
 
     def test_dimension_must_match_the_distribution(self):
-        with pytest.raises(ValueError, match="d=3 but the distribution has d=2"):
+        with pytest.raises(InvalidSpec, match="d=3 but the distribution has d=2"):
             ExperimentConfig.from_json_dict({**CONFIG_JSON, "d": 3})
-        with pytest.raises(ValueError, match="d=3"):
+        with pytest.raises(InvalidSpec, match="d=3"):
             small_config(d=3)
 
 
@@ -267,15 +276,15 @@ class TestRunConvergence:
 
     @pytest.mark.parametrize("schedule", [(), (-3, 4)], ids=["empty", "negative-size"])
     def test_schedule_that_cannot_run_is_rejected(self, schedule):
-        with pytest.raises(ValueError, match="schedule"):
+        with pytest.raises(InvalidSpec, match="schedule"):
             small_config(schedule=schedule)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec):
             small_config(schedule=(8, 4))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec):
             small_config(k_max=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec):
             small_config(families=("nope",))
 
 

@@ -258,7 +258,13 @@ class TestExtend:
         (lambda rule: rule["weights"].__setitem__(0, float("nan")), "'weights'"),
         (lambda rule: rule.update(K=-5), "'K'"),
         (lambda rule: rule.update(K=len(rule["nodes"]) - 2), "'K'"),
-    ], ids=["negated-weights", "nan-weight", "negative-K", "K-below-node-count"])
+        (lambda rule: rule.update(K=rule["K"] + 0.9), "'K'"),
+        (lambda rule: rule.update(K=True), "'K'"),
+        (lambda rule: rule["spec"].update(d=2.9), "'d'"),
+        (lambda rule: rule["source_indices"].__setitem__(0, 0.7), "'source_indices'"),
+        (lambda rule: rule["fixed_mask"].__setitem__(0, "x"), "'fixed_mask'"),
+    ], ids=["negated-weights", "nan-weight", "negative-K", "K-below-node-count", "float-K",
+            "bool-K", "float-d", "float-index", "str-mask"])
     def test_invalid_rule_values_exit_2_before_streaming(
         self, edit, named, tmp_path, caplog, monkeypatch
     ):

@@ -203,35 +203,50 @@ class TestExtensionFactorization:
         # one refinement step leaves e^2
         import samplequad.linalg as linalg
 
-        svd_calls = []
-        svd = linalg.null_vector
-        monkeypatch.setattr(
-            linalg, "null_vector", lambda *a: svd_calls.append(1) or svd(*a)
-        )
+        events = []
+        svd, lu, refresh = linalg.null_vector, np.linalg.solve, ExtensionFactorization._refresh
+        monkeypatch.setattr(linalg, "null_vector", lambda *a: events.append("svd") or svd(*a))
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: events.append("lu") or lu(*a))
+        monkeypatch.setattr(ExtensionFactorization, "_refresh",
+                            lambda self: events.append("refresh") or refresh(self))
         rng = np.random.default_rng(12)
         V = rng.standard_normal((6, 6)) + 3 * np.eye(6)
         cols = rng.standard_normal((6, 4))
+        ext = np.column_stack([V, cols[:, 0]])
         handle = ExtensionFactorization(V)
+        events.clear()
         handle._inv *= 1.0 + 1e-9
         Z, accepted = handle.solve(cols)
         assert accepted.all()
         np.testing.assert_allclose(V @ Z, cols, atol=1e-13)
         handle.null_vector_extended(cols[:, 0])
-        assert not svd_calls
-        # a drift of one half survives refinement: a fresh inverse goes
-        # to the SVD, one that an exchange has updated is recomputed
-        handle._inv *= 1.5
-        handle.null_vector_extended(cols[:, 0])
-        assert len(svd_calls) == 1
-        new = rng.standard_normal(6) + 3 * np.eye(6)[2]
-        handle.replace_column(2, new)
-        V[:, 2] = new
+        assert events == []
+        # a drift of one half survives refinement: LU serves a fresh inverse
         handle._inv *= 1.5
         c = handle.null_vector_extended(cols[:, 0])
-        assert len(svd_calls) == 1
-        assert c[-1] == -1.0
-        ext = np.column_stack([V, cols[:, 0]])
+        assert events == ["lu"] and c[-1] == -1.0
         assert np.linalg.norm(ext @ c) <= 1e-12 * np.linalg.norm(ext) * np.linalg.norm(c)
+        # one that an exchange has updated is recomputed first, and then
+        # serves the column without LU
+        new = rng.standard_normal(6) + 3 * np.eye(6)[2]
+        handle.replace_column(2, new)
+        V[:, 2] = ext[:, 2] = new
+        handle._inv *= 1.5
+        events.clear()
+        c = handle.null_vector_extended(cols[:, 0])
+        assert events == ["refresh"] and c[-1] == -1.0
+        assert np.linalg.norm(ext @ c) <= 1e-12 * np.linalg.norm(ext) * np.linalg.norm(c)
+        # the SVD only where LU fails
+        def failed_lu(*a):
+            events.append("lu")
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(np.linalg, "solve", failed_lu)
+        handle._inv *= 1.5
+        events.clear()
+        c = handle.null_vector_extended(cols[:, 0])
+        assert events == ["lu", "svd"] and c[-1] < 0.0
+        assert np.linalg.norm(ext @ c) <= 1e-10 * np.linalg.norm(ext)
 
     def test_singular_base_falls_back(self):
         V = np.ones((3, 3))  # rank one
@@ -240,36 +255,6 @@ class TestExtensionFactorization:
         assert c[-1] <= 0.0
         ext = np.column_stack([V, [1.0, 1.0, 1.0]])
         assert np.linalg.norm(ext @ c) <= 1e-10 * np.linalg.norm(ext)
-
-    @pytest.mark.parametrize("refine", [False, True], ids=["exact", "refined"])
-    def test_exchanges_given_the_solution_keep_the_norm_and_the_inverse(self, refine):
-        # the exchanges of the test above, each handed the solution of its
-        # column: as `solve` gives it, the inverse is bit for bit the one an
-        # exchange that solves for itself computes; refined, it stays close
-        rng = np.random.default_rng(13)
-        V = rng.standard_normal((6, 6)) + 3 * np.eye(6)
-        own, given = ExtensionFactorization(V), ExtensionFactorization(V)
-        other = rng.standard_normal(6)
-        for step in range(40):
-            k = step % 6
-            new = rng.standard_normal(6) + 3 * np.eye(6)[k]
-            z, accepted = given.solve(new)
-            assert accepted
-            if refine:
-                z = z - given._inv @ (given.V @ z - new)
-            carried, _ = given.solve(other)
-            own.replace_column(k, new)
-            eta = given.replace_column(k, new, z)
-            V[:, k] = new
-            # the update is built from the given solution, not a solve of its own
-            np.testing.assert_array_equal(eta, (z - np.eye(6)[k]) / z[k])
-            assert given._fnorm2 == own._fnorm2
-            np.testing.assert_allclose(given._inv, np.linalg.inv(V), rtol=0, atol=1e-10)
-            if not refine:
-                np.testing.assert_array_equal(given._inv, own._inv)
-            # eta carries a solution against the old base to the new one
-            np.testing.assert_allclose(carried - eta * carried[k], np.linalg.solve(V, other),
-                                       rtol=0, atol=1e-10)
 
     def test_one_column_verdicts_match_the_block_path(self):
         # degree-17 Legendre on normal samples: some solves pass the
@@ -321,8 +306,9 @@ class TestExtensionFactorization:
 
     def test_solve_rejects_inaccurate_columns(self):
         # degree-29 Legendre on normal samples: the inverse exists, but its
-        # solves miss the fast-path acceptance that null_vector_extended
-        # then escapes through the SVD, signed to end in a non-positive entry
+        # solves miss the fast-path acceptance; null_vector_extended then
+        # solves each column by LU, or takes the SVD, signed to end in a
+        # non-positive entry, and gives a block what it gives each column
         from samplequad.basis import domain_from_samples
 
         rng = np.random.default_rng(0)

@@ -1,4 +1,4 @@
-"""The package's public surface, and no dead imports inside it.
+"""The package's public surface, its documented use, and no dead imports inside it.
 
 The package root is the public API; other names live in their modules
 and may change.  An import a module never uses is allowed only where the
@@ -8,6 +8,7 @@ that module.
 
 import ast
 import importlib.util
+import re
 import types
 from pathlib import Path
 
@@ -42,6 +43,17 @@ def test_package_root_exports_exactly_the_public_api():
     }
     assert names | {"__version__"} == PUBLIC
     assert isinstance(samplequad.__version__, str)
+
+
+def test_readme_library_example_runs(capsys):
+    # the fenced python block of README.md, run as written
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    nodes, residual, estimate = capsys.readouterr().out.split()
+    assert 1 <= int(nodes) <= 21
+    assert float(residual) <= 1e-8
+    assert float(estimate) >= 0.0
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -31,6 +31,7 @@ from samplequad.rule import (
     removal_interval,
     sample_moments,
 )
+from samplequad.sampling import DistributionSpec, generate
 from test_nested import SEED_CORPUS, _increase_degree_chain, svd_calls
 
 
@@ -549,6 +550,24 @@ class TestBlockPass:
         assert len(calls) <= 5
         assert rule.moment_residual(sample_moments(ss, spec)) <= 1e-8
 
+    @pytest.mark.parametrize("size", [30, 40])
+    def test_lu_serves_bases_beyond_refinement(self, size, monkeypatch):
+        # degree 29 and 39 Legendre on normal samples: cond(V) is beyond
+        # what refinement through the inverse recovers, and before the LU
+        # step these builds took 267 and 545 SVDs
+        import samplequad.linalg as linalg
+
+        calls = []
+        svd = linalg.null_vector
+        monkeypatch.setattr(
+            linalg, "null_vector", lambda *a, **k: calls.append(1) or svd(*a, **k)
+        )
+        ss = generate(DistributionSpec("normal", 1, seed=0), 3000)
+        spec = legendre_spec(1, size, domain_from_samples(ss.points))
+        rule = construct_fixed_rule(ss, spec)
+        assert calls == []
+        assert rule.moment_residual(sample_moments(ss, spec)) <= 1e-8
+
 
 # increase_degree chains (kind, samples, basis sizes, seed): the first is
 # from test_nested's SEED_CORPUS; in the second, one step moves four
@@ -693,6 +712,23 @@ class TestRuleSerialization:
         ).to_json_dict()
         del data[key]
         with pytest.raises(InvalidSpec, match=repr(key)):
+            QuadratureRule.from_json_dict(data)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda rule: rule.update(K=rule["K"] + 0.9), "'K' must be an integer"),
+        (lambda rule: rule.update(K=True), "'K' must be an integer"),
+        (lambda rule: rule["spec"].update(d=1.9), "'d' must be an integer"),
+        (lambda rule: rule["source_indices"].__setitem__(0, 0.7), "'source_indices'"),
+        (lambda rule: rule["source_indices"].__setitem__(0, True), "'source_indices'"),
+        (lambda rule: rule["fixed_mask"].__setitem__(0, 0), "'fixed_mask'"),
+        (lambda rule: rule["fixed_mask"].__setitem__(0, "x"), "'fixed_mask'"),
+    ], ids=["float-K", "bool-K", "float-d", "float-index", "bool-index", "int-mask", "str-mask"])
+    def test_no_value_is_truncated_or_cast(self, edit, named):
+        data = construct_fixed_rule(
+            SampleSet(np.linspace(0.0, 1.0, 20)), monomial_spec(3, 0.0, 1.0)
+        ).to_json_dict()
+        edit(data)
+        with pytest.raises(InvalidSpec, match=named):
             QuadratureRule.from_json_dict(data)
 
     def test_k_counts_only_the_nodes_drawn_from_the_stream(self):
