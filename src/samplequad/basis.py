@@ -16,7 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDomain, InvalidSpec, require_int, require_keys
+from .errors import (
+    DimensionMismatch, InvalidDomain, InvalidSpec, is_number, require_int, require_keys,
+)
 
 MONOMIAL = "monomial"
 PRODUCT_LEGENDRE = "product_legendre"
@@ -99,11 +101,14 @@ class BasisSpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "BasisSpec":
         require_keys(data, ("d", "size", "family", "domain"), "basis spec")
+        domain = tuple((lo, hi) for lo, hi in data["domain"])
+        if not all(map(is_number, sum(domain, ()))):
+            raise InvalidSpec(f"basis 'domain' must hold numbers, got {data['domain']!r}")
         return cls(
             d=data["d"],
             size=data["size"],
             family=str(data["family"]),
-            domain=tuple((float(lo), float(hi)) for lo, hi in data["domain"]),
+            domain=tuple((float(lo), float(hi)) for lo, hi in domain),
         )
 
 

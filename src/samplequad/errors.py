@@ -17,14 +17,19 @@ def require_keys(data: dict, keys, what: str) -> None:
 
 
 def require_int(value, name: str) -> int:
-    """`value` as an int where int() would not truncate it (no bool); else InvalidSpec."""
+    """`value` as an int where int() would not truncate or parse it (no bool); else InvalidSpec."""
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
-    if n is None or isinstance(value, bool) or not isinstance(value, str) and n != value:
+    if n is None or isinstance(value, (bool, str)) or n != value:
         raise InvalidSpec(f"{name} must be an integer, got {value!r}")
     return n
+
+
+def is_number(value) -> bool:
+    """An int or a float, not a bool: a number a JSON reader takes without a cast."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class InvalidDomain(InvalidSpec):

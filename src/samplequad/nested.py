@@ -35,9 +35,12 @@ vectorized ratio test.  Most other steps are clean swaps: one old node
 is zeroed and the sample takes its place.  The block takes those too:
 the inverse of V_S gets the exchange's rank-one (Sherman-Morrison)
 update, the rest of the window is solved again through it, and the
-prefix sum restarts from the swapped weights.  Any other sample (a near
-tie, a fixed node zeroed, a multi-delete, a grow, a rejected solve)
-takes the scalar step, which solves its column again.
+prefix sum restarts from the swapped weights.  The scalar step first
+solves its sample alone and takes the drop or clean swap the ratio scan
+picks without a draw, also where a fixed node is zeroed first and alone
+and the other side's first is not fixed.  Only the rest (a near tie,
+fixed nodes on both sides, a multi-delete, a grow, a rejected solve)
+pays for the ratio scan.
 """
 
 from __future__ import annotations
@@ -244,9 +247,16 @@ class _StreamEngine:
         return True
 
     def feed(self, y, col, src_idx):
-        """The scalar step: consume one sample."""
+        """The scalar step: consume one sample.
+
+        With n = b nodes of positive weight, `_lean_step` first takes a
+        tie-free drop or clean swap from one solve of the column; a step it
+        declines goes to `_single_direction`, which solves the column again.
+        """
         b, n = self.spec.size, self.n
         self.consumed += 1
+        if n == b and self._lean_step(y, col, src_idx):
+            return
         self._X[n], self._w[n], self._src[n], self._fixed[n] = y, 1.0, src_idx, False
         self._V[:, n] = col
         if n < b:
@@ -259,6 +269,22 @@ class _StreamEngine:
         step = self._single_direction(v, col) if n == b else self._multi_direction(v, col)
         self._apply(*step, col)
 
+    def _lean_step(self, y, col, k) -> bool:
+        """Whether sample k took a `_tie_free` step, a fixed winner's other side included."""
+        solved = self.fact.solve(col) if self.w.min() > 0.0 else None
+        step = solved and solved[1] and self._tie_free(self.w[self.fact_cols], solved[0], True)
+        if step:
+            self._take(*step, y, k, col)
+        return bool(step)
+
+    def _take(self, W, slot=-1, y=None, k=-1, col=None):
+        """Commit count weights W (factorization order); a swap puts sample k in `slot`."""
+        self.w[self.fact_cols] = W
+        if slot >= 0:
+            j = self.fact_cols[slot]
+            self.X[j], self.src[j], self.Vall[:, j] = y, k, col
+            self.fact.replace_column(slot, col)
+
     def drop_run(self, cols: np.ndarray, rows: np.ndarray, points: np.ndarray) -> int:
         """Take the leading drop-incoming and clean-swap steps of a run.
 
@@ -267,15 +293,12 @@ class _StreamEngine:
         how many leading samples were consumed, each as `feed` would have
         (up to rounding); `feed` solves the sample it stopped at anew.
         Every taken column passed the fast-path solve against the base it
-        meets.  A drop-incoming sample wins the ratio test by the near-tie
-        margin; in a clean swap one old non-fixed node wins it by the
-        margin against every other node and the sample, which takes its
-        place and factorization column.  That exchange solves the column
-        itself, and the rest of the window is solved again through it.
-        No weight after either step nears the drop threshold, so the draw
-        is never consulted.  The weights after k drops are W + z_1 + ... +
-        z_k in counts.  Consumes nothing unless every node is in the base
-        with a positive weight and the base has a cached inverse.
+        meets, and `_tie_free` took it without pricing a fixed winner's
+        other side.  A swap's exchange solves the column itself, and the
+        rest of the window is solved again through it.  The weights after
+        k drops are W + z_1 + ... + z_k in counts.  Consumes nothing unless
+        every node is in the base with a positive weight and the base has
+        a cached inverse.
         """
         if self.n != self.spec.size or not self.w.min() > 0.0:
             return 0
@@ -296,48 +319,42 @@ class _StreamEngine:
                 window = min(2 * window, _MAX_WINDOW)
                 continue
             window = min(max(2 * run, _MIN_WINDOW), _MAX_WINDOW)
-            swap = self._clean_swap(W, Z[:, run]) if ok[run] else None
-            if swap is None:
+            step = self._tie_free(W, Z[:, run], False) if ok[run] else None
+            if step is None:
                 break
-            slot, W = swap
-            j = self.fact_cols[slot]
+            W, slot = step
             k = int(rows[done])
-            self.X[j] = points[k]
-            self.src[j] = k
-            self.Vall[:, j] = cols[:, done]
-            self.fact.replace_column(slot, cols[:, done])
+            self._take(W, slot, points[k], k, cols[:, done])
             done += 1
         if done:
-            self.w[self.fact_cols] = W
+            self._take(W)
             self.consumed += done
         return done
 
-    def _clean_swap(self, W, z):
-        """(slot, weights) of a clean swap of the incoming sample, or None.
+    def _tie_free(self, W, z, far_side):
+        """(weights, slot) of a drop (slot -1) or clean swap taken without a draw, or None.
 
-        W are the count weights before the step in factorization order,
-        and z solves V_S z = phi(y).  Along the null direction (z, -1)
-        node i is zeroed at the scaling W_i / |z_i| and the incoming
-        sample, at weight 1, at 1; the node that is zeroed
-        first must win by the near-tie margin.
+        From the count weights W in factorization order and z = V_S^-1 phi(y):
+        the sample or a non-fixed node zeroed first by the near-tie margin
+        wins.  A fixed node zeroed first and alone deletes nothing, so with
+        `far_side` the other side's first wins, by the margin on its side,
+        if it is the sample or a non-fixed node, as in `_single_direction`.
         """
-        # reciprocal scalings; the incoming sample's is 1
-        reach = np.abs(z) / W
-        slot = int(reach.argmax())
-        best = reach[slot]
-        reach[slot] = 1.0
-        if not reach.max() < (1.0 - TOL_NEAR_TIE) * best:
-            return None
-        # a fixed winner takes the scalar step, which prices both removals;
         # `feed` raises when one side of the null direction is empty
-        if self.fixed[self.fact_cols[slot]] or not (z > 0.0).any():
+        if not (z > 0.0).any():
             return None
-        alpha = W[slot] / z[slot]
-        W = W - alpha * z
-        W[slot] = 1.0 + alpha
-        if not W.min() > TOL_ZERO_FACTOR / (1.0 - TOL_NEAR_TIE) * W.max():
+        reach = np.abs(z) / W
+        slot = _first_zeroed(reach, 1.0)
+        if far_side and slot is not None and slot >= 0 and self.fixed[self.fact_cols[slot]]:
+            if _step_weights(W, z, slot) is None:
+                return None
+            # nodes of the other sign, and the sample (-1) if the fixed node's is positive
+            other = (z > 0.0) != (z[slot] > 0.0)
+            slot = _first_zeroed(np.where(other, reach, 0.0), float(z[slot] > 0.0))
+        if slot is None or slot >= 0 and self.fixed[self.fact_cols[slot]]:
             return None
-        return slot, W
+        W = _step_weights(W, z, slot)
+        return None if W is None else (W, slot)
 
     def _candidate(self, v, c, alpha, attained):
         """New weights of one removal, the positions it zeroed, and the one it removes."""
@@ -486,6 +503,33 @@ def _raise_rank(V, candidates, b):
     return np.sort(cols + [j for j in candidates.tolist() if j not in cols][: b - len(cols)])
 
 
+def _first_zeroed(reach, sample):
+    """The node zeroed first by the near-tie margin, -1 for the sample, None on a near tie.
+
+    `reach` holds the nodes' |z_i| / W_i (0: not competing; the winner's is
+    overwritten), and `sample` the sample's: 1, or 0 where it does not compete.
+    """
+    slot = int(reach.argmax())
+    best = reach[slot]
+    if best < (1.0 - TOL_NEAR_TIE) * sample:
+        return -1
+    reach[slot] = sample
+    return slot if reach.max() < (1.0 - TOL_NEAR_TIE) * best else None
+
+
+def _step_weights(W, z, slot):
+    """Count weights after the removal along (z, -1) zeroing `slot` (-1: the sample).
+
+    A swap puts the sample in the slot; None where a weight comes within
+    the near-tie margin of the drop threshold.
+    """
+    alpha = -1.0 if slot < 0 else W[slot] / z[slot]
+    W = W - alpha * z
+    if slot >= 0:
+        W[slot] = 1.0 + alpha
+    return W if W.min() > TOL_ZERO_FACTOR / (1.0 - TOL_NEAR_TIE) * W.max() else None
+
+
 def _drop_prefix(W, Z, ok):
     """(run, weights) of the leading drop-incoming steps of a solved block.
 
@@ -518,11 +562,12 @@ def run_stream(work, points, stream_idx, rng, removal_cap) -> QuadratureRule:
     """
     engine = _StreamEngine(work, rng, removal_cap)
     blocks = BlockMoments(work.spec, points)
-    # a block pass that fails on its first sample makes the next `wait`
-    # samples take the scalar step, a count that doubles with each
-    # consecutive such failure.  On nested chains a fixed node that wins
-    # the ratio test tends to win again for the next samples, and the
-    # scalar steps this adds cost less than the window solves it saves.
+    # a block pass that consumes fewer than _MIN_WINDOW samples makes the
+    # next `wait` samples take the scalar step, a count that doubles with
+    # each consecutive such pass.  On nested chains a fixed node that wins
+    # the ratio test tends to win again for the next samples; a short run
+    # paid for a window solve, and the scalar step's one-column solves
+    # cost less.
     wait, backoff = 0, 1
     for lo, block in blocks:
         first, last = np.searchsorted(stream_idx, (lo, lo + block.shape[1]))
@@ -534,7 +579,7 @@ def run_stream(work, points, stream_idx, rng, removal_cap) -> QuadratureRule:
                 wait -= 1
             else:
                 run = engine.drop_run(cols[:, j:], rows[j:], points)
-                if run:
+                if run >= _MIN_WINDOW:
                     backoff = 1
                 else:
                     wait, backoff = backoff, min(2 * backoff, _BLOCK)

@@ -27,6 +27,7 @@ from .errors import (
     InsufficientSamples,
     InvalidSpec,
     NullSpaceFailure,
+    is_number,
     require_int,
     require_keys,
 )
@@ -187,10 +188,15 @@ class QuadratureRule:
         require_keys(
             data, ("spec", "K", "nodes", "weights", "source_indices", "fixed_mask"), "rule"
         )
-        # no entry is truncated or cast (a bool is no source index)
-        for key, kind in (("source_indices", int), ("fixed_mask", bool)):
-            if not (isinstance(data[key], list) and all(type(v) is kind for v in data[key])):
-                raise InvalidSpec(f"rule {key!r} must be a list of {kind.__name__}s")
+        # no entry is truncated or cast (a bool is no index, weight or coordinate)
+        for key, what, valid in (
+            ("source_indices", "ints", lambda v: type(v) is int),
+            ("fixed_mask", "bools", lambda v: type(v) is bool),
+            ("weights", "numbers", is_number),
+            ("nodes", "lists of numbers", lambda v: isinstance(v, list) and all(map(is_number, v))),
+        ):
+            if not (isinstance(data[key], list) and all(map(valid, data[key]))):
+                raise InvalidSpec(f"rule {key!r} must be a list of {what}")
         rule = cls(
             nodes=np.asarray(data["nodes"], dtype=float),
             weights=np.asarray(data["weights"], dtype=float),

@@ -115,9 +115,12 @@ CONFIG_JSON = {
 
 class TestExperimentConfigJson:
     def test_round_trip_keeps_the_int_coercions(self):
-        config = ExperimentConfig.from_json_dict({**CONFIG_JSON, "d": "2", "k_max": 400.0})
-        assert (config.d, config.k_max) == (2, 400)
+        config = ExperimentConfig.from_json_dict({**CONFIG_JSON, "k_max": 400.0})
+        assert config.k_max == 400 and type(config.k_max) is int
         assert ExperimentConfig.from_json_dict(config.to_json_dict()) == config
+        # a numeric string is no integer
+        with pytest.raises(InvalidSpec, match="d must be an integer, got '2'"):
+            ExperimentConfig.from_json_dict({**CONFIG_JSON, "d": "2"})
 
     def test_unknown_key_is_named(self):
         with pytest.raises(InvalidSpec, match="'repetiton'"):

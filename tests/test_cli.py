@@ -263,8 +263,14 @@ class TestExtend:
         (lambda rule: rule["spec"].update(d=2.9), "'d'"),
         (lambda rule: rule["source_indices"].__setitem__(0, 0.7), "'source_indices'"),
         (lambda rule: rule["fixed_mask"].__setitem__(0, "x"), "'fixed_mask'"),
+        (lambda rule: rule.update(K=str(rule["K"])), "'K'"),
+        (lambda rule: rule["spec"].update(size="6"), "'size'"),
+        (lambda rule: rule["weights"].__setitem__(0, True), "'weights'"),
+        (lambda rule: rule["nodes"][0].__setitem__(0, True), "'nodes'"),
+        (lambda rule: rule["spec"]["domain"].__setitem__(0, [False, True]), "'domain'"),
     ], ids=["negated-weights", "nan-weight", "negative-K", "K-below-node-count", "float-K",
-            "bool-K", "float-d", "float-index", "str-mask"])
+            "bool-K", "float-d", "float-index", "str-mask", "str-K", "str-size", "bool-weight",
+            "bool-node", "bool-domain"])
     def test_invalid_rule_values_exit_2_before_streaming(
         self, edit, named, tmp_path, caplog, monkeypatch
     ):

@@ -501,11 +501,11 @@ class TestStreamGuards:
     def test_clean_swap_refuses_a_weight_near_the_drop_threshold(self):
         engine = quadratic_engine([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25], [False] * 3)
         z = np.array([2.0, 0.5, 0.0])
-        slot, W = engine._clean_swap(np.array([1.0, 1.0, 0.5]), z)
+        W, slot = engine._tie_free(np.array([1.0, 1.0, 0.5]), z, False)
         assert slot == 0
         np.testing.assert_array_equal(W, [1.5, 0.75, 0.5])
         # the same swap would leave the last weight at 1e-15
-        assert engine._clean_swap(np.array([1.0, 1.0, 1e-15]), z) is None
+        assert engine._tie_free(np.array([1.0, 1.0, 1e-15]), z, False) is None
 
     def test_drop_run_stops_at_a_swap_near_the_drop_threshold(self):
         # a repeat of node -1 wins against it (count 3 * 0.25 < 1) and
@@ -663,9 +663,11 @@ class TestScalarStep:
         assert {scans for scans, _ in steps} == {1}
 
     def test_each_scalar_step_solves_its_column_once(self, monkeypatch):
-        # a single-direction step takes its null direction from one
-        # `null_vector_extended` call, which makes one `solve` call; the
-        # block pass that stopped at the sample hands nothing on
+        # a single-direction step that the lean step takes makes one
+        # `solve` call and no `null_vector_extended` call; one it declines
+        # takes its null direction from `null_vector_extended`, whose
+        # `solve` call is the second; the block pass that stopped at the
+        # sample hands nothing on
         steps = []  # (single direction, null_vector_extended calls, solve calls)
         current = []
         solve, null_vec, feed = (ExtensionFactorization.solve,
@@ -688,8 +690,75 @@ class TestScalarStep:
         monkeypatch.setattr(_StreamEngine, "feed", recorded_feed)
         _increase_degree_chain(*SEED_CORPUS[0])
         single = [step[1:] for step in steps if step[0]]
-        assert len(single) >= 10
-        assert set(single) == {(1, 1)}
+        assert single.count((0, 1)) >= 10 and single.count((1, 2)) >= 10
+        assert set(single) == {(0, 1), (1, 2)}
+
+    # y = 1/2 solves V_S z = phi(y) with z = (-1/8, 3/4, 3/8) at nodes -1, 0, 1
+    @pytest.mark.parametrize("weights, fixed, nodes", [
+        # fixed node 0 is zeroed first and alone; on the other side the
+        # sample beats node -1: a drop
+        ([1 / 2, 1 / 8, 3 / 8], [False, True, False], [-1.0, 0.0, 1.0]),
+        # fixed node -1 is zeroed first and alone, before the sample; on
+        # the other side node 0 beats node 1: a swap
+        ([1 / 64, 1 / 2, 31 / 64], [True, False, False], [-1.0, 0.5, 1.0]),
+    ], ids=["drop", "swap"])
+    def test_fixed_winner_alone_takes_the_other_side(self, weights, fixed, nodes, monkeypatch):
+        y = np.array([0.5])
+
+        def fed(engine):
+            engine.feed(y, basis_matrix(engine.spec, y[None])[:, 0], 3)
+            return engine
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_StreamEngine, "_lean_step", lambda self, *args: False)
+            ref = fed(quadratic_engine([-1.0, 0.0, 1.0], weights, fixed))
+
+        class NoDraw:
+            def integers(self, *args):
+                raise AssertionError("a tie-free step consults no draw")
+
+        def no_null_vector(self, cols):
+            raise AssertionError("a step taken from one solve needs no null vector")
+
+        monkeypatch.setattr(ExtensionFactorization, "null_vector_extended", no_null_vector)
+        engine = quadratic_engine([-1.0, 0.0, 1.0], weights, fixed)
+        engine.rng = NoDraw()
+        fed(engine)
+        assert engine.X[:, 0].tolist() == nodes
+        for a, b in ((engine.X, ref.X), (engine.w, ref.w), (engine.src, ref.src)):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("weights, fixed, draws", [
+        # fixed node 0 is zeroed first and alone; on the other side fixed
+        # node -1 beats the sample, and the scalar step draws
+        ([1 / 32, 1 / 16, 29 / 32], [True, True, False], 1),
+        # fixed node -1 is zeroed first and alone; on the other side nodes
+        # 0 and 1 tie, and the scalar step deletes both
+        ([1 / 64, 42 / 64, 21 / 64], [True, False, False], 0),
+        # fixed node 0 is zeroed first and alone, by a margin of 1e-8, but
+        # that removal leaves node 1 at the drop threshold: each side
+        # deletes one node, and the scalar step draws
+        ([(3 - 3e-6 + 2e-14) / 3, 2e-6 * (1 - 1e-8) / 3, 1e-6 / 3], [False, True, False], 1),
+    ], ids=["fixed-other-side", "tied-other-side", "threshold-own-side"])
+    def test_fixed_or_tied_other_side_declines(self, weights, fixed, draws, monkeypatch):
+        calls = {"single": 0, "draw": 0}
+        single = _StreamEngine._single_direction
+
+        def counted_single(self, v, col):
+            calls["single"] += 1
+            return single(self, v, col)
+
+        class CountedDraw:
+            def integers(self, *args):
+                calls["draw"] += 1
+                return 0
+
+        monkeypatch.setattr(_StreamEngine, "_single_direction", counted_single)
+        engine = quadratic_engine([-1.0, 0.0, 1.0], weights, fixed)
+        engine.rng = CountedDraw()
+        y = np.array([0.5])
+        engine.feed(y, basis_matrix(engine.spec, y[None])[:, 0], 3)
+        assert calls == {"single": 1, "draw": draws}
 
     def test_small_uniform_chain_is_pinned(self):
         samples = generate(DistributionSpec("uniform", 2, seed=1), 256)

@@ -489,6 +489,31 @@ class TestBlockPass:
         assert rule.fixed_mask.any()
         _assert_same_rule(rule, ref)
 
+    @pytest.mark.parametrize("case", list(SEED_CORPUS) + EXTENSION_CORPUS)
+    def test_lean_step_matches_the_general_step(self, case, monkeypatch):
+        # the lean step takes only what `_single_direction` takes without
+        # a draw, fixed winners' other sides included, so turning it off
+        # changes no bit of any rule
+        def build():
+            if case in SEED_CORPUS:
+                return _increase_degree_chain(*case)
+            return [extend_rule(_corpus_request(*case), selection_seed=case[-1])]
+
+        taken = []
+        lean = _StreamEngine._lean_step
+
+        def counted(self, *args):
+            taken.append(lean(self, *args))
+            return taken[-1]
+
+        monkeypatch.setattr(_StreamEngine, "_lean_step", counted)
+        rules = build()
+        assert sum(taken) >= 10
+        monkeypatch.setattr(_StreamEngine, "_lean_step", lambda self, *args: False)
+        for rule, ref in zip(rules, build(), strict=True):
+            for name in ("nodes", "weights", "source_indices", "fixed_mask"):
+                np.testing.assert_array_equal(getattr(rule, name), getattr(ref, name))
+
     @pytest.mark.parametrize("mode", ["fixed", "increase_degree", "continue_samples"])
     def test_engine_weights_are_sample_counts(self, mode, monkeypatch):
         # the engine holds counts that sum to the samples consumed; only
@@ -722,7 +747,14 @@ class TestRuleSerialization:
         (lambda rule: rule["source_indices"].__setitem__(0, True), "'source_indices'"),
         (lambda rule: rule["fixed_mask"].__setitem__(0, 0), "'fixed_mask'"),
         (lambda rule: rule["fixed_mask"].__setitem__(0, "x"), "'fixed_mask'"),
-    ], ids=["float-K", "bool-K", "float-d", "float-index", "bool-index", "int-mask", "str-mask"])
+        (lambda rule: rule.update(K="25"), "'K' must be an integer"),
+        (lambda rule: rule["spec"].update(size="3"), "'size' must be an integer"),
+        (lambda rule: rule["spec"].update(d="1"), "'d' must be an integer"),
+        (lambda rule: rule["weights"].__setitem__(0, True), "'weights'"),
+        (lambda rule: rule["nodes"][0].__setitem__(0, True), "'nodes'"),
+        (lambda rule: rule["spec"]["domain"].__setitem__(0, [False, True]), "'domain'"),
+    ], ids=["float-K", "bool-K", "float-d", "float-index", "bool-index", "int-mask", "str-mask",
+            "str-K", "str-size", "str-d", "bool-weight", "bool-node", "bool-domain"])
     def test_no_value_is_truncated_or_cast(self, edit, named):
         data = construct_fixed_rule(
             SampleSet(np.linspace(0.0, 1.0, 20)), monomial_spec(3, 0.0, 1.0)
