@@ -101,9 +101,11 @@ class BasisSpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "BasisSpec":
         require_keys(data, ("d", "size", "family", "domain"), "basis spec")
-        domain = tuple((lo, hi) for lo, hi in data["domain"])
-        if not all(map(is_number, sum(domain, ()))):
-            raise InvalidSpec(f"basis 'domain' must hold numbers, got {data['domain']!r}")
+        domain = data["domain"]
+        if not (isinstance(domain, (list, tuple)) and domain and all(
+                isinstance(box, (list, tuple)) and len(box) == 2 and all(map(is_number, box))
+                for box in domain)):
+            raise InvalidSpec(f"basis 'domain' must be [lo, hi] pairs of numbers, got {domain!r}")
         return cls(
             d=data["d"],
             size=data["size"],

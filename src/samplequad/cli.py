@@ -21,13 +21,7 @@ import numpy as np
 
 from .basis import BasisSpec, domain_from_samples
 from .bench import ExperimentConfig, run_convergence
-from .errors import (
-    InsufficientSamples,
-    InvalidSpec,
-    NullSpaceFailure,
-    ParseError,
-    SampleQuadError,
-)
+from .errors import InsufficientSamples, NullSpaceFailure, SampleQuadError
 from .nested import ExtensionRequest, extend_rule
 from .rule import QuadratureRule, construct_fixed_rule, sample_moments
 from .sampling import (
@@ -188,9 +182,6 @@ def main(argv=None) -> int:
     )
     try:
         return args.fn(args)
-    except (InvalidSpec, ParseError, json.JSONDecodeError, ValueError) as exc:
-        log.error("%s", exc)
-        return EXIT_SPEC
     except InsufficientSamples as exc:
         log.error("%s", exc)
         return EXIT_INSUFFICIENT
@@ -200,7 +191,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         log.error("%s", exc)
         return EXIT_IO
-    except SampleQuadError as exc:
+    except (SampleQuadError, ValueError) as exc:
+        # a bad specification, a malformed file (a JSONDecodeError is a ValueError)
         log.error("%s", exc)
         return EXIT_SPEC
 

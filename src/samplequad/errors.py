@@ -10,7 +10,9 @@ class InvalidSpec(SampleQuadError):
 
 
 def require_keys(data: dict, keys, what: str) -> None:
-    """Raise InvalidSpec naming the keys of `keys` that `data` lacks."""
+    """Raise InvalidSpec naming the keys of `keys` that `data` lacks, or if it is no dict."""
+    if not isinstance(data, dict):
+        raise InvalidSpec(f"{what} JSON must be an object, got {data!r}")
     missing = [key for key in keys if key not in data]
     if missing:
         raise InvalidSpec(f"{what} JSON lacks {', '.join(map(repr, missing))}")

@@ -12,6 +12,12 @@ cond(V) is beyond what refinement through an inverse recovers), judged
 by the same residual test, and an SVD of the extended matrix, signed to
 match, is the last resort (the engine's only SVD).  Each exchange solves
 its own entering column.
+
+`largest`, `smallest`, `any_of` and `all_of` reduce the steps' 1-D
+arrays, which are never empty (there they raise).  On b + 1 entries
+`max`, `min`, `any` and `all` spend 1-2 us in `ufunc.reduce` dispatch; an
+arg-reduction picks the same entry, a NaN included, for a quarter of that.
+Of tied zeros it picks the first, of either sign: callers only compare.
 """
 
 from __future__ import annotations
@@ -23,6 +29,18 @@ import numpy as np
 from .basis import basis_matrix  # noqa: F401  (perfbench's timing shims wrap it here)
 from .errors import DimensionMismatch, NullSpaceFailure
 from .tolerances import TOL_FAST, TOL_LEAD, TOL_NULL, TOL_PIVOT
+
+
+def largest(a):
+    return a[a.argmax()]
+
+
+def smallest(a):
+    return a[a.argmin()]
+
+
+# of a bool mask, the largest entry is `any` and the smallest `all`
+any_of, all_of = largest, smallest
 
 
 def _fix_sign(c: np.ndarray) -> np.ndarray:
@@ -109,7 +127,7 @@ class ExtensionFactorization:
         zz, rr, cc = np.einsum("ij,ij->j", S, S).reshape(3, -1)
         bound = TOL_FAST * np.maximum(np.sqrt(self._fnorm2 + cc), 1.0)
         ok = np.sqrt(rr) / np.sqrt(zz + 1.0) <= bound
-        if not ok.all():
+        if not all_of(ok):
             refined = Z - inv @ R
             R = self.V @ refined - cols
             zz, rr = (np.einsum("ij,ij->j", X, X) for X in (refined, R))
@@ -136,11 +154,12 @@ class ExtensionFactorization:
         direction (z, -1) scaled to unit norm.
         """
         cols = np.asarray(cols, dtype=float)
-        Z, ok = self.solve(cols) or (0.0, np.zeros(cols.shape[1:], dtype=bool))
+        one = cols.ndim == 1
+        Z, ok = self.solve(cols) or (0.0, False if one else np.zeros(cols.shape[1], dtype=bool))
         U = np.empty((cols.shape[0] + 1,) + cols.shape[1:])
         U[:-1] = Z
         U[-1] = -1.0
-        if np.all(ok):
+        if ok if one else all_of(ok):
             return U
         # as (rows, k) views, a single column is column 0
         C, U2 = cols.reshape(cols.shape[0], -1), U.reshape(U.shape[0], -1)
@@ -180,7 +199,8 @@ class ExtensionFactorization:
             return
         z = self._inv @ col
         pivot = z[k]
-        if abs(pivot) < TOL_PIVOT * np.abs(z).max(initial=1.0):
+        # max(nan, 1.0) is nan, as with `initial`
+        if abs(pivot) < TOL_PIVOT * max(largest(np.abs(z)), 1.0):
             self._refresh()
             return
         # inv(V + (col - V e_k) e_k^T) = inv - (z - e_k) inv[k] / pivot, the

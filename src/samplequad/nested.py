@@ -62,7 +62,7 @@ from .errors import (
     NullSpaceFailure,
     require_int,
 )
-from .linalg import ExtensionFactorization
+from .linalg import ExtensionFactorization, all_of, any_of, largest, smallest
 from .linalg import null_space, null_vector  # noqa: F401  (perfbench's timing shims wrap them)
 from .removal import Removal, RemovalProblem
 from .rule import _BLOCK, BlockMoments, QuadratureRule, SampleSet
@@ -271,7 +271,7 @@ class _StreamEngine:
 
     def _lean_step(self, y, col, k) -> bool:
         """Whether sample k took a `_tie_free` step, a fixed winner's other side included."""
-        solved = self.fact.solve(col) if self.w.min() > 0.0 else None
+        solved = self.fact.solve(col) if smallest(self.w) > 0.0 else None
         step = solved and solved[1] and self._tie_free(self.w[self.fact_cols], solved[0], True)
         if step:
             self._take(*step, y, k, col)
@@ -300,7 +300,7 @@ class _StreamEngine:
         every node is in the base with a positive weight and the base has
         a cached inverse.
         """
-        if self.n != self.spec.size or not self.w.min() > 0.0:
+        if self.n != self.spec.size or not smallest(self.w) > 0.0:
             return 0
         # factorization order: row i of Z belongs to node fact_cols[i]
         W = self.w[self.fact_cols]
@@ -341,7 +341,7 @@ class _StreamEngine:
         if it is the sample or a non-fixed node, as in `_single_direction`.
         """
         # `feed` raises when one side of the null direction is empty
-        if not (z > 0.0).any():
+        if not any_of(z > 0.0):
             return None
         reach = np.abs(z) / W
         slot = _first_zeroed(reach, 1.0)
@@ -404,9 +404,9 @@ class _StreamEngine:
         One block solve gives one direction per node outside the base and
         the last for the sample, each zero at the others.
         """
-        outside = np.ones(self.n + 1, dtype=bool)
-        outside[self.fact_cols] = False
-        pos = outside.nonzero()[0]
+        inside = np.zeros(self.n + 1, dtype=bool)
+        inside[self.fact_cols] = True
+        pos = (~inside).nonzero()[0]
         cols = np.concatenate([self.Vall[:, pos[:-1]], col[:, None]], axis=1)
         U = self.fact.null_vector_extended(cols)
         C = np.zeros((self.n + 1, excess))
@@ -476,7 +476,7 @@ class _StreamEngine:
                 m = to.stop
             self._resize(m)
             if exchanged:
-                self.fact_cols -= np.searchsorted(deleted, self.fact_cols)
+                self.fact_cols -= np.array(deleted).searchsorted(self.fact_cols)
         if not exchanged:
             self._rebuild_fact()
 
@@ -514,7 +514,7 @@ def _first_zeroed(reach, sample):
     if best < (1.0 - TOL_NEAR_TIE) * sample:
         return -1
     reach[slot] = sample
-    return slot if reach.max() < (1.0 - TOL_NEAR_TIE) * best else None
+    return slot if largest(reach) < (1.0 - TOL_NEAR_TIE) * best else None
 
 
 def _step_weights(W, z, slot):
@@ -527,7 +527,7 @@ def _step_weights(W, z, slot):
     W = W - alpha * z
     if slot >= 0:
         W[slot] = 1.0 + alpha
-    return W if W.min() > TOL_ZERO_FACTOR / (1.0 - TOL_NEAR_TIE) * W.max() else None
+    return W if smallest(W) > TOL_ZERO_FACTOR / (1.0 - TOL_NEAR_TIE) * largest(W) else None
 
 
 def _drop_prefix(W, Z, ok):
@@ -542,14 +542,15 @@ def _drop_prefix(W, Z, ok):
     S[:, 0] = W
     S[:, 1:] = Z
     S = np.add.accumulate(S, axis=1)
-    # the incoming sample must beat every old node on both sides
-    drop = ok & (np.abs(Z) < (1.0 - TOL_NEAR_TIE) * S[:, :-1]).all(axis=0)
+    # the incoming sample must beat every old node on both sides, and
+    # every weight after the step stay clear of the drop threshold
+    beats = np.abs(Z) < (1.0 - TOL_NEAR_TIE) * S[:, :-1]
     S = S[:, 1:]
-    tol_zero = TOL_ZERO_FACTOR / (1.0 - TOL_NEAR_TIE) * S.max(axis=0)
-    drop &= (S > tol_zero).all(axis=0)
+    beats &= S > TOL_ZERO_FACTOR / (1.0 - TOL_NEAR_TIE) * S.max(axis=0)
+    drop = ok & beats.all(axis=0)
     # `feed` raises when one side of the null direction is empty
     drop &= (Z > 0.0).any(axis=0)
-    run = drop.shape[0] if drop.all() else int(drop.argmin())
+    run = drop.shape[0] if all_of(drop) else int(drop.argmin())
     return run, (S[:, run - 1] if run else W)
 
 

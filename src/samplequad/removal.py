@@ -40,7 +40,7 @@ import numpy as np
 
 from .basis import basis_matrix  # noqa: F401  (perfbench's timing shims wrap it here)
 from .errors import DimensionMismatch, NullSpaceFailure
-from .linalg import null_space  # noqa: F401  (perfbench's timing shims wrap it here)
+from .linalg import any_of, null_space  # noqa: F401  (timing shims wrap null_space here)
 from .tolerances import TOL_VERTEX_NEG, TOL_VERTEX_RESID, TOL_ZERO_FACTOR
 
 
@@ -151,8 +151,11 @@ class RemovalProblem:
         pos = dirs > 0.0
         neg = dirs < 0.0
         W = W[:, None, :]
-        k_max = np.divide(W, dirs, out=np.full(dirs.shape, np.inf), where=pos).argmin(axis=2)
-        k_min = np.divide(W, dirs, out=np.full(dirs.shape, -np.inf), where=neg).argmax(axis=2)
+        ratios = np.empty(dirs.shape)
+        ratios.fill(np.inf)
+        k_max = np.divide(W, dirs, out=ratios, where=pos).argmin(axis=2)
+        ratios.fill(-np.inf)
+        k_min = np.divide(W, dirs, out=ratios, where=neg).argmax(axis=2)
         # the own row is on the positive side at ratio zero, so the
         # exchange is degenerate exactly when no entry is negative
         cand = np.where(k_max == q_mat, k_min, k_max)
@@ -177,7 +180,8 @@ class RemovalProblem:
         """
         C, w, n = self.C, self.w, self.n
         rows = np.concatenate((w[None], C.T))
-        inf = np.full(n, np.inf)
+        inf = np.empty(n)
+        inf.fill(np.inf)
 
         def crossings(i):
             # the rows (w_j, C_j) against (|C_i|^2, -w_i C_i) and (0, d_i)
@@ -210,7 +214,7 @@ class RemovalProblem:
         pairs = sorted([(i, j) if i < j else (j, i) for i, j in zip(ring, ring[1:] + ring[:1])])
         W, _, bad = self._vertices(np.array(pairs, dtype=np.intp))
         # every weight but the two removed ones stays clear of zero
-        if bad.any() or np.count_nonzero(W > self._zero_tol(W)) != W.shape[0] * (n - 2):
+        if any_of(bad) or np.count_nonzero(W > self._zero_tol(W)) != W.shape[0] * (n - 2):
             return None, len(pairs)
         return [Removal(q, q, w_q) for q, w_q in zip(pairs, W)], len(pairs)
 

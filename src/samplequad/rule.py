@@ -31,6 +31,7 @@ from .errors import (
     require_int,
     require_keys,
 )
+from .linalg import any_of, largest, smallest
 from .tolerances import TOL_ZERO_FACTOR
 
 # rows of basis evaluation per block; moments are summed block by block
@@ -193,7 +194,9 @@ class QuadratureRule:
             ("source_indices", "ints", lambda v: type(v) is int),
             ("fixed_mask", "bools", lambda v: type(v) is bool),
             ("weights", "numbers", is_number),
-            ("nodes", "lists of numbers", lambda v: isinstance(v, list) and all(map(is_number, v))),
+            # all() reaches the first row, which sets the length, before the others
+            ("nodes", "lists of numbers of one length", lambda v: isinstance(v, list)
+             and len(v) == len(data["nodes"][0]) and all(map(is_number, v))),
         ):
             if not (isinstance(data[key], list) and all(map(valid, data[key]))):
                 raise InvalidSpec(f"rule {key!r} must be a list of {what}")
@@ -245,17 +248,18 @@ def removal_interval(weights: np.ndarray, c: np.ndarray):
     """
     pos = c > 0.0
     neg = c < 0.0
-    if not pos.any() or not neg.any():
+    if not any_of(pos) or not any_of(neg):
         raise DegenerateNullVector(
             "null vector lacks entries of both signs (zero-sum structure broken)"
         )
-    ratios = np.full(c.shape[0], np.inf)
+    ratios = np.empty(c.shape[0])
+    ratios.fill(np.inf)
     np.divide(weights, c, out=ratios, where=pos)
-    alpha_max = ratios[ratios.argmin()]
+    alpha_max = smallest(ratios)
     at_max = (ratios == alpha_max).nonzero()[0]
     ratios.fill(-np.inf)
     np.divide(weights, c, out=ratios, where=neg)
-    alpha_min = ratios[ratios.argmax()]
+    alpha_min = largest(ratios)
     at_min = (ratios == alpha_min).nonzero()[0]
     return float(alpha_min), at_min, float(alpha_max), at_max
 
@@ -280,11 +284,10 @@ def choose_alpha(v: np.ndarray, c: np.ndarray):
 
 def dropped_mask(w_new: np.ndarray) -> np.ndarray:
     """Weights at or below the drop threshold; raises on one below minus it."""
-    tol_zero = TOL_ZERO_FACTOR * max(float(w_new.max()), 0.0)
-    if float(w_new.min()) < -tol_zero:
-        raise NullSpaceFailure(
-            f"removal produced weight {w_new.min():.3e} below -{tol_zero:.3e}"
-        )
+    tol_zero = TOL_ZERO_FACTOR * max(float(largest(w_new)), 0.0)
+    low = float(smallest(w_new))
+    if low < -tol_zero:
+        raise NullSpaceFailure(f"removal produced weight {low:.3e} below -{tol_zero:.3e}")
     return w_new <= tol_zero
 
 

@@ -268,9 +268,15 @@ class TestExtend:
         (lambda rule: rule["weights"].__setitem__(0, True), "'weights'"),
         (lambda rule: rule["nodes"][0].__setitem__(0, True), "'nodes'"),
         (lambda rule: rule["spec"]["domain"].__setitem__(0, [False, True]), "'domain'"),
+        (lambda rule: rule["spec"]["domain"].__setitem__(0, 0.5), "'domain'"),
+        (lambda rule: rule["spec"]["domain"][0].append(2.0), "'domain'"),
+        (lambda rule: rule["spec"].update(domain="ab"), "'domain'"),
+        (lambda rule: rule.update(spec=5), "spec JSON must be an object"),
+        (lambda rule: rule["nodes"][0].append(0.5), "'nodes'"),
     ], ids=["negated-weights", "nan-weight", "negative-K", "K-below-node-count", "float-K",
             "bool-K", "float-d", "float-index", "str-mask", "str-K", "str-size", "bool-weight",
-            "bool-node", "bool-domain"])
+            "bool-node", "bool-domain", "number-box", "three-ends-box", "str-domain",
+            "number-spec", "ragged-nodes"])
     def test_invalid_rule_values_exit_2_before_streaming(
         self, edit, named, tmp_path, caplog, monkeypatch
     ):

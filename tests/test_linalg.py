@@ -5,12 +5,62 @@ import pytest
 
 from samplequad.basis import BasisSpec, basis_matrix
 from samplequad.errors import DimensionMismatch, NullSpaceFailure
-from samplequad.linalg import ExtensionFactorization, null_space, null_vector
+from samplequad.linalg import (
+    ExtensionFactorization, all_of, any_of, largest, null_space, null_vector, smallest,
+)
 from samplequad.tolerances import TOL_FAST
 
 
 def spec_1d(size, family="monomial", lo=-1.0, hi=1.0):
     return BasisSpec(d=1, size=size, family=family, domain=((lo, hi),))
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+class TestStepReductions:
+    """The arg-reduction helpers pick what `max`, `min`, `any` and `all` return."""
+
+    VECTORS = [np.random.default_rng(n).standard_normal(n) for n in (1, 2, 21, 65)] + [
+        np.array([1.0, np.nan, -2.0, np.nan]),
+        np.array([np.nan]),
+        np.array([-0.0, 3.0, 0.0, -4.0]),
+        np.array([0.0, -np.inf, 2.0, np.inf]),
+        np.array([-np.inf, -np.inf]),
+    ]
+
+    @pytest.mark.parametrize("a", VECTORS)
+    def test_largest_and_smallest_are_max_and_min_bit_for_bit(self, a):
+        assert _bits(largest(a)) == _bits(a.max())
+        assert _bits(smallest(a)) == _bits(a.min())
+
+    @pytest.mark.parametrize("a", VECTORS)
+    def test_masks_of_the_vectors(self, a):
+        for mask in (a > 0.0, a < 0.0, a == a):
+            assert _bits(any_of(mask)) == _bits(mask.any())
+            assert _bits(all_of(mask)) == _bits(mask.all())
+
+    @pytest.mark.parametrize("n", [1, 2, 21, 65])
+    def test_any_and_all_on_edge_masks(self, n):
+        first, last = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        first[0] = last[-1] = True
+        for mask in (np.ones(n, dtype=bool), np.zeros(n, dtype=bool), first, last, ~first, ~last):
+            assert _bits(any_of(mask)) == _bits(mask.any())
+            assert _bits(all_of(mask)) == _bits(mask.all())
+
+    def test_a_zero_tie_compares_equal_whatever_its_sign(self):
+        # the first zero is picked, `max` may return the other: equal as numbers
+        for a in (np.array([-0.0, 0.0]), np.array([0.0, -0.0])):
+            assert largest(a) == a.max() == 0.0
+            assert smallest(a) == a.min() == 0.0
+            assert np.signbit(largest(a)) == np.signbit(a[0])
+
+    def test_empty_arrays_raise(self):
+        # where `any` is False and `all` True; no caller passes one
+        for helper, dtype in ((largest, float), (smallest, float), (any_of, bool), (all_of, bool)):
+            with pytest.raises(ValueError):
+                helper(np.empty(0, dtype=dtype))
 
 
 class TestBuildVandermonde:

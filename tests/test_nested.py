@@ -1,5 +1,10 @@
 """Tests for nested extension of existing rules."""
 
+import cProfile
+import os
+import pstats
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -786,3 +791,42 @@ class TestScalarStep:
             assert rule.source_indices[order].tolist() == source
             # zero weights stay exactly zero; the others move by rounding
             np.testing.assert_allclose(rule.weights[order], weights, rtol=1e-8, atol=0)
+
+
+class TestStepDispatch:
+    """The step loop reduces its 1-D arrays through the `linalg` arg-reduction helpers."""
+
+    METHODS = {f"<method '{m}' of 'numpy.ndarray' objects>" for m in ("max", "min", "any", "all",
+                                                                     "sum")}
+    WRAPPERS = {"all", "any", "full", "ones", "searchsorted"}
+    # the scalar step, the block pass, the ratio scan and the M = 2 trace
+    STEP = {"_lean_step", "drop_run", "_tie_free", "_first_zeroed", "_step_weights", "_apply",
+            "_null_basis", "solve", "null_vector_extended", "replace_column", "removal_interval",
+            "dropped_mask", "_trace"}
+
+    def test_reductions_per_streamed_sample_are_bounded(self):
+        """Calls from the package to ufunc reductions and numpy's Python wrappers.
+
+        On SEED_CORPUS[0] (4 x 256 streamed samples) the engine read 4.81
+        calls per streamed sample with `ndarray.max`/`.min`/`.any`/`.all`
+        on every step, and reads 1.17 with the helpers: what is left are
+        the axis reductions of the vertex batches and the block pass.  The
+        bound has about 2x slack; a numpy that no longer routes these
+        calls through Python passes.
+        """
+        package = os.path.dirname(samplequad.nested.__file__)
+        numpy_dir = os.path.dirname(np.__file__)
+        profile = cProfile.Profile()
+        profile.enable()
+        chain = _increase_degree_chain(*SEED_CORPUS[0])
+        profile.disable()
+        calls = Counter()
+        for (path, _, name), (*_, callers) in pstats.Stats(profile).stats.items():
+            if path == "~" and name in self.METHODS or path.startswith(numpy_dir) and (
+                    name in self.WRAPPERS):
+                for (caller_path, _, caller), counts in callers.items():
+                    if caller_path.startswith(package):
+                        calls[caller] += counts[0]
+        streamed = SEED_CORPUS[0][1] * len(chain)
+        assert sum(calls.values()) <= 2.4 * streamed, calls
+        assert not self.STEP & set(calls), calls

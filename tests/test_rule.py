@@ -753,8 +753,16 @@ class TestRuleSerialization:
         (lambda rule: rule["weights"].__setitem__(0, True), "'weights'"),
         (lambda rule: rule["nodes"][0].__setitem__(0, True), "'nodes'"),
         (lambda rule: rule["spec"]["domain"].__setitem__(0, [False, True]), "'domain'"),
+        (lambda rule: rule["spec"].update(domain=[0.5, [0.0, 1.0]]), "'domain'"),
+        (lambda rule: rule["spec"]["domain"][0].append(2.0), "'domain'"),
+        (lambda rule: rule["spec"].update(domain="ab"), "'domain'"),
+        (lambda rule: rule["spec"].update(domain=[]), "'domain'"),
+        (lambda rule: rule.update(spec=5), "spec JSON must be an object"),
+        (lambda rule: rule["nodes"][0].append(0.5), "'nodes'"),
     ], ids=["float-K", "bool-K", "float-d", "float-index", "bool-index", "int-mask", "str-mask",
-            "str-K", "str-size", "str-d", "bool-weight", "bool-node", "bool-domain"])
+            "str-K", "str-size", "str-d", "bool-weight", "bool-node", "bool-domain",
+            "number-box", "three-ends-box", "str-domain", "empty-domain", "number-spec",
+            "ragged-nodes"])
     def test_no_value_is_truncated_or_cast(self, edit, named):
         data = construct_fixed_rule(
             SampleSet(np.linspace(0.0, 1.0, 20)), monomial_spec(3, 0.0, 1.0)
