@@ -11,8 +11,9 @@ with a per-coordinate affine map onto [-1, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+import math
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -52,14 +53,13 @@ class BasisSpec:
     `domain` stores one (lo, hi) pair per coordinate; for the Legendre
     family each coordinate is mapped onto [-1, 1] before evaluation.
     Monomials are evaluated on the raw coordinates.  Indices are always
-    regenerated from (d, size), never stored externally.
+    regenerated from (d, size) on first use, never stored externally.
     """
 
     d: int
     size: int
     family: str = PRODUCT_LEGENDRE
     domain: tuple[tuple[float, float], ...] = ()
-    indices: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -75,9 +75,15 @@ class BasisSpec:
         if len(domain) != self.d:
             raise DimensionMismatch("domain box count must equal d")
         for lo, hi in domain:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise InvalidDomain(f"basis 'domain' box [{lo}, {hi}] is not finite")
             if not lo < hi:
                 raise InvalidDomain(f"degenerate domain box [{lo}, {hi}]")
-        object.__setattr__(self, "indices", _indices_cached(self.d, self.size))
+
+    @cached_property
+    def indices(self) -> tuple[tuple[int, ...], ...]:
+        """The exponent tuples in basis order, enumerated on first use."""
+        return _indices_cached(self.d, self.size)
 
     @property
     def exponent_matrix(self) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import sys
+
 
 class SampleQuadError(Exception):
     """Base class for all library errors."""
@@ -30,12 +32,13 @@ def require_int(value, name: str) -> int:
 
 
 def is_number(value) -> bool:
-    """An int or a float, not a bool: a number a JSON reader takes without a cast."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A float, or an int (not a bool) that a float holds: a number a JSON reader takes as is."""
+    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
+                                        and abs(value) <= sys.float_info.max)
 
 
 class InvalidDomain(InvalidSpec):
-    """A per-coordinate domain box has lo >= hi."""
+    """A per-coordinate domain box has lo >= hi or an end that is not finite."""
 
 
 class DimensionMismatch(SampleQuadError):

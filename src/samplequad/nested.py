@@ -164,12 +164,13 @@ class _StreamEngine:
     fixed ones (N+M <= N+D+1) and the incoming sample, at row n.  From b
     nodes on, a factorization of a square base is kept: the support, and
     zero-weight fixed nodes where it is short, node `fact_cols[i]` in
-    column i.  A scalar step ends in one of three ways: the sample is
-    dropped; a clean swap puts it in the deleted node's position; or one
-    in-place compaction deletes the zeroed non-fixed nodes in node order.
-    Before that, `_exchange` follows the removal by rank-one column
-    exchanges, each solving its own entering column, or declines and the
-    base is rebuilt.
+    column i.  Every step commits through `_take` or `_apply`'s one
+    compaction.  `_take` writes the weights in factorization order and,
+    for a clean swap, puts the sample in the deleted node's position and
+    exchanges its column.  The compaction deletes the zeroed non-fixed
+    nodes, the sample among them, in node order; before it, `_exchange`
+    follows the removal by rank-one column exchanges, each solving its
+    own entering column, or declines and the base is rebuilt.
     """
 
     def __init__(self, work: QuadratureRule, rng, removal_cap):
@@ -444,40 +445,37 @@ class _StreamEngine:
         return u, zeroed, pick.indices
 
     def _apply(self, u, zeroed, removed, col):
+        """Commit the general step's weights u, the sample's at position n.
+
+        A clean swap, one non-fixed node zeroed alone, goes through `_take`:
+        it happens only at n = b, where every node is in the base.  Any
+        other step deletes the zeroed non-fixed nodes, the sample's deletion
+        alone included, by one in-place compaction after `_exchange`.
+        """
         n = self.n
         deleted = self._deletable(zeroed)
-        # removing and deleting only the sample moves no column of the base
-        exchanged = (removed == (n,) and deleted == [n]
-                     or self._exchange(removed, deleted, col))
-        if deleted == [n]:
-            # only the incoming sample was deleted: reweight
-            self.w[:] = u[:n]
-        elif len(zeroed) == 1 and deleted and exchanged:
-            # clean swap: the sample takes the vacated position in place
-            j = deleted[0]
-            self.w[:] = u[:n]
-            self.w[j] = u[n]
-            self.X[j] = self._X[n]
-            self.src[j] = self._src[n]
-            self.Vall[:, j] = col
-            self.fact_cols[self.fact_cols == n] = j
+        if len(deleted) == len(zeroed) == 1 and deleted[0] < n:
+            slot = int((self.fact_cols == deleted[0]).argmax())
+            W = u[self.fact_cols]
+            W[slot] = u[n]
+            self._take(W, slot, self._X[n], self._src[n], col)
+            return
+        exchanged = self._exchange(removed, deleted, col)
+        # the kept runs between the deleted positions (ascending) move left, in order
+        ends = deleted + [n + 1]
+        m = ends[0]
+        self._w[:m] = u[:m]
+        for lo, hi in zip(ends, ends[1:]):
+            run, to = slice(lo + 1, hi), slice(m, m + hi - lo - 1)
+            for a in (self._X, self._src, self._fixed):
+                a[to] = a[run]
+            self._V[:, to] = self._V[:, run]
+            self._w[to] = u[run]
+            m = to.stop
+        self._resize(m)
+        if exchanged:
+            self.fact_cols -= np.array(deleted).searchsorted(self.fact_cols)
         else:
-            # one in-place compaction deletes the zeroed non-fixed nodes
-            # (ascending): the kept runs between them move left, in order
-            ends = deleted + [n + 1]
-            m = ends[0]
-            self._w[:m] = u[:m]
-            for lo, hi in zip(ends, ends[1:]):
-                run, to = slice(lo + 1, hi), slice(m, m + hi - lo - 1)
-                for a in (self._X, self._src, self._fixed):
-                    a[to] = a[run]
-                self._V[:, to] = self._V[:, run]
-                self._w[to] = u[run]
-                m = to.stop
-            self._resize(m)
-            if exchanged:
-                self.fact_cols -= np.array(deleted).searchsorted(self.fact_cols)
-        if not exchanged:
             self._rebuild_fact()
 
 

@@ -3,13 +3,16 @@
 A rule is a weighted subset of a sample stream that reproduces the raw
 moments of every basis function over the full stream.
 
-The streaming engine of `samplequad.nested` makes every single removal
-from three steps here: `removal_interval`, the one single-direction
-ratio scan, reads both ends of the scalings of the null direction c and
-the nodes each end zeroes; `apply_removal` forms w - alpha c with the
-attaining entries exactly zero, and `dropped_mask` marks every weight
-that reached zero.  `choose_alpha` is the smallest-|alpha| end alone
-(ties to the positive side).
+The streaming engine of `samplequad.nested` decides most single
+removals itself, in `_tie_free` and `_drop_prefix`, from one solve of
+the sample's column.  The helpers here serve the rest: the general
+scalar step, the start-up removals and the removal walk's seed.
+`removal_interval`, the one single-direction ratio scan, reads both
+ends of the scalings of the null direction c and the nodes each end
+zeroes; `apply_removal` forms w - alpha c with the attaining entries
+exactly zero, and `dropped_mask` marks every weight that reached zero.
+`choose_alpha` is the smallest-|alpha| end alone (ties to the positive
+side).
 `construct_fixed_rule` runs the engine without fixed nodes.
 """
 
@@ -191,7 +194,9 @@ class QuadratureRule:
         )
         # no entry is truncated or cast (a bool is no index, weight or coordinate)
         for key, what, valid in (
-            ("source_indices", "ints", lambda v: type(v) is int),
+            # -1 marks a node without a source index; an index is an np.intp
+            ("source_indices", "ints from -1 to below 2**63",
+             lambda v: type(v) is int and -1 <= v < 2**63),
             ("fixed_mask", "bools", lambda v: type(v) is bool),
             ("weights", "numbers", is_number),
             # all() reaches the first row, which sets the length, before the others
@@ -210,6 +215,8 @@ class QuadratureRule:
         )
         if not (np.isfinite(rule.weights).all() and (rule.weights >= 0.0).all()):
             raise InvalidSpec("rule 'weights' must be finite and non-negative")
+        if not np.isfinite(rule.nodes).all():
+            raise InvalidSpec("rule 'nodes' must be finite")
         # K + 1 samples were consumed, a different one for each node drawn
         # from the stream; the base nodes of a resampled extension have no
         # source index (-1)

@@ -195,6 +195,9 @@ class TestBasisSpec:
     def test_degenerate_domain_rejected(self):
         with pytest.raises(InvalidDomain):
             BasisSpec(d=1, size=2, domain=((1.0, 1.0),))
+        # an infinite end maps every finite coordinate to one point
+        with pytest.raises(InvalidDomain, match="not finite"):
+            BasisSpec(d=1, size=2, domain=((0.0, np.inf),))
 
     def test_domain_from_samples_is_bounding_box(self):
         pts = np.array([[0.0, 2.0], [1.0, 5.0], [0.5, 3.0]])

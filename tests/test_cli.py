@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import samplequad.basis
 import samplequad.bench
 import samplequad.cli
 import samplequad.nested
@@ -273,10 +274,17 @@ class TestExtend:
         (lambda rule: rule["spec"].update(domain="ab"), "'domain'"),
         (lambda rule: rule.update(spec=5), "spec JSON must be an object"),
         (lambda rule: rule["nodes"][0].append(0.5), "'nodes'"),
+        (lambda rule: rule["source_indices"].__setitem__(0, 10**30), "'source_indices'"),
+        (lambda rule: rule["source_indices"].__setitem__(0, -7), "'source_indices'"),
+        (lambda rule: rule["nodes"][0].__setitem__(0, float("nan")), "'nodes'"),
+        (lambda rule: rule["nodes"][0].__setitem__(1, float("inf")), "'nodes'"),
+        (lambda rule: rule["spec"]["domain"][0].__setitem__(1, float("inf")), "'domain'"),
+        (lambda rule: rule["weights"].__setitem__(0, 10**400), "'weights'"),
     ], ids=["negated-weights", "nan-weight", "negative-K", "K-below-node-count", "float-K",
             "bool-K", "float-d", "float-index", "str-mask", "str-K", "str-size", "bool-weight",
             "bool-node", "bool-domain", "number-box", "three-ends-box", "str-domain",
-            "number-spec", "ragged-nodes"])
+            "number-spec", "ragged-nodes", "huge-source-index", "source-index-below-minus-one",
+            "nan-node", "infinite-node", "infinite-domain", "int-beyond-float-weight"])
     def test_invalid_rule_values_exit_2_before_streaming(
         self, edit, named, tmp_path, caplog, monkeypatch
     ):
@@ -327,6 +335,23 @@ class TestExtend:
         assert run("extend", "--rule", bad, "--samples", sample_file,
                    "--degree-size", 10, "--mode", mode, "--out", out) == 2
         assert named in caplog.text
+        assert not out.exists()
+
+    def test_huge_basis_exits_4_without_enumerating_it(self, sample_file, tmp_path, monkeypatch):
+        # a billion multi-indices would take minutes and about 150 GB; the
+        # sample count rules the size out first
+        r1 = tmp_path / "r1.json"
+        assert run("build", "--samples", sample_file, "--degree-size", 5, "--out", r1) == 0
+
+        def no_enumeration(d, count):
+            raise AssertionError(f"enumerated {count} multi-indices")
+
+        monkeypatch.setattr(samplequad.basis, "_indices_cached", no_enumeration)
+        out = tmp_path / "r.json"
+        assert run("build", "--samples", sample_file, "--degree-size", 10**9, "--out", out) == 4
+        for mode in ("degree", "resampled"):
+            assert run("extend", "--rule", r1, "--samples", sample_file,
+                       "--degree-size", 10**9, "--mode", mode, "--out", out) == 4
         assert not out.exists()
 
 

@@ -509,10 +509,25 @@ class TestBlockPass:
         monkeypatch.setattr(_StreamEngine, "_lean_step", counted)
         rules = build()
         assert sum(taken) >= 10
+        # the general step commits clean swaps and reweights (the sample's
+        # deletion alone) too, so both of `_apply`'s paths are compared
+        committed = {"swap": 0, "reweight": 0}
+        apply = _StreamEngine._apply
+
+        def counted_apply(self, u, zeroed, *args):
+            deleted = self._deletable(zeroed)
+            if deleted == [self.n]:
+                committed["reweight"] += 1
+            elif len(deleted) == len(zeroed) == 1:
+                committed["swap"] += 1
+            return apply(self, u, zeroed, *args)
+
+        monkeypatch.setattr(_StreamEngine, "_apply", counted_apply)
         monkeypatch.setattr(_StreamEngine, "_lean_step", lambda self, *args: False)
         for rule, ref in zip(rules, build(), strict=True):
             for name in ("nodes", "weights", "source_indices", "fixed_mask"):
                 np.testing.assert_array_equal(getattr(rule, name), getattr(ref, name))
+        assert min(committed.values()) >= 1, committed
 
     @pytest.mark.parametrize("mode", ["fixed", "increase_degree", "continue_samples"])
     def test_engine_weights_are_sample_counts(self, mode, monkeypatch):
