@@ -17,13 +17,13 @@ and the nodes each zeroes; the step takes the smallest-|alpha| one (ties
 to the positive side, which keeps the sample).  Only if that zeroes a
 fixed node is the other built too: the one deleting more non-fixed
 nodes wins, and a seeded draw breaks ties.  With zero-weight fixed
-nodes the null space is larger: one block solve gives a direction per
-node outside the square base and one for the sample.  The step
-enumerates all removals of that size and takes one that deletes the
-most non-fixed nodes (same tie break), with the weights its vertex
-solve left: for two directions by an edge trace round the removal
-polygon (see `samplequad.removal`), else by a walk from the vertex the
-sample's smallest-|alpha| removal reaches.  The base stays square where
+nodes the null space is larger: a direction per node outside the square
+base and one for the sample.  The step enumerates all removals of that
+size and takes one that deletes the most non-fixed nodes (same tie
+break), with its vertex's weights: for two directions by a ring walk
+round the removal polygon in weight space (see `samplequad.removal`),
+else by a walk of vertex solves from the vertex the sample's
+smallest-|alpha| removal reaches.  The base stays square where
 steps leave some of its nodes at weight zero, a degenerate basis of the
 revised simplex method (Dantzig, 1963), so it is always a vertex.
 
@@ -402,17 +402,23 @@ class _StreamEngine:
     def _null_basis(self, col, excess):
         """Null basis of [V, col] and the nodes outside the base.
 
-        One block solve gives one direction per node outside the base and
-        the last for the sample, each zero at the others.
+        One direction per node outside the base and the last for the
+        sample, each zero at the others.  A two-node step solves its two
+        columns one at a time, which skips the block solve's stacked
+        checks; larger steps take one block solve.
         """
-        inside = np.zeros(self.n + 1, dtype=bool)
-        inside[self.fact_cols] = True
-        pos = (~inside).nonzero()[0]
-        cols = np.concatenate([self.Vall[:, pos[:-1]], col[:, None]], axis=1)
-        U = self.fact.null_vector_extended(cols)
-        C = np.zeros((self.n + 1, excess))
+        n = self.n
+        if excess == 2:
+            # the one node outside the base: the base holds the rest of 0 + ... + (n-1)
+            pos = [n * (n - 1) // 2 - sum(self.fact_cols.tolist()), n]
+            U = np.empty((n, 2))
+            U[:, 0], U[:, 1] = map(self.fact.null_vector_extended, (self.Vall[:, pos[0]], col))
+        else:
+            pos = sorted(set(range(n + 1)) - set(self.fact_cols.tolist()))
+            U = self.fact.null_vector_extended(np.column_stack([self.Vall[:, pos[:-1]], col]))
+        C = np.zeros((n + 1, excess))
         C[self.fact_cols] = U[:-1]
-        C[pos, np.arange(excess)] = U[-1]
+        C[pos, range(excess)] = U[-1]
         return C, pos[:-1]
 
     def _walk_seed(self, v, C, nonbase):
@@ -424,7 +430,7 @@ class _StreamEngine:
         is triangular, with a nonzero diagonal.
         """
         _, attained = choose_alpha(v, C[:, -1])
-        return Removal(tuple(sorted(nonbase.tolist() + [_leaving(attained, v.shape[0] - 1)])))
+        return Removal(tuple(sorted(nonbase + [_leaving(attained, v.shape[0] - 1)])))
 
     def _multi_direction(self, v, col):
         excess = self.n + 1 - self.spec.size

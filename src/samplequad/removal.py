@@ -4,20 +4,20 @@ Removing M nodes while staying exact on a basis shrunk by M functions
 and keeping weights non-negative corresponds to a vertex of the simplex
 of feasible null-space coefficients: the coefficients a with
 w - C a >= 0 for a null basis C.  A vertex solve is an M x M inverse of
-rows of C, and every vertex found keeps the weights of that solve.
+rows of C; every vertex found keeps the weights it was found with.
 
 For M = 2 the feasible set is a polygon with a handful of vertices, and
-an edge trace goes round it (pivoting vertex enumeration in the plane;
-Avis and Fukuda, 1992).  Along the line C_i a = w_i of an edge, one
-ratio test over the rows finds the constraint that ends it: that names
-the vertex and the next edge's line.  The trace starts on the line of a
-zero weight, which a = 0 lies on (every problem the streaming engine
-builds has one), so it needs no seed and no SVD.  All vertices are
-solved in one batch.  The trace vouches for its result only when it
-closes within `cap` vertices and every vertex passes the checks with no
-weight but its own two near zero.  Otherwise (no zero weight, a
-degenerate vertex, a cap below the vertex count, an unbounded region),
-and for M >= 3, the walk runs.
+a ring walk goes round it in weight space (pivoting vertex enumeration
+in the plane; Avis and Fukuda, 1992).  Along the line C_i a = w_i of an
+edge the weights change at the rates C d_i, and one ratio scan over the
+rows finds the constraint that ends it: that names the next line, and
+the weights there are the vertex's.  The ring starts at a = 0 on the
+line of a zero weight (every problem the streaming engine builds has
+one), so it needs no seed, no SVD and no inverse.  It vouches for its
+result only when it closes within `cap` vertices and every vertex
+passes the checks with no weight but its own two near zero.  Otherwise
+(no zero weight, a degenerate vertex, a cap below the vertex count, an
+unbounded region), and for M >= 3, the walk runs.
 
 The walk is breadth-first over exchanges: each vertex has, per removed
 node, exactly one adjacent vertex reachable by exchanging that node.
@@ -40,7 +40,7 @@ import numpy as np
 
 from .basis import basis_matrix  # noqa: F401  (perfbench's timing shims wrap it here)
 from .errors import DimensionMismatch, NullSpaceFailure
-from .linalg import any_of, null_space  # noqa: F401  (timing shims wrap null_space here)
+from .linalg import largest, null_space, smallest  # noqa: F401  (timing shims wrap null_space here)
 from .tolerances import TOL_VERTEX_NEG, TOL_VERTEX_RESID, TOL_ZERO_FACTOR
 
 
@@ -50,8 +50,8 @@ class Removal:
 
     `indices` is the canonical sorted M-tuple.  `zero_indices` is every
     position whose weight vanishes at the vertex, more than M at a
-    degenerate vertex.  `weights`, when the removal comes from a vertex
-    solve, are the weights at the vertex, exactly zero at `indices`.
+    degenerate vertex.  `weights`, when the removal comes from a search,
+    are the weights at the vertex, exactly zero at `indices`.
     Not frozen, so that the one made per vertex found is cheap to build;
     nothing changes it afterwards.
     """
@@ -166,57 +166,53 @@ class RemovalProblem:
         return [flat[i * m:(i + 1) * m] for i in range(k)]
 
     def _trace(self, cap: int):
-        """(removals, vertices solved) of the M = 2 edge trace.
+        """(removals, vertices found) of the M = 2 ring walk.
 
-        The removals are None when the trace cannot vouch for them, and
-        (None, 0) when no weight is zero.  Line
-        i (C_i a = w_i) is walked along d_i, C_i turned a quarter
-        counter-clockwise, so the polygon lies on its left.  Line j
-        crosses it where d_i . a = t_j / r_j, with
-        t_j = |C_i|^2 w_j - (C_i . C_j) w_i and r_j = C_j . d_i the rate
-        at which constraint j tightens along d_i: an upper end of the edge
-        where r_j > 0, a lower end where r_j < 0.  Only the first edge
-        needs both ends; the trace closes when its lower end comes round.
+        The removals are None when the ring cannot vouch for them, and
+        (None, 0) when no weight is zero, the region is unbounded, a line
+        comes round twice or the cap is reached.  Line i (C_i a = w_i) is
+        walked along d_i, C_i turned a quarter counter-clockwise, so the
+        polygon lies on its left, and the weights W change at the rates
+        g = C d_i.  The scan of W / g over g > 0 names the line j that
+        ends the edge, and W - theta g are the weights of vertex (i, j).
+        Setting rows i and j to zero moves every later vertex off
+        w + range(C) by their slack, so the slack summed round the ring
+        must stay within the residual bound `_vertices` checks.
         """
-        C, w, n = self.C, self.w, self.n
-        rows = np.concatenate((w[None], C.T))
-        inf = np.empty(n)
-        inf.fill(np.inf)
-
-        def crossings(i):
-            # the rows (w_j, C_j) against (|C_i|^2, -w_i C_i) and (0, d_i)
-            (x, y), w_i = C[i].tolist(), float(w[i])
-            t, r = np.array([[x * x + y * y, -w_i * x, -w_i * y], [0.0, -y, x]]) @ rows
-            # a line does not bound itself, even where the product rounds
-            r[i] = 0.0
-            return t, r
-
-        def upper_end(t, r):
-            return np.divide(t, r, out=inf.copy(), where=r > 0.0)
-
-        start = int(w.argmin())
+        w, n = self.w, self.n
+        line = start = int(w.argmin())
         if w[start] != 0.0:
             return None, 0
-        t, r = crossings(start)
-        ahead = upper_end(t, r)
-        behind = np.divide(t, r, out=-inf, where=r < 0.0)
-        last, line = int(behind.argmax()), int(ahead.argmin())
-        if not -np.inf < behind[last] < ahead[line] < np.inf:
-            return None, 0
-        # the edges' lines in counter-clockwise order; each ends where the next starts
-        ring = [last, start]
-        while line != last:
-            # a line met twice: the trace is not going round a polygon
-            if line in ring or len(ring) >= cap:
+        # row j of E is C_j turned a quarter clockwise: E C_i = C d_i
+        E = self.C[:, ::-1] * (1.0, -1.0)
+        inf = np.empty(n)
+        inf.fill(np.inf)
+        W, ring, found, ok, drift = w, [start], {}, True, 0.0
+        for _ in range(min(cap, n)):
+            g = E @ self.C[line]
+            ratios = np.divide(W, g, out=inf.copy(), where=g > 0.0)
+            # a line does not end itself, even where its rate rounds
+            ratios[line] = np.inf
+            j = int(ratios.argmin())
+            if ratios[j] == np.inf:
                 return None, 0
-            ring.append(line)
-            line = int(upper_end(*crossings(line)).argmin())
-        pairs = sorted([(i, j) if i < j else (j, i) for i, j in zip(ring, ring[1:] + ring[:1])])
-        W, _, bad = self._vertices(np.array(pairs, dtype=np.intp))
-        # every weight but the two removed ones stays clear of zero
-        if any_of(bad) or np.count_nonzero(W > self._zero_tol(W)) != W.shape[0] * (n - 2):
-            return None, len(pairs)
-        return [Removal(q, q, w_q) for q, w_q in zip(pairs, W)], len(pairs)
+            g *= ratios[j]
+            W = W - g
+            drift += abs(W[line]) + abs(W[j])
+            W[line] = W[j] = 0.0
+            # every weight but the two removed ones stays clear of zero
+            ok = ok and drift <= self._tol_res and smallest(W) >= self._tol_neg and (
+                np.count_nonzero(W > TOL_ZERO_FACTOR * max(largest(W), 0.0)) == n - 2)
+            found[(line, j) if line < j else (j, line)] = W
+            if j == start and len(ring) > 2:
+                return [Removal(q, q, found[q]) for q in sorted(found)] if ok else None, len(ring)
+            # a line met twice, or two lines closing (a repeated start line
+            # rounds to that): the ring is not going round a polygon
+            if j in ring:
+                return None, 0
+            ring.append(j)
+            line = j
+        return None, 0
 
     _WAVE = 64
 
@@ -224,7 +220,7 @@ class RemovalProblem:
                   stats: dict | None = None) -> list[Removal]:
         """The removals of the problem, sorted by indices.
 
-        For M = 2 the edge trace answers unless it cannot vouch for its
+        For M = 2 the ring walk answers unless it cannot vouch for its
         result.  Otherwise the walk runs from `seed`, a vertex or a
         callable (called only then) that returns one; a seed that is no
         vertex gives no removals.  The walk takes a wave of up to _WAVE

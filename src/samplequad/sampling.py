@@ -261,8 +261,12 @@ def _mh_rosenbrock(spec: DistributionSpec, count: int):
     a, b, step, burn_in, thin = p["a"], p["b"], p["step"], p["burn_in"], p["thinning"]
     rng = np.random.default_rng(np.random.PCG64(spec.seed))
     total = burn_in + count * thin
-    steps = rng.normal(0.0, step, size=(total, spec.d))
-    log_u = np.log(rng.random(total))
+    try:
+        steps = rng.normal(0.0, step, size=(total, spec.d))
+        log_u = np.log(rng.random(total))
+    except (MemoryError, ValueError, OverflowError) as exc:
+        raise InvalidSpec(f"rosenbrock burn_in + count * thinning is {total} steps, more "
+                          f"than can be drawn up front: {exc}") from None
     x = [0.0] * spec.d
     log_p = _log_density(x, a, b)
     out = np.empty((count, spec.d))

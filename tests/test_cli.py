@@ -55,6 +55,16 @@ class TestGenSamples:
         assert f"rosenbrock {name} must be" in caplog.text
         assert not (tmp_path / "x.csv").exists()
 
+    # each fails before anything is drawn; the first used to exit 1 with a
+    # MemoryError, the second with numpy's "array is too big"
+    @pytest.mark.parametrize("params", ({"thinning": 10**12}, {"burn_in": 2**62}))
+    def test_rosenbrock_chain_too_long_to_draw_exits_2(self, params, tmp_path, caplog):
+        dist = json.dumps({"kind": "rosenbrock", "d": 2, "params": params})
+        code = run("gen-samples", "--dist", dist, "--count", 10, "--out", tmp_path / "x.csv")
+        assert code == 2
+        assert "rosenbrock burn_in + count * thinning" in caplog.text
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("kind, d, seed, params, named", BAD_SPECS)
     def test_bad_spec_exits_2_naming_the_parameter(
         self, kind, d, seed, params, named, tmp_path, caplog

@@ -34,7 +34,7 @@ from samplequad.rule import (
     sample_moments,
 )
 from samplequad.sampling import DistributionSpec, generate
-from test_removal import brute_force_removals, first_vertex
+from test_removal import assert_ring_weights, brute_force_removals, first_vertex
 
 
 def node_keys(rule):
@@ -398,7 +398,7 @@ SEED_CORPUS = (
 
 
 class TestSeededRemovalWalk:
-    """Two-node removals come from the edge trace; larger ones from a seeded walk."""
+    """Two-node removals come from the ring walk; larger ones from a seeded walk."""
 
     @pytest.mark.parametrize("case", SEED_CORPUS)
     def test_fast_path_steps_never_start_cold(self, case, monkeypatch):
@@ -452,9 +452,13 @@ class TestSeededRemovalWalk:
                 assert [(r.indices, r.zero_indices) for r in scanned] == [
                     (r.indices, r.zero_indices) for r in cold
                 ]
-            # the step keeps the weights of the batch it solved a vertex in
+            # a walk step keeps the weights of the batch it solved a vertex
+            # in; the ring's agree with a vertex solve to rounding
             for r in out:
-                np.testing.assert_array_equal(r.weights, self.vertex_weights(r.indices))
+                if self.m == 2:
+                    assert_ring_weights(self, r.weights, self.vertex_weights(r.indices))
+                else:
+                    np.testing.assert_array_equal(r.weights, self.vertex_weights(r.indices))
             sizes.add(self.m)
             return out
 
@@ -486,6 +490,37 @@ class TestSeededRemovalWalk:
         with pytest.raises(NullSpaceFailure) as info:
             extend_rule(req, selection_seed=7)
         assert info.value.sample_index is not None
+
+
+# (kind, samples, basis sizes, seed) and, per level, (D - N, new nodes,
+# zero-weight nodes) as measured when the bound was set: D is the target
+# basis size and N the base's node count
+LEVEL_CHAINS = (
+    (SEED_CORPUS[0], ((4, 4, 0), (5, 5, 0), (6, 7, 1))),
+    (SEED_CORPUS[1], ((4, 5, 1), (7, 7, 0))),
+    (("uniform", 512, (5, 9, 17, 33, 65), 1), ((4, 4, 0), (8, 8, 0), (16, 17, 1), (31, 31, 0))),
+    (("rosenbrock", 256, (5, 9, 17, 33, 65), 1),
+     ((4, 4, 0), (8, 9, 1), (15, 15, 0), (32, 32, 0))),
+)
+
+
+class TestNewNodesPerLevel:
+    """Each level reuses the base's nodes and adds close to the D - N new ones it must."""
+
+    @pytest.mark.parametrize("case, measured", LEVEL_CHAINS)
+    def test_new_and_zero_weight_nodes_are_bounded(self, case, measured):
+        # the bound N + M <= N + D + 1 allows twice the nodes; a pick that
+        # deleted fewer non-fixed nodes would add new ones at every level
+        chain = _increase_degree_chain(*case)
+        got = []
+        for base, ext in zip(chain, chain[1:]):
+            old = node_keys(base)
+            new = sum(row.tobytes() not in old for row in ext.nodes)
+            got.append((ext.spec.size - base.n_nodes, new, int(np.count_nonzero(ext.weights == 0))))
+        for dn, new, zero in got:
+            assert new <= dn + 2 and zero <= 2, got
+        # so every level's base has the node count it had when measured
+        assert [dn for dn, _, _ in got] == [dn for dn, _, _ in measured]
 
 
 def quadratic_engine(nodes, weights, fixed):

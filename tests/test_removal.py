@@ -224,7 +224,7 @@ class TestEnumerateRemovals:
                 stats = {}
                 removals = all_removals(removal_problem(rule, m), stats=stats)
                 z = len(removals)
-                # the trace solves each vertex once; the walk pops a few more
+                # the ring finds each vertex once; the walk pops a few more
                 assert stats["pops"] == z if m == 2 else stats["pops"] <= z + m + 1
 
     def test_cap_partial_returns_valid_subset(self):
@@ -304,12 +304,21 @@ def with_zero_weights(rule, rng, count, m=2):
     return grown, removal_problem(grown, m)
 
 
+def assert_ring_weights(problem, got, want):
+    """The ring's vertex weights against a vertex solve's, to 1e-13 of the weights' sum.
+
+    The ring reaches each vertex by ratio steps, not by an inverse, so
+    the two agree to rounding, not bit for bit.
+    """
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * problem.w.sum())
+
+
 def trace_or_walk(problem, cap=10**6):
     """The trace's removals, checked against the cold walk; None if it declined.
 
-    Where the trace vouches it must find the walk's removals, zero sets and
-    weights, solving each vertex once; where it declines, `enumerate` must
-    still return what the walk finds.
+    Where the trace vouches it must find the walk's removals and zero sets
+    exactly, and its weights to rounding, finding each vertex once; where
+    it declines, `enumerate` must still return what the walk finds.
     """
     traced, solved = problem._trace(cap)
     walked = cold_walk(problem, cap)
@@ -317,13 +326,13 @@ def trace_or_walk(problem, cap=10**6):
         assert removals_of(traced) == removals_of(walked)
         assert solved == len(walked)
         for got, want in zip(traced, walked):
-            np.testing.assert_array_equal(got.weights, want.weights)
+            assert_ring_weights(problem, got.weights, want.weights)
     assert removals_of(all_removals(problem, cap=cap)) == removals_of(walked)
     return traced
 
 
 class TestFacetScan:
-    """Two-node removals by one edge trace, or by the walk where it cannot vouch."""
+    """Two-node removals by one ring walk, or by the walk where it cannot vouch."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_scan_is_the_walk(self, seed):
@@ -335,8 +344,10 @@ class TestFacetScan:
         assert removals_of(scanned) == removals_of(walked)
         assert solved == len(walked)
         for got, want in zip(scanned, walked):
-            np.testing.assert_array_equal(got.weights, want.weights)
-            np.testing.assert_array_equal(got.weights, problem.vertex_weights(got.indices))
+            assert_ring_weights(problem, got.weights, want.weights)
+            assert_ring_weights(problem, got.weights, problem.vertex_weights(got.indices))
+            # the removed rows are exactly zero, as a vertex solve sets them
+            assert got.weights[list(got.indices)].tolist() == [0.0, 0.0]
         # with no zero weight the trace has no start line: it declines
         # unsolved, and the walk finds the removals
         bare = removal_problem(rule, 2)
@@ -346,7 +357,7 @@ class TestFacetScan:
     def test_degenerate_polygon_takes_the_walk(self):
         # the square |a_0|, |a_1 - 1| <= 1 and the line a_0 + a_1 = 3 through
         # its corner (1, 2): three constraints meet at one vertex.  a = 0
-        # lies on the zero weight's edge, so the trace starts, solves the
+        # lies on the zero weight's edge, so the ring starts, finds the
         # four vertices, and declines at the checks
         C = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]])
         problem = RemovalProblem.from_parts(np.array([1.0, 1.0, 2.0, 0.0, 3.0]), C)
@@ -355,6 +366,45 @@ class TestFacetScan:
         assert removals_of(got) == removals_of(cold_walk(problem)) == [
             ((0, 2), (0, 2, 4)), ((0, 3), (0, 3)), ((1, 2), (1, 2)), ((1, 3), (1, 3)),
         ]
+
+    def test_slack_above_the_residual_bound_takes_the_walk(self):
+        # a long triangle: the far line's rates are 1e-8 of the others', so
+        # the weight at vertex (1, 2) that comes back to zero along it is
+        # 1e8 and keeps a slack of a rounding unit there, above the bound
+        # 1e-10 times the weights' sum
+        C = np.array([[0.0, -1.0], [-1.0, 1.0], [1e-8, 0.0]])
+        problem = RemovalProblem.from_parts(np.array([0.0, 0.6, 1.0]), C)
+        assert problem._trace(10**6) == (None, 3)
+        # a vertex solve of (1, 2) fails its residual check too
+        assert removals_of(all_removals(problem)) == removals_of(cold_walk(problem)) == [
+            ((0, 1), (0, 1)), ((0, 2), (0, 2)),
+        ]
+        # with no bound the same ring vouches: the slack was all it failed
+        problem._tol_res = np.inf
+        assert [r.indices for r in problem._trace(10**6)[0]] == [(0, 1), (0, 2), (1, 2)]
+
+    def test_the_bound_holds_the_slack_summed_round_the_ring(self):
+        # zeroing a vertex's two rows moves every later vertex off
+        # w + range(C), so a ring whose slacks are each within the bound
+        # but not their sum must decline
+        C = np.array([[0.0, -1.0], [-1.0, 1.0], [1e-8, 1e-9], [3e-9, 1e-8]])
+        problem = RemovalProblem.from_parts(np.array([0.0, 0.6, 1.0, 1.0]), C)
+        # the ring's steps replayed: each vertex's slack at its two rows
+        E, W, line, slacks = C[:, ::-1] * (1.0, -1.0), problem.w, 0, []
+        for _ in range(4):
+            g = E @ C[line]
+            ratios = np.divide(W, g, out=np.full(4, np.inf), where=g > 0.0)
+            ratios[line] = np.inf
+            j = int(ratios.argmin())
+            W = W - ratios[j] * g
+            slacks.append(abs(W[line]) + abs(W[j]))
+            W[line] = W[j] = 0.0
+            line = j
+        assert line == 0 and sorted(slacks)[-2] > 0.0
+        problem._tol_res = (max(slacks) + sum(slacks)) / 2
+        assert problem._trace(10**6) == (None, 4)
+        problem._tol_res = sum(slacks)
+        assert len(problem._trace(10**6)[0]) == 4
 
     def test_cap_below_the_vertex_count_takes_the_walk(self):
         rng = np.random.default_rng(20)
@@ -421,8 +471,8 @@ class TestFacetScan:
     @pytest.mark.parametrize("w", ([1.0, 1.0, 1.0], [0.0, 1.0, 1.0]))
     def test_unbounded_region_is_declined(self, w):
         # a_0 <= w_0, a_1 <= w_1 and a_0 + a_1 <= w_2 bound no polygon: the
-        # zero weight's edge has no lower end; with no zero weight the trace
-        # has no start line
+        # ring comes to an edge with no end; with no zero weight it has no
+        # start line
         C = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         problem = RemovalProblem.from_parts(np.array(w), C)
         assert problem._trace(10**6) == (None, 0)
