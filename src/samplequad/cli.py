@@ -56,10 +56,9 @@ def _load_json(path_or_inline: str) -> dict:
 
 
 def cmd_gen_samples(args) -> int:
-    spec_data = _load_json(args.dist)
+    spec = DistributionSpec.from_json_dict(_load_json(args.dist))
     if args.seed is not None:
-        spec_data["seed"] = args.seed
-    spec = DistributionSpec.from_json_dict(spec_data)
+        spec = replace(spec, seed=args.seed)
     samples = generate(spec, args.count)
     fmt = "csv" if args.format == "csv" else "binary_f64"
     write_samples(samples, args.out, fmt)

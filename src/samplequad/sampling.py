@@ -15,7 +15,8 @@ The chain draws all its normal steps and uniforms up front, then runs
 on Python floats: each log density is a fixed sequence of IEEE
 operations, with the squared norm summed in coordinate order, so no
 BLAS kernel (whose dot product may or may not fuse a multiply-add)
-decides an acceptance.
+decides an acceptance.  The step loop inlines `_log_density`'s
+operations in its order, on local floats, so that a step calls nothing.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import os
 import struct
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from operator import add
 
 import numpy as np
@@ -218,8 +220,12 @@ class DistributionSpec:
             raise InvalidSpec(f"{self.kind} params take no {', '.join(map(repr, unknown))} "
                               f"(known: {', '.join(table)})")
         self.resolved = {key: resolved[key] for key in table}
-        if "lo" in table and np.any(self.resolved["lo"] >= self.resolved["hi"]):
-            raise InvalidSpec(f"{self.kind} needs lo < hi per coordinate")
+        # on the values as given, never broadcast to d: a d too large for
+        # numpy is refused when the samples are drawn, naming the count
+        if "lo" in table:
+            lo, hi = (np.asarray(p.get(key, table[key][0]), dtype=float) for key in ("lo", "hi"))
+            if np.any(lo >= hi):
+                raise InvalidSpec(f"{self.kind} needs lo < hi per coordinate")
         if self.kind == INDICATOR:
             p["base"] = self.resolved["base"]
         self.params = p
@@ -241,7 +247,8 @@ def _log_density(x, a: float, b: float) -> float:
     """Log of the unnormalized target exp(-f(x)) * N(0, I) density.
 
     `x` is a list of Python floats; the Rosenbrock terms and the squared
-    norm x0^2 + x1^2 + ... are running sums in coordinate order.
+    norm x0^2 + x1^2 + ... are running sums in coordinate order.  Only
+    the chain's start state uses it; its steps inline these operations.
     """
     f = 0.0
     sq = 0.0
@@ -256,6 +263,16 @@ def _log_density(x, a: float, b: float) -> float:
     return -f - 0.5 * (sq + u * u)
 
 
+# what numpy raises for an array it cannot allocate: MemoryError, or
+# ValueError or OverflowError for a shape beyond its size limit
+_UNALLOCATABLE = (MemoryError, ValueError, OverflowError)
+
+
+def _unallocatable(spec: DistributionSpec, count: int, what: str, exc: Exception):
+    return InvalidSpec(f"{spec.kind} {what} at d = {spec.d} and count = {count} is more "
+                       f"than numpy can allocate: {exc}")
+
+
 def _mh_rosenbrock(spec: DistributionSpec, count: int):
     p = spec.resolved
     a, b, step, burn_in, thin = p["a"], p["b"], p["step"], p["burn_in"], p["thinning"]
@@ -264,11 +281,14 @@ def _mh_rosenbrock(spec: DistributionSpec, count: int):
     try:
         steps = rng.normal(0.0, step, size=(total, spec.d))
         log_u = np.log(rng.random(total))
-    except (MemoryError, ValueError, OverflowError) as exc:
-        raise InvalidSpec(f"rosenbrock burn_in + count * thinning is {total} steps, more "
-                          f"than can be drawn up front: {exc}") from None
-    x = [0.0] * spec.d
-    log_p = _log_density(x, a, b)
+    except _UNALLOCATABLE as exc:
+        raise _unallocatable(spec, count, f"burn_in + count * thinning of {total} steps",
+                             exc) from None
+    # the state: the first pair as floats, the rest as a list (at d = 2 the
+    # empty one, which `rest and` below passes on without making a list)
+    x0 = x1 = 0.0
+    rest = [0.0] * (spec.d - 2)
+    log_p = _log_density([0.0] * spec.d, a, b)
     out = np.empty((count, spec.d))
     filled = 0
     keep_at = burn_in + thin - 1
@@ -276,21 +296,39 @@ def _mh_rosenbrock(spec: DistributionSpec, count: int):
     for start in range(0, total, _ACCEPT_WINDOW):
         # to Python floats one window at a time: lists of the whole array
         # would raise the peak memory of a long chain
+        block = steps[start:start + _ACCEPT_WINDOW]
         window = zip(
             range(start, total),
-            steps[start:start + _ACCEPT_WINDOW].tolist(),
+            block[:, 0].tolist(),
+            block[:, 1].tolist(),
+            block[:, 2:].tolist() if rest else repeat(rest),
             log_u[start:start + _ACCEPT_WINDOW].tolist(),
         )
         accepted = 0
-        for t, s, lu in window:
-            prop = list(map(add, x, s))
-            log_q = _log_density(prop, a, b)
+        for t, s0, s1, s_rest, lu in window:
+            p0 = x0 + s0
+            p1 = x1 + s1
+            q = rest and list(map(add, rest, s_rest))
+            # _log_density's operations in its order: the first pair, then the tail
+            uu = p0 * p0
+            di = p1 - uu
+            ai = a - p0
+            f = b * di * di + ai * ai
+            sq, u = uu, p1
+            for v in q:
+                uu = u * u
+                di = v - uu
+                ai = a - u
+                f += b * di * di + ai * ai
+                sq += uu
+                u = v
+            log_q = -f - 0.5 * (sq + u * u)
             if lu < log_q - log_p:
-                x = prop
+                x0, x1, rest = p0, p1, q
                 log_p = log_q
                 accepted += 1
             if t == keep_at:
-                out[filled] = x
+                out[filled] = (x0, x1, *rest)
                 filled += 1
                 keep_at += thin
         accepted_total += accepted
@@ -307,7 +345,10 @@ def _mh_rosenbrock(spec: DistributionSpec, count: int):
 def _rejection_sample(spec: DistributionSpec, count: int):
     base = spec.resolved["base"]
     predicate = _region_predicate(spec.resolved["region"], spec.d)
-    out = np.empty((count, spec.d))
+    try:
+        out = np.empty((count, spec.d))
+    except _UNALLOCATABLE as exc:
+        raise _unallocatable(spec, count, "samples", exc) from None
     filled = 0
     proposed = 0
     accepted = 0
@@ -357,11 +398,15 @@ def generate(spec: DistributionSpec, count: int) -> SampleSet:
         return _rejection_sample(spec, count)
     rng = np.random.default_rng(np.random.PCG64(spec.seed))
     shape = (count, spec.d)
-    if spec.kind == NORMAL:
-        pts = p["mean"] + p["sd"] * rng.standard_normal(shape)
-    else:
-        unit = rng.random(shape) if spec.kind == UNIFORM else rng.beta(p["a"], p["b"], size=shape)
-        pts = p["lo"] + (p["hi"] - p["lo"]) * unit
+    try:
+        if spec.kind == NORMAL:
+            pts = p["mean"] + p["sd"] * rng.standard_normal(shape)
+        else:
+            unit = (rng.random(shape) if spec.kind == UNIFORM
+                    else rng.beta(p["a"], p["b"], size=shape))
+            pts = p["lo"] + (p["hi"] - p["lo"]) * unit
+    except _UNALLOCATABLE as exc:
+        raise _unallocatable(spec, count, "samples", exc) from None
     provenance = {"kind": spec.kind, "seed": spec.seed, "params": dict(spec.params)}
     return SampleSet(pts, provenance=provenance)
 

@@ -65,6 +65,31 @@ class TestGenSamples:
         assert "rosenbrock burn_in + count * thinning" in caplog.text
         assert not (tmp_path / "x.csv").exists()
 
+    # each has more than a 47-bit address space maps, so nothing is allocated;
+    # the last is beyond numpy's size limit ("array is too big")
+    @pytest.mark.parametrize("kind, d, count", [
+        ("uniform", 2**48, 1), ("beta", 2**48, 1), ("normal", 2**48, 1),
+        ("indicator", 2**48, 1), ("uniform", 2, 2**46), ("normal", 2, 2**46),
+        ("beta", 2, 2**46), ("indicator", 2, 2**46), ("normal", 2**48, 2**20),
+    ])
+    def test_samples_too_many_to_allocate_exit_2(self, kind, d, count, tmp_path, caplog):
+        params = {"base": {"kind": "uniform", "d": d}, "region": "x[0] < 0.5"} if (
+            kind == "indicator") else {}
+        dist = json.dumps({"kind": kind, "d": d, "params": params})
+        code = run("gen-samples", "--dist", dist, "--count", count, "--out", tmp_path / "x.csv")
+        assert code == 2
+        assert f"{kind} samples at d = {d} and count = {count} is more than numpy" in caplog.text
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_seed_on_a_spec_that_is_not_an_object_exits_2(self, tmp_path, caplog):
+        # the seed used to be written into the JSON before its type was checked
+        dist = tmp_path / "list.json"
+        dist.write_text("[1, 2]")
+        code = run("--seed", 3, "gen-samples", "--dist", dist, "--count", 5,
+                   "--out", tmp_path / "a.csv")
+        assert code == 2
+        assert "distribution spec JSON must be an object" in caplog.text
+
     @pytest.mark.parametrize("kind, d, seed, params, named", BAD_SPECS)
     def test_bad_spec_exits_2_naming_the_parameter(
         self, kind, d, seed, params, named, tmp_path, caplog

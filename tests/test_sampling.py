@@ -1,15 +1,19 @@
 """Tests for sample generation and file I/O."""
 
+import cProfile
 import math
 import pickle
+import pstats
 import re
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import samplequad.sampling
 from samplequad.errors import (
     AcceptanceTooLow,
     DimensionInconsistent,
@@ -283,6 +287,9 @@ class TestRosenbrock:
         assert 0.05 <= rate <= 0.95
 
     @settings(max_examples=60, deadline=None, derandomize=True)
+    # the defaults, as `genz-banana` draws them: 12,560 steps
+    @example(seed=1, d=2, step=0.25, burn_in=10_000, thinning=10, a=1.0, b=10.0, count=256)
+    @example(seed=1, d=3, step=0.25, burn_in=10_000, thinning=10, a=1.0, b=10.0, count=256)
     @given(
         seed=st.integers(0, 2**63 - 1),
         d=st.integers(2, 4),
@@ -307,6 +314,26 @@ class TestRosenbrock:
         got = generate(spec, count)
         assert got.points.tobytes() == want.tobytes()
         assert got.provenance["acceptance_rate"] == rate
+
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_a_step_makes_no_call(self, d):
+        """Calls made from `_mh_rosenbrock` per step of a default chain, under cProfile.
+
+        The loop that called `_log_density` for every proposal read 1.003
+        at d = 2; with the density inlined, what is left are a few calls
+        per window of 1,000 steps.
+        """
+        profile = cProfile.Profile()
+        profile.enable()
+        generate(DistributionSpec(kind="rosenbrock", d=d, seed=1), 256)
+        profile.disable()
+        calls = Counter()
+        for (_, _, name), (*_, callers) in pstats.Stats(profile).stats.items():
+            for (path, _, caller), counts in callers.items():
+                if path == samplequad.sampling.__file__ and caller == "_mh_rosenbrock":
+                    calls[name] += counts[0]
+        steps = 10_000 + 256 * 10
+        assert sum(calls.values()) <= 0.05 * steps, calls
 
     def test_huge_step_stalls_in_the_first_window(self):
         spec = DistributionSpec(kind="rosenbrock", d=2, params={"step": 1e3})
