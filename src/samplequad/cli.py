@@ -60,8 +60,7 @@ def cmd_gen_samples(args) -> int:
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     samples = generate(spec, args.count)
-    fmt = "csv" if args.format == "csv" else "binary_f64"
-    write_samples(samples, args.out, fmt)
+    write_samples(samples, args.out)
     write_provenance(samples, str(args.out) + ".meta.json")
     print(args.out)
     return 0
@@ -143,8 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-samples", help="draw samples from a distribution spec")
     p.add_argument("--dist", required=True, help="JSON file or inline JSON spec")
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=["csv", "bin"], default="csv")
+    p.add_argument("--out", required=True, help="a .bin path is written binary, any other CSV")
     p.set_defaults(fn=cmd_gen_samples)
 
     p = sub.add_parser("build", help="construct a rule from a sample file")

@@ -15,13 +15,17 @@ The chain draws all its normal steps and uniforms up front, then runs
 on Python floats: each log density is a fixed sequence of IEEE
 operations, with the squared norm summed in coordinate order, so no
 BLAS kernel (whose dot product may or may not fuse a multiply-add)
-decides an acceptance.  The step loop inlines `_log_density`'s
-operations in its order, on local floats, so that a step calls nothing.
+decides an acceptance.  The step loop does those operations inline, on
+local floats, so that a step calls nothing.  The chain starts at x = 0,
+where each of the d - 1 pairs adds b * 0 * 0 + a * a, which is a * a
+for every finite a and b, and the squared norm is 0: the start state's
+log density is -(a * a + ... + a * a), summed in order.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import json
 import math
 import numbers
@@ -29,6 +33,7 @@ import os
 import struct
 import sys
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from itertools import repeat
 from operator import add
 
@@ -93,7 +98,10 @@ def _region_predicate(expr, d: int):
                   and 0 <= idx.value < d)
         elif isinstance(node, ast.Call):
             func = node.func
-            ok = isinstance(func, ast.Name) and func.id in _REGION_FUNCS and not node.keywords
+            # min and max take two arguments or more, the rest one
+            ok = (isinstance(func, ast.Name) and func.id in _REGION_FUNCS and not node.keywords
+                  and (len(node.args) >= 2 if func.id in ("min", "max")
+                       else len(node.args) == 1))
             children = node.args
         elif isinstance(node, ast.Name):
             ok = node.id == "pi"
@@ -156,12 +164,6 @@ def _path(v, d: int):
     return v
 
 
-def _format(v, d: int):
-    if v is not None and v not in ("csv", "binary_f64"):
-        raise ValueError
-    return v
-
-
 # A check is (what a value must be, its conversion to the value the
 # generators read); the conversion raises ValueError or TypeError where
 # the value is not that, or InvalidSpec with a message of its own.
@@ -181,8 +183,7 @@ PARAMS = {
     # a region is compiled to check it, but kept as given: a spec stays picklable
     INDICATOR: {"base": (_REQUIRED, ("a distribution spec", _base)),
                 "region": (_REQUIRED, ("a string", lambda v, d: _region_predicate(v, d) and v))},
-    FILE: {"path": (_REQUIRED, ("a str or os.PathLike", _path)),
-           "format": (None, ("'csv' or 'binary_f64'", _format))},
+    FILE: {"path": (_REQUIRED, ("a str or os.PathLike", _path))},
 }
 
 
@@ -243,26 +244,6 @@ class DistributionSpec:
                    params=data.get("params", {}))
 
 
-def _log_density(x, a: float, b: float) -> float:
-    """Log of the unnormalized target exp(-f(x)) * N(0, I) density.
-
-    `x` is a list of Python floats; the Rosenbrock terms and the squared
-    norm x0^2 + x1^2 + ... are running sums in coordinate order.  Only
-    the chain's start state uses it; its steps inline these operations.
-    """
-    f = 0.0
-    sq = 0.0
-    u = x[0]
-    for v in x[1:]:
-        uu = u * u
-        di = v - uu
-        ai = a - u
-        f += b * di * di + ai * ai
-        sq += uu
-        u = v
-    return -f - 0.5 * (sq + u * u)
-
-
 # what numpy raises for an array it cannot allocate: MemoryError, or
 # ValueError or OverflowError for a shape beyond its size limit
 _UNALLOCATABLE = (MemoryError, ValueError, OverflowError)
@@ -288,7 +269,8 @@ def _mh_rosenbrock(spec: DistributionSpec, count: int):
     # empty one, which `rest and` below passes on without making a list)
     x0 = x1 = 0.0
     rest = [0.0] * (spec.d - 2)
-    log_p = _log_density([0.0] * spec.d, a, b)
+    # at x = 0, summed in order (module docstring); sum() compensates from Python 3.12
+    log_p = -reduce(add, repeat(a * a, spec.d - 1))
     out = np.empty((count, spec.d))
     filled = 0
     keep_at = burn_in + thin - 1
@@ -309,7 +291,7 @@ def _mh_rosenbrock(spec: DistributionSpec, count: int):
             p0 = x0 + s0
             p1 = x1 + s1
             q = rest and list(map(add, rest, s_rest))
-            # _log_density's operations in its order: the first pair, then the tail
+            # the log density's operations in order: the first pair, then the tail
             uu = p0 * p0
             di = p1 - uu
             ai = a - p0
@@ -343,20 +325,26 @@ def _mh_rosenbrock(spec: DistributionSpec, count: int):
 
 
 def _rejection_sample(spec: DistributionSpec, count: int):
-    base = spec.resolved["base"]
-    predicate = _region_predicate(spec.resolved["region"], spec.d)
+    base, region = spec.resolved["base"], spec.resolved["region"]
+    predicate = _region_predicate(region, spec.d)
     try:
         out = np.empty((count, spec.d))
     except _UNALLOCATABLE as exc:
         raise _unallocatable(spec, count, "samples", exc) from None
-    filled = 0
-    proposed = 0
-    accepted = 0
+    filled = proposed = accepted = 0
     batch_seed = spec.seed
     while filled < count:
-        block = generate(replace(base, seed=batch_seed), max(4 * (count - filled), 1024)).points
-        batch_seed = batch_seed * 6364136223846793005 + 1442695040888963407
-        batch_seed &= (1 << 63) - 1
+        if base.kind != FILE:
+            size = max(4 * (count - filled), 1024)
+            block = generate(replace(base, seed=batch_seed), size).points
+            batch_seed = batch_seed * 6364136223846793005 + 1442695040888963407
+            batch_seed &= (1 << 63) - 1
+        elif not proposed:
+            # a file is read once: each row is tested once, in file order
+            block = _file_samples(base).points
+        else:
+            raise InsufficientSamples(f"sample file has {accepted} of {proposed} rows in "
+                                      f"the region {region!r}, {count} requested")
         for row in block:
             proposed += 1
             if predicate(row):
@@ -366,11 +354,21 @@ def _rejection_sample(spec: DistributionSpec, count: int):
                 if filled == count:
                     break
         rate = accepted / proposed
-        if proposed >= max(_ACCEPT_WINDOW * 100, 10 * count) and rate < _MIN_ACCEPT_RATE:
+        if (base.kind != FILE and proposed >= max(_ACCEPT_WINDOW * 100, 10 * count)
+                and rate < _MIN_ACCEPT_RATE):
             raise AcceptanceTooLow(f"rejection acceptance {rate:.2e} too low")
     provenance = {"kind": INDICATOR, "seed": spec.seed, "base": base.to_json_dict(),
-                  "acceptance_rate": rate}
+                  "region": region, "acceptance_rate": rate}
     return SampleSet(out, provenance=provenance)
+
+
+def _file_samples(spec: DistributionSpec) -> SampleSet:
+    """Every row of a `file` spec's file, which must have the spec's dimension."""
+    samples = read_samples(spec.resolved["path"])
+    if samples.d != spec.d:
+        raise DimensionMismatch(f"sample file has dimension {samples.d}, "
+                                f"the spec declares {spec.d}")
+    return samples
 
 
 def generate(spec: DistributionSpec, count: int) -> SampleSet:
@@ -382,15 +380,10 @@ def generate(spec: DistributionSpec, count: int) -> SampleSet:
         raise InvalidSpec("count must be >= 1")
     p = spec.resolved
     if spec.kind == FILE:
-        samples = read_samples(p["path"], p["format"])
-        if samples.d != spec.d:
-            raise DimensionMismatch(
-                f"sample file has dimension {samples.d}, the spec declares {spec.d}"
-            )
+        samples = _file_samples(spec)
         if samples.count < count:
-            raise InsufficientSamples(
-                f"sample file has {samples.count} samples, {count} requested"
-            )
+            raise InsufficientSamples(f"sample file has {samples.count} samples, "
+                                      f"{count} requested")
         return SampleSet(samples.points[:count], provenance=samples.provenance)
     if spec.kind == ROSENBROCK:
         return _mh_rosenbrock(spec, count)
@@ -411,61 +404,59 @@ def generate(spec: DistributionSpec, count: int) -> SampleSet:
     return SampleSet(pts, provenance=provenance)
 
 
-def write_samples(samples: SampleSet, path, fmt: str | None = None) -> None:
-    """Write CSV (shortest round-trip decimals) or raw binary doubles."""
-    fmt = fmt or ("csv" if str(path).endswith(".csv") else "binary_f64")
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for row in samples.points:
-                fh.write(",".join(repr(float(v)) for v in row))
-                fh.write("\n")
+def write_samples(samples: SampleSet, path) -> None:
+    """Write raw binary doubles to a `.bin` path, else CSV (shortest round-trip decimals)."""
+    if str(path).endswith(".bin"):
+        pts = np.ascontiguousarray(samples.points, dtype="<f8")
+        with open(path, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", samples.d, samples.count))
+            fh.write(pts.tobytes())
         return
-    if fmt != "binary_f64":
-        raise InvalidSpec(f"unknown sample format {fmt!r}")
-    pts = np.ascontiguousarray(samples.points, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", samples.d, samples.count))
-        fh.write(pts.tobytes())
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for row in samples.points:
+            fh.write(",".join(repr(float(v)) for v in row))
+            fh.write("\n")
 
 
-def read_samples(path, fmt: str | None = None) -> SampleSet:
-    """Read a sample file; the inverse of `write_samples`."""
-    fmt = fmt or ("csv" if str(path).endswith(".csv") else "binary_f64")
-    if fmt == "csv":
-        rows = []
-        d = None
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                fields = line.split(",")
-                if d is None:
-                    d = len(fields)
-                elif len(fields) != d:
-                    raise DimensionInconsistent(
-                        f"row has {len(fields)} columns, expected {d}", line=lineno
-                    )
-                try:
-                    rows.append([float(v) for v in fields])
-                except ValueError as exc:
-                    raise ParseError(f"bad number: {exc}", line=lineno) from exc
-        if not rows:
-            raise ParseError("empty sample file", line=0)
-        return SampleSet(np.asarray(rows), provenance={"path": str(path)})
-    if fmt != "binary_f64":
-        raise InvalidSpec(f"unknown sample format {fmt!r}")
+def read_samples(path) -> SampleSet:
+    """Read a sample file, binary if it starts with `MAGIC`, else CSV; whatever its name."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 16 or blob[:8] != MAGIC:
-        raise ParseError("missing sample-file magic header")
-    d, count = struct.unpack("<II", blob[8:16])
-    expected = 16 + 8 * d * count
-    if len(blob) != expected:
-        raise ParseError(f"file length {len(blob)} != expected {expected}")
-    pts = np.frombuffer(blob, dtype="<f8", offset=16).reshape(count, d).copy()
-    return SampleSet(pts, provenance={"path": str(path)})
+    if blob[:8] == MAGIC:
+        if len(blob) < 16:
+            raise ParseError(f"sample-file header of {len(blob)} bytes, 16 expected")
+        d, count = struct.unpack("<II", blob[8:16])
+        expected = 16 + 8 * d * count
+        if len(blob) != expected:
+            raise ParseError(f"file length {len(blob)} != expected {expected}")
+        return SampleSet(np.frombuffer(blob, dtype="<f8", offset=16).reshape(count, d).copy(),
+                         provenance={"path": str(path)})
+    try:
+        # lines end at \n, \r or \r\n, as in a file opened as text
+        lines = io.StringIO(blob.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"neither a binary sample file nor UTF-8 text: {exc}", line=0) from None
+    rows = []
+    d = None
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if d is None:
+            d = len(fields)
+        elif len(fields) != d:
+            raise DimensionInconsistent(
+                f"row has {len(fields)} columns, expected {d}", line=lineno
+            )
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError as exc:
+            raise ParseError(f"bad number: {exc}", line=lineno) from exc
+    if not rows:
+        raise ParseError("empty sample file", line=0)
+    return SampleSet(np.asarray(rows), provenance={"path": str(path)})
 
 
 def write_provenance(samples: SampleSet, path) -> None:

@@ -16,8 +16,8 @@ import samplequad.cli
 import samplequad.nested
 from samplequad.cli import main
 from samplequad.errors import NullSpaceFailure
-from samplequad.rule import QuadratureRule
-from samplequad.sampling import MAGIC, read_samples
+from samplequad.rule import QuadratureRule, SampleSet
+from samplequad.sampling import MAGIC, DistributionSpec, generate, read_samples, write_samples
 from test_nested import svd_calls
 from test_sampling import BAD_SPECS
 
@@ -32,10 +32,10 @@ class TestGenSamples:
     def test_writes_requested_count(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         code = run("--seed", 4, "gen-samples", "--dist", UNIFORM_2D,
-                   "--count", 1000, "--out", out, "--format", "csv")
+                   "--count", 1000, "--out", out)
         assert code == 0
         assert capsys.readouterr().out.strip() == str(out)
-        assert read_samples(out, "csv").count == 1000
+        assert read_samples(out).count == 1000
         meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
         assert meta["provenance"]["seed"] == 4
 
@@ -133,12 +133,41 @@ class TestGenSamples:
         assert code == 2
         assert "'kind'" in caplog.text
 
+    def test_every_name_round_trips_through_build(self, tmp_path):
+        # the writer used to write CSV under any name unless given `--format
+        # bin`, and the readers to choose by suffix: every name but s.csv exited 2
+        want = generate(DistributionSpec.from_json_dict(json.loads(UNIFORM_2D)), 60).points
+        for name in ("s.csv", "s.bin", "s.dat", "s.txt", "s"):
+            out = tmp_path / name
+            assert run("gen-samples", "--dist", UNIFORM_2D, "--count", 60, "--out", out) == 0
+            assert read_samples(out).points.tobytes() == want.tobytes()
+            assert run("build", "--samples", out, "--degree-size", 6,
+                       "--out", tmp_path / "rule.json") == 0
+
+    def test_there_is_no_format_option(self, tmp_path):
+        with pytest.raises(SystemExit) as exit_:
+            run("gen-samples", "--dist", UNIFORM_2D, "--count", 5, "--out", tmp_path / "x",
+                "--format", "bin")
+        assert exit_.value.code == 2
+
+    def test_indicator_over_a_file_with_too_few_rows_inside_exits_4(self, tmp_path, caplog):
+        source = tmp_path / "u.csv"
+        write_samples(SampleSet(np.random.default_rng(0).random((3000, 2))), source)
+        dist = json.dumps({"kind": "indicator", "d": 2, "params": {
+            "base": {"kind": "file", "d": 2, "params": {"path": str(source)}},
+            "region": "x[0] < 0.01"}})
+        out = tmp_path / "x.csv"
+        assert run("gen-samples", "--dist", dist, "--count", 31, "--out", out) == 4
+        assert "28 of 3000 rows in the region" in caplog.text
+        assert not out.exists()
+        assert run("gen-samples", "--dist", dist, "--count", 28, "--out", out) == 0
+
     def test_same_seed_identical_files(self, tmp_path):
         a = tmp_path / "a.bin"
         b = tmp_path / "b.bin"
         for out in (a, b):
             assert run("--seed", 9, "gen-samples", "--dist", UNIFORM_2D,
-                       "--count", 500, "--out", out, "--format", "bin") == 0
+                       "--count", 500, "--out", out) == 0
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -146,7 +175,7 @@ class TestGenSamples:
 def sample_file(tmp_path):
     out = tmp_path / "samples.csv"
     assert run("--seed", 1, "gen-samples", "--dist", UNIFORM_2D,
-               "--count", 800, "--out", out, "--format", "csv") == 0
+               "--count", 800, "--out", out) == 0
     return out
 
 
@@ -166,7 +195,7 @@ class TestBuild:
     def test_monte_carlo_echo_when_sizes_match(self, tmp_path):
         samples = tmp_path / "tiny.csv"
         assert run("--seed", 2, "gen-samples", "--dist", UNIFORM_2D,
-                   "--count", 6, "--out", samples, "--format", "csv") == 0
+                   "--count", 6, "--out", samples) == 0
         out = tmp_path / "rule.json"
         assert run("build", "--samples", samples, "--degree-size", 6,
                    "--out", out) == 0
@@ -176,7 +205,7 @@ class TestBuild:
     def test_insufficient_samples_exit_4(self, tmp_path):
         samples = tmp_path / "tiny.csv"
         assert run("--seed", 2, "gen-samples", "--dist", UNIFORM_2D,
-                   "--count", 4, "--out", samples, "--format", "csv") == 0
+                   "--count", 4, "--out", samples) == 0
         assert run("build", "--samples", samples, "--degree-size", 6,
                    "--out", tmp_path / "r.json") == 4
 
@@ -192,6 +221,17 @@ class TestBuild:
         assert run("build", "--samples", samples, "--degree-size", 3,
                    "--out", tmp_path / "r.json") == 2
         assert "d >= 1" in caplog.text
+
+    @pytest.mark.parametrize("blob, named", [
+        (MAGIC + struct.pack("<I", 2), "header of 12 bytes"),
+        (b"\xff\xfe0.5,0.25\n", "neither a binary sample file nor UTF-8 text"),
+    ], ids=["short-header", "not-utf-8"])
+    def test_unreadable_samples_exit_2(self, blob, named, tmp_path, caplog):
+        samples = tmp_path / "odd.dat"
+        samples.write_bytes(blob)
+        assert run("build", "--samples", samples, "--degree-size", 3,
+                   "--out", tmp_path / "r.json") == 2
+        assert named in caplog.text
 
     def test_null_space_failure_exits_5(self, sample_file, tmp_path, caplog, monkeypatch):
         def failing_build(samples, spec):
@@ -249,7 +289,7 @@ class TestExtend:
                    "--out", r1) == 0
         fresh = tmp_path / "fresh.csv"
         assert run("--seed", 77, "gen-samples", "--dist", UNIFORM_2D,
-                   "--count", 600, "--out", fresh, "--format", "csv") == 0
+                   "--count", 600, "--out", fresh) == 0
         r2 = tmp_path / "r2.json"
         svd = svd_calls(monkeypatch)
         assert run("extend", "--rule", r1, "--samples", fresh,
@@ -511,9 +551,9 @@ class TestModuleEntry:
 
         out = tmp_path / "s.csv"
         done = module("--seed", 1, "gen-samples", "--dist", UNIFORM_2D, "--count", 10,
-                      "--out", out, "--format", "csv")
+                      "--out", out)
         assert done.returncode == 0, done.stderr
-        assert read_samples(out, "csv").count == 10
+        assert read_samples(out).count == 10
         # the exit code of `main` is the process's
         bad = module("bench-genz", "--config", json.dumps(
             {"d": 2, "k_max": 100, "schedule": 5, "distribution": {"kind": "uniform", "d": 2}}

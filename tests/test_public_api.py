@@ -9,10 +9,12 @@ that module.
 import ast
 import importlib.util
 import re
+import shlex
 import types
 from pathlib import Path
 
 import samplequad
+from samplequad.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "samplequad"
@@ -54,6 +56,18 @@ def test_readme_library_example_runs(capsys):
     assert 1 <= int(nodes) <= 21
     assert float(residual) <= 1e-8
     assert float(estimate) >= 0.0
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch):
+    # each line of the fenced sh block under "Command line", run as written
+    # through `main` in an empty folder
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"## Command line\n\n```sh\n(.*?)```", text, flags=re.S)
+    monkeypatch.chdir(tmp_path)
+    for line in block.splitlines():
+        program, *argv = shlex.split(line)
+        assert program == "samplequad"
+        assert main(argv) == 0, line
 
 
 def test_no_module_imports_a_name_it_never_uses():

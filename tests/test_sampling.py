@@ -1,6 +1,7 @@
 """Tests for sample generation and file I/O."""
 
 import cProfile
+import hashlib
 import math
 import pickle
 import pstats
@@ -43,10 +44,11 @@ BAD_SPECS = [
     pytest.param("uniform", 2, 0, {"hi": math.inf}, "uniform hi must be", id="inf-hi"),
     pytest.param("beta", 2, 0, {"a": math.nan}, "beta a must be", id="nan-beta-a"),
     pytest.param("uniform", 2, 0, {"lo": True}, "uniform lo must be", id="bool-lo"),
-    pytest.param("file", 2, 0, {"path": "x.csv", "format": "xml"}, "file format must be",
-                 id="xml-format"),
+    # the format is told by a file's bytes: `format` is a key like any unknown one
+    pytest.param("file", 2, 0, {"path": "x.csv", "format": "csv"},
+                 "file params take no 'format'", id="format-key"),
     # a file descriptor would read standard input
-    pytest.param("file", 2, 0, {"path": 0, "format": "csv"}, "file path must be", id="int-path"),
+    pytest.param("file", 2, 0, {"path": 0}, "file path must be", id="int-path"),
     pytest.param("file", 2, 0, {"path": ["a"]}, "file path must be", id="list-path"),
     pytest.param("uniform", 2.5, 0, {}, "uniform d must be", id="fractional-d"),
     pytest.param("uniform", 2, -1, {}, "uniform seed must be", id="negative-seed"),
@@ -348,8 +350,10 @@ class TestIndicatorRegion:
             kind="indicator", d=2, seed=8,
             params={"base": base, "region": "x[0]**2 + x[1]**2 <= 0.25"},
         )
-        pts = generate(spec, 2000).points
-        assert (pts[:, 0] ** 2 + pts[:, 1] ** 2 <= 0.25).all()
+        ss = generate(spec, 2000)
+        assert (ss.points[:, 0] ** 2 + ss.points[:, 1] ** 2 <= 0.25).all()
+        # two runs that differ only in their region record different provenance
+        assert ss.provenance["region"] == "x[0]**2 + x[1]**2 <= 0.25"
 
     def test_region_is_required(self):
         base = DistributionSpec(kind="uniform", d=1, params={"lo": 0.0, "hi": 1.0})
@@ -371,7 +375,9 @@ class TestIndicatorRegion:
     @pytest.mark.parametrize(
         "region",
         ["np.save('f', 1)", "x.__class__", "__import__('os')", "x[0] >", "x[2] > 0", "x[0] & 1",
-         "sqrt(x[0] - 2) > 0", "x[0] < 1e300 ** 2"],
+         "sqrt(x[0] - 2) > 0", "x[0] < 1e300 ** 2",
+         # calls with the wrong number of arguments used to raise a bare TypeError
+         "min() < 1", "abs(x[0], x[1]) < 1", "max(x[0]) < 1"],
     )
     def test_region_outside_the_grammar_is_rejected(self, region, tmp_path, monkeypatch):
         # a region string is data: it must neither reach numpy nor the
@@ -385,6 +391,48 @@ class TestIndicatorRegion:
             )
             generate(spec, 10)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.fixture()
+    def three_thousand_rows(self, tmp_path):
+        rows = np.random.default_rng(0).random((3000, 2))
+        path = tmp_path / "u.csv"
+        write_samples(SampleSet(rows), path)
+        return rows, {"kind": "indicator", "d": 2, "params": {
+            "base": {"kind": "file", "d": 2, "params": {"path": str(path)}},
+            "region": "x[0] < 0.01"}}
+
+    def test_a_file_base_is_read_once_in_file_order(self, three_thousand_rows):
+        # the base file used to be drawn again for every batch, its first
+        # 1,024 rows each time: 20 rows of which 14 were distinct
+        rows, data = three_thousand_rows
+        inside = rows[rows[:, 0] < 0.01]
+        assert len(inside) == 28
+        got = generate(DistributionSpec.from_json_dict(data), 20).points
+        assert got.tobytes() == inside[:20].tobytes()
+        assert generate(DistributionSpec.from_json_dict(data), 28).points.tobytes() == (
+            inside.tobytes())
+
+    def test_a_file_base_with_too_few_rows_inside_is_insufficient(self, three_thousand_rows):
+        _, data = three_thousand_rows
+        with pytest.raises(InsufficientSamples, match="28 of 3000 rows in the region"):
+            generate(DistributionSpec.from_json_dict(data), 31)
+
+    @pytest.mark.parametrize("base, region, digest", [
+        ({"kind": "uniform", "d": 2, "params": {"lo": -1.0, "hi": 1.0}}, "x[0] > 0.9",
+         "efbe5dd512b629934efc500a765521605dd8eab497cd296f53f88da78733e1c2"),
+        ({"kind": "normal", "d": 2, "params": {"mean": 0.5, "sd": 2.0}}, "x[0] > 4 * abs(x[1])",
+         "3d87dff3ac1b84a386ff71d10f1ab482e2b2d7852a2b6a485939842497721444"),
+        ({"kind": "beta", "d": 2, "params": {"a": 2.0, "b": 5.0}}, "x[0] > 0.6",
+         "823db613c343e06f85973ae3b2ca5ca763ac03d22708f9216c62070e31140bec"),
+        ({"kind": "rosenbrock", "d": 2, "params": {"burn_in": 200, "thinning": 1}}, "x[1] > 1.2",
+         "be0526afba8ee09381e084ec99f23da5e4a6ee693ec03af242436a84750eeff7"),
+    ], ids=["uniform", "normal", "beta", "rosenbrock"])
+    def test_drawn_bases_give_the_frozen_samples(self, base, region, digest):
+        # several batches each (acceptance 4% to 10%); the digests were
+        # taken before a file base was read once, and must not move
+        spec = DistributionSpec.from_json_dict(
+            {"kind": "indicator", "d": 2, "seed": 3, "params": {"base": base, "region": region}})
+        assert hashlib.sha256(generate(spec, 300).points.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("base_d", (1, 3))
     def test_base_of_another_dimension_is_rejected(self, base_d):
@@ -428,8 +476,8 @@ class TestSampleFiles:
 
         ss = SampleSet(rng.standard_normal((1000, 3)))
         path = tmp_path / "samples.bin"
-        write_samples(ss, path, "binary_f64")
-        again = read_samples(path, "binary_f64")
+        write_samples(ss, path)
+        again = read_samples(path)
         assert again.points.tobytes() == ss.points.tobytes()
 
     def test_csv_round_trip_exact(self, tmp_path):
@@ -438,14 +486,14 @@ class TestSampleFiles:
 
         ss = SampleSet(rng.random((200, 2)))
         path = tmp_path / "samples.csv"
-        write_samples(ss, path, "csv")
-        again = read_samples(path, "csv")
+        write_samples(ss, path)
+        again = read_samples(path)
         np.testing.assert_array_equal(again.points, ss.points)
 
     def test_csv_parse(self, tmp_path):
         path = tmp_path / "two.csv"
         path.write_text("0.5,0.25\n1,0\n", encoding="utf-8")
-        ss = read_samples(path, "csv")
+        ss = read_samples(path)
         assert ss.d == 2 and ss.count == 2
         np.testing.assert_array_equal(ss.points, [[0.5, 0.25], [1.0, 0.0]])
 
@@ -453,14 +501,14 @@ class TestSampleFiles:
         path = tmp_path / "bad.csv"
         path.write_text("0.5,abc\n", encoding="utf-8")
         with pytest.raises(ParseError) as err:
-            read_samples(path, "csv")
+            read_samples(path)
         assert err.value.line == 1
 
     def test_csv_inconsistent_dimension(self, tmp_path):
         path = tmp_path / "bad2.csv"
         path.write_text("0.5,0.25\n1.0\n", encoding="utf-8")
         with pytest.raises(DimensionInconsistent) as err:
-            read_samples(path, "csv")
+            read_samples(path)
         assert err.value.line == 2
 
     def test_csv_blank_lines_are_skipped(self, tmp_path):
@@ -482,7 +530,7 @@ class TestSampleFiles:
 
     def test_binary_of_the_wrong_length(self, tmp_path):
         path = tmp_path / "short.bin"
-        write_samples(SampleSet(np.ones((4, 2))), path, "binary_f64")
+        write_samples(SampleSet(np.ones((4, 2))), path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ParseError, match="file length 72 != expected 80"):
             read_samples(path)
@@ -494,14 +542,48 @@ class TestSampleFiles:
         with pytest.raises(DimensionMismatch, match="d >= 1"):
             read_samples(path)
 
-    def test_write_unknown_format(self, tmp_path):
-        path = tmp_path / "s.xml"
-        with pytest.raises(InvalidSpec, match="unknown sample format 'xml'"):
-            write_samples(SampleSet(np.ones((2, 2))), path, "xml")
-        assert not path.exists()
+    def test_file_spec_takes_no_format(self):
+        message = "file params take no 'format' (known: path)"
+        with pytest.raises(InvalidSpec, match=re.escape(message)):
+            DistributionSpec(kind="file", d=2, params={"path": "x.bin", "format": "binary_f64"})
 
     def test_binary_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOTMAGIC" + b"\0" * 16)
         with pytest.raises(ParseError):
-            read_samples(path, "binary_f64")
+            read_samples(path)
+
+    def test_the_writer_picks_binary_for_bin_only(self, tmp_path):
+        ss = SampleSet(np.random.default_rng(3).random((5, 2)))
+        for name in ("s.bin", "s.csv", "s.dat", "s"):
+            write_samples(ss, tmp_path / name)
+            assert (tmp_path / name).read_bytes().startswith(MAGIC) == (name == "s.bin")
+            assert read_samples(tmp_path / name).points.tobytes() == ss.points.tobytes()
+
+    def test_the_reader_tells_the_format_by_content(self, tmp_path):
+        # binary under another name, as `write_samples` wrote every name but
+        # `.csv` before the writer chose by `.bin`; CSV under any name
+        ss = SampleSet(np.random.default_rng(4).standard_normal((7, 3)))
+        write_samples(ss, tmp_path / "x.bin")
+        write_samples(ss, tmp_path / "y.csv")
+        for src, name in (("x.bin", "x.dat"), ("x.bin", "x.csv"), ("y.csv", "y.txt"),
+                          ("y.csv", "y.bin")):
+            (tmp_path / name).write_bytes((tmp_path / src).read_bytes())
+            assert read_samples(tmp_path / name).points.tobytes() == ss.points.tobytes()
+
+    @pytest.mark.parametrize("blob, named", [
+        (MAGIC + struct.pack("<I", 2), "header of 12 bytes, 16 expected"),
+        (MAGIC, "header of 8 bytes, 16 expected"),
+        (b"\xff\xfe0.5,0.25\n", "neither a binary sample file nor UTF-8 text"),
+        (b"0.5,0.25\n\x80\n", "neither a binary sample file nor UTF-8 text"),
+    ], ids=["short-header", "magic-only", "utf-16-bom", "stray-byte"])
+    def test_a_file_neither_binary_nor_text_is_a_parse_error(self, blob, named, tmp_path):
+        path = tmp_path / "odd.bin"
+        path.write_bytes(blob)
+        with pytest.raises(ParseError, match=named):
+            read_samples(path)
+
+    def test_csv_lines_end_as_in_a_text_file(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_bytes(b"0.5,0.25\r1,0\r\n2,3\n")
+        np.testing.assert_array_equal(read_samples(path).points, [[0.5, 0.25], [1, 0], [2, 3]])
