@@ -4,9 +4,10 @@ The basis is a sequence of polynomials phi_0, phi_1, ... of non-decreasing
 total degree, with phi_0 the constant function.  Multi-indices are ordered
 by ascending total degree; within a degree the tie-break compares exponent
 vectors from the last coordinate, with the larger last-differing exponent
-sorting later (a graded reverse-lexicographic order).  Two families are
-supported: raw monomials and products of Legendre polynomials composed
-with a per-coordinate affine map onto [-1, 1].
+sorting later (a graded reverse-lexicographic order).  Each function is
+a product of Legendre polynomials, each coordinate mapped affinely from
+its domain box onto [-1, 1]; every basis of this space gives a rule the
+same null spaces, so only the conditioning would change with another.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from .errors import (
     DimensionMismatch, InvalidDomain, InvalidSpec, is_number, require_int, require_keys,
 )
 
-MONOMIAL = "monomial"
 PRODUCT_LEGENDRE = "product_legendre"
-FAMILIES = (MONOMIAL, PRODUCT_LEGENDRE)
 
 
 def _compositions(total: int, parts: int):
@@ -48,22 +47,18 @@ def _indices_cached(d: int, count: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """A finite polynomial basis with an attached affine domain map.
+    """The first `size` product-Legendre polynomials on a domain box.
 
-    `domain` stores one (lo, hi) pair per coordinate; for the Legendre
-    family each coordinate is mapped onto [-1, 1] before evaluation.
-    Monomials are evaluated on the raw coordinates.  Indices are always
+    `domain` stores one (lo, hi) pair per coordinate; each coordinate is
+    mapped onto [-1, 1] before evaluation.  Indices are always
     regenerated from (d, size) on first use, never stored externally.
     """
 
     d: int
     size: int
-    family: str = PRODUCT_LEGENDRE
     domain: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InvalidSpec(f"unknown basis family {self.family!r}")
         for name in ("d", "size"):
             object.__setattr__(self, name, require_int(getattr(self, name), f"basis {name!r}"))
         if self.d < 1 or self.size < 1:
@@ -100,13 +95,15 @@ class BasisSpec:
         return {
             "d": self.d,
             "size": self.size,
-            "family": self.family,
+            "family": PRODUCT_LEGENDRE,
             "domain": [[lo, hi] for lo, hi in self.domain],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BasisSpec":
         require_keys(data, ("d", "size", "family", "domain"), "basis spec")
+        if data["family"] != PRODUCT_LEGENDRE:
+            raise InvalidSpec(f"unknown basis family {data['family']!r}")
         domain = data["domain"]
         if not (isinstance(domain, (list, tuple)) and domain and all(
                 isinstance(box, (list, tuple)) and len(box) == 2 and all(map(is_number, box))
@@ -115,7 +112,6 @@ class BasisSpec:
         return cls(
             d=data["d"],
             size=data["size"],
-            family=str(data["family"]),
             domain=tuple((float(lo), float(hi)) for lo, hi in domain),
         )
 
@@ -163,23 +159,10 @@ def basis_matrix(spec: BasisSpec, points: np.ndarray) -> np.ndarray:
             f"points have dimension {pts.shape[1]}, basis expects {spec.d}"
         )
     expo = spec.exponent_matrix
-    n = pts.shape[0]
-    if spec.family == PRODUCT_LEGENDRE:
-        ref = spec.map_to_reference(pts)
-        out = np.ones((spec.size, n))
-        for i in range(spec.d):
-            max_deg = int(expo[:, i].max())
-            table = _legendre_table(ref[:, i], max_deg)
-            out *= table[expo[:, i], :]
-        return out
-    # monomial family: raw coordinate powers, no domain map
-    out = np.ones((spec.size, n))
+    ref = spec.map_to_reference(pts)
+    out = np.ones((spec.size, pts.shape[0]))
     for i in range(spec.d):
         max_deg = int(expo[:, i].max())
-        powers = np.empty((max_deg + 1, n))
-        powers[0] = 1.0
-        for p in range(max_deg):
-            powers[p + 1] = powers[p] * pts[:, i]
-        out *= powers[expo[:, i], :]
+        table = _legendre_table(ref[:, i], max_deg)
+        out *= table[expo[:, i], :]
     return out
-

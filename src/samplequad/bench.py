@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .basis import BasisSpec, domain_from_samples
-from .errors import InvalidSpec, SampleQuadError, require_int, require_keys
+from .errors import UNALLOCATABLE, InvalidSpec, SampleQuadError, require_int, require_keys
 from .nested import ExtensionRequest, extend_rule
 from .rule import SampleSet, construct_fixed_rule
 from .sampling import DistributionSpec, ROSENBROCK, generate
@@ -101,7 +101,6 @@ class ExperimentConfig:
     seed: int = 0
     include_nonnested: bool = False
     families: tuple[str, ...] = FAMILIES
-    basis_family: str = "product_legendre"
     removal_cap: int = 128
 
     def __post_init__(self):
@@ -124,13 +123,16 @@ class ExperimentConfig:
             raise InvalidSpec(f"removal_cap must be at least 1, not {self.removal_cap}")
         if not self.schedule or min(self.schedule) < 1:
             raise InvalidSpec(f"schedule must list rule sizes >= 1, got {list(self.schedule)}")
-        if list(self.schedule) != sorted(self.schedule):
-            raise InvalidSpec("schedule must be ascending")
+        if any(a >= b for a, b in zip(self.schedule, self.schedule[1:])):
+            raise InvalidSpec(f"schedule must be strictly ascending, got {list(self.schedule)}")
         if self.k_max < max(self.schedule) + 1:
             raise InvalidSpec("k_max must exceed the largest rule size")
         bad = [f for f in self.families if f not in FAMILIES]
         if bad:
             raise InvalidSpec(f"unknown families {bad}")
+        if not self.active_families():
+            raise InvalidSpec(f"families {list(self.families)} leave none to measure "
+                              f"under a {self.distribution.kind} distribution")
 
     def active_families(self) -> tuple[str, ...]:
         # the corner peak integral diverges under the banana density
@@ -212,7 +214,11 @@ def fit_slope(ns, errors) -> float:
 def _rep_seeds(config: ExperimentConfig) -> list[list[int]]:
     """(sample, parameter, selection) seeds of every repetition."""
     root = np.random.SeedSequence(config.seed)
-    state = root.generate_state(3 * config.repetitions, dtype=np.uint64)
+    try:
+        state = root.generate_state(3 * config.repetitions, dtype=np.uint64)
+    except UNALLOCATABLE as exc:
+        raise InvalidSpec(f"repetitions = {config.repetitions} need more seeds than numpy "
+                          f"can allocate: {exc}") from None
     return (state >> 1).reshape(-1, 3).tolist()
 
 
@@ -272,10 +278,8 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
             record(MONTE_CARLO, n)
         report.evaluations[MONTE_CARLO] += max(config.schedule) + 1
 
-        spec = BasisSpec(
-            d=config.d, size=config.schedule[0] + 1,
-            family=config.basis_family, domain=domain_from_samples(samples.points),
-        )
+        spec = BasisSpec(d=config.d, size=config.schedule[0] + 1,
+                         domain=domain_from_samples(samples.points))
         try:
             chain = _build_chain(config, samples, spec, select_seed)
         except SampleQuadError as exc:
@@ -297,7 +301,8 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
                 report.evaluations[REGENERATED_RULE] += rule.n_nodes
                 record(REGENERATED_RULE, n, rule)
 
-    report.errors = {key: total / count for key, (total, count) in totals.items()}
+    # Python floats: a numpy 2 scalar's repr is no number a CSV reader takes
+    report.errors = {key: float(total / count) for key, (total, count) in totals.items()}
     report.completed_repetitions = dict.fromkeys(families, completed)
 
     methods = {m for (_, _, m) in report.errors}

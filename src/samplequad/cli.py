@@ -68,11 +68,9 @@ def cmd_gen_samples(args) -> int:
 
 def cmd_build(args) -> int:
     samples = read_samples(args.samples)
-    family = "product_legendre" if args.basis == "legendre" else "monomial"
     spec = BasisSpec(
         d=samples.d,
         size=args.degree_size,
-        family=family,
         domain=domain_from_samples(samples.points),
     )
     rule = construct_fixed_rule(samples, spec)
@@ -149,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", required=True)
     p.add_argument("--degree-size", type=int, required=True, dest="degree_size",
                    help="number of basis functions (D+1)")
-    p.add_argument("--basis", choices=["legendre", "monomial"], default="legendre")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_build)
 

@@ -31,6 +31,11 @@ def require_int(value, name: str) -> int:
     return n
 
 
+# what numpy raises for an array it cannot allocate: MemoryError, or
+# ValueError or OverflowError for a shape beyond its size limit
+UNALLOCATABLE = (MemoryError, ValueError, OverflowError)
+
+
 def is_number(value) -> bool:
     """A float, or an int (not a bool) that a float holds: a number a JSON reader takes as is."""
     return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)

@@ -40,6 +40,7 @@ from operator import add
 import numpy as np
 
 from .errors import (
+    UNALLOCATABLE,
     AcceptanceTooLow,
     DimensionInconsistent,
     DimensionMismatch,
@@ -137,7 +138,12 @@ def _reals(positive: bool, vector: bool):
         # the dtype before any conversion, which would take "0.5" and True
         if a.dtype.kind not in "iuf" or not (np.isfinite(a) & (a > low)).all():
             raise ValueError
-        return np.broadcast_to(a.astype(float), d) if vector else float(a)
+        if not vector:
+            return float(a)
+        # the shape is checked, never broadcast to d: the generators broadcast
+        if a.shape not in ((), (1,), (d,)):
+            raise ValueError
+        return a.astype(float)
     what = "positive finite number" if positive else "finite number"
     return (f"{what}s, one or one per coordinate" if vector else f"a {what}"), convert
 
@@ -221,12 +227,9 @@ class DistributionSpec:
             raise InvalidSpec(f"{self.kind} params take no {', '.join(map(repr, unknown))} "
                               f"(known: {', '.join(table)})")
         self.resolved = {key: resolved[key] for key in table}
-        # on the values as given, never broadcast to d: a d too large for
-        # numpy is refused when the samples are drawn, naming the count
-        if "lo" in table:
-            lo, hi = (np.asarray(p.get(key, table[key][0]), dtype=float) for key in ("lo", "hi"))
-            if np.any(lo >= hi):
-                raise InvalidSpec(f"{self.kind} needs lo < hi per coordinate")
+        # a d too large for numpy is refused when the samples are drawn, naming the count
+        if "lo" in table and np.any(self.resolved["lo"] >= self.resolved["hi"]):
+            raise InvalidSpec(f"{self.kind} needs lo < hi per coordinate")
         if self.kind == INDICATOR:
             p["base"] = self.resolved["base"]
         self.params = p
@@ -244,11 +247,6 @@ class DistributionSpec:
                    params=data.get("params", {}))
 
 
-# what numpy raises for an array it cannot allocate: MemoryError, or
-# ValueError or OverflowError for a shape beyond its size limit
-_UNALLOCATABLE = (MemoryError, ValueError, OverflowError)
-
-
 def _unallocatable(spec: DistributionSpec, count: int, what: str, exc: Exception):
     return InvalidSpec(f"{spec.kind} {what} at d = {spec.d} and count = {count} is more "
                        f"than numpy can allocate: {exc}")
@@ -262,7 +260,7 @@ def _mh_rosenbrock(spec: DistributionSpec, count: int):
     try:
         steps = rng.normal(0.0, step, size=(total, spec.d))
         log_u = np.log(rng.random(total))
-    except _UNALLOCATABLE as exc:
+    except UNALLOCATABLE as exc:
         raise _unallocatable(spec, count, f"burn_in + count * thinning of {total} steps",
                              exc) from None
     # the state: the first pair as floats, the rest as a list (at d = 2 the
@@ -329,7 +327,7 @@ def _rejection_sample(spec: DistributionSpec, count: int):
     predicate = _region_predicate(region, spec.d)
     try:
         out = np.empty((count, spec.d))
-    except _UNALLOCATABLE as exc:
+    except UNALLOCATABLE as exc:
         raise _unallocatable(spec, count, "samples", exc) from None
     filled = proposed = accepted = 0
     batch_seed = spec.seed
@@ -398,7 +396,7 @@ def generate(spec: DistributionSpec, count: int) -> SampleSet:
             unit = (rng.random(shape) if spec.kind == UNIFORM
                     else rng.beta(p["a"], p["b"], size=shape))
             pts = p["lo"] + (p["hi"] - p["lo"]) * unit
-    except _UNALLOCATABLE as exc:
+    except UNALLOCATABLE as exc:
         raise _unallocatable(spec, count, "samples", exc) from None
     provenance = {"kind": spec.kind, "seed": spec.seed, "params": dict(spec.params)}
     return SampleSet(pts, provenance=provenance)

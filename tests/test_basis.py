@@ -124,10 +124,11 @@ class TestEvaluateBasis:
             got, [legendre_oracle(n, 0.5) for n in range(3)], atol=1e-15
         )
 
-    def test_monomial_products(self):
-        spec = BasisSpec(d=2, size=6, family="monomial", domain=((0.0, 5.0),) * 2)
+    def test_legendre_products(self):
+        # (2, 3) maps to (-0.2, 0.2) on [0, 5]^2; P_2(x) = (3x^2 - 1) / 2
+        spec = BasisSpec(d=2, size=6, domain=((0.0, 5.0),) * 2)
         np.testing.assert_allclose(
-            evaluate_at(spec, [2.0, 3.0]), [1, 2, 3, 4, 6, 9]
+            evaluate_at(spec, [2.0, 3.0]), [1, -0.2, 0.2, -0.44, -0.04, -0.44], atol=1e-15
         )
 
     def test_constant_entry_is_one(self):
@@ -191,6 +192,20 @@ class TestBasisSpec:
             BasisSpec.from_json_dict(data)
         with pytest.raises(InvalidSpec, match=f"basis '{key}' must be an integer"):
             BasisSpec(**{"d": 2, "size": 5, key: value})
+
+    def test_the_family_is_written_and_required(self):
+        data = BasisSpec(d=2, size=5).to_json_dict()
+        assert data["family"] == "product_legendre"
+        del data["family"]
+        with pytest.raises(InvalidSpec, match="lacks 'family'"):
+            BasisSpec.from_json_dict(data)
+
+    @pytest.mark.parametrize("family", ["monomial", "legendre", "Product_Legendre", 5, None])
+    def test_a_family_other_than_product_legendre_is_refused(self, family):
+        data = BasisSpec(d=2, size=5).to_json_dict()
+        data["family"] = family
+        with pytest.raises(InvalidSpec, match=f"unknown basis family {family!r}"):
+            BasisSpec.from_json_dict(data)
 
     def test_degenerate_domain_rejected(self):
         with pytest.raises(InvalidDomain):

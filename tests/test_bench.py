@@ -277,10 +277,20 @@ class TestRunConvergence:
         assert payload["config"]["d"] == 2
         assert len(payload["errors"]) == len(report.errors)
 
-    @pytest.mark.parametrize("schedule", [(), (-3, 4)], ids=["empty", "negative-size"])
+    @pytest.mark.parametrize("schedule", [(), (-3, 4), (4, 4)],
+                             ids=["empty", "negative-size", "repeated-size"])
     def test_schedule_that_cannot_run_is_rejected(self, schedule):
         with pytest.raises(InvalidSpec, match="schedule"):
             small_config(schedule=schedule)
+
+    @pytest.mark.parametrize("kind, families", [
+        ("uniform", ()), ("rosenbrock", ()), ("rosenbrock", ("corner_peak",)),
+    ])
+    def test_a_config_that_measures_no_family_is_rejected(self, kind, families):
+        with pytest.raises(InvalidSpec, match="leave none to measure"):
+            small_config(distribution=DistributionSpec(kind, 2), families=families)
+        # the corner peak alone is measured under the uniform distribution
+        assert small_config(families=("corner_peak",)).active_families() == ("corner_peak",)
 
     def test_validation(self):
         with pytest.raises(InvalidSpec):

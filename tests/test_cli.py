@@ -66,11 +66,13 @@ class TestGenSamples:
         assert not (tmp_path / "x.csv").exists()
 
     # each has more than a 47-bit address space maps, so nothing is allocated;
-    # the last is beyond numpy's size limit ("array is too big")
+    # the last four are beyond numpy's size limit ("array is too big",
+    # "maximum allowed dimension exceeded")
     @pytest.mark.parametrize("kind, d, count", [
         ("uniform", 2**48, 1), ("beta", 2**48, 1), ("normal", 2**48, 1),
         ("indicator", 2**48, 1), ("uniform", 2, 2**46), ("normal", 2, 2**46),
         ("beta", 2, 2**46), ("indicator", 2, 2**46), ("normal", 2**48, 2**20),
+        ("uniform", 10**30, 1), ("normal", 2**70, 1), ("beta", 10**30, 1),
     ])
     def test_samples_too_many_to_allocate_exit_2(self, kind, d, count, tmp_path, caplog):
         params = {"base": {"kind": "uniform", "d": d}, "region": "x[0] < 0.5"} if (
@@ -247,6 +249,14 @@ class TestBuild:
         assert run("build", "--samples", tmp_path / "absent.csv",
                    "--degree-size", 4, "--out", tmp_path / "r.json") == 3
 
+    @pytest.mark.parametrize("basis", ["legendre", "monomial"])
+    def test_there_is_no_basis_option(self, basis, sample_file, tmp_path):
+        with pytest.raises(SystemExit) as exit_:
+            run("build", "--samples", sample_file, "--degree-size", 6, "--basis", basis,
+                "--out", tmp_path / "r.json")
+        assert exit_.value.code == 2
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestExtend:
     def test_degree_chain_nested(self, sample_file, tmp_path, capsys):
@@ -316,7 +326,11 @@ class TestExtend:
         (lambda rule: rule["spec"].pop("d"), "'d'"),
         (lambda rule: rule.update(source_indices=rule["source_indices"][:3]), "source_indices"),
         (lambda rule: rule.update(fixed_mask=rule["fixed_mask"][:3]), "fixed_mask"),
-    ], ids=["no-fixed-mask", "spec-without-d", "short-source-indices", "short-fixed-mask"])
+        (lambda rule: rule["spec"].pop("family"), "lacks 'family'"),
+        (lambda rule: rule["spec"].update(family="monomial"), "unknown basis family 'monomial'"),
+        (lambda rule: rule["spec"].update(family="legendre"), "unknown basis family 'legendre'"),
+    ], ids=["no-fixed-mask", "spec-without-d", "short-source-indices", "short-fixed-mask",
+            "spec-without-family", "monomial-family", "other-family"])
     def test_malformed_rule_file_exits_2(self, edit, named, sample_file, tmp_path, caplog):
         r1 = tmp_path / "r1.json"
         assert run("build", "--samples", sample_file, "--degree-size", 6,
@@ -449,6 +463,12 @@ class TestBenchGenz:
         ("schedule", 5, "schedule must be a list"),
         ("families", 5, "families must be a list"),
         ("families", "oscillatory", "families must be a list"),
+        ("basis_family", "product_legendre", "unknown keys ['basis_family']"),
+        ("schedule", [2, 2], "schedule must be strictly ascending"),
+        ("families", [], "leave none to measure"),
+        # 3 seed words each: more than a 47-bit address space maps, or than numpy's size limit
+        ("repetitions", 2**44, "repetitions = 17592186044416 need more seeds than numpy"),
+        ("repetitions", 10**30, "repetitions = " + str(10**30) + " need more seeds than numpy"),
     ])
     def test_bad_config_exits_2(self, key, value, named, tmp_path, caplog):
         config = {"d": 2, "k_max": 100, "schedule": [2, 4], "repetitions": 1,
@@ -494,7 +514,13 @@ class TestBenchGenz:
         assert lines[0] == "family,N,method,mean_abs_error"
         # 6 families x 2 schedule points x 2 methods
         assert len(lines) == 1 + 24
-        assert (tmp_path / "report.csv.json").exists()
+        # every error a number, the same float as the JSON report's row
+        rows = json.loads((tmp_path / "report.csv.json").read_text())["errors"]
+        assert len(rows) == 24
+        for line, row in zip(lines[1:], rows):
+            family, n, method, err = line.split(",")
+            assert (family, int(n), method) == (row["family"], row["N"], row["method"])
+            assert struct.pack("<d", float(err)) == struct.pack("<d", row["mean_abs_error"])
 
     def test_deterministic_reports(self, tmp_path):
         config = {

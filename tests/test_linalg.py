@@ -11,8 +11,8 @@ from samplequad.linalg import (
 from samplequad.tolerances import TOL_FAST
 
 
-def spec_1d(size, family="monomial", lo=-1.0, hi=1.0):
-    return BasisSpec(d=1, size=size, family=family, domain=((lo, hi),))
+def spec_1d(size, lo=-1.0, hi=1.0):
+    return BasisSpec(d=1, size=size, domain=((lo, hi),))
 
 
 def _bits(x):
@@ -66,7 +66,8 @@ class TestStepReductions:
 class TestBuildVandermonde:
     """V[j, k] = phi_j(nodes[k]) as `basis_matrix` builds it."""
 
-    def test_monomial_two_nodes(self):
+    def test_degree_one_two_nodes(self):
+        # P_0 = 1 and P_1 = x on (-1, 1)
         V = basis_matrix(spec_1d(2), [[0.0], [1.0]])
         np.testing.assert_array_equal(V, [[1, 1], [0, 1]])
 
@@ -77,7 +78,7 @@ class TestBuildVandermonde:
         np.testing.assert_array_equal(V[:, 0], basis_matrix(spec, [0.3, 0.7])[:, 0])
 
     def test_legendre_three_nodes(self):
-        V = basis_matrix(spec_1d(3, "product_legendre"), [[-1.0], [0.0], [1.0]])
+        V = basis_matrix(spec_1d(3), [[-1.0], [0.0], [1.0]])
         np.testing.assert_allclose(
             V, [[1, 1, 1], [-1, 0, 1], [1, -0.5, 1]], atol=1e-15
         )
@@ -95,7 +96,7 @@ class TestNullVector:
         np.testing.assert_allclose(c, [1 / np.sqrt(2), -1 / np.sqrt(2)], atol=1e-15)
 
     def test_hand_solved_two_by_three(self):
-        # monomial basis {1, x} at nodes {0, 1, 2}: c is proportional to (1, -2, 1)
+        # basis {1, x} at nodes {0, 1, 2}: c is proportional to (1, -2, 1)
         V = basis_matrix(spec_1d(2), [[0.0], [1.0], [2.0]])
         c = null_vector(V)
         np.testing.assert_allclose(c, np.array([1.0, -2.0, 1.0]) / np.sqrt(6), atol=1e-14)
@@ -105,7 +106,7 @@ class TestNullVector:
         for trial in range(20):
             n = int(rng.integers(3, 12))
             nodes = np.sort(rng.uniform(-1, 1, n + 1)).reshape(-1, 1)
-            V = basis_matrix(spec_1d(n, "product_legendre"), nodes)
+            V = basis_matrix(spec_1d(n), nodes)
             c = null_vector(V)
             assert np.linalg.norm(V @ c) <= 1e-10 * np.linalg.norm(V)
             assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-12)
@@ -114,7 +115,7 @@ class TestNullVector:
         rng = np.random.default_rng(2)
         for _ in range(20):
             nodes = rng.uniform(0, 1, (8, 1))
-            V = basis_matrix(spec_1d(7, "product_legendre", 0.0, 1.0), nodes)
+            V = basis_matrix(spec_1d(7, 0.0, 1.0), nodes)
             c = null_vector(V)
             assert abs(c.sum()) <= 1e-9
             assert (c > 0).any() and (c < 0).any()
@@ -158,7 +159,7 @@ class TestNullSpace:
     def test_random_wide_vandermonde(self):
         rng = np.random.default_rng(6)
         nodes = np.sort(rng.uniform(-1, 1, 7)).reshape(-1, 1)
-        V = basis_matrix(spec_1d(4, "product_legendre"), nodes)
+        V = basis_matrix(spec_1d(4), nodes)
         C = null_space(V, 3)
         np.testing.assert_allclose(C.T @ C, np.eye(3), atol=1e-12)
         assert np.abs(V @ C).max() <= 1e-10 * np.linalg.norm(V)
@@ -172,7 +173,7 @@ class TestExtensionFactorization:
     def test_extend_matches_from_scratch(self):
         rng = np.random.default_rng(7)
         nodes = np.sort(rng.uniform(-1, 1, 6)).reshape(-1, 1)
-        spec = spec_1d(6, "product_legendre")
+        spec = spec_1d(6)
         V = basis_matrix(spec, nodes)
         handle = ExtensionFactorization(V)
         for _ in range(10):

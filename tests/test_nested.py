@@ -524,12 +524,12 @@ class TestNewNodesPerLevel:
 
 
 def quadratic_engine(nodes, weights, fixed):
-    """A stream engine on the monomials 1, x, x^2 over d = 1 nodes.
+    """A stream engine on the basis 1, x, (3x^2 - 1) / 2 over d = 1 nodes.
 
     Nodes -1, 0 and 1 and the dyadic points between them keep the block
     solves exact, so ratio tests can tie exactly.
     """
-    spec = BasisSpec(d=1, size=3, family="monomial", domain=((-1.0, 1.0),))
+    spec = BasisSpec(d=1, size=3, domain=((-1.0, 1.0),))
     work = QuadratureRule(
         nodes=np.array(nodes)[:, None], weights=np.array(weights), spec=spec,
         K=len(nodes) - 1, fixed_mask=np.array(fixed),

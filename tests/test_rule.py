@@ -35,8 +35,8 @@ from samplequad.sampling import DistributionSpec, generate
 from test_nested import SEED_CORPUS, _increase_degree_chain, svd_calls
 
 
-def monomial_spec(size, lo=-1.0, hi=1.0):
-    return BasisSpec(d=1, size=size, family="monomial", domain=((lo, hi),))
+def spec_1d(size, lo=-1.0, hi=1.0):
+    return BasisSpec(d=1, size=size, domain=((lo, hi),))
 
 
 def legendre_spec(d, size, dom):
@@ -86,13 +86,14 @@ class TestSampleMoments:
 
     def test_mean(self):
         ss = SampleSet(np.array([[0.0], [1.0]]))
-        mu = sample_moments(ss, monomial_spec(2))
+        mu = sample_moments(ss, spec_1d(2))
         assert mu.values[1] == 0.5
 
     def test_second_raw_moment(self):
         ss = SampleSet(np.array([[0.0], [0.25], [0.5], [0.75], [1.0]]))
-        mu = sample_moments(ss, monomial_spec(3))
-        assert mu.values[2] == pytest.approx(0.375, abs=1e-15)
+        mu = sample_moments(ss, spec_1d(3))
+        # P_2 = (3x^2 - 1) / 2 of the raw second moment 0.375
+        assert mu.values[2] == pytest.approx((3 * 0.375 - 1) / 2, abs=1e-15)
 
     def test_matches_plain_average_on_large_set(self):
         rng = np.random.default_rng(1)
@@ -107,7 +108,7 @@ class TestAddSample:
     # the basis is larger than the rule, so the step only appends
     def test_first_addition_halves(self):
         rule = QuadratureRule(
-            nodes=[[0.3]], weights=[1.0], spec=monomial_spec(2), K=0
+            nodes=[[0.3]], weights=[1.0], spec=spec_1d(2), K=0
         )
         bigger = _feed_one(rule, [0.9])
         np.testing.assert_allclose(bigger.weights, [0.5, 0.5])
@@ -118,14 +119,14 @@ class TestAddSample:
         w = rng.random(10)
         w /= w.sum()
         rule = QuadratureRule(
-            nodes=rng.random((10, 1)), weights=w, spec=monomial_spec(11), K=9
+            nodes=rng.random((10, 1)), weights=w, spec=spec_1d(11), K=9
         )
         assert _feed_one(rule, [0.5]).weights.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_moment_update_matches_fresh_average(self):
         rng = np.random.default_rng(3)
         pts = rng.random((6, 1))
-        spec = monomial_spec(6, 0.0, 1.0)
+        spec = spec_1d(6, 0.0, 1.0)
         ss5 = SampleSet(pts[:5])
         mu5 = sample_moments(ss5, spec)
         # a rule that reproduces mu5 exactly: the Monte Carlo rule itself
@@ -199,7 +200,7 @@ class TestRemovalInterval:
 
     def test_infeasible_case_matches_exhaustive_oracle(self):
         # weights with a negative entry where no single deletion can help
-        spec = monomial_spec(2)
+        spec = spec_1d(2)
         nodes = np.array([[0.0], [1.0], [2.0]])
         w = np.array([-0.5, 0.5, 1.0])
         V = basis_matrix(spec, nodes)
@@ -216,7 +217,7 @@ class TestRemovalInterval:
 
 class TestRemoveOne:
     def test_duplicate_nodes_merge(self):
-        spec = monomial_spec(1)
+        spec = spec_1d(1)
         rule = QuadratureRule(
             nodes=[[0.4], [0.4], [0.8]],
             weights=[0.3, 0.3, 0.4],
@@ -246,7 +247,7 @@ class TestRemoveOne:
 
     def test_symmetric_simultaneous_zeros(self):
         # mirror-symmetric configuration: both end nodes vanish together
-        spec = monomial_spec(2)
+        spec = spec_1d(2)
         rule = QuadratureRule(
             nodes=[[-1.0], [0.0], [1.0]],
             weights=[0.25, 0.5, 0.25],
@@ -281,9 +282,10 @@ class TestConstructFixedRule:
     def test_small_case_in_brute_force_feasible_set(self):
         pts = np.array([[0.0], [0.25], [0.5], [0.75], [1.0]])
         ss = SampleSet(pts)
-        spec = monomial_spec(3, 0.0, 1.0)
+        spec = spec_1d(3, 0.0, 1.0)
         mu = sample_moments(ss, spec)
-        np.testing.assert_allclose(mu.values[:3], [1.0, 0.5, 0.375], atol=1e-15)
+        # on [-1, 1] the grid is -1, -0.5, 0, 0.5, 1: mean 0, second moment 0.5
+        np.testing.assert_allclose(mu.values[:3], [1.0, 0.0, (3 * 0.5 - 1) / 2], atol=1e-15)
         rule = construct_fixed_rule(ss, spec)
         # the symmetric grid admits exact sub-rules below D+1 nodes, so the
         # oracle enumerates every subset size up to D+1
@@ -305,7 +307,7 @@ class TestConstructFixedRule:
         for _ in range(10):
             pts = rng.random((5, 1))
             ss = SampleSet(pts)
-            spec = monomial_spec(3, 0.0, 1.0)
+            spec = spec_1d(3, 0.0, 1.0)
             mu = sample_moments(ss, spec)
             rule = construct_fixed_rule(ss, spec)
             assert rule.n_nodes == 3
@@ -690,7 +692,7 @@ class TestFactorizationBookkeeping:
 class TestRuleSerialization:
     def test_integrate_sums_weighted_values_at_the_nodes(self):
         rule = QuadratureRule(nodes=[[0.0], [1.0], [0.5]], weights=[0.25, 0.5, 0.25],
-                              spec=monomial_spec(3), K=2)
+                              spec=spec_1d(3), K=2)
         # 0.25 * 1 + 0.5 * 4 + 0.25 * 2.25
         assert rule.integrate(lambda x: (1.0 + x[0]) ** 2) == 2.8125
         assert rule.integrate(lambda x: 1.0) == 1.0
@@ -726,17 +728,17 @@ class TestRuleSerialization:
         with pytest.raises(DimensionMismatch, match=name):
             QuadratureRule(
                 nodes=np.zeros((3, 1)), weights=np.full(3, 1 / 3),
-                spec=monomial_spec(3), K=2, **kwargs,
+                spec=spec_1d(3), K=2, **kwargs,
             )
 
     def test_nodes_of_another_dimension_are_a_mismatch(self):
         with pytest.raises(DimensionMismatch, match="2 columns, the basis has d = 1"):
             QuadratureRule(nodes=np.zeros((3, 2)), weights=np.full(3, 1 / 3),
-                           spec=monomial_spec(3), K=2)
+                           spec=spec_1d(3), K=2)
 
     def test_only_the_no_source_index_may_repeat(self):
         data = construct_fixed_rule(
-            SampleSet(np.linspace(0.0, 1.0, 20)), monomial_spec(3, 0.0, 1.0)
+            SampleSet(np.linspace(0.0, 1.0, 20)), spec_1d(3, 0.0, 1.0)
         ).to_json_dict()
         # the base nodes of a resampled extension: -1, more than once
         data["source_indices"][:2] = [-1, -1]
@@ -748,7 +750,7 @@ class TestRuleSerialization:
     @pytest.mark.parametrize("key", ["fixed_mask", "source_indices", "spec", "K"])
     def test_missing_json_key_is_named(self, key):
         data = construct_fixed_rule(
-            SampleSet(np.linspace(0.0, 1.0, 20)), monomial_spec(3, 0.0, 1.0)
+            SampleSet(np.linspace(0.0, 1.0, 20)), spec_1d(3, 0.0, 1.0)
         ).to_json_dict()
         del data[key]
         with pytest.raises(InvalidSpec, match=repr(key)):
@@ -780,7 +782,7 @@ class TestRuleSerialization:
             "ragged-nodes"])
     def test_no_value_is_truncated_or_cast(self, edit, named):
         data = construct_fixed_rule(
-            SampleSet(np.linspace(0.0, 1.0, 20)), monomial_spec(3, 0.0, 1.0)
+            SampleSet(np.linspace(0.0, 1.0, 20)), spec_1d(3, 0.0, 1.0)
         ).to_json_dict()
         edit(data)
         with pytest.raises(InvalidSpec, match=named):
@@ -791,7 +793,7 @@ class TestRuleSerialization:
         # one consumed sample (K = 0) is enough for the rule below
         rule = QuadratureRule(
             nodes=[[0.0], [0.5], [1.0]], weights=np.full(3, 1 / 3),
-            spec=monomial_spec(3), K=0, source_indices=[-1, -1, 0],
+            spec=spec_1d(3), K=0, source_indices=[-1, -1, 0],
         )
         assert QuadratureRule.from_json_dict(rule.to_json_dict()).K == 0
         data = rule.to_json_dict()

@@ -188,6 +188,20 @@ class TestGenerate:
         assert spec.params["sd"] == 2
         assert generate(again, 5).points.tobytes() == generate(spec, 5).points.tobytes()
 
+    @pytest.mark.parametrize("kind, params", [
+        ("uniform", {"lo": -1.0, "hi": 2.5}),
+        ("normal", {"mean": 0.5, "sd": 3.0}),
+        ("beta", {"a": 0.5, "b": 3.0, "lo": -1.0, "hi": 2.5}),
+    ])
+    def test_a_value_in_one_or_per_coordinate_draws_the_same_samples(self, kind, params):
+        # the generators broadcast a scalar or a list of one; the spec keeps its shape
+        d = 3
+        want = generate(DistributionSpec(kind, d, seed=9, params=params), 50).points
+        for n in (1, d):
+            spec = DistributionSpec(kind, d, seed=9, params={k: [v] * n for k, v in params.items()})
+            assert spec.resolved[next(iter(params))].shape == (n,)
+            assert generate(spec, 50).points.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize(
         "name, value",
         [("step", 0), ("step", -0.5), ("step", math.inf), ("step", math.nan), ("step", "0.5"),
