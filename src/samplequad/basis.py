@@ -74,6 +74,8 @@ class BasisSpec:
                 raise InvalidDomain(f"basis 'domain' box [{lo}, {hi}] is not finite")
             if not lo < hi:
                 raise InvalidDomain(f"degenerate domain box [{lo}, {hi}]")
+            if not math.isfinite(2.0 * (hi - lo)):
+                raise InvalidDomain(f"basis 'domain' box [{lo}, {hi}] is too wide to map")
 
     @cached_property
     def indices(self) -> tuple[tuple[int, ...], ...]:

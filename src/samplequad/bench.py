@@ -212,18 +212,18 @@ def fit_slope(ns, errors) -> float:
 
 
 def _rep_seeds(config: ExperimentConfig) -> list[list[int]]:
-    """(sample, parameter, selection) seeds of every repetition."""
+    """(sample, parameter) seeds of every repetition."""
     root = np.random.SeedSequence(config.seed)
     try:
         state = root.generate_state(3 * config.repetitions, dtype=np.uint64)
     except UNALLOCATABLE as exc:
         raise InvalidSpec(f"repetitions = {config.repetitions} need more seeds than numpy "
                           f"can allocate: {exc}") from None
-    return (state >> 1).reshape(-1, 3).tolist()
+    # the third word is unused; drawing it keeps each seed's samples and Genz parameters
+    return (state >> 1).reshape(-1, 3)[:, :2].tolist()
 
 
-def _build_chain(config: ExperimentConfig, samples: SampleSet, spec: BasisSpec,
-                 select_seed: int):
+def _build_chain(config: ExperimentConfig, samples: SampleSet, spec: BasisSpec):
     chain = [construct_fixed_rule(samples, spec)]
     for n in config.schedule[1:]:
         req = ExtensionRequest(
@@ -233,7 +233,7 @@ def _build_chain(config: ExperimentConfig, samples: SampleSet, spec: BasisSpec,
             mode="increase_degree",
             removal_cap=config.removal_cap,
         )
-        chain.append(extend_rule(req, selection_seed=select_seed))
+        chain.append(extend_rule(req))
     return chain
 
 
@@ -267,7 +267,7 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
         log.warning(msg)
         report.failures.append(msg)
 
-    for rep, (sample_seed, param_seed, select_seed) in enumerate(_rep_seeds(config)):
+    for rep, (sample_seed, param_seed) in enumerate(_rep_seeds(config)):
         samples = generate(replace(config.distribution, seed=sample_seed), config.k_max)
         a, b = draw_genz_params(config.d, param_seed)
         funcs = [GenzFunction(f, a, b) for f in families]
@@ -281,7 +281,7 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
         spec = BasisSpec(d=config.d, size=config.schedule[0] + 1,
                          domain=domain_from_samples(samples.points))
         try:
-            chain = _build_chain(config, samples, spec, select_seed)
+            chain = _build_chain(config, samples, spec)
         except SampleQuadError as exc:
             fail(f"nested chain failed: {exc}")
         else:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import BasisSpec, domain_from_samples
 from .bench import ExperimentConfig, run_convergence
-from .errors import InsufficientSamples, NullSpaceFailure, SampleQuadError
+from .errors import InsufficientSamples, InvalidSpec, NullSpaceFailure, SampleQuadError
 from .nested import ExtensionRequest, extend_rule
 from .rule import QuadratureRule, construct_fixed_rule, sample_moments
 from .sampling import (
@@ -93,7 +93,7 @@ def cmd_extend(args) -> int:
         mode=MODE_ALIASES[args.mode],
         removal_cap=args.removal_cap,
     )
-    rule = extend_rule(req, selection_seed=args.seed or 0)
+    rule = extend_rule(req)
     rule.save(args.out)
     n_base = base.n_nodes
     added = rule.n_nodes - n_base
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="samplequad",
         description="Positive-weight nested quadrature rules from sample sets",
     )
-    parser.add_argument("--seed", type=int, default=None, help="override seed")
+    parser.add_argument("--seed", type=int, default=None, help="gen-samples or bench-genz seed")
     parser.add_argument("--log-level", default="warning",
                         choices=["debug", "info", "warning", "error"])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -175,6 +175,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        if args.seed is not None and args.command in ("build", "extend"):
+            raise InvalidSpec(f"{args.command} draws nothing, so it takes no --seed")
         return args.fn(args)
     except InsufficientSamples as exc:
         log.error("%s", exc)

@@ -16,16 +16,17 @@ With a one-dimensional null space one ratio scan gives both removals
 and the nodes each zeroes; the step takes the smallest-|alpha| one (ties
 to the positive side, which keeps the sample).  Only if that zeroes a
 fixed node is the other built too: the one deleting more non-fixed
-nodes wins, and a seeded draw breaks ties.  With zero-weight fixed
-nodes the null space is larger: a direction per node outside the square
-base and one for the sample.  The step enumerates all removals of that
-size and takes one that deletes the most non-fixed nodes (same tie
-break), with its vertex's weights: for two directions by a ring walk
-round the removal polygon in weight space (see `samplequad.removal`),
-else by a walk of vertex solves from the vertex the sample's
-smallest-|alpha| removal reaches.  The base stays square where
-steps leave some of its nodes at weight zero, a degenerate basis of the
-revised simplex method (Dantzig, 1963), so it is always a vertex.
+nodes wins, and a tie goes to the one whose smallest positive fixed-node
+weight is largest.  With zero-weight fixed nodes the null space is
+larger: a direction per node outside the square base and one for the
+sample.  The step enumerates all removals of that size and takes one
+that deletes the most non-fixed nodes (the same tie rule), with its
+vertex's weights: for two directions by a ring walk round the removal
+polygon in weight space (see `samplequad.removal`), else by a walk of
+vertex solves from the vertex the sample's smallest-|alpha| removal
+reaches.  The base stays square where steps leave some of its nodes at
+weight zero, a degenerate basis of the revised simplex method (Dantzig,
+1963), so it is always a vertex.  A rule depends on its inputs alone.
 
 Most steps delete the incoming sample, which only reweights the
 support S, so the stream runs block-speculatively: k such steps leave
@@ -37,8 +38,8 @@ the inverse of V_S gets the exchange's rank-one (Sherman-Morrison)
 update, the rest of the window is solved again through it, and the
 prefix sum restarts from the swapped weights.  The scalar step first
 solves its sample alone and takes the drop or clean swap the ratio scan
-picks without a draw, also where a fixed node is zeroed first and alone
-and the other side's first is not fixed.  Only the rest (a near tie,
+picks with no tie to break, also where a fixed node is zeroed first and
+alone and the other side's first is not fixed.  Only the rest (a near tie,
 fixed nodes on both sides, a multi-delete, a grow, a rejected solve)
 pays for the ratio scan.
 """
@@ -173,7 +174,7 @@ class _StreamEngine:
     own entering column, or declines and the base is rebuilt.
     """
 
-    def __init__(self, work: QuadratureRule, rng, removal_cap):
+    def __init__(self, work: QuadratureRule, removal_cap):
         self.spec = spec = work.spec
         n, self.consumed = work.n_nodes, work.K + 1
         cap = max(n, int(work.fixed_mask.sum()) + spec.size) + 1
@@ -183,7 +184,7 @@ class _StreamEngine:
         self._V = np.empty((spec.size, cap))
         self._V[:, :n] = basis_matrix(spec, work.nodes)
         self._resize(n)
-        self.rng, self.removal_cap = rng, removal_cap
+        self.removal_cap = removal_cap
         self._rebuild_fact()
 
     def _resize(self, n):
@@ -333,7 +334,7 @@ class _StreamEngine:
         return done
 
     def _tie_free(self, W, z, far_side):
-        """(weights, slot) of a drop (slot -1) or clean swap taken without a draw, or None.
+        """(weights, slot) of a drop (slot -1) or clean swap free of near ties, or None.
 
         From the count weights W in factorization order and z = V_S^-1 phi(y):
         the sample or a non-fixed node zeroed first by the near-tie margin
@@ -369,15 +370,15 @@ class _StreamEngine:
         n = self.n
         return [k for k in zeroed if k == n or not self.fixed[k]]
 
-    def _pick(self, candidates, zeroed_sets):
-        """The candidate whose zeroed set deletes the most non-fixed nodes.
+    def _pick(self, cands):
+        """The (u, zeroed, removed) candidate that deletes the most non-fixed nodes.
 
-        A seeded draw breaks ties; the generator is consulted only then.
+        Ties go to the one whose smallest positive fixed-node weight is
+        largest (+inf with none), and then to the first listed.
         """
-        counts = [len(self._deletable(zeroed)) for zeroed in zeroed_sets]
-        best = max(counts)
-        pool = [cand for cand, cnt in zip(candidates, counts) if cnt == best]
-        return pool[0] if len(pool) == 1 else pool[int(self.rng.integers(len(pool)))]
+        fixed = self._fixed[: self.n + 1]
+        return max(cands, key=lambda c: (len(self._deletable(c[1])), np.minimum.reduce(
+            c[0], initial=np.inf, where=fixed & (c[0] > 0.0))))
 
     def _single_direction(self, v, col):
         """One ratio scan gives both removals; the second is built only if needed."""
@@ -393,11 +394,10 @@ class _StreamEngine:
         first = self._candidate(v, c, *near)
         if len(self._deletable(first[1])) == len(first[1]):
             return first
-        # a fixed node was zeroed: price the other removal too; the one
-        # deleting more non-fixed nodes wins (positive side listed first)
+        # a fixed node was zeroed: price the other removal too, and let
+        # `_pick` choose (the positive side listed first, for exact ties)
         other = self._candidate(v, c, *far)
-        cands = [other, first] if near is neg else [first, other]
-        return self._pick(cands, [cand[1] for cand in cands])
+        return self._pick([other, first] if near is neg else [first, other])
 
     def _null_basis(self, col, excess):
         """Null basis of [V, col] and the nodes outside the base.
@@ -444,11 +444,10 @@ class _StreamEngine:
         if stats["capped"]:
             log.debug("removal walk capped at sample %d: %d vertices",
                       self.consumed - 1, len(removals))
-        pick = self._pick(removals, [r.zero_indices for r in removals])
-        zeroed = list(pick.zero_indices)
-        u = pick.weights.copy()
-        u[zeroed] = 0.0
-        return u, zeroed, pick.indices
+        cands = [(r.weights.copy(), list(r.zero_indices), r.indices) for r in removals]
+        for u, zeroed, _ in cands:
+            u[zeroed] = 0.0
+        return self._pick(cands)
 
     def _apply(self, u, zeroed, removed, col):
         """Commit the general step's weights u, the sample's at position n.
@@ -558,14 +557,14 @@ def _drop_prefix(W, Z, ok):
     return run, (S[:, run - 1] if run else W)
 
 
-def run_stream(work, points, stream_idx, rng, removal_cap) -> QuadratureRule:
+def run_stream(work, points, stream_idx, removal_cap) -> QuadratureRule:
     """Stream the rows `stream_idx` (ascending) of `points` past `work`.
 
     `work` is the starting rule, exact for the rows it has consumed.  The
     basis is evaluated once per row of `points`, for the stream and for
     the moments of all rows, which the result is validated against.
     """
-    engine = _StreamEngine(work, rng, removal_cap)
+    engine = _StreamEngine(work, removal_cap)
     blocks = BlockMoments(work.spec, points)
     # a block pass that consumes fewer than _MIN_WINDOW samples makes the
     # next `wait` samples take the scalar step, a count that doubles with
@@ -605,12 +604,12 @@ def run_stream(work, points, stream_idx, rng, removal_cap) -> QuadratureRule:
     return rule
 
 
-def extend_rule(req: ExtensionRequest, selection_seed: int = 0) -> QuadratureRule:
+def extend_rule(req: ExtensionRequest) -> QuadratureRule:
     """Extended rule containing the base nodes, exact on the larger basis.
 
     The node count N+M+1 obeys D <= N+M <= N+D+1 for target basis size
     D+1 and base node count N+1.  Fixed nodes selected by a removal stay
-    with weight zero.  Deterministic for a fixed selection seed.
+    with weight zero.  Identical requests give identical rules.
     """
     work, stream_idx = initialize_extension(req)
     total = work.K + 1 + stream_idx.shape[0]
@@ -619,8 +618,7 @@ def extend_rule(req: ExtensionRequest, selection_seed: int = 0) -> QuadratureRul
                                   f"{req.target_basis_size}")
     # in every mode the fully consumed stream is, as a multiset, the whole
     # sample source (increase_degree re-adds the base nodes it skipped)
-    rng = np.random.default_rng(selection_seed)
-    out = run_stream(work, req.sample_source.points, stream_idx, rng, req.removal_cap)
+    out = run_stream(work, req.sample_source.points, stream_idx, req.removal_cap)
     base_keys = {row.tobytes() for row in req.base.nodes}
     out_keys = {row.tobytes() for row in out.nodes}
     if not base_keys <= out_keys:

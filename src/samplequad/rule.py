@@ -322,6 +322,4 @@ def construct_fixed_rule(samples: SampleSet, spec: BasisSpec) -> QuadratureRule:
         K=m - 1,
         source_indices=np.arange(m),
     )
-    # without fixed nodes no step draws or enumerates removals
-    rng = np.random.default_rng(0)
-    return run_stream(start, pts, np.arange(m, pts.shape[0]), rng, 10**6)
+    return run_stream(start, pts, np.arange(m, pts.shape[0]), 10**6)

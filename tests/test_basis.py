@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -213,6 +214,16 @@ class TestBasisSpec:
         # an infinite end maps every finite coordinate to one point
         with pytest.raises(InvalidDomain, match="not finite"):
             BasisSpec(d=1, size=2, domain=((0.0, np.inf),))
+
+    # 2 (hi - lo) overflows: in the width for the first, in the doubling
+    # for the second; the map would then send every point to inf or NaN
+    @pytest.mark.parametrize("box", [(-1e308, 1e308), (0.0, 1.7e308)])
+    def test_a_box_too_wide_to_map_is_rejected(self, box):
+        with pytest.raises(InvalidDomain, match=re.escape(f"box [{box[0]}, {box[1]}]")):
+            BasisSpec(d=2, size=3, domain=((0.0, 1.0), box))
+        # the widest box that maps stays accepted, and maps its ends to -1 and 1
+        spec = BasisSpec(d=1, size=2, domain=((0.0, 8.9e307),))
+        assert spec.map_to_reference(np.array([[0.0], [8.9e307]])).tolist() == [[-1.0], [1.0]]
 
     def test_domain_from_samples_is_bounding_box(self):
         pts = np.array([[0.0, 2.0], [1.0, 5.0], [0.5, 3.0]])

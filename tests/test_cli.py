@@ -217,6 +217,15 @@ class TestBuild:
         assert run("build", "--samples", samples, "--degree-size", 3,
                    "--out", tmp_path / "r.json") == 2
 
+    def test_samples_too_wide_to_map_exit_2(self, tmp_path, caplog):
+        # the first column spans [-1e308, 1e308], whose width no float holds
+        samples = tmp_path / "wide.csv"
+        samples.write_text("-1e308,0.2\n1e308,0.4\n0.5,0.6\n0.7,0.8\n")
+        out = tmp_path / "r.json"
+        assert run("build", "--samples", samples, "--degree-size", 3, "--out", out) == 2
+        assert "box [-1e+308, 1e+308] is too wide to map" in caplog.text
+        assert not out.exists()
+
     def test_samples_without_columns_exit_2(self, tmp_path, caplog):
         samples = tmp_path / "flat.bin"
         samples.write_bytes(MAGIC + struct.pack("<II", 0, 5))
@@ -257,6 +266,13 @@ class TestBuild:
         assert exit_.value.code == 2
         assert not (tmp_path / "r.json").exists()
 
+    def test_seed_exits_2_as_build_draws_nothing(self, sample_file, tmp_path, caplog):
+        out = tmp_path / "r.json"
+        assert run("--seed", 3, "build", "--samples", sample_file, "--degree-size", 6,
+                   "--out", out) == 2
+        assert "build draws nothing, so it takes no --seed" in caplog.text
+        assert not out.exists()
+
 
 class TestExtend:
     def test_degree_chain_nested(self, sample_file, tmp_path, capsys):
@@ -281,6 +297,16 @@ class TestExtend:
                    "--degree-size", 11, "--mode", "degree", "--removal-cap", 1,
                    "--out", tmp_path / "r2.json") == 0
         assert "node_count_bound ok" in capsys.readouterr().out
+
+    def test_seed_exits_2_as_extend_draws_nothing(self, sample_file, tmp_path, caplog):
+        r1 = tmp_path / "r1.json"
+        assert run("build", "--samples", sample_file, "--degree-size", 5,
+                   "--out", r1) == 0
+        out = tmp_path / "r2.json"
+        assert run("--seed", 0, "extend", "--rule", r1, "--samples", sample_file,
+                   "--degree-size", 11, "--mode", "degree", "--out", out) == 2
+        assert "extend draws nothing, so it takes no --seed" in caplog.text
+        assert not out.exists()
 
     def test_removal_cap_below_one_exits_2(self, sample_file, tmp_path, caplog):
         r1 = tmp_path / "r1.json"
@@ -369,11 +395,13 @@ class TestExtend:
         (lambda rule: rule["nodes"][0].__setitem__(1, float("inf")), "'nodes'"),
         (lambda rule: rule["spec"]["domain"][0].__setitem__(1, float("inf")), "'domain'"),
         (lambda rule: rule["weights"].__setitem__(0, 10**400), "'weights'"),
+        (lambda rule: rule["spec"]["domain"].__setitem__(0, [-1e308, 1e308]), "'domain'"),
     ], ids=["negated-weights", "nan-weight", "negative-K", "K-below-node-count", "float-K",
             "bool-K", "float-d", "float-index", "str-mask", "str-K", "str-size", "bool-weight",
             "bool-node", "bool-domain", "number-box", "three-ends-box", "str-domain",
             "number-spec", "ragged-nodes", "huge-source-index", "source-index-below-minus-one",
-            "nan-node", "infinite-node", "infinite-domain", "int-beyond-float-weight"])
+            "nan-node", "infinite-node", "infinite-domain", "int-beyond-float-weight",
+            "too-wide-domain"])
     def test_invalid_rule_values_exit_2_before_streaming(
         self, edit, named, tmp_path, caplog, monkeypatch
     ):

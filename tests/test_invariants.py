@@ -63,7 +63,6 @@ def cases(draw):
         "kind": draw(st.sampled_from(KINDS)),
         "seed": draw(st.integers(0, 2**32 - 1)),
         "mode": mode,
-        "selection_seed": draw(st.integers(0, 1000)),
     }
 
 
@@ -79,7 +78,7 @@ def build(case):
     spec = BasisSpec(d=case["d"], size=case["size"], domain=domain_from_samples(first.points))
     base = construct_fixed_rule(first, spec)
     req = ExtensionRequest(base, case["target"], samples, case["mode"])
-    return first, base, samples, extend_rule(req, selection_seed=case["selection_seed"])
+    return first, base, samples, extend_rule(req)
 
 
 @SETTINGS

@@ -175,7 +175,7 @@ class TestExtendRule:
                 sample_source=uniform_samples,
                 mode="increase_degree",
             )
-            chain.append(extend_rule(req, selection_seed=7))
+            chain.append(extend_rule(req))
         for small, large in zip(chain, chain[1:]):
             assert node_keys(small) <= node_keys(large)
             assert large.weights.min() >= -1e-12
@@ -205,7 +205,7 @@ class TestExtendRule:
                 sample_source=uniform_samples,
                 mode="increase_degree",
             )
-            out = extend_rule(req, selection_seed=3)
+            out = extend_rule(req)
             d_plus = size - 1
             n_plus_m = out.n_nodes - 1
             assert d_plus <= n_plus_m <= n_base + d_plus + 1
@@ -228,7 +228,7 @@ class TestExtendRule:
             mode="resampled",
         )
         svd = svd_calls(monkeypatch)
-        out = extend_rule(req, selection_seed=11)
+        out = extend_rule(req)
         # the zero-weight base nodes complete a square base: no SVD null basis
         assert svd == []
         assert node_keys(base) <= node_keys(out)
@@ -245,26 +245,26 @@ class TestExtendRule:
         samples = SampleSet(rng.random((400, 2)))
         spec = BasisSpec(d=2, size=4, domain=domain_from_samples(samples.points))
         first = construct_fixed_rule(SampleSet(samples.points[:100]), spec)
-        base = extend_rule(ExtensionRequest(first, 5, samples, "increase_degree"), 0)
+        base = extend_rule(ExtensionRequest(first, 5, samples, "increase_degree"))
         assert base.n_nodes == 6 and (base.weights == 0.0).sum() == 1
         req = ExtensionRequest(base, 5, samples, "increase_degree")
         work, _ = initialize_extension(req)
         assert (work.weights > 0.0).all()
         # single removals bring the start to a vertex of the base, same
         # moments; the engine holds the weights as sample counts
-        engine = _StreamEngine(work, np.random.default_rng(0), 10**6)
+        engine = _StreamEngine(work, 10**6)
         support = np.flatnonzero(engine.w > 0.0)
         assert support.shape[0] <= 5 and np.isin(support, engine.fact_cols).all()
         count = engine.consumed
         np.testing.assert_allclose(engine.Vall @ engine.w, engine.Vall @ work.weights * count,
                                    rtol=0, atol=1e-14 * count)
         svd = svd_calls(monkeypatch)
-        out = extend_rule(req, 0)
+        out = extend_rule(req)
         assert svd == []
         assert node_keys(base) <= node_keys(out)
         assert out.weights.min() >= 0.0
         assert out.moment_residual(sample_moments(samples, out.spec)) <= 1e-8
-        assert sorted(out.source_indices.tolist()) == [0, 5, 8, 48, 392, 397]
+        assert sorted(out.source_indices.tolist()) == [0, 5, 8, 48, 92, 368]
 
     def test_standard_normal_extension_of_three_given_nodes(self):
         # nodes 0, 1/2, 1 are a poor interpolatory set for a standard normal
@@ -285,7 +285,7 @@ class TestExtendRule:
             sample_source=samples,
             mode="resampled",
         )
-        out = extend_rule(req, selection_seed=2)
+        out = extend_rule(req)
         assert node_keys(base) <= node_keys(out)
         assert out.weights.min() >= 0.0
         # bound with N=2, D=4: 4 <= N+M <= 7
@@ -297,15 +297,15 @@ class TestExtendRule:
             assert zero_fixed.sum() >= extra
         assert out.moment_residual(sample_moments(samples, out.spec)) <= 1e-8
 
-    def test_deterministic_for_fixed_seed(self, uniform_samples, base_rule):
+    def test_deterministic_for_a_fixed_request(self, uniform_samples, base_rule):
         req = ExtensionRequest(
             base=base_rule,
             target_basis_size=13,
             sample_source=uniform_samples,
             mode="increase_degree",
         )
-        r1 = extend_rule(req, selection_seed=5)
-        r2 = extend_rule(req, selection_seed=5)
+        r1 = extend_rule(req)
+        r2 = extend_rule(req)
         np.testing.assert_array_equal(r1.nodes, r2.nodes)
         np.testing.assert_array_equal(r1.weights, r2.weights)
 
@@ -332,7 +332,7 @@ class TestExtendRule:
                 sample_source=samples,
                 mode="increase_degree",
             )
-            chain.append(extend_rule(req, selection_seed=9))
+            chain.append(extend_rule(req))
         for small, large in zip(chain, chain[1:]):
             assert node_keys(small) <= node_keys(large)
 
@@ -349,7 +349,7 @@ class TestNestedErrorEstimate:
             sample_source=uniform_samples,
             mode="increase_degree",
         )
-        large = extend_rule(req, selection_seed=4)
+        large = extend_rule(req)
         ev = {tuple(row): 1.0 for row in large.nodes}
         assert nested_error_estimate(base_rule, large, ev) <= 1e-12
 
@@ -362,7 +362,7 @@ class TestNestedErrorEstimate:
             sample_source=uniform_samples,
             mode="increase_degree",
         )
-        large = extend_rule(req, selection_seed=4)
+        large = extend_rule(req)
         rng = np.random.default_rng(107)
         coef = rng.standard_normal(base_rule.spec.size)
 
@@ -385,15 +385,15 @@ def _increase_degree_chain(kind, count, sizes, seed):
     chain = [construct_fixed_rule(samples, BasisSpec(d=2, size=sizes[0], domain=dom))]
     for size in sizes[1:]:
         req = ExtensionRequest(chain[-1], size, samples, "increase_degree")
-        chain.append(extend_rule(req, selection_seed=1))
+        chain.append(extend_rule(req))
     return chain
 
 
-# (kind, samples, basis sizes, seed): 150 M = 2, 24 M = 3 and 3 M = 4
-# steps on uniform samples, 57 M = 2 and 25 M = 3 steps on rosenbrock
+# (kind, samples, basis sizes, seed): 127 M = 2 and 9 M = 3 steps on
+# uniform samples, 147 M = 2 and 18 M = 3 steps on rosenbrock
 SEED_CORPUS = (
     ("uniform", 256, (6, 10, 15, 21), 2),
-    ("rosenbrock", 200, (4, 8, 16), 0),
+    ("rosenbrock", 200, (4, 8, 16, 24), 0),
 )
 
 
@@ -443,7 +443,7 @@ class TestSeededRemovalWalk:
             out = enumerate_(self, seed, cap=cap, stats=stats)
             found, _, _ = self._walk(first_vertex(self), cap)
             cold = [found[q] for q in sorted(found)]
-            # the same removals and zero sets, so the seeded draw picks the same
+            # the same removals and zero sets, in the same order, so the same pick
             assert [(r.indices, r.zero_indices) for r in out] == [
                 (r.indices, r.zero_indices) for r in cold
             ]
@@ -488,7 +488,7 @@ class TestSeededRemovalWalk:
         monkeypatch.setattr(RemovalProblem, "enumerate", lambda self, *args, **kwargs: [])
         req = ExtensionRequest(base_rule, 11, uniform_samples, "increase_degree")
         with pytest.raises(NullSpaceFailure) as info:
-            extend_rule(req, selection_seed=7)
+            extend_rule(req)
         assert info.value.sample_index is not None
 
 
@@ -496,11 +496,11 @@ class TestSeededRemovalWalk:
 # zero-weight nodes) as measured when the bound was set: D is the target
 # basis size and N the base's node count
 LEVEL_CHAINS = (
-    (SEED_CORPUS[0], ((4, 4, 0), (5, 5, 0), (6, 7, 1))),
-    (SEED_CORPUS[1], ((4, 5, 1), (7, 7, 0))),
-    (("uniform", 512, (5, 9, 17, 33, 65), 1), ((4, 4, 0), (8, 8, 0), (16, 17, 1), (31, 31, 0))),
+    (SEED_CORPUS[0], ((4, 4, 0), (5, 5, 0), (6, 6, 0))),
+    (SEED_CORPUS[1], ((4, 4, 0), (8, 8, 0), (8, 10, 2))),
+    (("uniform", 512, (5, 9, 17, 33, 65), 1), ((4, 4, 0), (8, 8, 0), (16, 16, 0), (32, 33, 1))),
     (("rosenbrock", 256, (5, 9, 17, 33, 65), 1),
-     ((4, 4, 0), (8, 9, 1), (15, 15, 0), (32, 32, 0))),
+     ((4, 4, 0), (8, 9, 1), (15, 16, 1), (31, 31, 0))),
 )
 
 
@@ -534,7 +534,7 @@ def quadratic_engine(nodes, weights, fixed):
         nodes=np.array(nodes)[:, None], weights=np.array(weights), spec=spec,
         K=len(nodes) - 1, fixed_mask=np.array(fixed),
     )
-    return _StreamEngine(work, np.random.default_rng(0), 10**6)
+    return _StreamEngine(work, 10**6)
 
 
 class TestStreamGuards:
@@ -602,8 +602,58 @@ class TestStreamGuards:
         assert steps == [3]
 
 
+class TestTieRule:
+    """Of the removals deleting the most non-fixed nodes, the pick leaves the
+    largest smallest positive fixed-node weight; an exact tie goes to the first."""
+
+    @staticmethod
+    def picks(monkeypatch, nodes, weights, fixed):
+        """Each pick as y = 1/2 is fed: the candidates, and the pick from each
+        rotation of their list and from the reversed list."""
+        picks, pick = [], _StreamEngine._pick
+
+        def recorded(self, cands):
+            orders = [cands[k:] + cands[:k] for k in range(len(cands))] + [cands[::-1]]
+            picks.append((cands, orders, [pick(self, order) for order in orders]))
+            return picks[-1][2][0]
+
+        monkeypatch.setattr(_StreamEngine, "_pick", recorded)
+        engine = quadratic_engine(nodes, weights, fixed)
+        y = np.array([0.5])
+        engine.feed(y, basis_matrix(engine.spec, y[None])[:, 0], engine.consumed)
+        return picks
+
+    def test_single_direction_keeps_the_larger_fixed_weight(self, monkeypatch):
+        # each side zeroes one fixed node and deletes nothing; the positive
+        # side leaves fixed node -1 at 1/8 of a sample, the negative side
+        # fixed node 0 at 3/4, so the negative side wins in either order
+        ((cands, _, picked),) = self.picks(
+            monkeypatch, [-1.0, 0.0, 1.0], [1 / 32, 1 / 16, 29 / 32], [True, True, False])
+        assert [zeroed for _, zeroed, _ in cands] == [[1], [0]]
+        np.testing.assert_allclose([u[:2] for u, _, _ in cands], [[0.125, 0.0], [0.0, 0.75]],
+                                   rtol=1e-15, atol=0)
+        assert all(pick is cands[1] for pick in picked)
+
+    def test_multi_direction_breaks_exact_ties_by_order(self, monkeypatch):
+        # the five-node engine of the walk-seed test: six of its seven
+        # removals delete two non-fixed nodes (the seventh only the
+        # sample).  Four are one degenerate vertex that zeroes both fixed
+        # nodes (no positive fixed weight), and two leave a fixed node
+        # positive; in every order the first of the four listed wins
+        ((cands, orders, picked),) = self.picks(
+            monkeypatch, [-1.0, 0.0, 1.0, 0.25, -0.5], [13 / 16, 1 / 8, 1 / 16, 0.0, 0.0],
+            [False, False, False, True, True])
+        tied = [removed for _, zeroed, removed in cands if zeroed == [1, 2, 3, 4]]
+        assert tied == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+        others = {removed for _, _, removed in cands} - set(tied)
+        assert others == {(1, 3, 5), (1, 4, 5), (3, 4, 5)}
+        for order, pick in zip(orders, picked, strict=True):
+            assert pick is next(cand for cand in order if cand[2] in tied)
+        assert picked[0][2] == (1, 2, 3) and picked[-1][2] == (2, 3, 4)
+
+
 # (basis size, sorted source indices, weights in that order) of the chain
-# built from 256 uniform samples (seed 1), schedule 4 to 32, selection seed 1
+# built from 256 uniform samples (seed 1), schedule 4 to 32
 PINNED_CHAIN = (
     (5,
      [0, 1, 4, 8, 12],
@@ -611,28 +661,28 @@ PINNED_CHAIN = (
       0.16365480446543632]),
     (9,
      [0, 1, 4, 8, 12, 22, 80, 173, 205],
-     [0.05517902718058499, 0.014214598501316613, 0.16146847612359871, 0.28947373508166796,
-      0.024359881909438403, 0.2319274425052256, 0.13628293932892838, 0.072949320481914,
-      0.01414457888732534]),
+     [0.055179027180585045, 0.014214598501316627, 0.1614684761235987, 0.28947373508166796,
+      0.024359881909438424, 0.2319274425052255, 0.13628293932892832, 0.07294932048191406,
+      0.014144578887325353]),
     (17,
-     [0, 1, 4, 8, 12, 22, 71, 74, 77, 80, 114, 119, 168, 173, 205, 247, 253, 255],
-     [0.07925543513599943, 0.03406702012730802, 0.03585215811169342, 0.025710570280869812,
-      0.034080049773721054, 0.11861886185540313, 0.07505260932475015, 0.02145087550687434,
-      0.08154612845081989, 0.0, 0.05547369041981639, 0.017356469292218277,
-      0.07019173156309876, 0.15515596742161822, 0.015556342229121313, 0.04758564039180861,
-      0.06481456410114932, 0.06823188601372977]),
+     [0, 1, 4, 8, 12, 13, 22, 43, 77, 80, 106, 162, 164, 173, 181, 205, 231],
+     [0.014677222232374687, 0.02979729274868882, 0.015389855636004637, 0.12672565558678753,
+      0.0252040130356228, 0.05810907634853882, 0.02874041488763223, 0.10308118906563486,
+      0.07134271785294535, 0.05493317141148833, 0.034628151685022736, 0.07329702346634925,
+      0.044087086588563966, 0.1802818165097443, 0.09850781785208516, 0.025038533992016675,
+      0.016158961100499834]),
     (33,
-     [0, 1, 4, 8, 10, 12, 22, 36, 60, 67, 71, 74, 77, 80, 93, 97, 105, 114, 119, 131, 158,
-      159, 167, 168, 173, 192, 200, 205, 229, 238, 247, 253, 254, 255],
-     [0.006364539843623211, 0.01494547978091352, 0.029389240879810232, 0.03298579823378617,
-      0.06369856288448843, 0.02828779094047054, 0.0, 0.046173919480232826,
-      0.045236753764034125, 0.04120698482082356, 0.03847286067202382, 0.015117828227583771,
-      0.02485150698441937, 0.038588396991339084, 0.007159640539219643, 0.020169513580173312,
-      0.017258940638154596, 0.02510243443934405, 0.017395091209963937, 0.01972591045116645,
-      0.05264465506747687, 0.013614231556781034, 0.04937039220803891, 0.04365280261951097,
-      0.07841362112833579, 0.05854344895243601, 0.006665885239821917, 0.00800897963037554,
-      0.0034973293926108123, 0.0008920003105705172, 0.030968370988028737,
-      0.044244979028638415, 0.014255448621238936, 0.0630966608945649]),
+     [0, 1, 4, 8, 12, 13, 22, 34, 43, 77, 80, 85, 92, 93, 106, 118, 132, 142, 161, 162, 164, 173,
+      181, 192, 194, 200, 205, 222, 227, 231, 232, 252, 254],
+     [0.02668752429845574, 0.03862069021553118, 0.027347617073592078, 0.028943002914659444,
+      0.02839067358686271, 0.07358995286775907, 0.04797820191320659, 0.016980283821407243,
+      0.022546967984106936, 0.0005989030817750483, 0.009503598450461538, 0.05970376972822618,
+      0.022779833847453152, 0.015097396976164537, 0.06873850076290985, 0.024880602064704882,
+      0.035231769083276354, 0.015513889447930265, 0.004634030756242108, 0.02584239303117438,
+      0.03136304647429897, 0.04931304836261745, 0.03054621968821475, 0.07232559556325038,
+      0.03615997651891494, 0.004852272303274273, 0.006605409027808043, 0.013232376574541632,
+      0.025897911710418452, 0.022434847079802225, 0.08940888255272042, 0.013169723804536937,
+      0.011081088433702195]),
 )
 
 
@@ -647,27 +697,27 @@ PINNED_ROSENBROCK_CHAIN = (
     (9,
      [3, 4, 5, 7, 9, 21, 23, 45, 46],
      [0.010341054357264335, 0.05161961856619799, 0.08769350089539145, 0.20459567775836562,
-      0.4536918950712163, 0.03131170828657729, 0.07344541220284787, 0.07899307450714581,
+      0.4536918950712163, 0.03131170828657729, 0.07344541220284787, 0.0789930745071458,
       0.008308058354993354]),
     (17,
-     [3, 4, 5, 7, 9, 19, 21, 23, 24, 37, 45, 46, 56, 147, 199, 233, 252, 253],
-     [0.010305587651614458, 0.08082046896111089, 0.0, 0.06282790654238088,
-      0.22624878299724763, 0.035839309115882796, 0.008993095108319103, 0.04318460331247562,
-      0.12044775075092871, 0.031246500290186947, 0.03213226809877708, 0.0018963032240762404,
-      0.08957344894745252, 0.015172533280427945, 0.11437928863655367, 0.03558566942666851,
-      0.0020930715817495515, 0.08925341207414735]),
+     [3, 4, 5, 7, 9, 19, 21, 23, 24, 37, 45, 46, 56, 147, 199, 233, 252, 254],
+     [0.0101101535746142, 0.08907447340257194, 0.027774309856273226, 0.08664387110163788,
+      0.24246558802543028, 0.08121339990332406, 0.006475687223987639, 0.017496986048106098,
+      0.1524731198126662, 0.036200907227139596, 0.040503490901361315, 0.0, 0.06317386932447333,
+      0.019359619212077194, 0.06818644716563001, 0.006339592868542202, 0.002322553919103219,
+      0.05018593043306161]),
     (33,
-     [1, 3, 4, 5, 7, 9, 10, 19, 21, 23, 24, 37, 45, 46, 47, 51, 56, 79, 99, 100, 113, 119, 122,
-      138, 147, 160, 196, 199, 205, 226, 233, 252, 253],
-     [0.13746620490767936, 0.004151437593981641, 0.03972208455558296, 0.01575978985198423,
-      0.08317735753208583, 0.03763647259883671, 0.07904809482325523, 0.004174926459110939,
-      0.005876935675309156, 0.01601499824284537, 0.0817518269405247, 0.00458022516363764,
-      0.025626442477015086, 0.003759463155005285, 0.006857453674184908, 0.009074650491770558,
-      0.059486418383742495, 0.04401669322010391, 0.019667224842856473, 0.002768960914459323,
-      0.017769844036772828, 0.01111814135610464, 0.003992170917892234, 0.03631072636960696,
-      0.0030582683613550746, 0.031003323774748417, 0.004801601920825058, 0.046057894881582594,
-      0.03563085327881099, 0.007681806751676064, 0.022211058163497697, 0.001311556833808401,
-      0.09843509184934726]),
+     [2, 3, 4, 5, 7, 9, 18, 19, 21, 23, 24, 37, 45, 46, 47, 56, 100, 113, 120, 122, 132, 133, 147,
+      175, 196, 197, 199, 203, 220, 227, 233, 252, 253, 254],
+     [0.007380086846093868, 0.00337623068503047, 0.022420798222801765, 0.0034039387519870694,
+      0.03246776152299934, 0.1473641231573618, 0.029550560544462538, 0.03451791084649681,
+      0.005017919645065752, 0.015004102394016188, 0.09760770515994738, 0.018219468997619934,
+      0.01546841983234157, 0.003917997105379396, 0.004236884404170244, 0.07685462098343131,
+      0.003911040092038901, 0.009834141078371772, 0.01155624543824141, 0.004070147789564055,
+      0.0384318000889733, 0.06678282226270374, 0.0037999074463854524, 0.00519687913190477,
+      0.001929274655667375, 0.013878303867688156, 0.027388272909009522, 0.0413064471028875,
+      0.1647449533307901, 0.012826500241317701, 0.06058749321163207, 0.003509753994577969,
+      0.013437488259040682, 0.0]),
 )
 
 
@@ -753,52 +803,54 @@ class TestScalarStep:
             patch.setattr(_StreamEngine, "_lean_step", lambda self, *args: False)
             ref = fed(quadratic_engine([-1.0, 0.0, 1.0], weights, fixed))
 
-        class NoDraw:
-            def integers(self, *args):
-                raise AssertionError("a tie-free step consults no draw")
-
         def no_null_vector(self, cols):
             raise AssertionError("a step taken from one solve needs no null vector")
 
+        def no_pick(self, cands):
+            raise AssertionError("a tie-free step prices no second removal")
+
         monkeypatch.setattr(ExtensionFactorization, "null_vector_extended", no_null_vector)
+        monkeypatch.setattr(_StreamEngine, "_pick", no_pick)
         engine = quadratic_engine([-1.0, 0.0, 1.0], weights, fixed)
-        engine.rng = NoDraw()
         fed(engine)
         assert engine.X[:, 0].tolist() == nodes
         for a, b in ((engine.X, ref.X), (engine.w, ref.w), (engine.src, ref.src)):
             np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("weights, fixed, draws", [
+    @pytest.mark.parametrize("weights, fixed, ties, kept", [
         # fixed node 0 is zeroed first and alone; on the other side fixed
-        # node -1 beats the sample, and the scalar step draws
-        ([1 / 32, 1 / 16, 29 / 32], [True, True, False], 1),
+        # node -1 beats the sample: a tie, which keeps node 0 at 3/4 of
+        # a sample rather than node -1 at 1/8
+        ([1 / 32, 1 / 16, 29 / 32], [True, True, False], 1, [0.0, 0.75, 3.0, 0.25]),
         # fixed node -1 is zeroed first and alone; on the other side nodes
         # 0 and 1 tie, and the scalar step deletes both
-        ([1 / 64, 42 / 64, 21 / 64], [True, False, False], 0),
+        ([1 / 64, 42 / 64, 21 / 64], [True, False, False], 0, [3 / 8, 29 / 8]),
         # fixed node 0 is zeroed first and alone, by a margin of 1e-8, but
         # that removal leaves node 1 at the drop threshold: each side
-        # deletes one node, and the scalar step draws
-        ([(3 - 3e-6 + 2e-14) / 3, 2e-6 * (1 - 1e-8) / 3, 1e-6 / 3], [False, True, False], 1),
+        # deletes one node, and the tie goes to the side that leaves no
+        # fixed node positive
+        ([(3 - 3e-6 + 2e-14) / 3, 2e-6 * (1 - 1e-8) / 3, 1e-6 / 3], [False, True, False], 1,
+         [3 - 8e-6 / 3, 0.0, 1 + 8e-6 / 3]),
     ], ids=["fixed-other-side", "tied-other-side", "threshold-own-side"])
-    def test_fixed_or_tied_other_side_declines(self, weights, fixed, draws, monkeypatch):
-        calls = {"single": 0, "draw": 0}
-        single = _StreamEngine._single_direction
+    def test_fixed_or_tied_other_side_declines(self, weights, fixed, ties, kept, monkeypatch):
+        calls = {"single": 0, "tie": 0}
+        single, pick = _StreamEngine._single_direction, _StreamEngine._pick
 
         def counted_single(self, v, col):
             calls["single"] += 1
             return single(self, v, col)
 
-        class CountedDraw:
-            def integers(self, *args):
-                calls["draw"] += 1
-                return 0
+        def counted_pick(self, cands):
+            calls["tie"] += len({len(self._deletable(cand[1])) for cand in cands}) == 1
+            return pick(self, cands)
 
         monkeypatch.setattr(_StreamEngine, "_single_direction", counted_single)
+        monkeypatch.setattr(_StreamEngine, "_pick", counted_pick)
         engine = quadratic_engine([-1.0, 0.0, 1.0], weights, fixed)
-        engine.rng = CountedDraw()
         y = np.array([0.5])
         engine.feed(y, basis_matrix(engine.spec, y[None])[:, 0], 3)
-        assert calls == {"single": 1, "draw": draws}
+        assert calls == {"single": 1, "tie": ties}
+        np.testing.assert_allclose(engine.w, kept, rtol=1e-12, atol=0)
 
     def test_small_uniform_chain_is_pinned(self):
         samples = generate(DistributionSpec("uniform", 2, seed=1), 256)
@@ -806,7 +858,7 @@ class TestScalarStep:
         chain = [construct_fixed_rule(samples, spec)]
         for size, _, _ in PINNED_CHAIN[1:]:
             req = ExtensionRequest(chain[-1], size, samples, "increase_degree")
-            chain.append(extend_rule(req, selection_seed=1))
+            chain.append(extend_rule(req))
         for rule, (size, source, weights) in zip(chain, PINNED_CHAIN):
             order = np.argsort(rule.source_indices)
             assert rule.spec.size == size
@@ -819,7 +871,7 @@ class TestScalarStep:
         chain = [construct_fixed_rule(samples, spec)]
         for size, _, _ in PINNED_ROSENBROCK_CHAIN[1:]:
             req = ExtensionRequest(chain[-1], size, samples, "increase_degree")
-            chain.append(extend_rule(req, selection_seed=1))
+            chain.append(extend_rule(req))
         for rule, (size, source, weights) in zip(chain, PINNED_ROSENBROCK_CHAIN):
             order = np.argsort(rule.source_indices)
             assert rule.spec.size == size

@@ -128,3 +128,38 @@ def test_every_private_name_is_used_inside_the_package():
         if name not in read
     ]
     assert dead == []
+
+
+# the modules that draw samples and benchmark seeds; a rule is built from
+# its inputs alone, so no other module may reach a random generator
+DRAWING = {"sampling.py", "bench.py"}
+
+
+def _random_references(tree):
+    """Lines that name `np.random`, `numpy.random` or the `random` module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "random" and (
+                isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            yield node.lineno
+        elif isinstance(node, ast.Name) and node.id == "random":
+            yield node.lineno
+        elif isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "random" or alias.name.startswith("numpy.random")
+                for alias in node.names):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and (
+                node.module in ("random", "numpy.random")
+                or node.module == "numpy" and any(a.name == "random" for a in node.names)):
+            yield node.lineno
+
+
+def test_rule_construction_draws_nothing():
+    found = [
+        f"samplequad.{path.stem}:{line}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name not in DRAWING
+        for line in _random_references(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+    # the guard sees what it looks for
+    drawing = ast.parse("import numpy as np\nfrom numpy import random\nnp.random.default_rng(0)")
+    assert list(_random_references(drawing)) == [2, 3]
